@@ -108,8 +108,7 @@ def glaisher_merge(p: Partition) -> Partition:
 def glaisher_split(p: Partition) -> Partition:
     """Distinct parts back to odd parts: m = 2^e * a (a odd) becomes 2^e
     copies of a.  Defined on any all-positive partition."""
-    _require(bool(p.parts) is not None and all(v >= 1 for v in p.parts),
-             "split needs positive parts")
+    _require(all(v >= 1 for v in p.parts), "split needs positive parts")
     out = []
     for m in p.parts:
         a = m

@@ -3,7 +3,8 @@
 Every command is deterministic; output is byte-identical across runs once
 ``--no-timestamp`` suppresses the generation timestamp and wall times.
 Exit status: 0 on success or verification pass, 1 on a verification or
-round-trip mismatch (the witness is printed), 2 on usage errors.
+round-trip mismatch (the witness is printed), 2 on usage errors, including
+a request past the 64-bit coefficient range of the series engine.
 
 The default truncation order for series output can be overridden with the
 ``QPART_DEFAULT_ORDER`` environment variable.
@@ -27,13 +28,18 @@ from .counting import (
     gf,
 )
 from .partitions import AnchoredPartition, ClassSpec, Partition, PartitionError
+from .series import CoefficientOverflowError
 from .verify import TASK_ORDER, run_all, run_task, reports_to_junit
 
 DEFAULT_ORDER_ENV = "QPART_DEFAULT_ORDER"
 
 
-def _default_order() -> int:
-    return int(os.environ.get(DEFAULT_ORDER_ENV, "200"))
+def _default_order(parser: argparse.ArgumentParser) -> int:
+    value = os.environ.get(DEFAULT_ORDER_ENV, "200")
+    try:
+        return int(value)
+    except ValueError:
+        parser.error(f"{DEFAULT_ORDER_ENV} must be an integer, got {value!r}")
 
 
 def _timestamp() -> str:
@@ -128,7 +134,7 @@ def _cmd_enumerate(parser, args) -> int:
 
 def _cmd_series(parser, args) -> int:
     spec = _make_spec(parser, args.klass, args.k)
-    order = args.order if args.order is not None else _default_order()
+    order = args.order if args.order is not None else _default_order(parser)
     series = gf(spec, order)
     if args.format == "csv":
         lines = ["n,coefficient"]
@@ -388,7 +394,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(parser, args)
-    except PartitionError as err:
+    except (PartitionError, CoefficientOverflowError) as err:
         parser.error(str(err))
 
 

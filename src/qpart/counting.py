@@ -2,12 +2,16 @@
 coefficients for every partition class, each path an oracle for the other.
 
 The enumeration path generates every class member of a given weight by
-recursive descent (largest part first, residual-weight pruning).  The
-series path builds the class generating function on the exact engine in
-:mod:`qpart.series` and reads off coefficients.  Parity-split families
-(Bk, Ck, Dk) come from one evaluation of the sign-marked product at each
-of the two sign choices: the sum at +1 and the difference at -1 recombine
-as (sum +- difference)/2, which must be integral.
+recursive descent (largest part first, residual-weight pruning).
+:func:`enumerate_class`, and through it the bijections, materialises the
+members from generators; :func:`count_by_enumeration` walks the same
+descent with plain recursive counters that build no members.  Neither
+reads a generating function.  The series path builds the class generating
+function on the exact engine in :mod:`qpart.series` and reads off
+coefficients.  Parity-split families (Bk, Ck, Dk) come from one evaluation
+of the sign-marked product at each of the two sign choices: the sum at +1
+and the difference at -1 recombine as (sum +- difference)/2, which must be
+integral.
 """
 
 from __future__ import annotations
@@ -16,7 +20,13 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .partitions import AnchoredPartition, ClassSpec, Partition, PartitionError
+from .partitions import (
+    AnchoredPartition,
+    ClassSpec,
+    Partition,
+    PartitionError,
+    anchor_decompositions,
+)
 from .series import (
     MINUS,
     PLUS,
@@ -267,9 +277,185 @@ def enumerate_class(spec: ClassSpec, n: int) -> list:
     return [Partition(parts) for parts in _raw_members(spec, n)]
 
 
+# ---------------------------------------------------------------------------
+# count-only walks: the descent of the raw enumerators, one leaf per member,
+# building no tuples.  Pruning uses the enumerators' tests, but a walk skips a
+# subtree that holds no member (one test ends a whole run of values) where
+# the enumerator would enter it and return empty.
+# ---------------------------------------------------------------------------
+
+
+def _count_distinct(total: int, hi: int, lo: int = 1) -> int:
+    """Leaves of :func:`_distinct`."""
+    if total == 0:
+        return 1
+    if hi > total:
+        hi = total
+    if hi < lo or (hi + lo) * (hi - lo + 1) // 2 < total:
+        return 0
+    count = 0
+    for v in range(hi, lo - 1, -1):
+        rest = total - v
+        # Parts in [lo, v-1] cannot reach rest; smaller v only make it worse.
+        if rest >= v and (v + lo - 1) * (v - lo) // 2 < rest:
+            break
+        if rest == 0:
+            count += 1
+        elif rest >= lo:
+            count += _count_distinct(rest, v - 1, lo)
+    return count
+
+
+def _count_distinct_parity(total: int, hi: int, lo: int, odd: int) -> int:
+    """Leaves of :func:`_distinct` whose number of parts has parity `odd`."""
+    if total == 0:
+        return 1 - odd
+    if hi > total:
+        hi = total
+    if hi < lo or (hi + lo) * (hi - lo + 1) // 2 < total:
+        return 0
+    count = 0
+    for v in range(hi, lo - 1, -1):
+        rest = total - v
+        if rest >= v and (v + lo - 1) * (v - lo) // 2 < rest:
+            break
+        if rest == 0:
+            count += odd
+        elif rest >= lo:
+            count += _count_distinct_parity(rest, v - 1, lo, 1 - odd)
+    return count
+
+
+def _count_odd_multiset(total: int, hi: int) -> int:
+    """Leaves of :func:`_odd_multiset`."""
+    if total == 0:
+        return 1
+    if hi < 1:
+        return 0
+    if hi % 2 == 0:
+        hi -= 1
+    if hi == 1:
+        return 1
+    count = 0
+    for c in range(total // hi, -1, -1):
+        count += _count_odd_multiset(total - c * hi, hi - 2)
+    return count
+
+
+def _count_c_core(total: int, v: int, l: int) -> int:
+    """Leaves of :func:`_c_core`."""
+    if total == 0:
+        return 1
+    if v > l:
+        count = 0
+        for c in range(total // v, -1, -1):
+            count += _count_c_core(total - c * v, v - 1, l)
+        return count
+    # Distinct region: a part above the total can only be left out.
+    if v > total:
+        v = total
+    if v < 1 or v * (v + 1) // 2 < total:
+        return 0
+    return _count_c_core(total, v - 1, l) + _count_c_core(total - v, v - 1, l)
+
+
+def _count_rest(total: int, lo: int, odd: int | None) -> int:
+    """Distinct parts >= lo summing to `total`, of any length or of parity `odd`."""
+    if odd is None:
+        return _count_distinct(total, total, lo)
+    return _count_distinct_parity(total, total, lo, odd)
+
+
+def _count_bk(n: int, k: int, want_even: bool) -> int:
+    count = 0
+    for l in range(1, (n + 1) // 2 + 1):
+        base = 2 * l - 1
+        for extras in _window_subsets(l, k, n - base, want_even):
+            count += _count_odd_multiset(n - base - sum(extras), base)
+    return count
+
+
+def _count_ck(n: int, k: int, want_even: bool) -> int:
+    count = 0
+    for l in range(1, n // 2 + 1):
+        anchor = 2 * l
+        for extras in _window_subsets(l, k, n - anchor, want_even):
+            count += _count_c_core(n - anchor - sum(extras), anchor, l)
+    return count
+
+
+def _count_dk(n: int, k: int, odd: int | None = None) -> int:
+    count = _count_rest(n, 1, odd)
+    for s in range(1, n // k + 1):
+        count += _count_rest(n - k * s, s + 1, odd)
+    return count
+
+
+def _count_sptkd(n: int, k: int) -> int:
+    return sum(_count_distinct(n - k * s, n - k * s, s + 1) for s in range(1, n // k + 1))
+
+
+def _count_e(n: int) -> int:
+    return sum(_count_odd_multiset(n - m, m - 2) for m in range(1, n + 1, 2))
+
+
+def _count_f(n: int) -> int:
+    return sum(_count_odd_multiset(n - m, m - 1) for m in range(2, n + 1, 2))
+
+
+def _count_pprime(n: int, k: int) -> int:
+    rest = n - (k - 1)
+    return _count_distinct(rest, rest, 2) if rest >= 0 else 0
+
+
+def _count_pdprime(n: int, k: int) -> int:
+    # at k = 1 this is the P2 walk: no (s+1)-parts, distinct parts >= s+2
+    count = 0
+    for s in range(1, n + 1):
+        rest = n - s - (s + 1) * (k - 1)
+        if rest < 0:
+            break
+        count += _count_distinct(rest, rest, s + 2)
+    return count
+
+
+# class id -> count-only walk (n, k) -> number of members of weight n
+_WALKS = {
+    "A": lambda n, k: _count_distinct(n, n),
+    "B": lambda n, k: _count_odd_multiset(n, n) if n >= 1 else 0,
+    "C": lambda n, k: _count_ck(n, 1, True),
+    "Dk": lambda n, k: _count_dk(n, k),
+    "Dk_e": lambda n, k: _count_dk(n, k, 0),
+    "Dk_o": lambda n, k: _count_dk(n, k, 1),
+    "Bk_e": lambda n, k: _count_bk(n, k, True),
+    "Bk_o": lambda n, k: _count_bk(n, k, False),
+    "Ck_e": lambda n, k: _count_ck(n, k, True),
+    "Ck_o": lambda n, k: _count_ck(n, k, False),
+    "E": lambda n, k: _count_e(n),
+    "F": lambda n, k: _count_f(n),
+    "P1": lambda n, k: _count_distinct(n, n, 2) if n >= 1 else 0,
+    "P2": lambda n, k: _count_pdprime(n, 1),
+    "Pprime": _count_pprime,
+    "Pdprime": _count_pdprime,
+    "Pe_d": lambda n, k: _count_distinct_parity(n, n, 1, 0),
+    "Po_d": lambda n, k: _count_distinct_parity(n, n, 1, 1),
+    "Pe_bounded": lambda n, k: _count_distinct_parity(n, k - 1, 1, 0),
+    "Po_bounded": lambda n, k: _count_distinct_parity(n, k - 1, 1, 1),
+    "SptKd": _count_sptkd,
+}
+
+
 @lru_cache(maxsize=65536)
 def count_by_enumeration(spec: ClassSpec, n: int) -> int:
-    return sum(1 for _ in _raw_members(spec, n))
+    """Number of class members of weight n, by exhaustive count-only walk.
+
+    Walks the descent of :func:`enumerate_class` without building members
+    and never reads a generating function, so it stays an independent
+    oracle for :func:`gf`.
+    """
+    if n < 0:
+        raise PartitionError("weight must be non-negative")
+    return _WALKS[spec.class_id](n, spec.k)
 
 
 # ---------------------------------------------------------------------------
@@ -673,8 +859,6 @@ def c_family_ambiguity(k: int, n: int) -> AmbiguityReport:
     decompositions of different parity lands in both raw classes while the
     anchored count books each decomposition once.
     """
-    from .partitions import anchor_decompositions
-
     anchored_even = count_by_enumeration(ClassSpec("Ck_e", k), n)
     anchored_odd = count_by_enumeration(ClassSpec("Ck_o", k), n)
     seen: dict[tuple[int, ...], list[AnchoredPartition]] = {}

@@ -610,7 +610,11 @@ TASK_ORDER = list(TASKS)
 
 
 def run_task(task_id: str, **overrides) -> VerificationReport:
-    """Run one registered task; unknown override keys are rejected."""
+    """Run one registered task.
+
+    Overrides whose value is None are dropped; the task then drops any key
+    it does not take, so an unknown key is ignored, not rejected.
+    """
     if task_id not in TASKS:
         raise KeyError(f"unknown task {task_id!r}; known: {', '.join(TASK_ORDER)}")
     task = TASKS[task_id]

@@ -70,6 +70,31 @@ def test_series_env_default_order(capsys, monkeypatch):
     assert json.loads(out)["order"] == 5
 
 
+def test_series_env_default_order_must_be_integer(capsys, monkeypatch):
+    monkeypatch.setenv("QPART_DEFAULT_ORDER", "abc")
+    with pytest.raises(SystemExit) as err:
+        main(["series", "--class", "A"])
+    assert err.value.code == 2
+    assert "QPART_DEFAULT_ORDER" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--class", "A", "--order", "1000"],
+    ["count", "--class", "A", "--n", "900", "--method", "series"],
+])
+def test_coefficient_overflow_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "exceeds 2**63" in capsys.readouterr().err
+
+
+def test_count_negative_weight_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["count", "--class", "A", "--n", "-1"])
+    assert err.value.code == 2
+
+
 def test_bijection_roundtrip_with_trace(capsys):
     code, out = run_cli(capsys, "bijection", "--name", "bkck", "--k", "3",
                         "--parity", "e", "--n", "7", "--roundtrip", "--trace")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpart import counting, series
 from qpart.counting import (
     CountTable,
     c_family_ambiguity,
@@ -113,6 +114,41 @@ def test_parity_example_split_weight7():
     odd = {p.parts for p in enumerate_class(ClassSpec("Dk_o", 2), 7)}
     assert even == {(6, 1, 0, 0), (5, 2, 0, 0), (4, 3, 0, 0), (3, 2, 1, 1)}
     assert odd == {(7, 0, 0), (4, 2, 1, 0, 0), (5, 1, 1), (3, 2, 2)}
+
+
+def test_count_walk_matches_materialised_members():
+    # the count-only walk against the generators, weight 0 included
+    for spec in _specs(5):
+        for n in range(0, 31):
+            assert count_by_enumeration(spec, n) == len(enumerate_class(spec, n)), (spec, n)
+
+
+def test_count_walk_never_reads_the_series_path(monkeypatch):
+    grid = [(spec, n) for spec in _specs(3) for n in (0, 1, 7, 18)]
+    expected = {cell: len(enumerate_class(*cell)) for cell in grid}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumeration oracle touched the series path")
+
+    for name in ("gf", "gf_parity_difference", "count_by_series", "pochhammer_finite",
+                 "pochhammer_infinite", "pochhammer_infinite_starts", "series_sum",
+                 "_mul_factor", "_div_factor"):
+        monkeypatch.setattr(counting, name, forbidden)
+    for name in ("pochhammer_finite", "pochhammer_infinite", "pochhammer_infinite_starts",
+                 "series_sum", "_mul_factor", "_div_factor"):
+        monkeypatch.setattr(series, name, forbidden)
+    for name in ("__mul__", "reciprocal"):
+        monkeypatch.setattr(series.TruncatedSeries, name, forbidden)
+    with pytest.raises(AssertionError):  # the series path is really cut off
+        gf.__wrapped__(ClassSpec("A"), 4)
+    count_by_enumeration.cache_clear()
+    assert {cell: count_by_enumeration(*cell) for cell in grid} == expected
+
+
+def test_count_rejects_negative_weight():
+    for spec in _specs(2):
+        with pytest.raises(PartitionError):
+            count_by_enumeration(spec, -1)
 
 
 # ---------------------------------------------------------------------------
