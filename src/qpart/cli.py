@@ -63,6 +63,23 @@ def _parse_partition(parser, text: str, anchor: int | None):
         parser.error(f"bad --parts value: {err}")
 
 
+def _series_or_exit(parser, spec: ClassSpec, order: int):
+    """gf(spec, order); on a coefficient overflow, exit 2 naming the largest
+    order that builds for the class, found by bisecting below `order`."""
+    try:
+        return gf(spec, order)
+    except CoefficientOverflowError as err:
+        fits, overflows = 0, order
+        while overflows - fits > 1:
+            mid = (fits + overflows) // 2
+            try:
+                gf(spec, mid)
+                fits = mid
+            except CoefficientOverflowError:
+                overflows = mid
+        parser.error(f"{err}; the largest order that builds for {spec} is {fits}")
+
+
 def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -83,6 +100,10 @@ def _cmd_count(parser, args) -> int:
         report = c_family_ambiguity(spec.k, args.n if args.n is not None else args.nmax)
         _emit(json.dumps(report.to_json_dict(), indent=2))
         return 0
+    if "series" in methods:
+        # the order count_by_series and count_table build
+        _series_or_exit(parser, spec, max(args.n if args.n is not None else args.nmax,
+                                          args.order or 0))
     if args.n is not None:
         values = {}
         for method in methods:
@@ -135,7 +156,7 @@ def _cmd_enumerate(parser, args) -> int:
 def _cmd_series(parser, args) -> int:
     spec = _make_spec(parser, args.klass, args.k)
     order = args.order if args.order is not None else _default_order(parser)
-    series = gf(spec, order)
+    series = _series_or_exit(parser, spec, order)
     if args.format == "csv":
         lines = ["n,coefficient"]
         lines.extend(f"{i},{c}" for i, c in enumerate(series.coeffs))

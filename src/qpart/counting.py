@@ -1,24 +1,28 @@
 """Dual-path counting: exhaustive enumeration and generating-function
 coefficients for every partition class, each path an oracle for the other.
 
-The enumeration path generates every class member of a given weight by
-recursive descent (largest part first, residual-weight pruning).
-:func:`enumerate_class`, and through it the bijections, materialises the
-members from generators; :func:`count_by_enumeration` walks the same
-descent with plain recursive counters that build no members.  Neither
-reads a generating function.  The series path builds the class generating
-function on the exact engine in :mod:`qpart.series` and reads off
-coefficients.  Parity-split families (Bk, Ck, Dk) come from one evaluation
-of the sign-marked product at each of the two sign choices: the sum at +1
-and the difference at -1 recombine as (sum +- difference)/2, which must be
-integral.
+One table, ``_ENGINES``, holds the three engines of each class id.
+``members(n, k)`` generates the members of weight n by recursive descent
+(largest part first, residual-weight pruning); :func:`enumerate_class`, and
+through it the bijections, materialises them.  ``count(n, k)`` walks the
+same descent with plain recursive counters that build no members; it backs
+:func:`count_by_enumeration`.  Neither reads a generating function.
+``gf(k, order)`` builds the class generating function on the exact engine
+in :mod:`qpart.series`, and :func:`gf` reads coefficients off it.  Each
+parity-split family (Dk, Bk, Ck, and the distinct and bounded-distinct
+Pe/Po pairs) has one signed builder S(k, order, sign) that marks every
+part the split counts with the sign: S(+1) is the whole family and S(-1)
+the even-minus-odd difference, so the halves are (S(+1) +- S(-1))/2, which
+must be integral.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .partitions import (
     AnchoredPartition,
@@ -53,8 +57,15 @@ def _distinct(total: int, hi: int, lo: int = 1):
     if hi < lo or (hi + lo) * (hi - lo + 1) // 2 < total:
         return
     for v in range(hi, lo - 1, -1):
-        for rest in _distinct(total - v, v - 1, lo):
-            yield (v,) + rest
+        rest = total - v
+        # Parts in [lo, v-1] cannot reach rest; smaller v only make it worse.
+        if rest >= v and (v + lo - 1) * (v - lo) // 2 < rest:
+            break
+        if rest == 0:
+            yield (v,)
+        elif rest >= lo:
+            for tail in _distinct(rest, v - 1, lo):
+                yield (v,) + tail
 
 
 def _odd_multiset(total: int, hi: int):
@@ -79,20 +90,19 @@ def _c_core(total: int, v: int, l: int):
     if total == 0:
         yield ()
         return
-    if v < 1:
-        return
-    if v <= l and v * (v + 1) // 2 < total:
-        return
     if v > l:
         for c in range(total // v, -1, -1):
             for rest in _c_core(total - c * v, v - 1, l):
                 yield (v,) * c + rest
-    else:
-        for rest in _c_core(total, v - 1, l):
-            yield rest
-        if v <= total:
-            for rest in _c_core(total - v, v - 1, l):
-                yield (v,) + rest
+        return
+    # Distinct region: a part above the total can only be left out.
+    if v > total:
+        v = total
+    if v < 1 or v * (v + 1) // 2 < total:
+        return
+    yield from _c_core(total, v - 1, l)
+    for rest in _c_core(total - v, v - 1, l):
+        yield (v,) + rest
 
 
 def _window_values(l: int, k: int) -> list[int]:
@@ -108,15 +118,6 @@ def _window_subsets(l: int, k: int, budget: int, want_even: bool):
         for combo in itertools.combinations(values, r):
             if sum(combo) <= budget:
                 yield tuple(sorted(combo, reverse=True))
-
-
-def _iter_a(n: int):
-    yield from _distinct(n, n)
-
-
-def _iter_b(n: int):
-    if n >= 1:
-        yield from _odd_multiset(n, n)
 
 
 def _iter_bk(n: int, k: int, want_even: bool):
@@ -140,27 +141,16 @@ def _iter_ck(n: int, k: int, want_even: bool):
                 yield anchor, parts
 
 
-def _iter_dk(n: int, k: int, parity: str = "any"):
-    """Dk members; zero-smallest members carry their k explicit zeros."""
-    def take(length_above: int) -> bool:
-        if parity == "any":
-            return True
-        want_even = parity == "e"
-        return (length_above % 2 == 0) == want_even
+def _iter_dk(n: int, k: int, odd: int | None = None, first: int = 0):
+    """Dk members with smallest part s >= first (first = 1: SptKd), and with
+    a number of parts above the smallest of parity `odd` if given.
 
-    for a in _distinct(n, n):
-        if take(len(a)):
-            yield a + (0,) * k
-    for s in range(1, n // k + 1):
+    Zero-smallest members carry their k explicit zeros.
+    """
+    for s in range(first, n // k + 1):
         for rest in _distinct(n - k * s, n - k * s, s + 1):
-            if take(len(rest)):
+            if odd is None or len(rest) % 2 == odd:
                 yield rest + (s,) * k
-
-
-def _iter_sptkd(n: int, k: int):
-    for s in range(1, n // k + 1):
-        for rest in _distinct(n - k * s, n - k * s, s + 1):
-            yield rest + (s,) * k
 
 
 def _iter_e(n: int):
@@ -175,21 +165,7 @@ def _iter_f(n: int):
             yield (m,) + fill
 
 
-def _iter_p1(n: int):
-    if n >= 1:
-        yield from _distinct(n, n, 2)
-
-
-def _iter_p2(n: int):
-    for s in range(1, n + 1):
-        for rest in _distinct(n - s, n - s, s + 2):
-            yield rest + (s,)
-
-
 def _iter_pprime(n: int, k: int):
-    if k == 1:
-        yield from _distinct(n, n, 2)
-        return
     rest = n - (k - 1)
     if rest < 0:
         return
@@ -198,9 +174,7 @@ def _iter_pprime(n: int, k: int):
 
 
 def _iter_pdprime(n: int, k: int):
-    if k == 1:
-        yield from _iter_p2(n)
-        return
+    # at k = 1 this is P2: no (s+1)-parts, distinct parts >= s+2
     for s in range(1, n + 1):
         rest = n - s - (s + 1) * (k - 1)
         if rest < 0:
@@ -209,79 +183,13 @@ def _iter_pdprime(n: int, k: int):
             yield a + (s + 1,) * (k - 1) + (s,)
 
 
-def _iter_p_parity(n: int, want_even: bool, max_part: int | None = None):
-    hi = n if max_part is None else min(n, max_part)
-    for a in _distinct(n, hi):
-        if (len(a) % 2 == 0) == want_even:
-            yield a
-
-
-def _raw_members(spec: ClassSpec, n: int):
-    """Tuples (or (anchor, tuple) pairs for the C family) of weight n."""
-    if n < 0:
-        raise PartitionError("weight must be non-negative")
-    cid, k = spec.class_id, spec.k
-    if cid == "A":
-        return _iter_a(n)
-    if cid == "B":
-        return _iter_b(n)
-    if cid == "C":
-        return _iter_ck(n, 1, True)
-    if cid == "Dk":
-        return _iter_dk(n, k)
-    if cid == "Dk_e":
-        return _iter_dk(n, k, "e")
-    if cid == "Dk_o":
-        return _iter_dk(n, k, "o")
-    if cid == "Bk_e":
-        return _iter_bk(n, k, True)
-    if cid == "Bk_o":
-        return _iter_bk(n, k, False)
-    if cid == "Ck_e":
-        return _iter_ck(n, k, True)
-    if cid == "Ck_o":
-        return _iter_ck(n, k, False)
-    if cid == "E":
-        return _iter_e(n)
-    if cid == "F":
-        return _iter_f(n)
-    if cid == "P1":
-        return _iter_p1(n)
-    if cid == "P2":
-        return _iter_p2(n)
-    if cid == "Pprime":
-        return _iter_pprime(n, k)
-    if cid == "Pdprime":
-        return _iter_pdprime(n, k)
-    if cid == "Pe_d":
-        return _iter_p_parity(n, True)
-    if cid == "Po_d":
-        return _iter_p_parity(n, False)
-    if cid == "Pe_bounded":
-        return _iter_p_parity(n, True, k - 1)
-    if cid == "Po_bounded":
-        return _iter_p_parity(n, False, k - 1)
-    if cid == "SptKd":
-        return _iter_sptkd(n, k)
-    raise PartitionError(f"unhandled class id {cid!r}")
-
-
-def enumerate_class(spec: ClassSpec, n: int) -> list:
-    """Complete duplicate-free list of class members of weight n.
-
-    C-family members come back as :class:`AnchoredPartition`, everything
-    else as :class:`Partition`.
-    """
-    if spec.anchored:
-        return [AnchoredPartition(a, Partition(parts)) for a, parts in _raw_members(spec, n)]
-    return [Partition(parts) for parts in _raw_members(spec, n)]
+def _iter_distinct_parity(n: int, hi: int, odd: int):
+    return (a for a in _distinct(n, hi) if len(a) % 2 == odd)
 
 
 # ---------------------------------------------------------------------------
-# count-only walks: the descent of the raw enumerators, one leaf per member,
-# building no tuples.  Pruning uses the enumerators' tests, but a walk skips a
-# subtree that holds no member (one test ends a whole run of values) where
-# the enumerator would enter it and return empty.
+# count-only walks: the descent of the raw enumerators, their prunes
+# included, with one leaf per member and no tuples built.
 # ---------------------------------------------------------------------------
 
 
@@ -296,7 +204,6 @@ def _count_distinct(total: int, hi: int, lo: int = 1) -> int:
     count = 0
     for v in range(hi, lo - 1, -1):
         rest = total - v
-        # Parts in [lo, v-1] cannot reach rest; smaller v only make it worse.
         if rest >= v and (v + lo - 1) * (v - lo) // 2 < rest:
             break
         if rest == 0:
@@ -351,7 +258,6 @@ def _count_c_core(total: int, v: int, l: int) -> int:
         for c in range(total // v, -1, -1):
             count += _count_c_core(total - c * v, v - 1, l)
         return count
-    # Distinct region: a part above the total can only be left out.
     if v > total:
         v = total
     if v < 1 or v * (v + 1) // 2 < total:
@@ -384,15 +290,8 @@ def _count_ck(n: int, k: int, want_even: bool) -> int:
     return count
 
 
-def _count_dk(n: int, k: int, odd: int | None = None) -> int:
-    count = _count_rest(n, 1, odd)
-    for s in range(1, n // k + 1):
-        count += _count_rest(n - k * s, s + 1, odd)
-    return count
-
-
-def _count_sptkd(n: int, k: int) -> int:
-    return sum(_count_distinct(n - k * s, n - k * s, s + 1) for s in range(1, n // k + 1))
+def _count_dk(n: int, k: int, odd: int | None = None, first: int = 0) -> int:
+    return sum(_count_rest(n - k * s, s + 1, odd) for s in range(first, n // k + 1))
 
 
 def _count_e(n: int) -> int:
@@ -409,7 +308,6 @@ def _count_pprime(n: int, k: int) -> int:
 
 
 def _count_pdprime(n: int, k: int) -> int:
-    # at k = 1 this is the P2 walk: no (s+1)-parts, distinct parts >= s+2
     count = 0
     for s in range(1, n + 1):
         rest = n - s - (s + 1) * (k - 1)
@@ -417,45 +315,6 @@ def _count_pdprime(n: int, k: int) -> int:
             break
         count += _count_distinct(rest, rest, s + 2)
     return count
-
-
-# class id -> count-only walk (n, k) -> number of members of weight n
-_WALKS = {
-    "A": lambda n, k: _count_distinct(n, n),
-    "B": lambda n, k: _count_odd_multiset(n, n) if n >= 1 else 0,
-    "C": lambda n, k: _count_ck(n, 1, True),
-    "Dk": lambda n, k: _count_dk(n, k),
-    "Dk_e": lambda n, k: _count_dk(n, k, 0),
-    "Dk_o": lambda n, k: _count_dk(n, k, 1),
-    "Bk_e": lambda n, k: _count_bk(n, k, True),
-    "Bk_o": lambda n, k: _count_bk(n, k, False),
-    "Ck_e": lambda n, k: _count_ck(n, k, True),
-    "Ck_o": lambda n, k: _count_ck(n, k, False),
-    "E": lambda n, k: _count_e(n),
-    "F": lambda n, k: _count_f(n),
-    "P1": lambda n, k: _count_distinct(n, n, 2) if n >= 1 else 0,
-    "P2": lambda n, k: _count_pdprime(n, 1),
-    "Pprime": _count_pprime,
-    "Pdprime": _count_pdprime,
-    "Pe_d": lambda n, k: _count_distinct_parity(n, n, 1, 0),
-    "Po_d": lambda n, k: _count_distinct_parity(n, n, 1, 1),
-    "Pe_bounded": lambda n, k: _count_distinct_parity(n, k - 1, 1, 0),
-    "Po_bounded": lambda n, k: _count_distinct_parity(n, k - 1, 1, 1),
-    "SptKd": _count_sptkd,
-}
-
-
-@lru_cache(maxsize=65536)
-def count_by_enumeration(spec: ClassSpec, n: int) -> int:
-    """Number of class members of weight n, by exhaustive count-only walk.
-
-    Walks the descent of :func:`enumerate_class` without building members
-    and never reads a generating function, so it stays an independent
-    oracle for :func:`gf`.
-    """
-    if n < 0:
-        raise PartitionError("weight must be non-negative")
-    return _WALKS[spec.class_id](n, spec.k)
 
 
 # ---------------------------------------------------------------------------
@@ -469,123 +328,87 @@ def _tails(sign: int, order: int) -> tuple[TruncatedSeries, ...]:
     return tuple(pochhammer_infinite_starts(sign, order))
 
 
-def _gf_a(order: int) -> TruncatedSeries:
-    return pochhammer_infinite(PLUS, 1, 1, order)
+def _halves(signed, parity: int):
+    """Builder of the even (parity 0) or odd half of a split family, from its
+    signed builder: (S(+1) + S(-1))/2 or (S(+1) - S(-1))/2."""
+    def build(k: int | None, order: int) -> TruncatedSeries:
+        plus, minus = signed(k, order, PLUS), signed(k, order, MINUS)
+        return (plus - minus if parity else plus + minus).halve()
+    return build
 
 
-def _gf_b(order: int) -> TruncatedSeries:
-    return pochhammer_infinite(MINUS, 1, 2, order).reciprocal()
+def _gf_distinct(k: int | None, order: int, sign: int = PLUS) -> TruncatedSeries:
+    """Distinct parts, below k when k is given, each marked with the sign."""
+    if k is None:
+        return pochhammer_infinite(sign, 1, 1, order)
+    return pochhammer_finite(sign, 1, 1, k - 1, order)
 
 
-def _gf_dk(k: int, order: int, sign: int = PLUS) -> TruncatedSeries:
-    """Sum over the smallest-part index j of q^(jk) * tail(j+1).
+def _gf_dk(k: int, order: int, sign: int = PLUS, first: int = 0) -> TruncatedSeries:
+    """Sum over the smallest-part index j >= first of q^(jk) * tail(j+1).
 
     With sign -1 each part above the smallest carries a -1 weight, so the
     coefficients become the even-minus-odd difference of the parity split.
+    first = 1 leaves out the zero smallest part, which gives SptKd.
     """
     tails = _tails(sign, order)
-    terms = []
-    j = 0
-    while j * k <= order:
-        terms.append(tails[j].shift(j * k))
-        j += 1
-    return series_sum(terms, order)
+    return series_sum([tails[j].shift(j * k) for j in range(first, order // k + 1)], order)
 
 
-def _gf_sptkd(k: int, order: int) -> TruncatedSeries:
-    tails = _tails(PLUS, order)
-    terms = []
-    j = 1
-    while j * k <= order:
-        terms.append(tails[j].shift(j * k))
-        j += 1
-    return series_sum(terms, order)
+def _running_sum(order: int, shift, update, k: int = 1, sign: int = PLUS) -> TruncatedSeries:
+    """Sum of q^shift(l) * core_l * window_l over l = 1, 2, ... while shift(l) <= order.
 
-
-def _apply_window(coeffs: list, l: int, k: int, sign: int, order: int) -> None:
-    for v in _window_values(l, k):
-        if v <= order:
-            _mul_factor(coeffs, v, sign)
-
-
-def _gf_ck(k: int, order: int, sign: int = PLUS) -> TruncatedSeries:
-    """Anchor sum of the window-marked C product.
-
-    The running factor distinct(1..l) / tail(l+1..2l) is maintained
-    incrementally over the anchor half l; each summand then multiplies in
-    its up-to-(k-1) window factors and shifts by the anchor weight 2l.
+    core_l is kept as one running coefficient list: update(core, l) turns
+    core_(l-1) into core_l in place, from core_0 = 1.  window_l is the
+    product of (1 + sign*q^v) over the window values of l at parameter k,
+    which is 1 at k = 1.
     """
     acc = [0] * (order + 1)
     core = [1] + [0] * order
-    l = 0
-    while 2 * (l + 1) <= order:
-        l += 1
-        if l <= order:
-            _mul_factor(core, l, PLUS)
-            _mul_factor(core, l, MINUS)
-        if 2 * l - 1 <= order:
-            _div_factor(core, 2 * l - 1, MINUS)
-        if 2 * l <= order:
-            _div_factor(core, 2 * l, MINUS)
-        term = core.copy()
-        _apply_window(term, l, k, sign, order)
-        shift = 2 * l
-        for i in range(order - shift, -1, -1):
+    l = 1
+    while shift(l) <= order:
+        update(core, l)
+        term = core
+        window = _window_values(l, k)
+        if window:
+            term = core.copy()
+            for v in window:
+                _mul_factor(term, v, sign)
+        s = shift(l)
+        for i in range(order - s, -1, -1):
             if term[i]:
-                acc[i + shift] += term[i]
+                acc[i + s] += term[i]
+        l += 1
     return TruncatedSeries(tuple(acc))
+
+
+def _grow_odd_core(core: list, l: int) -> None:
+    # free odd parts up to 2l-1
+    _div_factor(core, 2 * l - 1, MINUS)
+
+
+def _grow_c_core(core: list, l: int) -> None:
+    # distinct parts up to l, free parts in (l, 2l]
+    _mul_factor(core, l, PLUS)
+    _mul_factor(core, l, MINUS)
+    _div_factor(core, 2 * l - 1, MINUS)
+    _div_factor(core, 2 * l, MINUS)
+
+
+def _grow_e_core(core: list, l: int) -> None:
+    # free odd parts below the unique largest part 2l-1
+    if l > 1:
+        _div_factor(core, 2 * l - 3, MINUS)
 
 
 def _gf_bk(k: int, order: int, sign: int = PLUS) -> TruncatedSeries:
     """Largest-odd-part sum of the window-marked B product."""
-    acc = [0] * (order + 1)
-    core = [1] + [0] * order
-    l = 0
-    while 2 * (l + 1) - 1 <= order:
-        l += 1
-        if 2 * l - 1 <= order:
-            _div_factor(core, 2 * l - 1, MINUS)
-        term = core.copy()
-        _apply_window(term, l, k, sign, order)
-        shift = 2 * l - 1
-        for i in range(order - shift, -1, -1):
-            if term[i]:
-                acc[i + shift] += term[i]
-    return TruncatedSeries(tuple(acc))
+    return _running_sum(order, lambda l: 2 * l - 1, _grow_odd_core, k, sign)
 
 
-def _gf_c(order: int) -> TruncatedSeries:
-    return _gf_ck(1, order)
-
-
-def _gf_e(order: int) -> TruncatedSeries:
-    acc = [0] * (order + 1)
-    core = [1] + [0] * order
-    m = 0
-    while 2 * m + 1 <= order:
-        if m >= 1 and 2 * m - 1 <= order:
-            _div_factor(core, 2 * m - 1, MINUS)
-        shift = 2 * m + 1
-        for i in range(order - shift, -1, -1):
-            if core[i]:
-                acc[i + shift] += core[i]
-        m += 1
-    return TruncatedSeries(tuple(acc))
-
-
-def _gf_f(order: int) -> TruncatedSeries:
-    acc = [0] * (order + 1)
-    core = [1] + [0] * order
-    m = 1
-    while 2 * m <= order:
-        if 2 * m - 1 <= order:
-            _div_factor(core, 2 * m - 1, MINUS)
-        shift = 2 * m
-        for i in range(order - shift, -1, -1):
-            if core[i]:
-                acc[i + shift] += core[i]
-        m += 1
-    return TruncatedSeries(tuple(acc))
+def _gf_ck(k: int, order: int, sign: int = PLUS) -> TruncatedSeries:
+    """Anchor sum of the window-marked C product, over the anchor half l."""
+    return _running_sum(order, lambda l: 2 * l, _grow_c_core, k, sign)
 
 
 def _gf_p1(order: int) -> TruncatedSeries:
@@ -595,19 +418,7 @@ def _gf_p1(order: int) -> TruncatedSeries:
     return series_sum(terms, order)
 
 
-def _gf_p2(order: int) -> TruncatedSeries:
-    tails = _tails(PLUS, order)
-    terms = [tails[min(s + 1, order)].shift(s) for s in range(1, order + 1)]
-    return series_sum(terms, order)
-
-
-def _gf_pprime(k: int, order: int) -> TruncatedSeries:
-    return pochhammer_infinite(PLUS, 2, 1, order).shift(k - 1)
-
-
 def _gf_pdprime(k: int, order: int) -> TruncatedSeries:
-    if k == 1:
-        return _gf_p2(order)
     tails = _tails(PLUS, order)
     terms = []
     s = 1
@@ -618,15 +429,92 @@ def _gf_pdprime(k: int, order: int) -> TruncatedSeries:
     return series_sum(terms, order)
 
 
-def _gf_p_parity(order: int, want_even: bool, k: int | None = None) -> TruncatedSeries:
-    if k is None:
-        plus = pochhammer_infinite(PLUS, 1, 1, order)
-        minus = pochhammer_infinite(MINUS, 1, 1, order)
-    else:
-        plus = pochhammer_finite(PLUS, 1, 1, k - 1, order)
-        minus = pochhammer_finite(MINUS, 1, 1, k - 1, order)
-    combined = plus + minus if want_even else plus - minus
-    return combined.halve()
+class _Engine(NamedTuple):
+    members: Callable  # (n, k) -> tuples; (anchor, tuple) pairs if anchored
+    count: Callable  # (n, k) -> number of members, by count-only walk
+    gf: Callable  # (k, order) -> generating function truncated at order
+
+
+# class id -> engines; C is Ck_e and P2 is Pdprime, both at k = 1.  Rows
+# reach the qpart.series functions by module-level name at call time, never
+# through a captured reference, so a patch of one of those names (a tracer,
+# the independence test) stays in the path.
+_ENGINES: dict[str, _Engine] = {
+    "A": _Engine(lambda n, k: _distinct(n, n), lambda n, k: _count_distinct(n, n),
+                 _gf_distinct),
+    "B": _Engine(lambda n, k: _odd_multiset(n, n) if n else (),
+                 lambda n, k: _count_odd_multiset(n, n) if n else 0,
+                 lambda k, order: pochhammer_infinite(MINUS, 1, 2, order).reciprocal()),
+    "C": _Engine(lambda n, k: _iter_ck(n, 1, True), lambda n, k: _count_ck(n, 1, True),
+                 lambda k, order: _gf_ck(1, order)),
+    "Dk": _Engine(_iter_dk, _count_dk, _gf_dk),
+    "Dk_e": _Engine(lambda n, k: _iter_dk(n, k, 0), lambda n, k: _count_dk(n, k, 0),
+                    _halves(_gf_dk, 0)),
+    "Dk_o": _Engine(lambda n, k: _iter_dk(n, k, 1), lambda n, k: _count_dk(n, k, 1),
+                    _halves(_gf_dk, 1)),
+    "Bk_e": _Engine(lambda n, k: _iter_bk(n, k, True), lambda n, k: _count_bk(n, k, True),
+                    _halves(_gf_bk, 0)),
+    "Bk_o": _Engine(lambda n, k: _iter_bk(n, k, False), lambda n, k: _count_bk(n, k, False),
+                    _halves(_gf_bk, 1)),
+    "Ck_e": _Engine(lambda n, k: _iter_ck(n, k, True), lambda n, k: _count_ck(n, k, True),
+                    _halves(_gf_ck, 0)),
+    "Ck_o": _Engine(lambda n, k: _iter_ck(n, k, False), lambda n, k: _count_ck(n, k, False),
+                    _halves(_gf_ck, 1)),
+    "E": _Engine(lambda n, k: _iter_e(n), lambda n, k: _count_e(n),
+                 lambda k, order: _running_sum(order, lambda l: 2 * l - 1, _grow_e_core)),
+    "F": _Engine(lambda n, k: _iter_f(n), lambda n, k: _count_f(n),
+                 lambda k, order: _running_sum(order, lambda l: 2 * l, _grow_odd_core)),
+    "P1": _Engine(lambda n, k: _distinct(n, n, 2) if n else (),
+                  lambda n, k: _count_distinct(n, n, 2) if n else 0,
+                  lambda k, order: _gf_p1(order)),
+    "P2": _Engine(lambda n, k: _iter_pdprime(n, 1), lambda n, k: _count_pdprime(n, 1),
+                  lambda k, order: _gf_pdprime(1, order)),
+    "Pprime": _Engine(_iter_pprime, _count_pprime,
+                      lambda k, order: pochhammer_infinite(PLUS, 2, 1, order).shift(k - 1)),
+    "Pdprime": _Engine(_iter_pdprime, _count_pdprime, _gf_pdprime),
+    "Pe_d": _Engine(lambda n, k: _iter_distinct_parity(n, n, 0),
+                    lambda n, k: _count_distinct_parity(n, n, 1, 0), _halves(_gf_distinct, 0)),
+    "Po_d": _Engine(lambda n, k: _iter_distinct_parity(n, n, 1),
+                    lambda n, k: _count_distinct_parity(n, n, 1, 1), _halves(_gf_distinct, 1)),
+    "Pe_bounded": _Engine(lambda n, k: _iter_distinct_parity(n, k - 1, 0),
+                          lambda n, k: _count_distinct_parity(n, k - 1, 1, 0),
+                          _halves(_gf_distinct, 0)),
+    "Po_bounded": _Engine(lambda n, k: _iter_distinct_parity(n, k - 1, 1),
+                          lambda n, k: _count_distinct_parity(n, k - 1, 1, 1),
+                          _halves(_gf_distinct, 1)),
+    "SptKd": _Engine(lambda n, k: _iter_dk(n, k, None, 1), lambda n, k: _count_dk(n, k, None, 1),
+                     lambda k, order: _gf_dk(k, order, PLUS, 1)),
+}
+
+# parity-split family -> signed builder, whose S(-1) is the even-minus-odd difference
+_SIGNED = {"Dk": _gf_dk, "Bk": _gf_bk, "Ck": _gf_ck}
+
+
+def enumerate_class(spec: ClassSpec, n: int) -> list:
+    """Complete duplicate-free list of class members of weight n.
+
+    C-family members come back as :class:`AnchoredPartition`, everything
+    else as :class:`Partition`.
+    """
+    if n < 0:
+        raise PartitionError("weight must be non-negative")
+    members = _ENGINES[spec.class_id].members(n, spec.k)
+    if spec.anchored:
+        return [AnchoredPartition(a, Partition(parts)) for a, parts in members]
+    return [Partition(parts) for parts in members]
+
+
+@lru_cache(maxsize=65536)
+def count_by_enumeration(spec: ClassSpec, n: int) -> int:
+    """Number of class members of weight n, by exhaustive count-only walk.
+
+    Walks the descent of :func:`enumerate_class` without building members
+    and never reads a generating function, so it stays an independent
+    oracle for :func:`gf`.
+    """
+    if n < 0:
+        raise PartitionError("weight must be non-negative")
+    return _ENGINES[spec.class_id].count(n, spec.k)
 
 
 @lru_cache(maxsize=256)
@@ -640,50 +528,7 @@ def gf(spec: ClassSpec, order: int) -> TruncatedSeries:
     """
     if order < 0:
         raise PartitionError("order must be non-negative")
-    cid, k = spec.class_id, spec.k
-    if cid == "A":
-        return _gf_a(order)
-    if cid == "B":
-        return _gf_b(order)
-    if cid == "C":
-        return _gf_c(order)
-    if cid == "Dk":
-        return _gf_dk(k, order)
-    if cid == "Dk_e":
-        return (_gf_dk(k, order, PLUS) + _gf_dk(k, order, MINUS)).halve()
-    if cid == "Dk_o":
-        return (_gf_dk(k, order, PLUS) - _gf_dk(k, order, MINUS)).halve()
-    if cid == "Bk_e":
-        return (_gf_bk(k, order, PLUS) + _gf_bk(k, order, MINUS)).halve()
-    if cid == "Bk_o":
-        return (_gf_bk(k, order, PLUS) - _gf_bk(k, order, MINUS)).halve()
-    if cid == "Ck_e":
-        return (_gf_ck(k, order, PLUS) + _gf_ck(k, order, MINUS)).halve()
-    if cid == "Ck_o":
-        return (_gf_ck(k, order, PLUS) - _gf_ck(k, order, MINUS)).halve()
-    if cid == "E":
-        return _gf_e(order)
-    if cid == "F":
-        return _gf_f(order)
-    if cid == "P1":
-        return _gf_p1(order)
-    if cid == "P2":
-        return _gf_p2(order)
-    if cid == "Pprime":
-        return _gf_pprime(k, order)
-    if cid == "Pdprime":
-        return _gf_pdprime(k, order)
-    if cid == "Pe_d":
-        return _gf_p_parity(order, True)
-    if cid == "Po_d":
-        return _gf_p_parity(order, False)
-    if cid == "Pe_bounded":
-        return _gf_p_parity(order, True, k)
-    if cid == "Po_bounded":
-        return _gf_p_parity(order, False, k)
-    if cid == "SptKd":
-        return _gf_sptkd(k, order)
-    raise PartitionError(f"unhandled class id {cid!r}")
+    return _ENGINES[spec.class_id].gf(spec.k, order)
 
 
 @lru_cache(maxsize=64)
@@ -693,13 +538,9 @@ def gf_parity_difference(class_family: str, k: int, order: int) -> TruncatedSeri
     One evaluation of the sign-marked product at -1; cheaper and more
     direct than subtracting the two recombined halves.
     """
-    if class_family == "Dk":
-        return _gf_dk(k, order, MINUS)
-    if class_family == "Bk":
-        return _gf_bk(k, order, MINUS)
-    if class_family == "Ck":
-        return _gf_ck(k, order, MINUS)
-    raise PartitionError(f"no parity split for family {class_family!r}")
+    if class_family not in _SIGNED:
+        raise PartitionError(f"no parity split for family {class_family!r}")
+    return _SIGNED[class_family](k, order, MINUS)
 
 
 def count_by_series(spec: ClassSpec, n: int, order: int | None = None) -> int:
@@ -712,15 +553,15 @@ def count_by_series(spec: ClassSpec, n: int, order: int | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 
+def ak_doubled_specs(k: int) -> tuple[ClassSpec, ...]:
+    """The classes P1, Pprime, P2 and Pdprime whose counts sum to 2*A_k(n)."""
+    return ClassSpec("P1"), ClassSpec("Pprime", k), ClassSpec("P2"), ClassSpec("Pdprime", k)
+
+
 def count_ak_doubled(k: int, n: int, method: str = "enumeration",
                      order: int | None = None) -> int:
     """2*A_k(n) = P1 + Pprime + P2 + Pdprime counts at weight n."""
-    specs = [
-        ClassSpec("P1"),
-        ClassSpec("Pprime", k),
-        ClassSpec("P2"),
-        ClassSpec("Pdprime", k),
-    ]
+    specs = ak_doubled_specs(k)
     if method == "enumeration":
         return sum(count_by_enumeration(s, n) for s in specs)
     if method == "series":

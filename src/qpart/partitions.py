@@ -12,6 +12,13 @@ anchored at 2), so an :class:`AnchoredPartition` carries the chosen anchor
 alongside the multiset.  :func:`anchor_decompositions` lists every valid
 anchor of a raw multiset for diagnostics.
 
+Each class is defined once, as one row of the ``_CLASSES`` table: whether
+it takes k, whether it is counted over anchored partitions, and its
+membership predicate ``member(value, k)``.  :class:`ClassSpec`,
+:func:`is_member` and the ``CLASS_INFO`` view read that table; the
+enumeration and generating-function engines of each class sit in the
+matching table of :mod:`qpart.counting`.
+
 Class identifiers
 -----------------
 
@@ -46,7 +53,9 @@ SptKd           positive smallest part exactly k times, other parts distinct
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class PartitionError(ValueError):
@@ -117,32 +126,6 @@ class AnchoredPartition:
         return f"[{self.anchor}] {self.partition}"
 
 
-# class_id -> (requires k, counted over anchored partitions)
-CLASS_INFO: dict[str, tuple[bool, bool]] = {
-    "A": (False, False),
-    "B": (False, False),
-    "C": (False, True),
-    "Dk": (True, False),
-    "Dk_e": (True, False),
-    "Dk_o": (True, False),
-    "Bk_e": (True, False),
-    "Bk_o": (True, False),
-    "Ck_e": (True, True),
-    "Ck_o": (True, True),
-    "E": (False, False),
-    "F": (False, False),
-    "P1": (False, False),
-    "P2": (False, False),
-    "Pprime": (True, False),
-    "Pdprime": (True, False),
-    "Pe_d": (False, False),
-    "Po_d": (False, False),
-    "Pe_bounded": (True, False),
-    "Po_bounded": (True, False),
-    "SptKd": (True, False),
-}
-
-
 @dataclass(frozen=True)
 class ClassSpec:
     """A partition class identifier plus its k parameter where required."""
@@ -151,10 +134,9 @@ class ClassSpec:
     k: int | None = None
 
     def __post_init__(self) -> None:
-        if self.class_id not in CLASS_INFO:
+        if self.class_id not in _CLASSES:
             raise PartitionError(f"unknown class id {self.class_id!r}")
-        requires_k, _ = CLASS_INFO[self.class_id]
-        if requires_k:
+        if _CLASSES[self.class_id].requires_k:
             if self.k is None or self.k < 1:
                 raise PartitionError(f"class {self.class_id} needs a positive k")
         elif self.k is not None:
@@ -162,7 +144,7 @@ class ClassSpec:
 
     @property
     def anchored(self) -> bool:
-        return CLASS_INFO[self.class_id][1]
+        return _CLASSES[self.class_id].anchored
 
     def __str__(self) -> str:
         return self.class_id if self.k is None else f"{self.class_id}(k={self.k})"
@@ -184,7 +166,9 @@ def smallest_part_profile(p: Partition) -> tuple[int, int, bool]:
 
 
 # ---------------------------------------------------------------------------
-# membership predicates
+# membership predicates.  A parity-split family has one predicate that returns
+# the count whose parity splits it (None off the family); _parity_half keeps
+# one parity of it.
 # ---------------------------------------------------------------------------
 
 def _all_positive(p: Partition) -> bool:
@@ -195,8 +179,21 @@ def _is_distinct(parts: tuple[int, ...]) -> bool:
     return all(parts[i] > parts[i + 1] for i in range(len(parts) - 1))
 
 
-def _member_a(p: Partition) -> bool:
-    return _all_positive(p) and _is_distinct(p.parts)
+def _parity_half(count_of, parity: int):
+    """Membership in the half of a split family whose count has this parity."""
+    def member(value, k) -> bool:
+        count = count_of(value, k)
+        return count is not None and count % 2 == parity
+    return member
+
+
+def _distinct_length(p: Partition, hi: int | None = None) -> int | None:
+    """Number of parts of a distinct-part partition with no part above hi."""
+    if not _all_positive(p) or not _is_distinct(p.parts):
+        return None
+    if hi is not None and p.parts and p.parts[0] > hi:
+        return None
+    return len(p.parts)
 
 
 def _member_b(p: Partition) -> bool:
@@ -205,69 +202,51 @@ def _member_b(p: Partition) -> bool:
     return bool(p.parts) and p.parts[-1] >= 1 and all(v % 2 for v in p.parts)
 
 
-def _member_dk(p: Partition, k: int) -> bool:
+def _dk_parts_above(p: Partition, k: int) -> int | None:
+    """Number of parts above the smallest of a Dk member."""
     if not p.parts:
-        return False
-    smallest, mult, rest_distinct = smallest_part_profile(p)
-    del smallest
-    return mult == k and rest_distinct
-
-
-def _parts_above_smallest(p: Partition, k: int) -> int:
-    return len(p.parts) - k
-
-
-def _member_dk_parity(p: Partition, k: int, want_even: bool) -> bool:
-    if not _member_dk(p, k):
-        return False
-    return (_parts_above_smallest(p, k) % 2 == 0) == want_even
-
-
-def _member_sptkd(p: Partition, k: int) -> bool:
-    return _member_dk(p, k) and p.parts[-1] >= 1
+        return None
+    _, mult, rest_distinct = smallest_part_profile(p)
+    return len(p.parts) - k if mult == k and rest_distinct else None
 
 
 def _window(l: int, k: int) -> tuple[int, int]:
     return 2 * l + 2, 2 * l + 2 * k - 2
 
 
-def _member_bk(p: Partition, k: int, want_even: bool) -> bool:
+def _bk_evens(p: Partition, k: int) -> int | None:
+    """Number of even window parts of a Bk member of either parity."""
     if not p.parts or p.parts[-1] < 1:
-        return False
+        return None
     odds = [v for v in p.parts if v % 2]
     evens = [v for v in p.parts if v % 2 == 0]
     if not odds:
-        return False
+        return None
     l = (max(odds) + 1) // 2
     lo, hi = _window(l, k)
     if len(evens) > k - 1 or len(set(evens)) != len(evens):
-        return False
+        return None
     if any(not lo <= v <= hi for v in evens):
-        return False
-    return (len(evens) % 2 == 0) == want_even
+        return None
+    return len(evens)
 
 
-def _anchored_ok(ap: AnchoredPartition, k: int) -> tuple[bool, int]:
-    """Validity of one anchored decomposition; returns (ok, extras count)."""
+def _ck_extras(ap: AnchoredPartition, k: int) -> int | None:
+    """Number of window extras of a valid anchored decomposition, else None."""
     parts = ap.partition.parts
     if parts and parts[-1] < 1:
-        return False, 0
+        return None
     l = ap.anchor // 2
     lo, hi = _window(l, k)
     extras = [v for v in parts if v > ap.anchor]
     if len(extras) > k - 1 or len(set(extras)) != len(extras):
-        return False, 0
+        return None
     if any(v % 2 or not lo <= v <= hi for v in extras):
-        return False, 0
+        return None
     small = [v for v in parts if v <= l]
     if len(set(small)) != len(small):
-        return False, 0
-    return True, len(extras)
-
-
-def _member_ck(ap: AnchoredPartition, k: int, want_even: bool) -> bool:
-    ok, extras = _anchored_ok(ap, k)
-    return ok and (extras % 2 == 0) == want_even
+        return None
+    return len(extras)
 
 
 def _member_e(p: Partition) -> bool:
@@ -292,26 +271,14 @@ def _member_p1(p: Partition) -> bool:
     return bool(p.parts) and _is_distinct(p.parts) and p.parts[-1] >= 2
 
 
-def _member_p2(p: Partition) -> bool:
-    if not p.parts or p.parts[-1] < 1 or not _is_distinct(p.parts):
-        return False
-    return len(p.parts) == 1 or p.parts[-2] - p.parts[-1] >= 2
-
-
 def _member_pprime(p: Partition, k: int) -> bool:
-    if k == 1:
-        # Degenerate case: distinct parts, none equal to 1.
-        return _is_distinct(p.parts) and (not p.parts or p.parts[-1] >= 2)
-    ones = sum(1 for v in p.parts if v == 1)
-    if ones != k - 1 or not p.parts or p.parts[-1] < 1:
-        return False
+    # k = 1: distinct parts, none equal to 1
     rest = tuple(v for v in p.parts if v > 1)
-    return _is_distinct(rest)
+    return _all_positive(p) and len(p.parts) - len(rest) == k - 1 and _is_distinct(rest)
 
 
 def _member_pdprime(p: Partition, k: int) -> bool:
-    if k == 1:
-        return _member_p2(p)
+    # k = 1: distinct parts, gap >= 2 between the two smallest (class P2)
     if len(p.parts) < k or p.parts[-1] < 1:
         return False
     s = p.parts[-1]
@@ -321,18 +288,43 @@ def _member_pdprime(p: Partition, k: int) -> bool:
     return _is_distinct(rest) and len(rest) + k == len(p.parts)
 
 
-def _member_pe_po(p: Partition, want_even: bool) -> bool:
-    if not _member_a(p):
-        return False
-    return (len(p.parts) % 2 == 0) == want_even
+class _ClassDef(NamedTuple):
+    requires_k: bool
+    anchored: bool
+    member: Callable  # (value, k) -> bool; k is None for a class without one
 
 
-def _member_p_bounded(p: Partition, k: int, want_even: bool) -> bool:
-    if not _member_a(p):
-        return False
-    if p.parts and p.parts[0] > k - 1:
-        return False
-    return (len(p.parts) % 2 == 0) == want_even
+_CK_E = _parity_half(_ck_extras, 0)
+
+# class id -> definition; C is Ck_e and P2 is Pdprime, both at k = 1
+_CLASSES: dict[str, _ClassDef] = {
+    "A": _ClassDef(False, False, lambda p, k: _distinct_length(p) is not None),
+    "B": _ClassDef(False, False, lambda p, k: _member_b(p)),
+    "C": _ClassDef(False, True, lambda ap, k: _CK_E(ap, 1)),
+    "Dk": _ClassDef(True, False, lambda p, k: _dk_parts_above(p, k) is not None),
+    "Dk_e": _ClassDef(True, False, _parity_half(_dk_parts_above, 0)),
+    "Dk_o": _ClassDef(True, False, _parity_half(_dk_parts_above, 1)),
+    "Bk_e": _ClassDef(True, False, _parity_half(_bk_evens, 0)),
+    "Bk_o": _ClassDef(True, False, _parity_half(_bk_evens, 1)),
+    "Ck_e": _ClassDef(True, True, _CK_E),
+    "Ck_o": _ClassDef(True, True, _parity_half(_ck_extras, 1)),
+    "E": _ClassDef(False, False, lambda p, k: _member_e(p)),
+    "F": _ClassDef(False, False, lambda p, k: _member_f(p)),
+    "P1": _ClassDef(False, False, lambda p, k: _member_p1(p)),
+    "P2": _ClassDef(False, False, lambda p, k: _member_pdprime(p, 1)),
+    "Pprime": _ClassDef(True, False, _member_pprime),
+    "Pdprime": _ClassDef(True, False, _member_pdprime),
+    "Pe_d": _ClassDef(False, False, _parity_half(lambda p, k: _distinct_length(p), 0)),
+    "Po_d": _ClassDef(False, False, _parity_half(lambda p, k: _distinct_length(p), 1)),
+    "Pe_bounded": _ClassDef(True, False, _parity_half(lambda p, k: _distinct_length(p, k - 1), 0)),
+    "Po_bounded": _ClassDef(True, False, _parity_half(lambda p, k: _distinct_length(p, k - 1), 1)),
+    "SptKd": _ClassDef(True, False,
+                       lambda p, k: _dk_parts_above(p, k) is not None and p.parts[-1] >= 1),
+}
+
+# class_id -> (requires k, counted over anchored partitions)
+CLASS_INFO: dict[str, tuple[bool, bool]] = {
+    cid: (row.requires_k, row.anchored) for cid, row in _CLASSES.items()}
 
 
 def is_member(spec: ClassSpec, p: Partition | AnchoredPartition) -> bool:
@@ -347,51 +339,7 @@ def is_member(spec: ClassSpec, p: Partition | AnchoredPartition) -> bool:
             raise PartitionError(f"class {spec} is counted over anchored partitions")
     elif isinstance(p, AnchoredPartition):
         raise PartitionError(f"class {spec} takes a plain partition, not an anchored one")
-
-    cid, k = spec.class_id, spec.k
-    if cid == "A":
-        return _member_a(p)
-    if cid == "B":
-        return _member_b(p)
-    if cid == "C":
-        return _member_ck(p, 1, True)
-    if cid == "Dk":
-        return _member_dk(p, k)
-    if cid == "Dk_e":
-        return _member_dk_parity(p, k, True)
-    if cid == "Dk_o":
-        return _member_dk_parity(p, k, False)
-    if cid == "Bk_e":
-        return _member_bk(p, k, True)
-    if cid == "Bk_o":
-        return _member_bk(p, k, False)
-    if cid == "Ck_e":
-        return _member_ck(p, k, True)
-    if cid == "Ck_o":
-        return _member_ck(p, k, False)
-    if cid == "E":
-        return _member_e(p)
-    if cid == "F":
-        return _member_f(p)
-    if cid == "P1":
-        return _member_p1(p)
-    if cid == "P2":
-        return _member_p2(p)
-    if cid == "Pprime":
-        return _member_pprime(p, k)
-    if cid == "Pdprime":
-        return _member_pdprime(p, k)
-    if cid == "Pe_d":
-        return _member_pe_po(p, True)
-    if cid == "Po_d":
-        return _member_pe_po(p, False)
-    if cid == "Pe_bounded":
-        return _member_p_bounded(p, k, True)
-    if cid == "Po_bounded":
-        return _member_p_bounded(p, k, False)
-    if cid == "SptKd":
-        return _member_sptkd(p, k)
-    raise PartitionError(f"unhandled class id {cid!r}")
+    return _CLASSES[spec.class_id].member(p, spec.k)
 
 
 def anchor_decompositions(k: int, p: Partition) -> list[AnchoredPartition]:
@@ -408,7 +356,6 @@ def anchor_decompositions(k: int, p: Partition) -> list[AnchoredPartition]:
     out = []
     for anchor in sorted({v for v in p.parts if v % 2 == 0 and v > 0}):
         ap = AnchoredPartition(anchor, p)
-        ok, _ = _anchored_ok(ap, k)
-        if ok:
+        if _ck_extras(ap, k) is not None:
             out.append(ap)
     return out

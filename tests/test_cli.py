@@ -78,15 +78,20 @@ def test_series_env_default_order_must_be_integer(capsys, monkeypatch):
     assert "QPART_DEFAULT_ORDER" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["series", "--class", "A", "--order", "1000"],
-    ["count", "--class", "A", "--n", "900", "--method", "series"],
-])
-def test_coefficient_overflow_is_usage_error(capsys, argv):
+@pytest.mark.parametrize("argv, largest", [
+    (["series", "--class", "A", "--order", "1000"], "A is 769"),
+    (["count", "--class", "A", "--n", "900", "--method", "series"], "A is 769"),
+    (["count", "--class", "Dk", "--k", "2", "--nmax", "800", "--method", "both"],
+     "Dk(k=2) is 748"),
+], ids=["argv0", "argv1", "argv2"])
+def test_coefficient_overflow_is_usage_error(capsys, argv, largest):
+    # the message names the largest order that builds for the class
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
-    assert "exceeds 2**63" in capsys.readouterr().err
+    message = capsys.readouterr().err
+    assert "exceeds 2**63" in message
+    assert f"the largest order that builds for {largest}" in message
 
 
 def test_count_negative_weight_is_usage_error(capsys):

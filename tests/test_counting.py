@@ -149,6 +149,13 @@ def test_count_rejects_negative_weight():
     for spec in _specs(2):
         with pytest.raises(PartitionError):
             count_by_enumeration(spec, -1)
+        with pytest.raises(PartitionError):
+            enumerate_class(spec, -1)
+
+
+def test_definition_and_engine_tables_cover_the_same_classes():
+    from qpart import partitions
+    assert set(partitions._CLASSES) == set(counting._ENGINES) == set(ALL_CLASS_IDS)
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +211,14 @@ def test_anchored_degenerates_to_plain_at_k1():
         assert count_by_enumeration(ClassSpec("Bk_e", 1), n) \
             == count_by_enumeration(ClassSpec("B"), n)
         assert count_by_enumeration(ClassSpec("Bk_o", 1), n) == 0
+
+
+def test_parity_difference_rejects_unsplit_family():
+    # Pe/Po halves come from a signed builder too, but only Dk, Bk and Ck
+    # have a public difference series
+    for family in ("Pe", "Pe_d", "Dk_e", "A"):
+        with pytest.raises(PartitionError):
+            gf_parity_difference(family, 2, 10)
 
 
 def test_parity_difference_series_match_enumeration():

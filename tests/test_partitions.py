@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qpart.partitions import (
+    CLASS_INFO,
     AnchoredPartition,
     ClassSpec,
     Partition,
@@ -41,6 +42,21 @@ def test_anchored_partition_validation():
         AnchoredPartition(3, P([3, 2]))
     with pytest.raises(PartitionError):
         AnchoredPartition(6, P([4, 2]))
+
+
+def test_class_info_view_is_pinned():
+    # perfbench unpacks these (requires k, anchored) pairs; keep them literal
+    expected = {
+        "A": (False, False), "B": (False, False), "C": (False, True),
+        "Dk": (True, False), "Dk_e": (True, False), "Dk_o": (True, False),
+        "Bk_e": (True, False), "Bk_o": (True, False),
+        "Ck_e": (True, True), "Ck_o": (True, True),
+        "E": (False, False), "F": (False, False), "P1": (False, False), "P2": (False, False),
+        "Pprime": (True, False), "Pdprime": (True, False),
+        "Pe_d": (False, False), "Po_d": (False, False),
+        "Pe_bounded": (True, False), "Po_bounded": (True, False), "SptKd": (True, False),
+    }
+    assert list(CLASS_INFO.items()) == list(expected.items())  # order too
 
 
 def test_class_spec_k_validation():

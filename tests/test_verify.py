@@ -1,9 +1,13 @@
 """Verifier registry: reports, determinism, worked cells, serialization."""
 
+import json
+
 import pytest
 
+from qpart import counting, verify
 from qpart.counting import count_ak_doubled, count_by_enumeration, gf_parity_difference
 from qpart.partitions import ClassSpec
+from qpart.series import TruncatedSeries
 from qpart.verify import (
     TASK_ORDER,
     TASKS,
@@ -103,3 +107,71 @@ def test_override_filtering():
     report = run_task("T9", kmax=3, order=40, nmax=None)
     assert report.passed
     assert report.parameters == {"kmax": 3, "order": 40}
+
+
+def _bump_enumeration(monkeypatch, spec, n):
+    """One enumerated count off by one, seen by verify and by counting alike."""
+    original = counting.count_by_enumeration
+
+    def patched(s, m):
+        return original(s, m) + ((s, m) == (spec, n))
+
+    for module in (verify, counting):
+        monkeypatch.setattr(module, "count_by_enumeration", patched)
+
+
+def _bump_series(monkeypatch, spec, n):
+    """One generating-function coefficient off by one, in a real series."""
+    original = counting.gf
+
+    def patched(s, order):
+        series = original(s, order)
+        if s != spec:
+            return series
+        coeffs = list(series.coeffs)
+        coeffs[n] += 1
+        return TruncatedSeries(tuple(coeffs))
+
+    for module in (verify, counting):
+        monkeypatch.setattr(module, "gf", patched)
+
+
+def _witness(cell, left_name, left, right_name, right):
+    return {"cell": cell, "left_name": left_name, "left": left,
+            "right_name": right_name, "right": right}
+
+
+@pytest.mark.parametrize("task, grid, bump, spec, n, cells, witness", [
+    ("T1", {"nmax": 10}, _bump_enumeration, ClassSpec("B"), 5, 5,
+     _witness({"n": 5}, "A(n) [enum]", 3, "B(n) [enum]", 4)),
+    ("T1", {"nmax": 10}, _bump_enumeration, ClassSpec("Dk", 2), 6, 5,
+     _witness({"n": 5}, "D2(n+1)", 7, "even value", 8)),
+    ("T1", {"nmax": 10}, _bump_series, ClassSpec("C"), 7, 6,
+     _witness({"n": 6}, "A(n) [enum]", 4, "C(n+1) [series]", 5)),
+    ("T2", {"kmax": 2, "nmax": 8}, _bump_enumeration, ClassSpec("Ck_o", 2), 6, 29,
+     _witness({"n": 5, "k": 2, "parity": "o"}, "Bk_o(n) [enum]", 1, "Ck_o(n+1) [enum]", 2)),
+    ("T2", {"kmax": 2, "nmax": 8}, _bump_series, ClassSpec("Bk_e", 2), 4, 20,
+     _witness({"n": 4, "k": 2, "parity": "e"}, "Bk_e(n) [enum]", 2, "Bk_e(n) [series]", 3)),
+    ("T4", {"kmax": 3, "nmax": 8}, _bump_enumeration, ClassSpec("Pprime", 2), 4, 12,
+     _witness({"n": 4, "k": 2}, "2*A_k(n) [enum]", 5, "D_k(n+1) [enum]", 4)),
+    ("T4", {"kmax": 3, "nmax": 8}, _bump_series, ClassSpec("Dk", 3), 6, 21,
+     _witness({"n": 5, "k": 3}, "2*A_k(n) [enum]", 6, "D_k(n+1) [series]", 7)),
+    ("T6", {"nmax": 10}, _bump_enumeration, ClassSpec("E"), 7, 5,
+     _witness({"n": 5}, "A(n) [enum]", 3, "E(n+2) [enum]", 4)),
+    ("T6", {"nmax": 10}, _bump_series, ClassSpec("F"), 9, 8,
+     _witness({"n": 8}, "A(n) [enum]", 6, "F(n+1) [series]", 7)),
+    ("T10", {"kmax": 4, "nmax": 10}, _bump_enumeration, ClassSpec("Dk", 3), 7, 14,
+     _witness({"n": 7, "k": 3}, "D_k(n)+D_k-1(n) [enum]", 15,
+              "D_k-1(n-k+1)+2A(n) [enum]", 14)),
+    ("T10", {"kmax": 4, "nmax": 10}, _bump_series, ClassSpec("A"), 6, 5,
+     _witness({"n": 6, "k": 2}, "D_k(n)+D_k-1(n) [enum]", 14,
+              "D_k-1(n-k+1)+2A(n) [series]", 16)),
+])
+def test_dual_path_failure_witness(monkeypatch, task, grid, bump, spec, n, cells, witness):
+    # passing reports carry no labels, so only a forced mismatch pins them
+    bump(monkeypatch, spec, n)
+    report = run_task(task, **grid)
+    assert report.status == "fail"
+    assert report.checked_cells == cells
+    # json.dumps keeps key order, which the report bytes depend on
+    assert json.dumps(report.witness) == json.dumps(witness)
