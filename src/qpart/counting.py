@@ -14,6 +14,15 @@ Pe/Po pairs) has one signed builder S(k, order, sign) that marks every
 part the split counts with the sign: S(+1) is the whole family and S(-1)
 the even-minus-odd difference, so the halves are (S(+1) +- S(-1))/2, which
 must be integral.
+
+Every signed series is built once per (builder, k, order, sign) and kept in
+one bounded cache, ``_signed``, that the two halves, the whole-family row
+(Dk, SptKd, C) and :func:`gf_parity_difference` all read; a series is
+immutable, so sharing it is safe.  Its bound, ``SIGNED_CACHE_SIZE``, is set
+beside it.  The builders keep their running products as plain lists and
+add shifted terms into one accumulator by slice.  A running core is cut to
+the coefficients its later terms can still reach before each update: the
+kernels are lower-triangular, so what is kept stays exact.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import itertools
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from typing import NamedTuple
 
 from .partitions import (
@@ -40,7 +50,6 @@ from .series import (
     pochhammer_finite,
     pochhammer_infinite,
     pochhammer_infinite_starts,
-    series_sum,
 )
 
 # ---------------------------------------------------------------------------
@@ -328,13 +337,27 @@ def _tails(sign: int, order: int) -> tuple[TruncatedSeries, ...]:
     return tuple(pochhammer_infinite_starts(sign, order))
 
 
-def _halves(signed, parity: int):
+# Bound of the signed-build cache.  One entry is a tuple of order+1 integers
+# below 2**63, at most 33 KB at order 750, so 64 entries stay under 2.2 MB.
+# The series_deep benchmark (every class at order 740, then T3x, T8, T9 and
+# T12) builds 44 distinct signed series and a CLI command a few, so within
+# one run each is built once.
+SIGNED_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=SIGNED_CACHE_SIZE)
+def _signed(build, k: int | None, order: int, sign: int, *rest) -> TruncatedSeries:
+    """build(k, order, sign, *rest), made once per key and then shared."""
+    return build(k, order, sign, *rest)
+
+
+def _halves(build, parity: int):
     """Builder of the even (parity 0) or odd half of a split family, from its
     signed builder: (S(+1) + S(-1))/2 or (S(+1) - S(-1))/2."""
-    def build(k: int | None, order: int) -> TruncatedSeries:
-        plus, minus = signed(k, order, PLUS), signed(k, order, MINUS)
+    def halve(k: int | None, order: int) -> TruncatedSeries:
+        plus, minus = _signed(build, k, order, PLUS), _signed(build, k, order, MINUS)
         return (plus - minus if parity else plus + minus).halve()
-    return build
+    return halve
 
 
 def _gf_distinct(k: int | None, order: int, sign: int = PLUS) -> TruncatedSeries:
@@ -344,6 +367,15 @@ def _gf_distinct(k: int | None, order: int, sign: int = PLUS) -> TruncatedSeries
     return pochhammer_finite(sign, 1, 1, k - 1, order)
 
 
+def _tail_sum(sign: int, order: int, terms) -> TruncatedSeries:
+    """Sum of q^s * tails[i] over the (s, i) in `terms`, every s <= order."""
+    tails = _tails(sign, order)
+    acc = [0] * (order + 1)
+    for s, i in terms:
+        acc[s:] = map(add, acc[s:], tails[i].coeffs)
+    return TruncatedSeries(tuple(acc))
+
+
 def _gf_dk(k: int, order: int, sign: int = PLUS, first: int = 0) -> TruncatedSeries:
     """Sum over the smallest-part index j >= first of q^(jk) * tail(j+1).
 
@@ -351,8 +383,7 @@ def _gf_dk(k: int, order: int, sign: int = PLUS, first: int = 0) -> TruncatedSer
     coefficients become the even-minus-odd difference of the parity split.
     first = 1 leaves out the zero smallest part, which gives SptKd.
     """
-    tails = _tails(sign, order)
-    return series_sum([tails[j].shift(j * k) for j in range(first, order // k + 1)], order)
+    return _tail_sum(sign, order, ((j * k, j) for j in range(first, order // k + 1)))
 
 
 def _running_sum(order: int, shift, update, k: int = 1, sign: int = PLUS) -> TruncatedSeries:
@@ -361,12 +392,16 @@ def _running_sum(order: int, shift, update, k: int = 1, sign: int = PLUS) -> Tru
     core_l is kept as one running coefficient list: update(core, l) turns
     core_(l-1) into core_l in place, from core_0 = 1.  window_l is the
     product of (1 + sign*q^v) over the window values of l at parameter k,
-    which is 1 at k = 1.
+    which is 1 at k = 1.  The shift grows with l, so only the first
+    order - shift(l) + 1 coefficients of core_l reach the sum; the rest is
+    dropped before the update, which leaves the kept ones exact because
+    the update kernels are lower-triangular.
     """
     acc = [0] * (order + 1)
     core = [1] + [0] * order
     l = 1
-    while shift(l) <= order:
+    while (s := shift(l)) <= order:
+        del core[order - s + 1:]
         update(core, l)
         term = core
         window = _window_values(l, k)
@@ -374,10 +409,7 @@ def _running_sum(order: int, shift, update, k: int = 1, sign: int = PLUS) -> Tru
             term = core.copy()
             for v in window:
                 _mul_factor(term, v, sign)
-        s = shift(l)
-        for i in range(order - s, -1, -1):
-            if term[i]:
-                acc[i + s] += term[i]
+        acc[s:] = map(add, acc[s:], term)
         l += 1
     return TruncatedSeries(tuple(acc))
 
@@ -412,21 +444,15 @@ def _gf_ck(k: int, order: int, sign: int = PLUS) -> TruncatedSeries:
 
 
 def _gf_p1(order: int) -> TruncatedSeries:
-    tails = _tails(PLUS, order)
-    # Tail products starting above the order are identically 1.
-    terms = [tails[s].shift(s) for s in range(2, order + 1)]
-    return series_sum(terms, order)
+    # Smallest part s >= 2, then distinct parts above s.
+    return _tail_sum(PLUS, order, ((s, s) for s in range(2, order + 1)))
 
 
 def _gf_pdprime(k: int, order: int) -> TruncatedSeries:
-    tails = _tails(PLUS, order)
-    terms = []
-    s = 1
-    while s + (s + 1) * (k - 1) <= order:
-        tail = tails[min(s + 1, order)]
-        terms.append(tail.shift(s + (s + 1) * (k - 1)))
-        s += 1
-    return series_sum(terms, order)
+    # Smallest part s, k-1 parts s+1, then distinct parts above s+1; the
+    # shift s + (s+1)(k-1) = sk + k - 1 stays <= order.
+    return _tail_sum(PLUS, order, ((s * k + k - 1, min(s + 1, order))
+                                   for s in range(1, (order - k + 1) // k + 1)))
 
 
 class _Engine(NamedTuple):
@@ -446,8 +472,8 @@ _ENGINES: dict[str, _Engine] = {
                  lambda n, k: _count_odd_multiset(n, n) if n else 0,
                  lambda k, order: pochhammer_infinite(MINUS, 1, 2, order).reciprocal()),
     "C": _Engine(lambda n, k: _iter_ck(n, 1, True), lambda n, k: _count_ck(n, 1, True),
-                 lambda k, order: _gf_ck(1, order)),
-    "Dk": _Engine(_iter_dk, _count_dk, _gf_dk),
+                 lambda k, order: _signed(_gf_ck, 1, order, PLUS)),
+    "Dk": _Engine(_iter_dk, _count_dk, lambda k, order: _signed(_gf_dk, k, order, PLUS)),
     "Dk_e": _Engine(lambda n, k: _iter_dk(n, k, 0), lambda n, k: _count_dk(n, k, 0),
                     _halves(_gf_dk, 0)),
     "Dk_o": _Engine(lambda n, k: _iter_dk(n, k, 1), lambda n, k: _count_dk(n, k, 1),
@@ -483,7 +509,7 @@ _ENGINES: dict[str, _Engine] = {
                           lambda n, k: _count_distinct_parity(n, k - 1, 1, 1),
                           _halves(_gf_distinct, 1)),
     "SptKd": _Engine(lambda n, k: _iter_dk(n, k, None, 1), lambda n, k: _count_dk(n, k, None, 1),
-                     lambda k, order: _gf_dk(k, order, PLUS, 1)),
+                     lambda k, order: _signed(_gf_dk, k, order, PLUS, 1)),
 }
 
 # parity-split family -> signed builder, whose S(-1) is the even-minus-odd difference
@@ -540,10 +566,14 @@ def gf_parity_difference(class_family: str, k: int, order: int) -> TruncatedSeri
     """
     if class_family not in _SIGNED:
         raise PartitionError(f"no parity split for family {class_family!r}")
-    return _SIGNED[class_family](k, order, MINUS)
+    return _signed(_SIGNED[class_family], k, order, MINUS)
 
 
 def count_by_series(spec: ClassSpec, n: int, order: int | None = None) -> int:
+    """The q^n coefficient of the class generating function, built to at
+    least order n."""
+    if n < 0:
+        raise PartitionError("weight must be non-negative")
     series = gf(spec, max(n, order or 0))
     return series.coefficient(n)
 

@@ -10,12 +10,33 @@ Coefficients are plain Python integers, so arithmetic can never wrap.  The
 engine still enforces the 64-bit representation bound declared for this
 artifact: any coefficient reaching |c| >= 2**63 raises
 :class:`CoefficientOverflowError` instead of silently producing a value that
-a fixed-width consumer could not hold.
+a fixed-width consumer could not hold.  Every series is checked when it is
+constructed, so the guard sees exactly the values the plain loops produced:
+``max``/``min`` test the whole vector at C speed, and only a vector that
+fails is scanned again to name the first offending coefficient.
+
+The kernels do their per-coefficient work inside C builtins rather than in
+interpreted loops, with the same exact integer results:
+
+* ``_mul_factor`` is one slice assignment of ``map(add|sub)`` over the list
+  and its copy shifted by m; ``_div_factor`` walks the list in blocks of m,
+  each block reading the one before it, which is already updated.
+  :func:`series_sum` and the coefficientwise operators also go by slice.
+* The Cauchy product uses Kronecker substitution (Harvey, arXiv:0712.4046):
+  both operands are packed as signed base-2**w digits into one Python int,
+  the two ints are multiplied, and the first N+1 digits are read back.  The
+  digit width w covers the largest possible coefficient of the product, so
+  the digits never carry into each other.  An operand with at most
+  ``SPARSE_MUL_TERMS`` nonzero terms (a short correction polynomial, a
+  single factor) is instead multiplied row by row, one slice update per
+  nonzero term, which is faster below that size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, floordiv, mul, neg, sub
 
 COEFF_LIMIT = 1 << 63
 
@@ -40,6 +61,8 @@ class CoefficientOverflowError(SeriesError):
 
 
 def _check_bounds(coeffs) -> None:
+    if not coeffs or (-COEFF_LIMIT < min(coeffs) and max(coeffs) < COEFF_LIMIT):
+        return
     for c in coeffs:
         if c >= COEFF_LIMIT or c <= -COEFF_LIMIT:
             raise CoefficientOverflowError(
@@ -49,20 +72,80 @@ def _check_bounds(coeffs) -> None:
 
 # In-place kernels on coefficient lists.  `sign` is +1 or -1, i.e. the
 # factor is (1 + sign*q^m).  Both run in O(order) and are the workhorses
-# behind every Pochhammer product and reciprocal in this module.
+# behind every Pochhammer product and reciprocal in this module.  Both are
+# lower-triangular: entry i of the result depends on entries <= i only, so
+# a caller may drop the tail of the list before a call and keep the rest
+# exact.
+
+_ADD_SIGNED = {PLUS: add, MINUS: sub}  # sign -> (x, y) -> x + sign*y
+
 
 def _mul_factor(coeffs: list, m: int, sign: int) -> None:
+    """coeffs *= (1 + sign*q^m): c[i] += sign*c[i-m], from the old c."""
     if m <= 0:
         raise ValueError("factor exponent must be positive")
-    for i in range(len(coeffs) - 1, m - 1, -1):
-        coeffs[i] += sign * coeffs[i - m]
+    if m < len(coeffs):
+        coeffs[m:] = map(_ADD_SIGNED[sign], coeffs[m:], coeffs[:-m])
 
 
 def _div_factor(coeffs: list, m: int, sign: int) -> None:
+    """coeffs /= (1 + sign*q^m): c[i] -= sign*c[i-m], from the new c."""
     if m <= 0:
         raise ValueError("factor exponent must be positive")
-    for i in range(m, len(coeffs)):
-        coeffs[i] -= sign * coeffs[i - m]
+    op = _ADD_SIGNED[-sign]
+    for start in range(m, len(coeffs), m):
+        coeffs[start:start + m] = map(op, coeffs[start:start + m], coeffs[start - m:start])
+
+
+# An operand with at most this many nonzero terms is multiplied row by row,
+# one slice update per nonzero term; denser operands go through Kronecker
+# substitution.  Against a dense operand of 60-bit coefficients the two take
+# the same time at about 18 nonzero terms at order 50, 24 at order 250 and
+# 30 at order 740, so 20 stays within a quarter of the faster one there.
+SPARSE_MUL_TERMS = 20
+
+
+def _bits(coeffs) -> int:
+    return max(max(coeffs), -min(coeffs)).bit_length()
+
+
+def _pack(coeffs, width: int) -> int:
+    """sum(c[i] * 2**(8*width*i)): residues mod 2**(8*width) minus a carry
+    word that takes back the 2**(8*width) each negative residue added."""
+    def digits(values) -> bytes:
+        return b"".join(map(int.to_bytes, values, repeat(width), repeat("little")))
+
+    value = int.from_bytes(digits(map(((1 << 8 * width) - 1).__and__, coeffs)), "little")
+    if min(coeffs) < 0:
+        value -= int.from_bytes(digits(map((0).__gt__, coeffs)), "little") << 8 * width
+    return value
+
+
+def _sparse_product(sparse, dense, n: int) -> list:
+    """Schoolbook product truncated at q^n, one slice update per nonzero term."""
+    out = [0] * (n + 1)
+    for i, c in enumerate(sparse):
+        if c:
+            out[i:] = map(add, out[i:], map(mul, dense, repeat(c)))
+    return out
+
+
+def _kronecker_product(a, b, n: int) -> list:
+    """Product truncated at q^n by Kronecker substitution.
+
+    |coefficient| of the product < (n+1) * max|a| * max|b|, so digits of
+    8*width bits hold every coefficient offset by half a digit, and the
+    low n+1 digits of product + offset are the coefficients plus that half.
+    """
+    width = (_bits(a) + _bits(b) + (n + 1).bit_length() + 8) // 8
+    size = width * (n + 1)
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * (n + 1), "little")
+    low = (_pack(a, width) * _pack(b, width) + offset) & ((1 << 8 * size) - 1)
+    packed = low.to_bytes(size, "little")
+    cuts = map(slice, range(0, size, width), range(width, size + 1, width))
+    digits = map(int.from_bytes, map(packed.__getitem__, cuts), repeat("little"))
+    return list(map(half.__rsub__, digits))
 
 
 @dataclass(frozen=True)
@@ -141,31 +224,28 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._require_same_order(other)
-        return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return TruncatedSeries(tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._require_same_order(other)
-        return TruncatedSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return TruncatedSeries(tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-a for a in self.coeffs))
+        return TruncatedSeries(tuple(map(neg, self.coeffs)))
 
     def scale(self, factor: int) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(factor * a for a in self.coeffs))
+        return TruncatedSeries(tuple(map(mul, self.coeffs, repeat(factor))))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product truncated at the common order."""
         self._require_same_order(other)
+        a, b = self.coeffs, other.coeffs
+        if a.count(0) < b.count(0):
+            a, b = b, a  # a is the sparser operand
         n = self.order
-        out = [0] * (n + 1)
-        bs = other.coeffs
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j in range(n - i + 1):
-                    b = bs[j]
-                    if b:
-                        out[i + j] += a * b
-        return TruncatedSeries(tuple(out))
+        if n + 1 - a.count(0) <= SPARSE_MUL_TERMS:
+            return TruncatedSeries(tuple(_sparse_product(a, b, n)))
+        return TruncatedSeries(tuple(_kronecker_product(a, b, n)))
 
     def shift(self, c: int) -> "TruncatedSeries":
         """Multiply by q^c: coefficient i of the result is coefficient i-c."""
@@ -202,10 +282,10 @@ class TruncatedSeries:
 
     def halve(self) -> "TruncatedSeries":
         """Divide every coefficient by 2, requiring exact divisibility."""
-        for i, c in enumerate(self.coeffs):
-            if c % 2:
-                raise SeriesError(f"coefficient of q^{i} is odd: {c}")
-        return TruncatedSeries(tuple(c // 2 for c in self.coeffs))
+        if any(map((1).__and__, self.coeffs)):
+            i = next(i for i, c in enumerate(self.coeffs) if c % 2)
+            raise SeriesError(f"coefficient of q^{i} is odd: {self.coeffs[i]}")
+        return TruncatedSeries(tuple(map(floordiv, self.coeffs, repeat(2))))
 
     # -- serialization ----------------------------------------------------
 
@@ -234,8 +314,7 @@ def series_sum(terms, order: int) -> TruncatedSeries:
     for t in terms:
         if t.order != order:
             raise OrderMismatchError("summand order differs from target order")
-        for i, c in enumerate(t.coeffs):
-            acc[i] += c
+        acc = list(map(add, acc, t.coeffs))
     return TruncatedSeries(tuple(acc))
 
 

@@ -148,9 +148,10 @@ def _check_terms(ns, terms, order: int, guard=None, **cell) -> tuple[int, dict |
     A term is (label, value(count, n)), where count(spec, m) is the class
     count on one path: the enumeration oracle, or the q^m coefficient of the
     class generating function truncated at `order`.  At each n the values
-    tagged [enum] come first, then those tagged [series]; `guard(n)` may
-    return a witness before any term is compared.  The witness cell holds n
-    followed by `cell`.  Returns (cells checked, witness or None).
+    tagged [enum] come first, then those tagged [series]; `guard(tag,
+    count, n)` is asked on each path in the same order and may return a
+    witness before any term is compared.  The witness cell holds n followed
+    by `cell`.  Returns (cells checked, witness or None).
     """
     series: dict[ClassSpec, TruncatedSeries] = {}
 
@@ -163,7 +164,9 @@ def _check_terms(ns, terms, order: int, guard=None, **cell) -> tuple[int, dict |
     cells = 0
     for n in ns:
         cells += 1
-        bad = guard and guard(n)
+        bad = None
+        if guard:
+            bad = next(filter(None, (guard(tag, count, n) for tag, count in paths)), None)
         if not bad:
             bad = _chain_check(n, [(f"{label} [{tag}]", value(count, n))
                                    for tag, count in paths for label, value in terms])
@@ -176,9 +179,11 @@ def _check_terms(ns, terms, order: int, guard=None, **cell) -> tuple[int, dict |
 def _task_t1(nmax: int = 60, **_) -> tuple[int, dict | None, list[str], dict]:
     d2 = ClassSpec("Dk", 2)
 
-    def odd_d2(n: int) -> dict | None:
-        d = count_by_enumeration(d2, n + 1)
-        return _witness({"n": n}, "D2(n+1)", d, "even value", d + 1) if d % 2 else None
+    def odd_d2(tag: str, count, n: int) -> dict | None:
+        # The enumeration witness name carries no tag; reports pin it.
+        d = count(d2, n + 1)
+        name = "D2(n+1)" if tag == "enum" else f"D2(n+1) [{tag}]"
+        return _witness({"n": n}, name, d, "even value", d + 1) if d % 2 else None
 
     cells, bad = _check_terms(range(1, nmax + 1), [
         ("A(n)", lambda count, n: count(ClassSpec("A"), n)),

@@ -83,7 +83,8 @@ def test_series_env_default_order_must_be_integer(capsys, monkeypatch):
     (["count", "--class", "A", "--n", "900", "--method", "series"], "A is 769"),
     (["count", "--class", "Dk", "--k", "2", "--nmax", "800", "--method", "both"],
      "Dk(k=2) is 748"),
-], ids=["argv0", "argv1", "argv2"])
+    (["series", "--class", "Ck_e", "--k", "4", "--order", "1000"], "Ck_e(k=4) is 748"),
+], ids=["argv0", "argv1", "argv2", "argv3"])
 def test_coefficient_overflow_is_usage_error(capsys, argv, largest):
     # the message names the largest order that builds for the class
     with pytest.raises(SystemExit) as err:
@@ -98,6 +99,13 @@ def test_count_negative_weight_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["count", "--class", "A", "--n", "-1"])
     assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert "weight must be non-negative" in message
+    for method in ("series", "both"):
+        with pytest.raises(SystemExit) as err:
+            main(["count", "--class", "A", "--n", "-1", "--method", method])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == message
 
 
 def test_bijection_roundtrip_with_trace(capsys):

@@ -131,7 +131,7 @@ def test_count_walk_never_reads_the_series_path(monkeypatch):
         raise AssertionError("enumeration oracle touched the series path")
 
     for name in ("gf", "gf_parity_difference", "count_by_series", "pochhammer_finite",
-                 "pochhammer_infinite", "pochhammer_infinite_starts", "series_sum",
+                 "pochhammer_infinite", "pochhammer_infinite_starts",
                  "_mul_factor", "_div_factor"):
         monkeypatch.setattr(counting, name, forbidden)
     for name in ("pochhammer_finite", "pochhammer_infinite", "pochhammer_infinite_starts",
@@ -219,6 +219,30 @@ def test_parity_difference_rejects_unsplit_family():
     for family in ("Pe", "Pe_d", "Dk_e", "A"):
         with pytest.raises(PartitionError):
             gf_parity_difference(family, 2, 10)
+
+
+@pytest.mark.parametrize("family, core", [("Ck", "_running_sum"), ("Bk", "_running_sum"),
+                                          ("Dk", "_tail_sum")])
+def test_split_family_builds_each_signed_series_once(monkeypatch, family, core):
+    # both halves, the difference and (Dk) the whole family share one
+    # S(+1) and one S(-1) pass of the family's core builder
+    signs = []
+    original = getattr(counting, core)
+
+    def recording(*args):
+        signs.append(args[0] if core == "_tail_sum" else args[4])
+        return original(*args)
+
+    monkeypatch.setattr(counting, core, recording)
+    for cache in (gf, gf_parity_difference, counting._signed):
+        cache.cache_clear()
+    k, order = 3, 57
+    halves = [gf(ClassSpec(f"{family}_{p}", k), order) for p in ("e", "o")]
+    diff = gf_parity_difference(family, k, order)
+    if family == "Dk":
+        assert gf(ClassSpec("Dk", k), order) == halves[0] + halves[1]
+    assert sorted(signs) == [series.MINUS, series.PLUS]
+    assert halves[0] - halves[1] == diff
 
 
 def test_parity_difference_series_match_enumeration():

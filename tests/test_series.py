@@ -11,9 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpart import series as series_module
 from qpart.series import (
+    COEFF_LIMIT,
     MINUS,
     PLUS,
+    SPARSE_MUL_TERMS,
     CoefficientOverflowError,
     NonUnitConstantError,
     OrderMismatchError,
@@ -25,6 +28,7 @@ from qpart.series import (
     pochhammer_infinite_starts,
     series_sum,
 )
+from qpart.series import _div_factor, _kronecker_product, _mul_factor, _sparse_product
 
 S = TruncatedSeries.from_coeffs
 
@@ -275,6 +279,13 @@ def test_overflow_detected_in_multiplication():
     big = S([1 << 62, 1 << 62])
     with pytest.raises(CoefficientOverflowError):
         big * S([2, 2])
+    # dense operands take the Kronecker path
+    terms = 2 * SPARSE_MUL_TERMS
+    big = S([1 << 62] + [1] * (terms - 1))
+    with pytest.raises(CoefficientOverflowError):
+        big * S([2] * terms)
+    with pytest.raises(CoefficientOverflowError):
+        S([1 << 61] * terms) * S([-1] * terms)
 
 
 def test_json_round_trip():
@@ -343,3 +354,119 @@ def test_unit_constant_series_invert(pair):
 def test_shift_composes(pair, c):
     a, _ = pair
     assert a.shift(c).shift(1) == a.shift(c + 1)
+
+
+# ---------------------------------------------------------------------------
+# kernels against the plain loops they replace
+# ---------------------------------------------------------------------------
+
+
+def reference_mul_factor(coeffs, m, sign):
+    for i in range(len(coeffs) - 1, m - 1, -1):
+        coeffs[i] += sign * coeffs[i - m]
+
+
+def reference_div_factor(coeffs, m, sign):
+    for i in range(m, len(coeffs)):
+        coeffs[i] -= sign * coeffs[i - m]
+
+
+def reference_product(a, b):
+    n = len(a) - 1
+    out = [0] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def reference_sum(rows, order):
+    acc = [0] * (order + 1)
+    for row in rows:
+        for i, c in enumerate(row):
+            acc[i] += c
+    return acc
+
+
+BIG = (1 << 62) - 1
+
+
+@st.composite
+def coefficient_rows(draw, count, max_order=40):
+    """(order, rows): `count` rows of one order (0 included), each sparse,
+    dense or zero, with signed coefficients up to 62 bits."""
+    order = draw(st.integers(0, max_order))
+    rows = []
+    for _ in range(count):
+        kind = draw(st.sampled_from(("zero", "sparse", "dense")))
+        value = st.integers(-BIG, BIG) if draw(st.booleans()) else st.integers(-9, 9)
+        if kind == "zero":
+            cell = st.just(0)
+        elif kind == "sparse":
+            cell = st.one_of(st.just(0), st.just(0), st.just(0), value)
+        else:
+            cell = value
+        rows.append(draw(st.lists(cell, min_size=order + 1, max_size=order + 1)))
+    return order, rows
+
+
+def _fits(coeffs):
+    return all(-COEFF_LIMIT < c < COEFF_LIMIT for c in coeffs)
+
+
+@given(coefficient_rows(1), st.integers(1, 45), st.sampled_from((PLUS, MINUS)))
+def test_factor_kernels_match_plain_loops(order_rows, m, sign):
+    # m may reach or pass the length of the list
+    (row,) = order_rows[1]
+    for kernel, reference in ((_mul_factor, reference_mul_factor),
+                              (_div_factor, reference_div_factor)):
+        got, want = list(row), list(row)
+        kernel(got, m, sign)
+        reference(want, m, sign)
+        assert got == want
+
+
+def test_factor_kernels_reject_bad_exponent():
+    for kernel in (_mul_factor, _div_factor):
+        with pytest.raises(ValueError):
+            kernel([1, 2, 3], 0, PLUS)
+
+
+@given(coefficient_rows(2, max_order=60))
+@settings(max_examples=150)
+def test_products_match_schoolbook(order_rows):
+    n, (a, b) = order_rows
+    want = reference_product(a, b)
+    # both sides of the sparse crossover, whatever the operands look like
+    assert _sparse_product(a, b, n) == want
+    assert _kronecker_product(a, b, n) == want
+    if _fits(want):
+        assert (S(a) * S(b)).coeffs == tuple(want)
+    else:
+        with pytest.raises(CoefficientOverflowError):
+            S(a) * S(b)
+
+
+def test_product_paths_split_at_the_crossover(monkeypatch):
+    calls = []
+    for name in ("_sparse_product", "_kronecker_product"):
+        original = getattr(series_module, name)
+        monkeypatch.setattr(series_module, name,
+                            lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    order = 3 * SPARSE_MUL_TERMS
+    dense = S(range(1, order + 2))
+    for terms in (SPARSE_MUL_TERMS, SPARSE_MUL_TERMS + 1):
+        sparse = S([1] * terms, order)
+        assert (sparse * dense).coeffs == tuple(reference_product(sparse.coeffs, dense.coeffs))
+    assert calls == ["_sparse_product", "_kronecker_product"]
+
+
+@given(st.integers(0, 4).flatmap(coefficient_rows))
+def test_series_sum_matches_plain_loop(order_rows):
+    order, rows = order_rows
+    want = reference_sum(rows, order)
+    if _fits(want):
+        assert series_sum([S(r) for r in rows], order).coeffs == tuple(want)
+    else:
+        with pytest.raises(CoefficientOverflowError):
+            series_sum([S(r) for r in rows], order)

@@ -166,6 +166,9 @@ def _witness(cell, left_name, left, right_name, right):
     ("T10", {"kmax": 4, "nmax": 10}, _bump_series, ClassSpec("A"), 6, 5,
      _witness({"n": 6, "k": 2}, "D_k(n)+D_k-1(n) [enum]", 14,
               "D_k-1(n-k+1)+2A(n) [series]", 16)),
+    # an odd series D2 coefficient would floor to the right half
+    ("T1", {"nmax": 10}, _bump_series, ClassSpec("Dk", 2), 8, 7,
+     _witness({"n": 7}, "D2(n+1) [series]", 11, "even value", 12)),
 ])
 def test_dual_path_failure_witness(monkeypatch, task, grid, bump, spec, n, cells, witness):
     # passing reports carry no labels, so only a forced mismatch pins them
