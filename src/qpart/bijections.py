@@ -16,7 +16,12 @@ partitions of n+1 comes in two strategies:
     per-anchor counts agree (both sides reduce to the same odd-part product
     per anchor), so the pairing is total and, crucially, anchor-compatible,
     which the windowed recursion below relies on when re-attaching stripped
-    window parts.  Default.
+    window parts.  Default.  Each side's block for one anchor is built
+    once, sorted, and cached together with a dict from member to rank, so
+    both directions find a member's rank in O(1).  The caches are bounded
+    at ``RANK_CACHE_SIZE`` blocks per side.  A block still holds every
+    member of its weight and anchor; ranking by counting recurrences, in
+    memory polynomial in the weight, is not done yet.
 
 ``aky-sketch``
     The sketched construction: add 1 to the largest odd part to create the
@@ -28,6 +33,7 @@ partitions of n+1 comes in two strategies:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,6 +48,10 @@ from .partitions import (
 RANK = "rank"
 AKY_SKETCH = "aky-sketch"
 STRATEGIES = (RANK, AKY_SKETCH)
+
+# the classes the maps check that take no k
+_A, _B, _C, _E, _F = (ClassSpec(cid) for cid in ("A", "B", "C", "E", "F"))
+_P1, _P2 = ClassSpec("P1"), ClassSpec("P2")
 
 
 class BijectionError(ValueError):
@@ -79,9 +89,12 @@ def _sorted_parts(parts) -> tuple[int, ...]:
     return tuple(sorted(parts, reverse=True))
 
 
-def _require(condition: bool, message: str) -> None:
+def _require(condition: bool, message: str | Callable[[], str]) -> None:
+    """Raise BijectionError unless condition holds.  A message that renders
+    partitions is passed as a zero-argument callable, so that its text is
+    built only on failure; sweeps of round-trips never fail."""
     if not condition:
-        raise BijectionError(message)
+        raise BijectionError(message() if callable(message) else message)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +144,7 @@ def akdk_map(k: int, p: Partition) -> BijectionOutcome:
     The four-way case split (smallest zero or repeated, equal to 1 or not)
     lands in exactly one of P2, P1, Pdprime, Pprime at weight n-1.
     """
-    _require(is_member(ClassSpec("Dk", k), p), f"{p} is not a Dk member (k={k})")
+    _require(is_member(ClassSpec("Dk", k), p), lambda: f"{p} is not a Dk member (k={k})")
     _require(p.weight >= 2, "map defined for weight >= 2")
     parts = p.parts
     if parts[-1] == 0:
@@ -139,10 +152,10 @@ def akdk_map(k: int, p: Partition) -> BijectionOutcome:
         t = positives[-1]
         if t > 1:
             image = Partition(positives[:-1] + (t - 1,))
-            target, tag = ClassSpec("P2"), "distinct,smallest>1"
+            target, tag = _P2, "distinct,smallest>1"
         else:
             image = Partition(positives[:-1])
-            target, tag = ClassSpec("P1"), "distinct,smallest=1"
+            target, tag = _P1, "distinct,smallest=1"
     else:
         s = parts[-1]
         if s > 1:
@@ -151,7 +164,7 @@ def akdk_map(k: int, p: Partition) -> BijectionOutcome:
         else:
             image = Partition(parts[:-1])
             target, tag = ClassSpec("Pprime", k), "repeated,smallest=1"
-    _require(is_member(target, image), f"image {image} is not in {target}")
+    _require(is_member(target, image), lambda: f"image {image} is not in {target}")
     return BijectionOutcome(image, target, (tag,))
 
 
@@ -172,7 +185,7 @@ def akdk_inverse(k: int, outcome: BijectionOutcome) -> Partition:
     else:
         raise BijectionError(f"unexpected target class {outcome.target_class}")
     _require(is_member(ClassSpec("Dk", k), result),
-             f"inverse image {result} is not a Dk member")
+             lambda: f"inverse image {result} is not a Dk member")
     return result
 
 
@@ -194,23 +207,24 @@ def dk_recurrence_map(k: int, p: Partition, source: str) -> BijectionOutcome:
     gap above it.
     """
     _require(k >= 2, "recurrence needs k >= 2")
-    _require(source in (SOURCE_DK, SOURCE_DK_MINUS_1), f"unknown source tag {source!r}")
+    _require(source in (SOURCE_DK, SOURCE_DK_MINUS_1),
+             lambda: f"unknown source tag {source!r}")
     mult = k if source == SOURCE_DK else k - 1
     _require(is_member(ClassSpec("Dk", mult), p),
-             f"{p} is not a D-member with smallest multiplicity {mult}")
+             lambda: f"{p} is not a D-member with smallest multiplicity {mult}")
     _require(p.weight > k - 1, "weight must exceed k-1")
     parts = p.parts
     if parts[-1] == 0:
         image = Partition(parts[:-mult])
         tag = f"zeros,{source}"
-        out = BijectionOutcome(image, ClassSpec("A"), (tag,))
-        _require(is_member(ClassSpec("A"), image), f"{image} not distinct")
+        out = BijectionOutcome(image, _A, (tag,))
+        _require(is_member(_A, image), lambda: f"{image} not distinct")
         return out
     s = parts[-1]
     image = Partition(parts[: len(parts) - (k - 1)] + (s - 1,) * (k - 1))
     tag = f"shift,{source},{'smallest=1' if s == 1 else 'smallest>1'}"
     target = ClassSpec("Dk", k - 1)
-    _require(is_member(target, image), f"image {image} is not in {target}")
+    _require(is_member(target, image), lambda: f"image {image} is not in {target}")
     return BijectionOutcome(image, target, (tag,))
 
 
@@ -252,52 +266,67 @@ def dk_recurrence_inverse(k: int, outcome: BijectionOutcome) -> tuple[Partition,
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _odd_block(l: int, weight: int) -> tuple[tuple[int, ...], ...]:
-    """All-odd partitions of `weight` whose largest part is exactly 2l-1,
-    in canonical (lexicographic) order."""
+# A rank block is its members in canonical (lexicographic) order plus the
+# rank of each member, so that both directions look a member up in O(1).
+# Cached blocks are shared by every caller and never mutated.
+RankBlock = tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]
+
+# Blocks kept per side.  Every member of one weight through base-bc and bkck
+# (k = 2, 3, 4), as the bijection_roundtrip benchmark runs them, needs 83
+# blocks per side at weight 60 and 113 at weight 80, so such a sweep never
+# rebuilds a block; the bound stops the caches growing across sweeps of
+# many weights in one process.
+RANK_CACHE_SIZE = 128
+
+
+def _rank_block(members) -> RankBlock:
+    ordered = tuple(sorted(members))
+    return ordered, {parts: i for i, parts in enumerate(ordered)}
+
+
+@lru_cache(maxsize=RANK_CACHE_SIZE)
+def _odd_block(l: int, weight: int) -> RankBlock:
+    """All-odd partitions of `weight` whose largest part is exactly 2l-1."""
     base = 2 * l - 1
     if weight < base:
-        return ()
-    members = [_sorted_parts((base,) + fill) for fill in _odd_multiset(weight - base, base)]
-    return tuple(sorted(members))
+        return _rank_block(())
+    return _rank_block(_sorted_parts((base,) + fill)
+                       for fill in _odd_multiset(weight - base, base))
 
 
-@lru_cache(maxsize=None)
-def _anchored_block(l: int, weight: int) -> tuple[tuple[int, ...], ...]:
-    """Extras-free anchored partitions of `weight` with anchor 2l, in
-    canonical (lexicographic) order."""
+@lru_cache(maxsize=RANK_CACHE_SIZE)
+def _anchored_block(l: int, weight: int) -> RankBlock:
+    """Extras-free anchored partitions of `weight` with anchor 2l."""
     anchor = 2 * l
     if weight < anchor:
-        return ()
-    members = [_sorted_parts((anchor,) + core) for core in _c_core(weight - anchor, anchor, l)]
-    return tuple(sorted(members))
+        return _rank_block(())
+    return _rank_block(_sorted_parts((anchor,) + core)
+                       for core in _c_core(weight - anchor, anchor, l))
 
 
 def _largest_odd_half(p: Partition) -> int:
     odds = [v for v in p.parts if v % 2]
-    _require(bool(odds), f"{p} has no odd part")
+    _require(bool(odds), lambda: f"{p} has no odd part")
     return (max(odds) + 1) // 2
 
 
 def base_bc_map(p: Partition, strategy: str = RANK) -> AnchoredPartition:
     """Map an all-odd partition of n to an anchored partition of n+1."""
-    _require(is_member(ClassSpec("B"), p), f"{p} is not an all-odd partition")
+    _require(is_member(_B, p), lambda: f"{p} is not an all-odd partition")
     l = _largest_odd_half(p)
     if strategy == RANK:
-        b_block = _odd_block(l, p.weight)
-        c_block = _anchored_block(l, p.weight + 1)
+        b_block, b_rank = _odd_block(l, p.weight)
+        c_block, _ = _anchored_block(l, p.weight + 1)
         _require(len(b_block) == len(c_block),
-                 f"block size mismatch at l={l}, weight={p.weight}")
-        idx = b_block.index(p.parts)
-        return AnchoredPartition(2 * l, Partition(c_block[idx]))
+                 lambda: f"block size mismatch at l={l}, weight={p.weight}")
+        return AnchoredPartition(2 * l, Partition(c_block[b_rank[p.parts]]))
     if strategy == AKY_SKETCH:
         rest = list(p.parts)
         rest.remove(2 * l - 1)
         merged = glaisher_merge(Partition(_sorted_parts(rest)))
         candidate = AnchoredPartition(
             2 * l, Partition(_sorted_parts(merged.parts + (2 * l,))))
-        if not is_member(ClassSpec("C"), candidate):
+        if not is_member(_C, candidate):
             raise SketchMembershipError(p, candidate)
         return candidate
     raise BijectionError(f"unknown strategy {strategy!r}")
@@ -305,22 +334,21 @@ def base_bc_map(p: Partition, strategy: str = RANK) -> AnchoredPartition:
 
 def base_bc_inverse(ap: AnchoredPartition, strategy: str = RANK) -> Partition:
     """Map an anchored partition of n+1 back to an all-odd partition of n."""
-    _require(is_member(ClassSpec("C"), ap), f"{ap} is not an anchored member")
+    _require(is_member(_C, ap), lambda: f"{ap} is not an anchored member")
     l = ap.anchor // 2
     if strategy == RANK:
-        c_block = _anchored_block(l, ap.weight)
-        b_block = _odd_block(l, ap.weight - 1)
+        c_block, c_rank = _anchored_block(l, ap.weight)
+        b_block, _ = _odd_block(l, ap.weight - 1)
         _require(len(b_block) == len(c_block),
-                 f"block size mismatch at l={l}, weight={ap.weight - 1}")
-        idx = c_block.index(ap.partition.parts)
-        return Partition(b_block[idx])
+                 lambda: f"block size mismatch at l={l}, weight={ap.weight - 1}")
+        return Partition(b_block[c_rank[ap.partition.parts]])
     if strategy == AKY_SKETCH:
         rest = list(ap.partition.parts)
         rest.remove(ap.anchor)
         split = glaisher_split(Partition(_sorted_parts(rest))) if rest else Partition(())
         result = Partition(_sorted_parts(split.parts + (ap.anchor - 1,)))
-        _require(is_member(ClassSpec("B"), result),
-                 f"sketch inverse image {result} is not all-odd")
+        _require(is_member(_B, result),
+                 lambda: f"sketch inverse image {result} is not all-odd")
         return result
     raise BijectionError(f"unknown strategy {strategy!r}")
 
@@ -357,7 +385,7 @@ def sketch_harness(n: int) -> SketchReport:
 
     attempted = succeeded = 0
     failures = []
-    for p in enumerate_class(ClassSpec("B"), n):
+    for p in enumerate_class(_B, n):
         attempted += 1
         try:
             image = base_bc_map(p, AKY_SKETCH)
@@ -396,7 +424,7 @@ def bkck_map(k: int, parity: str, p: Partition,
     """
     _require(parity in ("e", "o"), "parity must be 'e' or 'o'")
     spec = ClassSpec(f"Bk_{parity}", k)
-    _require(is_member(spec, p), f"{p} is not a member of {spec}")
+    _require(is_member(spec, p), lambda: f"{p} is not a member of {spec}")
     evens = [v for v in p.parts if v % 2 == 0]
     if not evens:
         image = base_bc_map(p, strategy)
@@ -412,7 +440,7 @@ def bkck_map(k: int, parity: str, p: Partition,
         outcome = BijectionOutcome(lifted, ClassSpec(f"Ck_{parity}", k),
                                    (f"strip:{m}",) + sub.case_tag)
     _require(is_member(outcome.target_class, outcome.image),
-             f"image {outcome.image} is not in {outcome.target_class}")
+             lambda: f"image {outcome.image} is not in {outcome.target_class}")
     return outcome
 
 
@@ -421,7 +449,7 @@ def bkck_inverse(k: int, parity: str, ap: AnchoredPartition,
     """Inverse direction: anchored side of weight n+1 to odd side of n."""
     _require(parity in ("e", "o"), "parity must be 'e' or 'o'")
     spec = ClassSpec(f"Ck_{parity}", k)
-    _require(is_member(spec, ap), f"{ap} is not a member of {spec}")
+    _require(is_member(spec, ap), lambda: f"{ap} is not a member of {spec}")
     extras = [v for v in ap.partition.parts if v > ap.anchor]
     if not extras:
         image = base_bc_inverse(ap, strategy)
@@ -436,7 +464,7 @@ def bkck_inverse(k: int, parity: str, ap: AnchoredPartition,
         outcome = BijectionOutcome(lifted, ClassSpec(f"Bk_{parity}", k),
                                    (f"strip:{m}",) + sub.case_tag)
     _require(is_member(outcome.target_class, outcome.image),
-             f"image {outcome.image} is not in {outcome.target_class}")
+             lambda: f"image {outcome.image} is not in {outcome.target_class}")
     return outcome
 
 
@@ -451,17 +479,17 @@ def ef_shift(direction: str, p: Partition) -> Partition:
     """Add or remove 1 (F directions) or 2 (E directions) on the largest
     part, moving between the all-odd class and the unique-largest classes."""
     _require(direction in _EF_DIRECTIONS,
-             f"direction must be one of {_EF_DIRECTIONS}")
+             lambda: f"direction must be one of {_EF_DIRECTIONS}")
     parts = p.parts
     if direction == "B->F":
-        _require(is_member(ClassSpec("B"), p), f"{p} is not all-odd")
+        _require(is_member(_B, p), lambda: f"{p} is not all-odd")
         return Partition((parts[0] + 1,) + parts[1:])
     if direction == "F->B":
-        _require(is_member(ClassSpec("F"), p), f"{p} has no unique even largest part")
+        _require(is_member(_F, p), lambda: f"{p} has no unique even largest part")
         return Partition((parts[0] - 1,) + parts[1:])
     if direction == "B->E":
-        _require(is_member(ClassSpec("B"), p), f"{p} is not all-odd")
+        _require(is_member(_B, p), lambda: f"{p} is not all-odd")
         return Partition((parts[0] + 2,) + parts[1:])
-    _require(is_member(ClassSpec("E"), p), f"{p} is not odd with unique largest part")
+    _require(is_member(_E, p), lambda: f"{p} is not odd with unique largest part")
     _require(parts[0] >= 3, "largest part must be at least 3 to shift down")
     return Partition((parts[0] - 2,) + parts[1:])

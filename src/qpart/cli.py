@@ -4,7 +4,8 @@ Every command is deterministic; output is byte-identical across runs once
 ``--no-timestamp`` suppresses the generation timestamp and wall times.
 Exit status: 0 on success or verification pass, 1 on a verification or
 round-trip mismatch (the witness is printed), 2 on usage errors, including
-a request past the 64-bit coefficient range of the series engine.
+a request past the 64-bit coefficient range of the series engine and a
+round-trip sweep of a weight class that lies outside the map's domain.
 
 The default truncation order for series output can be overridden with the
 ``QPART_DEFAULT_ORDER`` environment variable.
@@ -228,6 +229,21 @@ def _roundtrip_cases(parser, args):
         parser.error(f"unknown bijection {name!r}")
 
 
+def _sweep_domain_error(args) -> str | None:
+    """Why no member of the swept weight class is in the map's domain, or
+    None.  A negative weight is left to the enumeration's own message."""
+    if args.n < 0:
+        return None
+    if args.name == "akdk" and args.n < 2:
+        return "map defined for weight >= 2"
+    if args.name == "dk-recurrence":
+        if args.k < 2:
+            return "recurrence needs k >= 2"
+        if args.n <= args.k - 1:
+            return "weight must exceed k-1"
+    return None
+
+
 def _cmd_bijection(parser, args) -> int:
     needs_k = args.name in ("akdk", "dk-recurrence", "bkck")
     if needs_k and args.k is None:
@@ -254,6 +270,10 @@ def _cmd_bijection(parser, args) -> int:
         parser.error("bijection needs --parts or --n")
     if not args.roundtrip:
         parser.error("without --parts, use --roundtrip to sweep a weight class")
+    reason = _sweep_domain_error(args)
+    if reason:
+        parser.error(f"{args.name} --k {args.k} --n {args.n} is outside the map's domain: "
+                     f"{reason}")
 
     if args.name == "base-bc" and args.strategy == bijections.AKY_SKETCH:
         report = bijections.sketch_harness(args.n)

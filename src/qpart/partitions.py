@@ -55,6 +55,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
+from operator import ge, gt
 from typing import NamedTuple
 
 
@@ -69,8 +70,13 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        parts = self.parts
+        # One pass at C speed for the common valid case; the loop below only
+        # names the first fault.
+        if not parts or (parts[-1] >= 0 and all(map(ge, parts, parts[1:]))):
+            return
         prev = None
-        for p in self.parts:
+        for p in parts:
             if p < 0:
                 raise PartitionError(f"negative part {p}")
             if prev is not None and p > prev:
@@ -160,9 +166,7 @@ def smallest_part_profile(p: Partition) -> tuple[int, int, bool]:
         if v != smallest:
             break
         mult += 1
-    counts = Counter(p.parts[: len(p.parts) - mult])
-    rest_distinct = all(c == 1 for c in counts.values())
-    return smallest, mult, rest_distinct
+    return smallest, mult, _is_distinct(p.parts[: len(p.parts) - mult])
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +180,8 @@ def _all_positive(p: Partition) -> bool:
 
 
 def _is_distinct(parts: tuple[int, ...]) -> bool:
-    return all(parts[i] > parts[i + 1] for i in range(len(parts) - 1))
+    """Whether weakly decreasing parts are all distinct."""
+    return all(map(gt, parts, parts[1:]))
 
 
 def _parity_half(count_of, parity: int):
@@ -334,12 +339,13 @@ def is_member(spec: ClassSpec, p: Partition | AnchoredPartition) -> bool:
     takes a plain :class:`Partition`.  Supplying the wrong representation
     raises :class:`PartitionError`.
     """
-    if spec.anchored:
+    row = _CLASSES[spec.class_id]
+    if row.anchored:
         if not isinstance(p, AnchoredPartition):
             raise PartitionError(f"class {spec} is counted over anchored partitions")
     elif isinstance(p, AnchoredPartition):
         raise PartitionError(f"class {spec} takes a plain partition, not an anchored one")
-    return _CLASSES[spec.class_id].member(p, spec.k)
+    return row.member(p, spec.k)
 
 
 def anchor_decompositions(k: int, p: Partition) -> list[AnchoredPartition]:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qpart import bijections
 from qpart.bijections import (
     AKY_SKETCH,
     RANK,
@@ -331,3 +332,133 @@ def test_ef_shift_rejects_bad_input():
         ef_shift("E->B", P([1]))
     with pytest.raises(BijectionError):
         ef_shift("sideways", P([3]))
+
+
+# ---------------------------------------------------------------------------
+# error text: `qpart bijection --parts ...` prints these messages verbatim
+# ---------------------------------------------------------------------------
+
+
+def _message(call) -> str:
+    with pytest.raises(BijectionError) as err:
+        call()
+    return str(err.value)
+
+
+@pytest.fixture
+def fresh_rank_blocks(monkeypatch):
+    """Empty rank caches before and after a test that patches their inputs
+    (set up after monkeypatch, so the clear runs before the patch is undone)."""
+    bijections._odd_block.cache_clear()
+    bijections._anchored_block.cache_clear()
+    yield monkeypatch
+    bijections._odd_block.cache_clear()
+    bijections._anchored_block.cache_clear()
+
+
+def _refuse(monkeypatch, *class_ids):
+    """Make the bijections' membership check reject the given class ids."""
+    real = bijections.is_member
+    monkeypatch.setattr(bijections, "is_member",
+                        lambda spec, v: spec.class_id not in class_ids and real(spec, v))
+
+
+def test_error_text_bad_source():
+    assert _message(lambda: akdk_map(2, P([4, 2]))) == "4+2 is not a Dk member (k=2)"
+    assert _message(lambda: dk_recurrence_map(3, P([4, 2]), SOURCE_DK)) == \
+        "4+2 is not a D-member with smallest multiplicity 3"
+    assert _message(lambda: base_bc_map(P([2, 1]))) == "2+1 is not an all-odd partition"
+    assert _message(lambda: base_bc_inverse(AnchoredPartition(2, P([2, 1, 1])))) == \
+        "[2] 2+1+1 is not an anchored member"
+    assert _message(lambda: bkck_map(2, "o", P([3, 1]))) == "3+1 is not a member of Bk_o(k=2)"
+    assert _message(lambda: bkck_inverse(2, "o", AnchoredPartition(2, P([2, 1])))) == \
+        "[2] 2+1 is not a member of Ck_o(k=2)"
+    assert _message(lambda: ef_shift("B->F", P([4, 1]))) == "4+1 is not all-odd"
+    assert _message(lambda: ef_shift("F->B", P([3, 1]))) == "3+1 has no unique even largest part"
+    assert _message(lambda: ef_shift("E->B", P([3, 3]))) == "3+3 is not odd with unique largest part"
+
+
+def test_error_text_bad_image(monkeypatch):
+    _refuse(monkeypatch, "Pprime", "A", "Ck_e")
+    assert _message(lambda: akdk_map(2, P([5, 1, 1]))) == "image 5+1 is not in Pprime(k=2)"
+    assert _message(lambda: dk_recurrence_map(3, P([5, 0, 0, 0]), SOURCE_DK)) == "5 not distinct"
+    assert _message(lambda: bkck_map(2, "e", P([3, 1]))) == "image [4] 4+1 is not in Ck_e(k=2)"
+    monkeypatch.undo()
+    _refuse(monkeypatch, "Bk_e")
+    assert _message(lambda: bkck_inverse(2, "e", AnchoredPartition(4, P([4, 1])))) == \
+        "image 3+1 is not in Bk_e(k=2)"
+
+
+def test_error_text_bad_inverse_image():
+    out = bijections.BijectionOutcome(P([3, 3]), ClassSpec("P1"), ("distinct,smallest=1",))
+    assert _message(lambda: akdk_inverse(2, out)) == "inverse image 3+3+1+0+0 is not a Dk member"
+
+
+def test_error_text_block_size_mismatch_forward(fresh_rank_blocks):
+    fresh_rank_blocks.setattr(bijections, "_c_core", lambda *args: iter(()))
+    assert _message(lambda: base_bc_map(P([3, 1]))) == "block size mismatch at l=2, weight=4"
+
+
+def test_error_text_block_size_mismatch_inverse(fresh_rank_blocks):
+    fresh_rank_blocks.setattr(bijections, "_odd_multiset", lambda *args: iter(()))
+    assert _message(lambda: base_bc_inverse(AnchoredPartition(4, P([4, 1])))) == \
+        "block size mismatch at l=2, weight=4"
+
+
+def test_error_text_unknown_tags():
+    assert _message(lambda: dk_recurrence_map(3, P([2, 1, 1]), "mystery")) == \
+        "unknown source tag 'mystery'"
+    out = bijections.BijectionOutcome(P([3, 1]), ClassSpec("A"), ("zeros,Dk",))
+    assert _message(lambda: akdk_inverse(2, out)) == "unexpected target class A"
+    assert _message(lambda: ef_shift("sideways", P([3]))) == \
+        "direction must be one of ('B->F', 'F->B', 'B->E', 'E->B')"
+    assert _message(lambda: base_bc_map(P([3, 1]), "magic")) == "unknown strategy 'magic'"
+
+
+def test_successful_maps_format_no_error_text(monkeypatch):
+    # Error text is built only on failure: a sweep that never fails never
+    # renders a partition as text.
+    def refuse_str(self):
+        raise AssertionError("error text built on a successful call")
+
+    monkeypatch.setattr(Partition, "__str__", refuse_str)
+    monkeypatch.setattr(AnchoredPartition, "__str__", refuse_str)
+    for p in enumerate_class(ClassSpec("B"), 12):
+        assert glaisher_split(glaisher_merge(p)) == p
+        assert base_bc_inverse(base_bc_map(p)) == p
+        assert ef_shift("F->B", ef_shift("B->F", p)) == p
+        assert ef_shift("E->B", ef_shift("B->E", p)) == p
+    for p in enumerate_class(ClassSpec("Dk", 3), 12):
+        assert akdk_inverse(3, akdk_map(3, p)) == p
+        assert dk_recurrence_inverse(3, dk_recurrence_map(3, p, SOURCE_DK))[0] == p
+    for k, parity in ((2, "e"), (3, "o"), (4, "e")):
+        for p in enumerate_class(ClassSpec(f"Bk_{parity}", k), 12):
+            assert bkck_inverse(k, parity, bkck_map(k, parity, p).image).image == p
+
+
+# ---------------------------------------------------------------------------
+# rank strategy: i-th member pairs with i-th member, per anchor
+# ---------------------------------------------------------------------------
+
+
+def test_rank_pairs_ith_members_of_sorted_blocks():
+    for n in range(1, 31):
+        odd_blocks, anchored_blocks = {}, {}
+        for p in enumerate_class(ClassSpec("B"), n):
+            l = (max(v for v in p.parts if v % 2) + 1) // 2
+            odd_blocks.setdefault(l, []).append(p.parts)
+        for ap in enumerate_class(ClassSpec("C"), n + 1):
+            anchored_blocks.setdefault(ap.anchor // 2, []).append(ap.partition.parts)
+        assert odd_blocks.keys() == anchored_blocks.keys(), n
+        for l, odd in odd_blocks.items():
+            anchored = anchored_blocks[l]
+            assert len(odd) == len(anchored), (n, l)
+            for b_parts, c_parts in zip(sorted(odd), sorted(anchored)):
+                image = AnchoredPartition(2 * l, Partition(c_parts))
+                assert base_bc_map(Partition(b_parts), RANK) == image
+                assert base_bc_inverse(image, RANK) == Partition(b_parts)
+
+
+def test_rank_caches_are_bounded():
+    for block in (bijections._odd_block, bijections._anchored_block):
+        assert block.cache_info().maxsize == bijections.RANK_CACHE_SIZE

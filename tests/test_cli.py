@@ -158,6 +158,32 @@ def test_bijection_domain_error_exits_one(capsys):
     assert "bijection failed" in out
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (("dk-recurrence", "--k", "1", "--n", "5"), "recurrence needs k >= 2"),
+    (("akdk", "--k", "3", "--n", "1"), "map defined for weight >= 2"),
+    (("dk-recurrence", "--k", "3", "--n", "1"), "weight must exceed k-1"),
+], ids=["dk-recurrence-k1", "akdk-n1", "dk-recurrence-n1"])
+def test_roundtrip_outside_domain_is_usage_error(capsys, argv, reason):
+    # exit 1 is kept for a real mismatch; no member of these weight classes
+    # is in the map's domain, so the sweep is refused before it starts
+    with pytest.raises(SystemExit) as err:
+        main(["bijection", "--name", *argv, "--roundtrip"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip().endswith(reason)
+
+
+def test_roundtrip_at_domain_edge_runs(capsys):
+    code, out = run_cli(capsys, "bijection", "--name", "dk-recurrence", "--k", "3",
+                        "--n", "3", "--roundtrip")
+    assert code == 0
+    assert out.strip() == "round-trip OK over 5 member(s) at weight 3"
+    code, out = run_cli(capsys, "bijection", "--name", "akdk", "--k", "3",
+                        "--n", "2", "--roundtrip")
+    assert code == 0
+
+
 def test_verify_pass_and_exit_codes(capsys, tmp_path):
     junit = tmp_path / "report.xml"
     code, out = run_cli(capsys, "verify", "--task", "T1", "--nmax", "20",

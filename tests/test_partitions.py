@@ -1,5 +1,9 @@
 """Partition values, class membership, and anchor decompositions."""
 
+import hashlib
+from collections import Counter
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +15,7 @@ from qpart.partitions import (
     Partition,
     PartitionError,
     anchor_decompositions,
+    _is_distinct,
     is_member,
     smallest_part_profile,
 )
@@ -207,3 +212,82 @@ def test_anchor_decompositions_sound(p, k):
         assert all(v % 2 == 0 for v in extras)
         spec = ClassSpec("Ck_e" if len(extras) % 2 == 0 else "Ck_o", k)
         assert is_member(spec, ap)
+
+
+# ---------------------------------------------------------------------------
+# membership fast paths against their plain definitions
+# ---------------------------------------------------------------------------
+
+
+def _every_partition(n: int, cap: int | None = None):
+    """Every partition of n into positive parts no larger than cap."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, cap or n), 0, -1):
+        for rest in _every_partition(n - first, first):
+            yield (first,) + rest
+
+
+def _validate_by_loop(parts) -> str | None:
+    """The element-by-element check Partition applies: error text or None."""
+    prev = None
+    for p in parts:
+        if p < 0:
+            return f"negative part {p}"
+        if prev is not None and p > prev:
+            return "parts must be weakly decreasing"
+        prev = p
+    return None
+
+
+def test_partition_check_matches_loop_on_small_tuples():
+    tuples = [t for length in range(5) for t in product(range(-1, 4), repeat=length)]
+    assert len(tuples) == 1 + 5 + 25 + 125 + 625
+    for parts in tuples:
+        expected = _validate_by_loop(parts)
+        if expected is None:
+            assert Partition(parts).parts == parts
+        else:
+            with pytest.raises(PartitionError) as err:
+                Partition(parts)
+            assert str(err.value) == expected, parts
+
+
+def test_distinct_and_profile_match_counter_definition():
+    for n in range(13):
+        for positive in _every_partition(n):
+            for zeros in range(4):
+                parts = positive + (0,) * zeros
+                counts = Counter(parts)
+                assert _is_distinct(parts) == all(c == 1 for c in counts.values()), parts
+                if not parts:
+                    continue
+                smallest = parts[-1]
+                above = Counter(v for v in parts if v != smallest)
+                assert smallest_part_profile(Partition(parts)) == (
+                    smallest, counts[smallest], all(c == 1 for c in above.values()))
+
+
+# is_member over every partition of n <= 12 with 0-3 zeros appended, every
+# class id, k = 1..4 where the class takes one and every even anchor: the
+# number of answers and the SHA-256 of their 0/1 string, taken from the
+# element-by-element predicates before they gained fast paths.
+MEMBERSHIP_ANSWERS = 61332
+MEMBERSHIP_DIGEST = "d5610aab446aa745f9eca0975c0ce3bda6e990a7ea9d11d9e98ea4c1131ba6a6"
+
+
+def test_is_member_digest_over_every_class_and_anchor():
+    answers = []
+    for n in range(13):
+        for positive in _every_partition(n):
+            for zeros in range(4):
+                p = Partition(positive + (0,) * zeros)
+                anchors = sorted({v for v in p.parts if v > 0 and v % 2 == 0})
+                for cid, (requires_k, anchored) in CLASS_INFO.items():
+                    for k in ((1, 2, 3, 4) if requires_k else (None,)):
+                        spec = ClassSpec(cid, k)
+                        values = [AnchoredPartition(a, p) for a in anchors] if anchored else [p]
+                        answers.extend("1" if is_member(spec, v) else "0" for v in values)
+    assert len(answers) == MEMBERSHIP_ANSWERS
+    assert hashlib.sha256("".join(answers).encode()).hexdigest() == MEMBERSHIP_DIGEST
