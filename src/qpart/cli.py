@@ -363,8 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", help="count class members")
     p_count.add_argument("--class", dest="klass", required=True)
     p_count.add_argument("--k", type=int)
-    p_count.add_argument("--n", type=int)
-    p_count.add_argument("--nmax", type=int)
+    weights = p_count.add_mutually_exclusive_group()
+    weights.add_argument("--n", type=int, help="one weight")
+    weights.add_argument("--nmax", type=int, help="every weight from 0 to this one")
     p_count.add_argument("--method", choices=("enumeration", "series", "both"),
                          default="enumeration")
     p_count.add_argument("--order", type=int)

@@ -4,16 +4,23 @@ coefficients for every partition class, each path an oracle for the other.
 One table, ``_ENGINES``, holds the three engines of each class id.
 ``members(n, k)`` generates the members of weight n by recursive descent
 (largest part first, residual-weight pruning); :func:`enumerate_class`, and
-through it the bijections, materialises them.  ``count(n, k)`` walks the
-same descent with plain recursive counters that build no members; it backs
-:func:`count_by_enumeration`.  Neither reads a generating function.
+through it the bijections, materialises them.  ``walk(k)`` names the row
+walk that counts the class: one exhaustive descent over the class's
+structure that visits each member of a weight in a window [lo, hi] once,
+builds no members, and adds 1 to that weight's entry of a row.  A walk
+that splits by a part count fills an even and an odd row at once, so Dk_e,
+Dk_o and Dk share one walk, as do Pe_d, Po_d and A, and the bounded pair;
+the Bk and Ck halves share no prefix and walk apart.  :func:`count_row` reads
+rows, and :func:`count_by_enumeration` is its window [n, n].  Walked rows
+are kept in one bounded cache, and a kept row serves every shorter request.
+No walk reads a generating function, memoises or uses a closed form.
+
 ``gf(k, order)`` builds the class generating function on the exact engine
 in :mod:`qpart.series`, and :func:`gf` reads coefficients off it.  Each
-parity-split family (Dk, Bk, Ck, and the distinct and bounded-distinct
-Pe/Po pairs) has one signed builder S(k, order, sign) that marks every
-part the split counts with the sign: S(+1) is the whole family and S(-1)
-the even-minus-odd difference, so the halves are (S(+1) +- S(-1))/2, which
-must be integral.
+parity-split family has one signed builder S(k, order, sign) that marks
+every part the split counts with the sign: S(+1) is the whole family and
+S(-1) the even-minus-odd difference, so the halves are (S(+1) +- S(-1))/2,
+which must be integral.
 
 Every signed series is built once per (builder, k, order, sign) and kept in
 one bounded cache, ``_signed``, that the two halves, the whole-family row
@@ -24,10 +31,10 @@ add shifted terms into one accumulator by slice.  A running core is cut to
 the coefficients its later terms can still reach before each update: the
 kernels are lower-triangular, so what is kept stays exact.
 """
-
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -197,133 +204,126 @@ def _iter_distinct_parity(n: int, hi: int, odd: int):
 
 
 # ---------------------------------------------------------------------------
-# count-only walks: the descent of the raw enumerators, their prunes
-# included, with one leaf per member and no tuples built.
+# row walks: one exhaustive descent per structure that counts each member of
+# weight at most hi in row[weight], a row being a list of hi+1 counts.  A
+# walk skips a subtree only when none of its members reaches the window's
+# low end lo, so the members of weights lo..hi are each reached exactly
+# once; entries below lo may hold partial counts and are dropped by the
+# caller.  A walk counts into a pair of rows: a split class reads one of
+# them, rows[0] its even and rows[1] its odd half, and any other class the
+# sum of the two.
 # ---------------------------------------------------------------------------
 
 
-def _count_distinct(total: int, hi: int, lo: int = 1) -> int:
-    """Leaves of :func:`_distinct`."""
-    if total == 0:
-        return 1
-    if hi > total:
-        hi = total
-    if hi < lo or (hi + lo) * (hi - lo + 1) // 2 < total:
-        return 0
-    count = 0
-    for v in range(hi, lo - 1, -1):
-        rest = total - v
-        if rest >= v and (v + lo - 1) * (v - lo) // 2 < rest:
+def _walk_distinct(row, other, lo: int, hi: int, w: int, v: int, least: int) -> None:
+    """Count weight w plus each nonempty set of distinct parts in [least, v],
+    a set of odd size in other and one of even size in row."""
+    top = hi - w
+    if top > v:
+        top = v
+    for p in range(top, least - 1, -1):
+        x = w + p
+        # The parts least..p-1 add at most (p-1+least)(p-least)/2, and less
+        # for every smaller p.
+        if lo and x + (p - 1 + least) * (p - least) // 2 < lo:
             break
-        if rest == 0:
-            count += 1
-        elif rest >= lo:
-            count += _count_distinct(rest, v - 1, lo)
-    return count
+        other[x] += 1
+        if p > least and x + least <= hi:  # room for a further part
+            _walk_distinct(other, row, lo, hi, x, p - 1, least)
 
 
-def _count_distinct_parity(total: int, hi: int, lo: int, odd: int) -> int:
-    """Leaves of :func:`_distinct` whose number of parts has parity `odd`."""
-    if total == 0:
-        return 1 - odd
-    if hi > total:
-        hi = total
-    if hi < lo or (hi + lo) * (hi - lo + 1) // 2 < total:
-        return 0
-    count = 0
-    for v in range(hi, lo - 1, -1):
-        rest = total - v
-        if rest >= v and (v + lo - 1) * (v - lo) // 2 < rest:
-            break
-        if rest == 0:
-            count += odd
-        elif rest >= lo:
-            count += _count_distinct_parity(rest, v - 1, lo, 1 - odd)
-    return count
+def _walk_odd(row, lo: int, hi: int, w: int, v: int) -> None:
+    """Count weight w plus each multiset of odd parts <= v."""
+    if v < 1:
+        row[w] += 1
+        return
+    # Parts 3 and 1 in a loop: from each weight x = w + 3c the 1s fill every
+    # weight up to hi, one member per weight.
+    for x in range(w, hi + 1, 3) if v >= 3 else (w,):
+        for y in range(x if x > lo else lo, hi + 1):
+            row[y] += 1
+    top = hi - w
+    if top > v:
+        top = v
+    for u in range(5, top + 1, 2):
+        for x in range(w + u, hi + 1, u):
+            _walk_odd(row, lo, hi, x, u - 2)
 
 
-def _count_odd_multiset(total: int, hi: int) -> int:
-    """Leaves of :func:`_odd_multiset`."""
-    if total == 0:
-        return 1
-    if hi < 1:
-        return 0
-    if hi % 2 == 0:
-        hi -= 1
-    if hi == 1:
-        return 1
-    count = 0
-    for c in range(total // hi, -1, -1):
-        count += _count_odd_multiset(total - c * hi, hi - 2)
-    return count
+def _walk_c_core(row, lo: int, hi: int, w: int, v: int, l: int) -> None:
+    """Count weight w plus each multiset of parts <= v that is free in
+    (l, 2l] and distinct in [1, l]."""
+    row[w] += 1
+    if w + l * (l + 1) // 2 >= lo:  # the distinct parts can reach lo
+        _walk_distinct(row, row, lo, hi, w, l, 1)
+    top = hi - w
+    if top > v:
+        top = v
+    for u in range(top, l, -1):
+        for x in range(w + u, hi + 1, u):
+            _walk_c_core(row, lo, hi, x, u - 1, l)
 
 
-def _count_c_core(total: int, v: int, l: int) -> int:
-    """Leaves of :func:`_c_core`."""
-    if total == 0:
-        return 1
-    if v > l:
-        count = 0
-        for c in range(total // v, -1, -1):
-            count += _count_c_core(total - c * v, v - 1, l)
-        return count
-    if v > total:
-        v = total
-    if v < 1 or v * (v + 1) // 2 < total:
-        return 0
-    return _count_c_core(total, v - 1, l) + _count_c_core(total - v, v - 1, l)
-
-
-def _count_rest(total: int, lo: int, odd: int | None) -> int:
-    """Distinct parts >= lo summing to `total`, of any length or of parity `odd`."""
-    if odd is None:
-        return _count_distinct(total, total, lo)
-    return _count_distinct_parity(total, total, lo, odd)
-
-
-def _count_bk(n: int, k: int, want_even: bool) -> int:
-    count = 0
-    for l in range(1, (n + 1) // 2 + 1):
+def _walk_bk(rows, lo: int, hi: int, k: int, odd: int) -> None:
+    # Fix the largest odd part 2l-1 and window extras of count parity odd,
+    # fill with odd parts.
+    for l in range(1, (hi + 1) // 2 + 1):
         base = 2 * l - 1
-        for extras in _window_subsets(l, k, n - base, want_even):
-            count += _count_odd_multiset(n - base - sum(extras), base)
-    return count
+        for extras in _window_subsets(l, k, hi - base, not odd):
+            _walk_odd(rows[0], lo, hi, base + sum(extras), base)
 
 
-def _count_ck(n: int, k: int, want_even: bool) -> int:
-    count = 0
-    for l in range(1, n // 2 + 1):
+def _walk_ck(rows, lo: int, hi: int, k: int, odd: int) -> None:
+    # Fix the anchor 2l and window extras of count parity odd, fill the core
+    # below the anchor.
+    for l in range(1, hi // 2 + 1):
         anchor = 2 * l
-        for extras in _window_subsets(l, k, n - anchor, want_even):
-            count += _count_c_core(n - anchor - sum(extras), anchor, l)
-    return count
+        for extras in _window_subsets(l, k, hi - anchor, not odd):
+            _walk_c_core(rows[0], lo, hi, anchor + sum(extras), anchor, l)
 
 
-def _count_dk(n: int, k: int, odd: int | None = None, first: int = 0) -> int:
-    return sum(_count_rest(n - k * s, s + 1, odd) for s in range(first, n // k + 1))
+def _walk_dk(rows, lo: int, hi: int, k: int, first: int) -> None:
+    # Smallest part s >= first k times (first = 1: SptKd), split by the
+    # parity of the number of distinct parts above it.
+    for s in range(first, hi // k + 1):
+        rows[0][k * s] += 1
+        _walk_distinct(*rows, lo, hi, k * s, hi, s + 1)
 
 
-def _count_e(n: int) -> int:
-    return sum(_count_odd_multiset(n - m, m - 2) for m in range(1, n + 1, 2))
+def _walk_a(rows, lo: int, hi: int, k: int | None) -> None:
+    # Distinct parts, split by the parity of their number; below k if given.
+    rows[0][0] += 1
+    _walk_distinct(*rows, lo, hi, 0, hi if k is None else k - 1, 1)
 
 
-def _count_f(n: int) -> int:
-    return sum(_count_odd_multiset(n - m, m - 1) for m in range(2, n + 1, 2))
+def _walk_e(rows, lo: int, hi: int) -> None:
+    for m in range(1, hi + 1, 2):
+        _walk_odd(rows[0], lo, hi, m, m - 2)
 
 
-def _count_pprime(n: int, k: int) -> int:
-    rest = n - (k - 1)
-    return _count_distinct(rest, rest, 2) if rest >= 0 else 0
+def _walk_f(rows, lo: int, hi: int) -> None:
+    for m in range(2, hi + 1, 2):
+        _walk_odd(rows[0], lo, hi, m, m - 1)
 
 
-def _count_pdprime(n: int, k: int) -> int:
-    count = 0
-    for s in range(1, n + 1):
-        rest = n - s - (s + 1) * (k - 1)
-        if rest < 0:
+def _walk_p1(rows, lo: int, hi: int) -> None:
+    _walk_distinct(*rows, lo, hi, 0, hi, 2)
+
+
+def _walk_pprime(rows, lo: int, hi: int, k: int) -> None:
+    if k - 1 <= hi:
+        rows[0][k - 1] += 1
+        _walk_distinct(*rows, lo, hi, k - 1, hi, 2)
+
+
+def _walk_pdprime(rows, lo: int, hi: int, k: int) -> None:
+    # at k = 1 this is P2: no (s+1)-parts, distinct parts >= s+2
+    for s in range(1, hi + 1):
+        base = s + (s + 1) * (k - 1)
+        if base > hi:
             break
-        count += _count_distinct(rest, rest, s + 2)
-    return count
+        rows[0][base] += 1
+        _walk_distinct(*rows, lo, hi, base, hi, s + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +331,20 @@ def _count_pdprime(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
+# sign -> (order, tail family) of the family built last for that sign.  A
+# family at order N is N+1 series, about 6 MiB at order 748.  Callers move
+# from one order to the next (the overflow bisection of the CLI asks a new
+# order at each step) and the series built from an old family stay in the
+# gf and signed caches, so one family per sign is enough.
+_tail_families: dict[int, tuple[int, tuple[TruncatedSeries, ...]]] = {}
+
+
 def _tails(sign: int, order: int) -> tuple[TruncatedSeries, ...]:
     # tails[m-1] = product of (1 + sign*q^j) over j >= m
-    return tuple(pochhammer_infinite_starts(sign, order))
+    built = _tail_families.get(sign)
+    if built is None or built[0] != order:
+        built = _tail_families[sign] = (order, tuple(pochhammer_infinite_starts(sign, order)))
+    return built[1]
 
 
 # Bound of the signed-build cache.  One entry is a tuple of order+1 integers
@@ -457,58 +467,55 @@ def _gf_pdprime(k: int, order: int) -> TruncatedSeries:
 
 class _Engine(NamedTuple):
     members: Callable  # (n, k) -> tuples; (anchor, tuple) pairs if anchored
-    count: Callable  # (n, k) -> number of members, by count-only walk
+    walk: Callable  # k -> (row walk, its arguments, the half read: 0, 1 or None for both)
     gf: Callable  # (k, order) -> generating function truncated at order
 
 
-# class id -> engines; C is Ck_e and P2 is Pdprime, both at k = 1.  Rows
-# reach the qpart.series functions by module-level name at call time, never
-# through a captured reference, so a patch of one of those names (a tracer,
-# the independence test) stays in the path.
+# class id -> engines; C is Ck_e and P2 is Pdprime, both at k = 1, and B is
+# Bk_e at k = 1.  Classes that name the same walk and arguments share its
+# rows.  The gf builders reach the qpart.series functions by module-level
+# name at call time, never through a captured reference, so a patch of one
+# of those names (a tracer, the independence test) stays in the path.
 _ENGINES: dict[str, _Engine] = {
-    "A": _Engine(lambda n, k: _distinct(n, n), lambda n, k: _count_distinct(n, n),
-                 _gf_distinct),
-    "B": _Engine(lambda n, k: _odd_multiset(n, n) if n else (),
-                 lambda n, k: _count_odd_multiset(n, n) if n else 0,
+    "A": _Engine(lambda n, k: _distinct(n, n), lambda k: (_walk_a, (None,), None), _gf_distinct),
+    "B": _Engine(lambda n, k: _odd_multiset(n, n) if n else (), lambda k: (_walk_bk, (1, 0), None),
                  lambda k, order: pochhammer_infinite(MINUS, 1, 2, order).reciprocal()),
-    "C": _Engine(lambda n, k: _iter_ck(n, 1, True), lambda n, k: _count_ck(n, 1, True),
+    "C": _Engine(lambda n, k: _iter_ck(n, 1, True), lambda k: (_walk_ck, (1, 0), None),
                  lambda k, order: _signed(_gf_ck, 1, order, PLUS)),
-    "Dk": _Engine(_iter_dk, _count_dk, lambda k, order: _signed(_gf_dk, k, order, PLUS)),
-    "Dk_e": _Engine(lambda n, k: _iter_dk(n, k, 0), lambda n, k: _count_dk(n, k, 0),
+    "Dk": _Engine(_iter_dk, lambda k: (_walk_dk, (k, 0), None),
+                  lambda k, order: _signed(_gf_dk, k, order, PLUS)),
+    "Dk_e": _Engine(lambda n, k: _iter_dk(n, k, 0), lambda k: (_walk_dk, (k, 0), 0),
                     _halves(_gf_dk, 0)),
-    "Dk_o": _Engine(lambda n, k: _iter_dk(n, k, 1), lambda n, k: _count_dk(n, k, 1),
+    "Dk_o": _Engine(lambda n, k: _iter_dk(n, k, 1), lambda k: (_walk_dk, (k, 0), 1),
                     _halves(_gf_dk, 1)),
-    "Bk_e": _Engine(lambda n, k: _iter_bk(n, k, True), lambda n, k: _count_bk(n, k, True),
+    "Bk_e": _Engine(lambda n, k: _iter_bk(n, k, True), lambda k: (_walk_bk, (k, 0), None),
                     _halves(_gf_bk, 0)),
-    "Bk_o": _Engine(lambda n, k: _iter_bk(n, k, False), lambda n, k: _count_bk(n, k, False),
+    "Bk_o": _Engine(lambda n, k: _iter_bk(n, k, False), lambda k: (_walk_bk, (k, 1), None),
                     _halves(_gf_bk, 1)),
-    "Ck_e": _Engine(lambda n, k: _iter_ck(n, k, True), lambda n, k: _count_ck(n, k, True),
+    "Ck_e": _Engine(lambda n, k: _iter_ck(n, k, True), lambda k: (_walk_ck, (k, 0), None),
                     _halves(_gf_ck, 0)),
-    "Ck_o": _Engine(lambda n, k: _iter_ck(n, k, False), lambda n, k: _count_ck(n, k, False),
+    "Ck_o": _Engine(lambda n, k: _iter_ck(n, k, False), lambda k: (_walk_ck, (k, 1), None),
                     _halves(_gf_ck, 1)),
-    "E": _Engine(lambda n, k: _iter_e(n), lambda n, k: _count_e(n),
+    "E": _Engine(lambda n, k: _iter_e(n), lambda k: (_walk_e, (), None),
                  lambda k, order: _running_sum(order, lambda l: 2 * l - 1, _grow_e_core)),
-    "F": _Engine(lambda n, k: _iter_f(n), lambda n, k: _count_f(n),
+    "F": _Engine(lambda n, k: _iter_f(n), lambda k: (_walk_f, (), None),
                  lambda k, order: _running_sum(order, lambda l: 2 * l, _grow_odd_core)),
-    "P1": _Engine(lambda n, k: _distinct(n, n, 2) if n else (),
-                  lambda n, k: _count_distinct(n, n, 2) if n else 0,
+    "P1": _Engine(lambda n, k: _distinct(n, n, 2) if n else (), lambda k: (_walk_p1, (), None),
                   lambda k, order: _gf_p1(order)),
-    "P2": _Engine(lambda n, k: _iter_pdprime(n, 1), lambda n, k: _count_pdprime(n, 1),
+    "P2": _Engine(lambda n, k: _iter_pdprime(n, 1), lambda k: (_walk_pdprime, (1,), None),
                   lambda k, order: _gf_pdprime(1, order)),
-    "Pprime": _Engine(_iter_pprime, _count_pprime,
+    "Pprime": _Engine(_iter_pprime, lambda k: (_walk_pprime, (k,), None),
                       lambda k, order: pochhammer_infinite(PLUS, 2, 1, order).shift(k - 1)),
-    "Pdprime": _Engine(_iter_pdprime, _count_pdprime, _gf_pdprime),
-    "Pe_d": _Engine(lambda n, k: _iter_distinct_parity(n, n, 0),
-                    lambda n, k: _count_distinct_parity(n, n, 1, 0), _halves(_gf_distinct, 0)),
-    "Po_d": _Engine(lambda n, k: _iter_distinct_parity(n, n, 1),
-                    lambda n, k: _count_distinct_parity(n, n, 1, 1), _halves(_gf_distinct, 1)),
+    "Pdprime": _Engine(_iter_pdprime, lambda k: (_walk_pdprime, (k,), None), _gf_pdprime),
+    "Pe_d": _Engine(lambda n, k: _iter_distinct_parity(n, n, 0), lambda k: (_walk_a, (None,), 0),
+                    _halves(_gf_distinct, 0)),
+    "Po_d": _Engine(lambda n, k: _iter_distinct_parity(n, n, 1), lambda k: (_walk_a, (None,), 1),
+                    _halves(_gf_distinct, 1)),
     "Pe_bounded": _Engine(lambda n, k: _iter_distinct_parity(n, k - 1, 0),
-                          lambda n, k: _count_distinct_parity(n, k - 1, 1, 0),
-                          _halves(_gf_distinct, 0)),
+                          lambda k: (_walk_a, (k,), 0), _halves(_gf_distinct, 0)),
     "Po_bounded": _Engine(lambda n, k: _iter_distinct_parity(n, k - 1, 1),
-                          lambda n, k: _count_distinct_parity(n, k - 1, 1, 1),
-                          _halves(_gf_distinct, 1)),
-    "SptKd": _Engine(lambda n, k: _iter_dk(n, k, None, 1), lambda n, k: _count_dk(n, k, None, 1),
+                          lambda k: (_walk_a, (k,), 1), _halves(_gf_distinct, 1)),
+    "SptKd": _Engine(lambda n, k: _iter_dk(n, k, None, 1), lambda k: (_walk_dk, (k, 1), None),
                      lambda k, order: _signed(_gf_dk, k, order, PLUS, 1)),
 }
 
@@ -530,17 +537,63 @@ def enumerate_class(spec: ClassSpec, n: int) -> list:
     return [Partition(parts) for parts in members]
 
 
+# Bound of the row cache.  An entry is the row pair of one walked structure:
+# under 5 KB at the weights report --all walks (up to 62), where it keeps 32
+# structures, and about 8 KB at weight 110, where walking Dk(1) already takes
+# about 10 s.  64 entries keep every structure of one report and stay under
+# 1 MB.
+ROW_CACHE_SIZE = 64
+
+# (walk, its arguments) -> row pair walked from weight 0, least recently
+# used first
+_rows: OrderedDict = OrderedDict()
+
+
+def _walked(walk, args: tuple, lo: int, hi: int):
+    """The row pair of walk(*args) that covers weights lo..hi.
+
+    A cached pair covers every shorter request; a walk from weight 0 is
+    kept, and one that starts higher is not, since it leaves the entries
+    below lo incomplete.
+    """
+    key = (walk, args)
+    rows = _rows.get(key)
+    if rows is not None and len(rows[0]) > hi:
+        _rows.move_to_end(key)
+        return rows
+    rows = ([0] * (hi + 1), [0] * (hi + 1))
+    walk(rows, lo, hi, *args)
+    if lo == 0:
+        _rows[key] = rows
+        _rows.move_to_end(key)
+        if len(_rows) > ROW_CACHE_SIZE:
+            _rows.popitem(last=False)
+    return rows
+
+
+def count_row(spec: ClassSpec, hi: int, lo: int = 0) -> tuple[int, ...]:
+    """Numbers of class members of weights lo..hi, by one exhaustive walk.
+
+    The walk visits every member of a weight in the window once, building
+    no members, and reads no generating function, so it stays an
+    independent oracle for :func:`gf`.  Classes that name the same walk,
+    such as Dk and its halves, share its rows.  Rows walked from weight 0
+    are kept, and a kept row serves every shorter request.
+    """
+    if lo < 0 or hi < 0:
+        raise PartitionError("weight must be non-negative")
+    walk, args, half = _ENGINES[spec.class_id].walk(spec.k)
+    even, odd = _walked(walk, args, lo, hi)
+    if half is None:
+        return tuple(map(add, even[lo:hi + 1], odd[lo:hi + 1]))
+    return tuple((even, odd)[half][lo:hi + 1])
+
+
 @lru_cache(maxsize=65536)
 def count_by_enumeration(spec: ClassSpec, n: int) -> int:
-    """Number of class members of weight n, by exhaustive count-only walk.
-
-    Walks the descent of :func:`enumerate_class` without building members
-    and never reads a generating function, so it stays an independent
-    oracle for :func:`gf`.
-    """
-    if n < 0:
-        raise PartitionError("weight must be non-negative")
-    return _ENGINES[spec.class_id].count(n, spec.k)
+    """Number of class members of weight n: :func:`count_row` on the
+    window [n, n], or read off a kept row that reaches n."""
+    return count_row(spec, n, n)[0]
 
 
 @lru_cache(maxsize=256)
@@ -677,8 +730,13 @@ class CountTable:
 
 def count_table(spec: ClassSpec, nmax: int, method: str = "enumeration",
                 order: int | None = None) -> CountTable:
+    """Counts of the class at weights 0..nmax on one path: one enumeration
+    row (:func:`count_row`), or the coefficients of one generating function
+    built to order max(nmax, order)."""
+    if nmax < 0:
+        raise PartitionError("weight must be non-negative")
     if method == "enumeration":
-        values = {n: count_by_enumeration(spec, n) for n in range(nmax + 1)}
+        values = dict(enumerate(count_row(spec, nmax)))
     elif method == "series":
         series = gf(spec, max(nmax, order or 0))
         values = {n: series.coefficient(n) for n in range(nmax + 1)}

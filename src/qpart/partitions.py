@@ -52,10 +52,11 @@ SptKd           positive smallest part exactly k times, other parts distinct
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
-from operator import ge, gt
+from operator import ge, gt, neg
 from typing import NamedTuple
 
 
@@ -221,19 +222,21 @@ def _window(l: int, k: int) -> tuple[int, int]:
 
 def _bk_evens(p: Partition, k: int) -> int | None:
     """Number of even window parts of a Bk member of either parity."""
-    if not p.parts or p.parts[-1] < 1:
+    parts = p.parts
+    if not parts or parts[-1] < 1:
         return None
-    odds = [v for v in p.parts if v % 2]
-    evens = [v for v in p.parts if v % 2 == 0]
-    if not odds:
+    # The window lies above the largest odd part, so its evens are a prefix.
+    evens = 0
+    for v in parts:
+        if v % 2:
+            break
+        evens += 1
+    else:
         return None
-    l = (max(odds) + 1) // 2
-    lo, hi = _window(l, k)
-    if len(evens) > k - 1 or len(set(evens)) != len(evens):
+    lo, hi = _window((parts[evens] + 1) // 2, k)
+    if evens and (parts[0] > hi or parts[evens - 1] < lo or not _is_distinct(parts[:evens])):
         return None
-    if any(not lo <= v <= hi for v in evens):
-        return None
-    return len(evens)
+    return evens if all(v % 2 for v in parts[evens + 1:]) else None
 
 
 def _ck_extras(ap: AnchoredPartition, k: int) -> int | None:
@@ -241,17 +244,23 @@ def _ck_extras(ap: AnchoredPartition, k: int) -> int | None:
     parts = ap.partition.parts
     if parts and parts[-1] < 1:
         return None
-    l = ap.anchor // 2
-    lo, hi = _window(l, k)
-    extras = [v for v in parts if v > ap.anchor]
-    if len(extras) > k - 1 or len(set(extras)) != len(extras):
-        return None
-    if any(v % 2 or not lo <= v <= hi for v in extras):
-        return None
-    small = [v for v in parts if v <= l]
-    if len(set(small)) != len(small):
-        return None
-    return len(extras)
+    anchor = ap.anchor
+    l = anchor // 2
+    # The extras are the prefix above the anchor: distinct even parts no
+    # larger than 2l+2k-2.  An even part above 2l is at least 2l+2, the
+    # window's low end, and distinct window values number at most k-1.
+    extras = 0
+    bound = _window(l, k)[1] + 1
+    for v in parts:
+        if v <= anchor:
+            break
+        if v % 2 or v >= bound:
+            return None
+        bound = v
+        extras += 1
+    # The parts <= l are a suffix; they must be distinct.
+    small = bisect_left(parts, -l, key=neg)
+    return extras if _is_distinct(parts[small:]) else None
 
 
 def _member_e(p: Partition) -> bool:

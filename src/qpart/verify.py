@@ -10,7 +10,9 @@ literally, with one exception: for k >= 4, T3 and T5 check the fixed window
 ROADMAP item 4 replaces the window with the measured onset k(2k-1).
 Behaviour below a threshold is recorded as an informational note, never
 asserted.  The dual-path tasks (T1, T2, T4, T6, T10) are lists of named
-terms that one loop evaluates by enumeration and then by series.
+terms that one loop evaluates by enumeration and then by series: each path
+reads one row per class, the class's exhaustive enumeration counts or its
+generating-function coefficients up to the task's order.
 
 Registered tasks
 ----------------
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from xml.etree import ElementTree
 
 from .counting import (
@@ -45,6 +48,7 @@ from .counting import (
     ak_doubled_specs,
     c_family_ambiguity,
     count_by_enumeration,
+    count_row,
     derive_dk_relation,
     gf,
     gf_parity_difference,
@@ -146,21 +150,20 @@ def _check_terms(ns, terms, order: int, guard=None, **cell) -> tuple[int, dict |
     """All named terms equal at each n in `ns`, by enumeration then by series.
 
     A term is (label, value(count, n)), where count(spec, m) is the class
-    count on one path: the enumeration oracle, or the q^m coefficient of the
-    class generating function truncated at `order`.  At each n the values
-    tagged [enum] come first, then those tagged [series]; `guard(tag,
-    count, n)` is asked on each path in the same order and may return a
-    witness before any term is compared.  The witness cell holds n followed
-    by `cell`.  Returns (cells checked, witness or None).
+    count on one path: entry m of the enumeration row of the class up to
+    `order`, or the q^m coefficient of the class generating function
+    truncated at `order`.  Each path reads one row or series per class.  At
+    each n the values tagged [enum] come first, then those tagged [series];
+    `guard(tag, count, n)` is asked on each path in the same order and may
+    return a witness before any term is compared.  The witness cell holds n
+    followed by `cell`.  Returns (cells checked, witness or None).
     """
-    series: dict[ClassSpec, TruncatedSeries] = {}
+    def reader(row_of):
+        row_of = cache(row_of)
+        return lambda spec, m: row_of(spec)[m]
 
-    def by_series(spec: ClassSpec, m: int) -> int:
-        if spec not in series:
-            series[spec] = gf(spec, order)
-        return series[spec].coefficient(m)
-
-    paths = (("enum", count_by_enumeration), ("series", by_series))
+    paths = (("enum", reader(lambda spec: count_row(spec, order))),
+             ("series", reader(lambda spec: gf(spec, order).coeffs)))
     cells = 0
     for n in ns:
         cells += 1
@@ -359,8 +362,11 @@ def _task_t7(kmax: int = 8, nmax: int = 60, enum_nmax: int = 34,
     params = {"kmax": kmax, "nmax": nmax, "enum_nmax": enum_nmax}
     notes = []
     cells = 0
+    enum_hi = min(enum_nmax, nmax)
     for k in range(1, kmax + 1):
         diff = gf_parity_difference("Dk", k, nmax)
+        if enum_hi >= 1:
+            even, odd = (count_row(ClassSpec(f"Dk_{p}", k), enum_hi) for p in ("e", "o"))
         for n in range(1, nmax + 1):
             cells += 1
             expected = _t7_expected(k, n)
@@ -369,9 +375,8 @@ def _task_t7(kmax: int = 8, nmax: int = 60, enum_nmax: int = 34,
                 return cells, _witness({"k": k, "n": n},
                                        "Dk_e-Dk_o(n) [series]", got,
                                        "piecewise value", expected), notes, params
-            if n <= enum_nmax:
-                enum_diff = (count_by_enumeration(ClassSpec("Dk_e", k), n)
-                             - count_by_enumeration(ClassSpec("Dk_o", k), n))
+            if n <= enum_hi:
+                enum_diff = even[n] - odd[n]
                 if enum_diff != expected:
                     return cells, _witness({"k": k, "n": n},
                                            "Dk_e-Dk_o(n) [enum]", enum_diff,
@@ -486,12 +491,18 @@ def _task_t10(kmax: int = 5, nmax: int = 60, **_) -> tuple[int, dict | None, lis
     return cells, None, [], params
 
 
+# T11 checks D_3 by enumeration too, up to this weight; the series check
+# runs to nmax.
+T11_ENUM_NMAX = 40
+
+
 def _task_t11(kmax: int = 6, nmax: int = 80, **_) -> tuple[int, dict | None, list[str], dict]:
     params = {"kmax": kmax, "nmax": nmax}
     notes = []
     cells = 0
     sa = gf(ClassSpec("A"), nmax)
     d3 = gf(ClassSpec("Dk", 3), nmax)
+    enum_d3 = count_row(ClassSpec("Dk", 3), min(nmax, T11_ENUM_NMAX))
     for n in range(4, nmax + 1):
         cells += 1
         rhs = (2 * sa.coefficient(n - 3) - 2 * sa.coefficient(n - 1)
@@ -499,8 +510,8 @@ def _task_t11(kmax: int = 6, nmax: int = 80, **_) -> tuple[int, dict | None, lis
         if d3.coefficient(n) != rhs:
             return cells, _witness({"n": n}, "D_3(n)", d3.coefficient(n),
                                    "2A(n-3)-2A(n-1)+2A(n)", rhs), notes, params
-        if n <= 40:
-            enum = count_by_enumeration(ClassSpec("Dk", 3), n)
+        if n <= T11_ENUM_NMAX:
+            enum = enum_d3[n]
             if enum != rhs:
                 return cells, _witness({"n": n}, "D_3(n) [enum]", enum,
                                        "2A(n-3)-2A(n-1)+2A(n)", rhs), notes, params

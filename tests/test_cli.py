@@ -106,6 +106,18 @@ def test_count_negative_weight_is_usage_error(capsys):
             main(["count", "--class", "A", "--n", "-1", "--method", method])
         assert err.value.code == 2
         assert capsys.readouterr().err == message
+    for method in ("enumeration", "series", "both"):
+        with pytest.raises(SystemExit) as err:
+            main(["count", "--class", "A", "--nmax", "-1", "--method", method])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == message
+
+
+def test_count_takes_one_weight_or_a_range(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["count", "--class", "A", "--n", "5", "--nmax", "10"])
+    assert err.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_bijection_roundtrip_with_trace(capsys):

@@ -12,6 +12,7 @@ from qpart.counting import (
     count_ak_doubled,
     count_by_enumeration,
     count_by_series,
+    count_row,
     count_table,
     derive_dk_relation,
     enumerate_class,
@@ -116,16 +117,56 @@ def test_parity_example_split_weight7():
     assert odd == {(7, 0, 0), (4, 2, 1, 0, 0), (5, 1, 1), (3, 2, 2)}
 
 
+def _clear_enumeration_caches():
+    count_by_enumeration.cache_clear()
+    counting._rows.clear()
+
+
 def test_count_walk_matches_materialised_members():
-    # the count-only walk against the generators, weight 0 included
+    # the row walks against the generators, weight 0 included: the whole
+    # row, each single weight walked on its own, and a window that starts
+    # above 0
     for spec in _specs(5):
-        for n in range(0, 31):
-            assert count_by_enumeration(spec, n) == len(enumerate_class(spec, n)), (spec, n)
+        want = tuple(len(enumerate_class(spec, n)) for n in range(31))
+        _clear_enumeration_caches()
+        assert tuple(count_by_enumeration(spec, n) for n in range(31)) == want, spec
+        assert count_row(spec, 30, 11) == want[11:], spec
+        _clear_enumeration_caches()
+        assert count_row(spec, 30) == want, spec
+
+
+def test_kept_row_serves_shorter_requests(monkeypatch):
+    walks = []
+    original = counting._walk_dk
+
+    def recording(rows, lo, hi, k, *rest):
+        walks.append((lo, hi, k))
+        return original(rows, lo, hi, k, *rest)
+
+    monkeypatch.setitem(counting._ENGINES, "Dk", counting._ENGINES["Dk"]._replace(
+        walk=lambda k: (recording, (k, 0), None)))
+    _clear_enumeration_caches()
+    row = count_row(ClassSpec("Dk", 2), 20)
+    assert count_row(ClassSpec("Dk", 2), 12, 5) == row[5:13]
+    assert count_by_enumeration(ClassSpec("Dk", 2), 20) == row[20]
+    assert count_row(ClassSpec("Dk", 2), 22, 22) == (count_row(ClassSpec("Dk", 2), 22)[22],)
+    assert walks == [(0, 20, 2), (22, 22, 2), (0, 22, 2)]
+    _clear_enumeration_caches()
+
+
+def test_row_cache_is_bounded():
+    _clear_enumeration_caches()
+    for k in range(1, counting.ROW_CACHE_SIZE + 6):
+        count_row(ClassSpec("Pe_bounded", k), 3)
+    assert len(counting._rows) == counting.ROW_CACHE_SIZE
+    assert (counting._walk_a, (1,)) not in counting._rows
+    _clear_enumeration_caches()
 
 
 def test_count_walk_never_reads_the_series_path(monkeypatch):
     grid = [(spec, n) for spec in _specs(3) for n in (0, 1, 7, 18)]
     expected = {cell: len(enumerate_class(*cell)) for cell in grid}
+    rows = {spec: tuple(len(enumerate_class(spec, n)) for n in range(19)) for spec in _specs(3)}
 
     def forbidden(*args, **kwargs):
         raise AssertionError("enumeration oracle touched the series path")
@@ -141,8 +182,12 @@ def test_count_walk_never_reads_the_series_path(monkeypatch):
         monkeypatch.setattr(series.TruncatedSeries, name, forbidden)
     with pytest.raises(AssertionError):  # the series path is really cut off
         gf.__wrapped__(ClassSpec("A"), 4)
-    count_by_enumeration.cache_clear()
+    _clear_enumeration_caches()
     assert {cell: count_by_enumeration(*cell) for cell in grid} == expected
+    _clear_enumeration_caches()
+    assert {spec: count_row(spec, 18) for spec in rows} == rows
+    _clear_enumeration_caches()
+    assert {spec: tuple(count_table(spec, 18).values.values()) for spec in rows} == rows
 
 
 def test_count_rejects_negative_weight():
@@ -151,6 +196,12 @@ def test_count_rejects_negative_weight():
             count_by_enumeration(spec, -1)
         with pytest.raises(PartitionError):
             enumerate_class(spec, -1)
+        for hi, lo in ((-1, 0), (3, -1)):
+            with pytest.raises(PartitionError):
+                count_row(spec, hi, lo)
+        for method in ("enumeration", "series"):
+            with pytest.raises(PartitionError):
+                count_table(spec, -1, method)
 
 
 def test_definition_and_engine_tables_cover_the_same_classes():

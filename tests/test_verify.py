@@ -110,14 +110,18 @@ def test_override_filtering():
 
 
 def _bump_enumeration(monkeypatch, spec, n):
-    """One enumerated count off by one, seen by verify and by counting alike."""
-    original = counting.count_by_enumeration
+    """One enumerated count off by one in every row of the class that
+    reaches it, seen by verify and by counting alike."""
+    original = counting.count_row
 
-    def patched(s, m):
-        return original(s, m) + ((s, m) == (spec, n))
+    def patched(s, hi, lo=0):
+        row = original(s, hi, lo)
+        if s != spec or not lo <= n <= hi:
+            return row
+        return row[:n - lo] + (row[n - lo] + 1,) + row[n - lo + 1:]
 
     for module in (verify, counting):
-        monkeypatch.setattr(module, "count_by_enumeration", patched)
+        monkeypatch.setattr(module, "count_row", patched)
 
 
 def _bump_series(monkeypatch, spec, n):
