@@ -17,11 +17,14 @@ partitions of n+1 comes in two strategies:
     per anchor), so the pairing is total and, crucially, anchor-compatible,
     which the windowed recursion below relies on when re-attaching stripped
     window parts.  Default.  Each side's block for one anchor is built
-    once, sorted, and cached together with a dict from member to rank, so
-    both directions find a member's rank in O(1).  The caches are bounded
-    at ``RANK_CACHE_SIZE`` blocks per side.  A block still holds every
-    member of its weight and anchor; ranking by counting recurrences, in
-    memory polynomial in the weight, is not done yet.
+    once, straight from the loop-based member generators of
+    :mod:`qpart.counting`, sorted, and cached together with a dict from
+    member to rank, so both directions find a member's rank in O(1).  The
+    caches are bounded at ``RANK_CACHE_SIZE`` blocks per side.  A block
+    holds every member of its weight and anchor.  Ranking by counting
+    recurrences would hold tables polynomial in the weight instead, but
+    would pay an unranking walk on every call where a block pays one dict
+    lookup, so it is left for when memory, not time, is the limit.
 
 ``aky-sketch``
     The sketched construction: add 1 to the largest odd part to create the
@@ -37,7 +40,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .counting import _c_core, _odd_multiset
+from .counting import _c_core, _odd_multiset, enumerate_class
 from .partitions import (
     AnchoredPartition,
     ClassSpec,
@@ -52,6 +55,12 @@ STRATEGIES = (RANK, AKY_SKETCH)
 # the classes the maps check that take no k
 _A, _B, _C, _E, _F = (ClassSpec(cid) for cid in ("A", "B", "C", "E", "F"))
 _P1, _P2 = ClassSpec("P1"), ClassSpec("P2")
+
+# One ClassSpec per (class id, k), built on first use and shared by every
+# later call.  A bkck sweep at k reads two specs per level 1..k, and akdk
+# and dk-recurrence three each, so the bound holds every spec of many
+# sweeps in one process.
+_spec = lru_cache(maxsize=128)(ClassSpec)
 
 
 class BijectionError(ValueError):
@@ -69,7 +78,7 @@ class SketchMembershipError(BijectionError):
         self.candidate = candidate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BijectionOutcome:
     """Image of one map application plus its target class and case trace."""
 
@@ -107,8 +116,7 @@ def glaisher_merge(p: Partition) -> Partition:
     f = sum 2^e_i (binary digits) becomes the parts a * 2^e_i."""
     _require(all(v % 2 for v in p.parts), "merge needs all parts odd")
     out = []
-    for a in set(p.parts):
-        f = p.parts.count(a)
+    for a, f in p.multiplicities().items():
         e = 0
         while f:
             if f & 1:
@@ -144,7 +152,7 @@ def akdk_map(k: int, p: Partition) -> BijectionOutcome:
     The four-way case split (smallest zero or repeated, equal to 1 or not)
     lands in exactly one of P2, P1, Pdprime, Pprime at weight n-1.
     """
-    _require(is_member(ClassSpec("Dk", k), p), lambda: f"{p} is not a Dk member (k={k})")
+    _require(is_member(_spec("Dk", k), p), lambda: f"{p} is not a Dk member (k={k})")
     _require(p.weight >= 2, "map defined for weight >= 2")
     parts = p.parts
     if parts[-1] == 0:
@@ -160,10 +168,10 @@ def akdk_map(k: int, p: Partition) -> BijectionOutcome:
         s = parts[-1]
         if s > 1:
             image = Partition(parts[:-1] + (s - 1,))
-            target, tag = ClassSpec("Pdprime", k), "repeated,smallest>1"
+            target, tag = _spec("Pdprime", k), "repeated,smallest>1"
         else:
             image = Partition(parts[:-1])
-            target, tag = ClassSpec("Pprime", k), "repeated,smallest=1"
+            target, tag = _spec("Pprime", k), "repeated,smallest=1"
     _require(is_member(target, image), lambda: f"image {image} is not in {target}")
     return BijectionOutcome(image, target, (tag,))
 
@@ -184,7 +192,7 @@ def akdk_inverse(k: int, outcome: BijectionOutcome) -> Partition:
         result = Partition(_sorted_parts(parts + (1,)))
     else:
         raise BijectionError(f"unexpected target class {outcome.target_class}")
-    _require(is_member(ClassSpec("Dk", k), result),
+    _require(is_member(_spec("Dk", k), result),
              lambda: f"inverse image {result} is not a Dk member")
     return result
 
@@ -210,7 +218,7 @@ def dk_recurrence_map(k: int, p: Partition, source: str) -> BijectionOutcome:
     _require(source in (SOURCE_DK, SOURCE_DK_MINUS_1),
              lambda: f"unknown source tag {source!r}")
     mult = k if source == SOURCE_DK else k - 1
-    _require(is_member(ClassSpec("Dk", mult), p),
+    _require(is_member(_spec("Dk", mult), p),
              lambda: f"{p} is not a D-member with smallest multiplicity {mult}")
     _require(p.weight > k - 1, "weight must exceed k-1")
     parts = p.parts
@@ -223,7 +231,7 @@ def dk_recurrence_map(k: int, p: Partition, source: str) -> BijectionOutcome:
     s = parts[-1]
     image = Partition(parts[: len(parts) - (k - 1)] + (s - 1,) * (k - 1))
     tag = f"shift,{source},{'smallest=1' if s == 1 else 'smallest>1'}"
-    target = ClassSpec("Dk", k - 1)
+    target = _spec("Dk", k - 1)
     _require(is_member(target, image), lambda: f"image {image} is not in {target}")
     return BijectionOutcome(image, target, (tag,))
 
@@ -290,8 +298,7 @@ def _odd_block(l: int, weight: int) -> RankBlock:
     base = 2 * l - 1
     if weight < base:
         return _rank_block(())
-    return _rank_block(_sorted_parts((base,) + fill)
-                       for fill in _odd_multiset(weight - base, base))
+    return _rank_block((base,) + fill for fill in _odd_multiset(weight - base, base))
 
 
 @lru_cache(maxsize=RANK_CACHE_SIZE)
@@ -300,8 +307,7 @@ def _anchored_block(l: int, weight: int) -> RankBlock:
     anchor = 2 * l
     if weight < anchor:
         return _rank_block(())
-    return _rank_block(_sorted_parts((anchor,) + core)
-                       for core in _c_core(weight - anchor, anchor, l))
+    return _rank_block((anchor,) + core for core in _c_core(weight - anchor, anchor, l))
 
 
 def _largest_odd_half(p: Partition) -> int:
@@ -381,8 +387,6 @@ class SketchReport:
 def sketch_harness(n: int) -> SketchReport:
     """Run the sketched base map over every all-odd partition of n, flagging
     membership failures instead of raising."""
-    from .counting import enumerate_class
-
     attempted = succeeded = 0
     failures = []
     for p in enumerate_class(_B, n):
@@ -423,12 +427,12 @@ def bkck_map(k: int, parity: str, p: Partition,
     the base map.
     """
     _require(parity in ("e", "o"), "parity must be 'e' or 'o'")
-    spec = ClassSpec(f"Bk_{parity}", k)
+    spec = _spec(f"Bk_{parity}", k)
     _require(is_member(spec, p), lambda: f"{p} is not a member of {spec}")
     evens = [v for v in p.parts if v % 2 == 0]
     if not evens:
         image = base_bc_map(p, strategy)
-        outcome = BijectionOutcome(image, ClassSpec(f"Ck_{parity}", k),
+        outcome = BijectionOutcome(image, _spec(f"Ck_{parity}", k),
                                    (f"base[{strategy}]:anchor={image.anchor}",))
     else:
         m = max(evens)
@@ -437,7 +441,7 @@ def bkck_map(k: int, parity: str, p: Partition,
         lifted = AnchoredPartition(
             sub.image.anchor,
             Partition(_sorted_parts(sub.image.partition.parts + (m,))))
-        outcome = BijectionOutcome(lifted, ClassSpec(f"Ck_{parity}", k),
+        outcome = BijectionOutcome(lifted, _spec(f"Ck_{parity}", k),
                                    (f"strip:{m}",) + sub.case_tag)
     _require(is_member(outcome.target_class, outcome.image),
              lambda: f"image {outcome.image} is not in {outcome.target_class}")
@@ -448,12 +452,12 @@ def bkck_inverse(k: int, parity: str, ap: AnchoredPartition,
                  strategy: str = RANK) -> BijectionOutcome:
     """Inverse direction: anchored side of weight n+1 to odd side of n."""
     _require(parity in ("e", "o"), "parity must be 'e' or 'o'")
-    spec = ClassSpec(f"Ck_{parity}", k)
+    spec = _spec(f"Ck_{parity}", k)
     _require(is_member(spec, ap), lambda: f"{ap} is not a member of {spec}")
     extras = [v for v in ap.partition.parts if v > ap.anchor]
     if not extras:
         image = base_bc_inverse(ap, strategy)
-        outcome = BijectionOutcome(image, ClassSpec(f"Bk_{parity}", k),
+        outcome = BijectionOutcome(image, _spec(f"Bk_{parity}", k),
                                    (f"base[{strategy}]:anchor={ap.anchor}",))
     else:
         m = max(extras)
@@ -461,7 +465,7 @@ def bkck_inverse(k: int, parity: str, ap: AnchoredPartition,
                                      Partition(_remove_one(ap.partition.parts, m)))
         sub = bkck_inverse(k - 1, _parity_flip(parity), stripped, strategy)
         lifted = Partition(_sorted_parts(sub.image.parts + (m,)))
-        outcome = BijectionOutcome(lifted, ClassSpec(f"Bk_{parity}", k),
+        outcome = BijectionOutcome(lifted, _spec(f"Bk_{parity}", k),
                                    (f"strip:{m}",) + sub.case_tag)
     _require(is_member(outcome.target_class, outcome.image),
              lambda: f"image {outcome.image} is not in {outcome.target_class}")

@@ -2,9 +2,12 @@
 coefficients for every partition class, each path an oracle for the other.
 
 One table, ``_ENGINES``, holds the three engines of each class id.
-``members(n, k)`` generates the members of weight n by recursive descent
-(largest part first, residual-weight pruning); :func:`enumerate_class`, and
-through it the bijections, materialises them.  ``walk(k)`` names the row
+``members(n, k)`` generates the members of weight n; :func:`enumerate_class`,
+and through it the bijections, materialises them.  The member generators
+(``_distinct``, ``_odd_multiset``, ``_c_core``) are loops over one mutable
+list of parts: each steps from one member to the next in a fixed
+lexicographic order, with residual-weight pruning, and yields a fresh tuple,
+so a member costs no chain of suspended frames.  ``walk(k)`` names the row
 walk that counts the class: one exhaustive descent over the class's
 structure that visits each member of a weight in a window [lo, hi] once,
 builds no members, and adds 1 to that weight's entry of a row.  A walk
@@ -38,6 +41,7 @@ from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from operator import add
 from typing import NamedTuple
 
@@ -60,65 +64,119 @@ from .series import (
 )
 
 # ---------------------------------------------------------------------------
-# raw enumerators (tuples in canonical descending order)
+# raw enumerators: tuples of parts in descending order, yielded in a fixed
+# order that enumerate_class and `qpart enumerate` pass on
+# (tests/test_generators.py pins it)
 # ---------------------------------------------------------------------------
 
 
 def _distinct(total: int, hi: int, lo: int = 1):
-    """Distinct parts in [lo, hi] summing to `total`, descending."""
+    """Distinct parts in [lo, hi] summing to `total`, in decreasing
+    lexicographic order."""
     if total == 0:
         yield ()
         return
     hi = min(hi, total)
     if hi < lo or (hi + lo) * (hi - lo + 1) // 2 < total:
         return
-    for v in range(hi, lo - 1, -1):
-        rest = total - v
-        # Parts in [lo, v-1] cannot reach rest; smaller v only make it worse.
-        if rest >= v and (v + lo - 1) * (v - lo) // 2 < rest:
-            break
-        if rest == 0:
-            yield (v,)
-        elif rest >= lo:
-            for tail in _distinct(rest, v - 1, lo):
-                yield (v,) + tail
+    parts = []  # the parts placed so far, descending
+    rest, v = total, hi  # the weight left to place, and the next part to try
+    while True:
+        r = rest - v
+        # Parts in [lo, v-1] can still reach r; once they cannot, no smaller
+        # v can either.
+        if v >= lo and (r < v or (v + lo - 1) * (v - lo) // 2 >= r):
+            if r == 0:
+                yield (*parts, v)
+            elif r >= lo:
+                parts.append(v)
+                rest, v = r, min(v - 1, r)
+                continue
+            v -= 1
+            continue
+        # Every part at this place is tried: try the next one at the place above.
+        if not parts:
+            return
+        v = parts.pop()
+        rest += v
+        v -= 1
 
 
 def _odd_multiset(total: int, hi: int):
-    """Odd parts <= hi with unrestricted multiplicity, descending."""
+    """Odd parts <= hi with unrestricted multiplicity, in decreasing
+    lexicographic order."""
     if total == 0:
         yield ()
         return
     if hi < 1:
         return
-    if hi % 2 == 0:
-        hi -= 1
-    if hi == 1:
-        yield (1,) * total
-        return
-    for c in range(total // hi, -1, -1):
-        for rest in _odd_multiset(total - c * hi, hi - 2):
-            yield (hi,) * c + rest
+    parts = []  # the parts above 1, descending; rest 1s follow them
+    rest, top = total, hi - 1 + hi % 2  # the largest odd part that may come next
+    while True:
+        # The lexicographically largest completion: as many of each odd part
+        # as fit, largest first.
+        while rest >= 3 and top >= 3:
+            if top > rest:
+                top = rest - 1 + rest % 2
+            c = rest // top
+            parts += (top,) * c
+            rest -= c * top
+            top -= 2
+        yield tuple(parts) + (1,) * rest
+        # The next member drops one copy of the last part above 1 and
+        # completes with parts at least 2 below it.
+        if not parts:
+            return
+        top = parts.pop()
+        rest += top
+        top -= 2
 
 
 def _c_core(total: int, v: int, l: int):
-    """Parts <= v summing to `total`, distinct below l+1, free in (l, 2l]."""
-    if total == 0:
-        yield ()
-        return
-    if v > l:
-        for c in range(total // v, -1, -1):
-            for rest in _c_core(total - c * v, v - 1, l):
-                yield (v,) * c + rest
-        return
-    # Distinct region: a part above the total can only be left out.
-    if v > total:
-        v = total
-    if v < 1 or v * (v + 1) // 2 < total:
-        return
-    yield from _c_core(total, v - 1, l)
-    for rest in _c_core(total - v, v - 1, l):
-        yield (v,) + rest
+    """Parts <= v summing to `total`, distinct below l+1, free in (l, 2l].
+
+    The free parts come in decreasing lexicographic order and, under each
+    choice of them, the distinct parts in increasing lexicographic order.
+    """
+    free = []  # the parts above l, descending
+    rest, top = total, v  # the weight left, and the largest free part that may come next
+    cap = min(v, l)  # the largest distinct part
+    while True:
+        # The lexicographically largest free parts: as many of each as fit.
+        while True:
+            if top > rest:
+                top = rest
+            if top <= l:
+                break
+            c = rest // top
+            free += (top,) * c
+            rest -= c * top
+            top -= 1
+        if rest <= cap * (cap + 1) // 2:
+            small, r = [], rest  # the distinct parts, descending, and the weight they lack
+            while True:
+                # The lexicographically smallest completion: each part is the
+                # least p with p(p+1)/2 >= the weight left.
+                while r:
+                    p = (isqrt(8 * r - 7) + 1) // 2
+                    small.append(p)
+                    r -= p
+                yield (*free, *small)
+                # The next member raises the last part that has a part after
+                # it and room below the part before it, then completes.
+                r = small.pop() if small else 0
+                while small and small[-1] + 1 == (small[-2] if len(small) > 1 else cap + 1):
+                    r += small.pop()
+                if not small:
+                    break
+                small[-1] += 1
+                r -= 1
+        # The next choice of free parts has one fewer copy of the last one.
+        if not free:
+            return
+        top = free.pop()
+        rest += top
+        top -= 1
 
 
 def _window_values(l: int, k: int) -> list[int]:
@@ -138,23 +196,24 @@ def _window_subsets(l: int, k: int, budget: int, want_even: bool):
 
 def _iter_bk(n: int, k: int, want_even: bool):
     # Fix the largest odd part 2l-1, pick window extras, fill with odd parts.
+    # The extras lie above 2l-1, so the parts come out descending.
     for l in range(1, (n + 1) // 2 + 1):
         base = 2 * l - 1
         for extras in _window_subsets(l, k, n - base, want_even):
-            rest = n - base - sum(extras)
-            for fill in _odd_multiset(rest, base):
-                yield tuple(sorted(extras + (base,) + fill, reverse=True))
+            head = extras + (base,)
+            for fill in _odd_multiset(n - sum(head), base):
+                yield head + fill
 
 
 def _iter_ck(n: int, k: int, want_even: bool):
     # Fix the anchor 2l, pick window extras, fill the core below the anchor.
+    # The extras lie above 2l, so the parts come out descending.
     for l in range(1, n // 2 + 1):
         anchor = 2 * l
         for extras in _window_subsets(l, k, n - anchor, want_even):
-            rest = n - anchor - sum(extras)
-            for core in _c_core(rest, anchor, l):
-                parts = tuple(sorted(extras + (anchor,) + core, reverse=True))
-                yield anchor, parts
+            head = extras + (anchor,)
+            for core in _c_core(n - sum(head), anchor, l):
+                yield anchor, head + core
 
 
 def _iter_dk(n: int, k: int, odd: int | None = None, first: int = 0):

@@ -64,7 +64,7 @@ class PartitionError(ValueError):
     """Malformed partition input (ordering, sign, or representation kind)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
     """Weakly decreasing tuple of non-negative integer parts."""
 
@@ -108,7 +108,7 @@ class Partition:
         return "+".join(str(p) for p in self.parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnchoredPartition:
     """A partition together with the even anchor part 2l that fixes its
     decomposition into core (parts <= 2l) and window extras (parts > 2l)."""
@@ -133,7 +133,7 @@ class AnchoredPartition:
         return f"[{self.anchor}] {self.partition}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassSpec:
     """A partition class identifier plus its k parameter where required."""
 
@@ -193,19 +193,28 @@ def _parity_half(count_of, parity: int):
     return member
 
 
-def _distinct_length(p: Partition, hi: int | None = None) -> int | None:
-    """Number of parts of a distinct-part partition with no part above hi."""
+def _member_a(p: Partition, k: None) -> bool:
+    return _all_positive(p) and _is_distinct(p.parts)
+
+
+def _distinct_length(p: Partition, k: int | None) -> int | None:
+    """Number of parts of a distinct-part partition, every part below k if
+    k is given."""
     if not _all_positive(p) or not _is_distinct(p.parts):
         return None
-    if hi is not None and p.parts and p.parts[0] > hi:
+    if k is not None and p.parts and p.parts[0] >= k:
         return None
     return len(p.parts)
 
 
-def _member_b(p: Partition) -> bool:
+# v -> v % 2, for map: the odd-part scans run at C speed
+_odd = (2).__rmod__
+
+
+def _member_b(p: Partition, k: None) -> bool:
     # Counts partitions with at least one part; the empty partition is not
     # a B member even though the all-odd condition is vacuous on it.
-    return bool(p.parts) and p.parts[-1] >= 1 and all(v % 2 for v in p.parts)
+    return bool(p.parts) and p.parts[-1] >= 1 and all(map(_odd, p.parts))
 
 
 def _dk_parts_above(p: Partition, k: int) -> int | None:
@@ -214,6 +223,14 @@ def _dk_parts_above(p: Partition, k: int) -> int | None:
         return None
     _, mult, rest_distinct = smallest_part_profile(p)
     return len(p.parts) - k if mult == k and rest_distinct else None
+
+
+def _member_dk(p: Partition, k: int) -> bool:
+    return _dk_parts_above(p, k) is not None
+
+
+def _member_sptkd(p: Partition, k: int) -> bool:
+    return _dk_parts_above(p, k) is not None and p.parts[-1] >= 1
 
 
 def _window(l: int, k: int) -> tuple[int, int]:
@@ -236,7 +253,7 @@ def _bk_evens(p: Partition, k: int) -> int | None:
     lo, hi = _window((parts[evens] + 1) // 2, k)
     if evens and (parts[0] > hi or parts[evens - 1] < lo or not _is_distinct(parts[:evens])):
         return None
-    return evens if all(v % 2 for v in parts[evens + 1:]) else None
+    return evens if all(map(_odd, parts[evens + 1:])) else None
 
 
 def _ck_extras(ap: AnchoredPartition, k: int) -> int | None:
@@ -263,25 +280,30 @@ def _ck_extras(ap: AnchoredPartition, k: int) -> int | None:
     return extras if _is_distinct(parts[small:]) else None
 
 
-def _member_e(p: Partition) -> bool:
+def _member_c(ap: AnchoredPartition, k: None) -> bool:
+    # C is Ck_e at k = 1, whose window is empty: no extras.
+    return _ck_extras(ap, 1) == 0
+
+
+def _member_e(p: Partition, k: None) -> bool:
     if not p.parts or p.parts[-1] < 1:
         return False
-    if any(v % 2 == 0 for v in p.parts):
+    if not all(map(_odd, p.parts)):
         return False
     return len(p.parts) == 1 or p.parts[0] > p.parts[1]
 
 
-def _member_f(p: Partition) -> bool:
+def _member_f(p: Partition, k: None) -> bool:
     if not p.parts or p.parts[-1] < 1:
         return False
     if p.parts[0] % 2:
         return False
     if len(p.parts) > 1 and p.parts[1] == p.parts[0]:
         return False
-    return all(v % 2 for v in p.parts[1:])
+    return all(map(_odd, p.parts[1:]))
 
 
-def _member_p1(p: Partition) -> bool:
+def _member_p1(p: Partition, k: None) -> bool:
     return bool(p.parts) and _is_distinct(p.parts) and p.parts[-1] >= 2
 
 
@@ -302,38 +324,40 @@ def _member_pdprime(p: Partition, k: int) -> bool:
     return _is_distinct(rest) and len(rest) + k == len(p.parts)
 
 
+def _member_p2(p: Partition, k: None) -> bool:
+    # P2 is Pdprime at k = 1.
+    return _member_pdprime(p, 1)
+
+
 class _ClassDef(NamedTuple):
     requires_k: bool
     anchored: bool
     member: Callable  # (value, k) -> bool; k is None for a class without one
 
 
-_CK_E = _parity_half(_ck_extras, 0)
-
 # class id -> definition; C is Ck_e and P2 is Pdprime, both at k = 1
 _CLASSES: dict[str, _ClassDef] = {
-    "A": _ClassDef(False, False, lambda p, k: _distinct_length(p) is not None),
-    "B": _ClassDef(False, False, lambda p, k: _member_b(p)),
-    "C": _ClassDef(False, True, lambda ap, k: _CK_E(ap, 1)),
-    "Dk": _ClassDef(True, False, lambda p, k: _dk_parts_above(p, k) is not None),
+    "A": _ClassDef(False, False, _member_a),
+    "B": _ClassDef(False, False, _member_b),
+    "C": _ClassDef(False, True, _member_c),
+    "Dk": _ClassDef(True, False, _member_dk),
     "Dk_e": _ClassDef(True, False, _parity_half(_dk_parts_above, 0)),
     "Dk_o": _ClassDef(True, False, _parity_half(_dk_parts_above, 1)),
     "Bk_e": _ClassDef(True, False, _parity_half(_bk_evens, 0)),
     "Bk_o": _ClassDef(True, False, _parity_half(_bk_evens, 1)),
-    "Ck_e": _ClassDef(True, True, _CK_E),
+    "Ck_e": _ClassDef(True, True, _parity_half(_ck_extras, 0)),
     "Ck_o": _ClassDef(True, True, _parity_half(_ck_extras, 1)),
-    "E": _ClassDef(False, False, lambda p, k: _member_e(p)),
-    "F": _ClassDef(False, False, lambda p, k: _member_f(p)),
-    "P1": _ClassDef(False, False, lambda p, k: _member_p1(p)),
-    "P2": _ClassDef(False, False, lambda p, k: _member_pdprime(p, 1)),
+    "E": _ClassDef(False, False, _member_e),
+    "F": _ClassDef(False, False, _member_f),
+    "P1": _ClassDef(False, False, _member_p1),
+    "P2": _ClassDef(False, False, _member_p2),
     "Pprime": _ClassDef(True, False, _member_pprime),
     "Pdprime": _ClassDef(True, False, _member_pdprime),
-    "Pe_d": _ClassDef(False, False, _parity_half(lambda p, k: _distinct_length(p), 0)),
-    "Po_d": _ClassDef(False, False, _parity_half(lambda p, k: _distinct_length(p), 1)),
-    "Pe_bounded": _ClassDef(True, False, _parity_half(lambda p, k: _distinct_length(p, k - 1), 0)),
-    "Po_bounded": _ClassDef(True, False, _parity_half(lambda p, k: _distinct_length(p, k - 1), 1)),
-    "SptKd": _ClassDef(True, False,
-                       lambda p, k: _dk_parts_above(p, k) is not None and p.parts[-1] >= 1),
+    "Pe_d": _ClassDef(False, False, _parity_half(_distinct_length, 0)),
+    "Po_d": _ClassDef(False, False, _parity_half(_distinct_length, 1)),
+    "Pe_bounded": _ClassDef(True, False, _parity_half(_distinct_length, 0)),
+    "Po_bounded": _ClassDef(True, False, _parity_half(_distinct_length, 1)),
+    "SptKd": _ClassDef(True, False, _member_sptkd),
 }
 
 # class_id -> (requires k, counted over anchored partitions)

@@ -436,6 +436,36 @@ def test_successful_maps_format_no_error_text(monkeypatch):
             assert bkck_inverse(k, parity, bkck_map(k, parity, p).image).image == p
 
 
+def test_maps_build_each_class_spec_once(monkeypatch):
+    # A sweep builds the spec of each (class, k) it checks once, on first
+    # use, and none after that, however many members it maps.
+    odd = enumerate_class(ClassSpec("B"), 20)
+    windowed = enumerate_class(ClassSpec("Bk_e", 4), 20)
+    real = ClassSpec.__post_init__
+    built = []
+
+    def counted(self):
+        built.append((self.class_id, self.k))
+        real(self)
+
+    def sweep():
+        for p in odd:
+            assert base_bc_inverse(base_bc_map(p)) == p
+        for p in windowed:
+            assert bkck_inverse(4, "e", bkck_map(4, "e", p).image).image == p
+
+    bijections._spec.cache_clear()
+    monkeypatch.setattr(ClassSpec, "__post_init__", counted)
+    sweep()
+    # bkck(4, e) strips at most two window parts: levels (4, e), (3, o), (2, e)
+    assert sorted(built) == [("Bk_e", 2), ("Bk_e", 4), ("Bk_o", 3),
+                             ("Ck_e", 2), ("Ck_e", 4), ("Ck_o", 3)]
+    built.clear()
+    sweep()
+    assert built == []
+    assert bijections._spec.cache_info().maxsize is not None
+
+
 # ---------------------------------------------------------------------------
 # rank strategy: i-th member pairs with i-th member, per anchor
 # ---------------------------------------------------------------------------

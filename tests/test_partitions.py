@@ -1,5 +1,6 @@
 """Partition values, class membership, and anchor decompositions."""
 
+import dataclasses
 import hashlib
 from collections import Counter
 from itertools import product
@@ -74,6 +75,57 @@ def test_class_spec_k_validation():
     with pytest.raises(PartitionError):
         ClassSpec("nonsense")
     assert str(ClassSpec("Dk", 3)) == "Dk(k=3)"
+
+
+def test_value_types_keep_no_instance_dict():
+    # Slotted values: no per-instance __dict__, and still frozen.
+    from qpart.bijections import BijectionOutcome
+
+    values = (Partition((3, 1)), AnchoredPartition(4, P([4, 1])), ClassSpec("Dk", 2),
+              BijectionOutcome(Partition((3, 1)), ClassSpec("A"), ("zeros,Dk",)))
+    for value in values:
+        assert not hasattr(value, "__dict__"), type(value).__name__
+        field = dataclasses.fields(value)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, getattr(value, field))
+        # A name that is no field is refused too; CPython 3.10 to 3.13 raise
+        # TypeError there, from the frozen __setattr__ of a slotted class.
+        with pytest.raises((AttributeError, TypeError)):
+            value.extra = 1
+
+
+def test_value_types_equality_hash_and_text():
+    from qpart.bijections import BijectionOutcome
+
+    outcome = BijectionOutcome(Partition((3, 1)), ClassSpec("A"), ("zeros,Dk",))
+    cases = [
+        (Partition((3, 1)), Partition((3, 1)), Partition((3, 2)), "3+1",
+         "Partition(parts=(3, 1))"),
+        (Partition(()), Partition(()), Partition((0,)), "(empty)", "Partition(parts=())"),
+        (AnchoredPartition(4, P([4, 1])), AnchoredPartition(4, P([4, 1])),
+         AnchoredPartition(2, P([4, 2])), "[4] 4+1",
+         "AnchoredPartition(anchor=4, partition=Partition(parts=(4, 1)))"),
+        (ClassSpec("Dk", 2), ClassSpec("Dk", 2), ClassSpec("Dk", 3), "Dk(k=2)",
+         "ClassSpec(class_id='Dk', k=2)"),
+        (ClassSpec("C"), ClassSpec("C"), ClassSpec("Ck_e", 1), "C",
+         "ClassSpec(class_id='C', k=None)"),
+        (outcome, BijectionOutcome(Partition((3, 1)), ClassSpec("A"), ("zeros,Dk",)),
+         BijectionOutcome(Partition((3, 1)), ClassSpec("A"), ("zeros,Dk-1",)),
+         repr(outcome),
+         "BijectionOutcome(image=Partition(parts=(3, 1)), target_class=ClassSpec("
+         "class_id='A', k=None), case_tag=('zeros,Dk',))"),
+    ]
+    for value, same, other, text, rep in cases:
+        assert value == same and value is not same
+        assert value != other
+        assert hash(value) == hash(same)
+        # A frozen dataclass hashes as the tuple of its fields.
+        assert hash(value) == hash(tuple(getattr(value, f.name)
+                                         for f in dataclasses.fields(value)))
+        assert str(value) == text
+        assert repr(value) == rep
+    assert Partition((3, 1)) != (3, 1)
+    assert len({Partition((3, 1)), Partition((3, 1)), Partition((1, 1, 1, 1))}) == 2
 
 
 def test_smallest_part_profile_cases():
