@@ -33,6 +33,14 @@ beside it.  The builders keep their running products as plain lists and
 add shifted terms into one accumulator by slice.  A running core is cut to
 the coefficients its later terms can still reach before each update: the
 kernels are lower-triangular, so what is kept stays exact.
+
+The repeated-smallest-part series (Dk, SptKd, their halves and difference,
+P1, P2 and Pdprime) are sums of q^(s+t*d) * tail(i+t), where tail(i) is the
+product of (1 + sign*q^m) over m >= i.  ``_tail_sum`` folds such a sum by
+Horner's rule from its last term down, one factor division per term, and
+multiplies once by the first tail, which it divides out of the cached
+tail(1).  No family of tails is built, so a build holds O(order)
+coefficients at a time.
 """
 from __future__ import annotations
 
@@ -57,10 +65,10 @@ from .series import (
     PLUS,
     TruncatedSeries,
     _div_factor,
+    _kronecker_product,
     _mul_factor,
     pochhammer_finite,
     pochhammer_infinite,
-    pochhammer_infinite_starts,
 )
 
 # ---------------------------------------------------------------------------
@@ -390,22 +398,6 @@ def _walk_pdprime(rows, lo: int, hi: int, k: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-# sign -> (order, tail family) of the family built last for that sign.  A
-# family at order N is N+1 series, about 6 MiB at order 748.  Callers move
-# from one order to the next (the overflow bisection of the CLI asks a new
-# order at each step) and the series built from an old family stay in the
-# gf and signed caches, so one family per sign is enough.
-_tail_families: dict[int, tuple[int, tuple[TruncatedSeries, ...]]] = {}
-
-
-def _tails(sign: int, order: int) -> tuple[TruncatedSeries, ...]:
-    # tails[m-1] = product of (1 + sign*q^j) over j >= m
-    built = _tail_families.get(sign)
-    if built is None or built[0] != order:
-        built = _tail_families[sign] = (order, tuple(pochhammer_infinite_starts(sign, order)))
-    return built[1]
-
-
 # Bound of the signed-build cache.  One entry is a tuple of order+1 integers
 # below 2**63, at most 33 KB at order 750, so 64 entries stay under 2.2 MB.
 # The series_deep benchmark (every class at order 740, then T3x, T8, T9 and
@@ -436,13 +428,32 @@ def _gf_distinct(k: int | None, order: int, sign: int = PLUS) -> TruncatedSeries
     return pochhammer_finite(sign, 1, 1, k - 1, order)
 
 
-def _tail_sum(sign: int, order: int, terms) -> TruncatedSeries:
-    """Sum of q^s * tails[i] over the (s, i) in `terms`, every s <= order."""
-    tails = _tails(sign, order)
-    acc = [0] * (order + 1)
-    for s, i in terms:
-        acc[s:] = map(add, acc[s:], tails[i].coeffs)
-    return TruncatedSeries(tuple(acc))
+def _tail_sum(sign: int, order: int, shift: int, step: int, first: int) -> TruncatedSeries:
+    """Sum of q^(shift + t*step) * tail(first + t) over t = 0, 1, ... while
+    the shift stays <= order, where tail(i) is the product of (1 + sign*q^m)
+    over m >= i.
+
+    The sum is tail(first) * R_0 with R_t = 1 + q^step * R_(t+1) / (1 +
+    sign*q^(first+t)), and R = 1 at the last term.  Horner's rule runs that
+    from the last term down, one division per term, with R cut to the
+    order - shift(t) + 1 coefficients its term can reach, so only O(order)
+    coefficients are held at once.  tail(first) is the cached distinct-part
+    series tail(1) divided by its first first-1 factors, and one truncated
+    product finishes the sum.  tail(1) is read before anything else, so an
+    order it does not fit raises its overflow message first; R is a plain
+    list and only the result is checked against the bound.
+    """
+    full = _signed(_gf_distinct, None, order, sign).coeffs
+    if shift > order:
+        return TruncatedSeries.zero(order)
+    r = [1] + [0] * ((order - shift) % step)
+    for i in range(first + (order - shift) // step - 1, first - 1, -1):
+        _div_factor(r, i, sign)
+        r[:0] = [1] + [0] * (step - 1)
+    tail = list(full[:order - shift + 1])
+    for m in range(1, first):
+        _div_factor(tail, m, sign)
+    return TruncatedSeries((0,) * shift + tuple(_kronecker_product(r, tail, order - shift)))
 
 
 def _gf_dk(k: int, order: int, sign: int = PLUS, first: int = 0) -> TruncatedSeries:
@@ -450,9 +461,11 @@ def _gf_dk(k: int, order: int, sign: int = PLUS, first: int = 0) -> TruncatedSer
 
     With sign -1 each part above the smallest carries a -1 weight, so the
     coefficients become the even-minus-odd difference of the parity split.
-    first = 1 leaves out the zero smallest part, which gives SptKd.
+    first = 1 leaves out the zero smallest part, which gives SptKd.  The
+    terms step by k in the shift and by 1 in the tail, so one Horner fold
+    of :func:`_tail_sum` builds the sum.
     """
-    return _tail_sum(sign, order, ((j * k, j) for j in range(first, order // k + 1)))
+    return _tail_sum(sign, order, first * k, k, first + 1)
 
 
 def _running_sum(order: int, shift, update, k: int = 1, sign: int = PLUS) -> TruncatedSeries:
@@ -513,15 +526,14 @@ def _gf_ck(k: int, order: int, sign: int = PLUS) -> TruncatedSeries:
 
 
 def _gf_p1(order: int) -> TruncatedSeries:
-    # Smallest part s >= 2, then distinct parts above s.
-    return _tail_sum(PLUS, order, ((s, s) for s in range(2, order + 1)))
+    # Smallest part s >= 2, then distinct parts above s: q^s * tail(s+1).
+    return _tail_sum(PLUS, order, 2, 1, 3)
 
 
 def _gf_pdprime(k: int, order: int) -> TruncatedSeries:
-    # Smallest part s, k-1 parts s+1, then distinct parts above s+1; the
-    # shift s + (s+1)(k-1) = sk + k - 1 stays <= order.
-    return _tail_sum(PLUS, order, ((s * k + k - 1, min(s + 1, order))
-                                   for s in range(1, (order - k + 1) // k + 1)))
+    # Smallest part s >= 1, k-1 parts s+1, then distinct parts above s+1:
+    # q^(sk + k - 1) * tail(s+2).
+    return _tail_sum(PLUS, order, 2 * k - 1, k, 3)
 
 
 class _Engine(NamedTuple):

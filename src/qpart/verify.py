@@ -419,6 +419,8 @@ def _task_t8(kmax: int = 6, n_terms: int = 30, order: int = 120,
     two = TruncatedSeries.one(order).scale(2)
     cells = 0
     for k in range(1, kmax + 1):
+        # (q^(j+1); q)_(k-j-1) for j < k, the same for every N
+        falling = [pochhammer_finite(MINUS, j + 1, 1, k - j - 1, order) for j in range(k)]
         lhs = TruncatedSeries.zero(order)
         for big_n in range(0, n_terms + 1):
             lhs = lhs + tails_plus[big_n].shift(k * big_n)
@@ -426,7 +428,7 @@ def _task_t8(kmax: int = 6, n_terms: int = 30, order: int = 120,
             bracket = TruncatedSeries.zero(order)
             for j in range(k):
                 piece = two - recips[big_n].shift((big_n + 1) * j)
-                term = pochhammer_finite(MINUS, j + 1, 1, k - j - 1, order) * piece
+                term = falling[j] * piece
                 if (j + k - 1) % 2:
                     term = -term
                 bracket = bracket + term

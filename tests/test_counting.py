@@ -1,6 +1,8 @@
 """Counting: enumeration vs generating-function coefficients, derived
 quantities, and the anchored-vs-raw diagnostic for the C family."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,13 @@ from qpart.counting import (
     pentagonal_indicator,
 )
 from qpart.partitions import AnchoredPartition, ClassSpec, Partition, PartitionError, is_member
+from qpart.series import (
+    MINUS,
+    PLUS,
+    CoefficientOverflowError,
+    pochhammer_infinite_starts,
+    series_sum,
+)
 
 P = Partition.from_parts
 
@@ -172,11 +181,10 @@ def test_count_walk_never_reads_the_series_path(monkeypatch):
         raise AssertionError("enumeration oracle touched the series path")
 
     for name in ("gf", "gf_parity_difference", "count_by_series", "pochhammer_finite",
-                 "pochhammer_infinite", "pochhammer_infinite_starts",
-                 "_mul_factor", "_div_factor"):
+                 "pochhammer_infinite", "_mul_factor", "_div_factor", "_kronecker_product"):
         monkeypatch.setattr(counting, name, forbidden)
     for name in ("pochhammer_finite", "pochhammer_infinite", "pochhammer_infinite_starts",
-                 "series_sum", "_mul_factor", "_div_factor"):
+                 "series_sum", "_mul_factor", "_div_factor", "_kronecker_product"):
         monkeypatch.setattr(series, name, forbidden)
     for name in ("__mul__", "reciprocal"):
         monkeypatch.setattr(series.TruncatedSeries, name, forbidden)
@@ -305,6 +313,88 @@ def test_parity_difference_series_match_enumeration():
             expected = (count_by_enumeration(ClassSpec(cid_e, k), n)
                         - count_by_enumeration(ClassSpec(cid_o, k), n))
             assert diff.coefficient(n) == expected, (family, k, n)
+
+
+def _tail_family_sum(tails, terms):
+    """Sum of q^s * tail(i) over the (s, i) in `terms` with s <= order, read
+    off the whole tail family tails[m-1] = tail(m) for m = 1 .. order+1;
+    tail(i) for i > order + 1 is 1 up to the order, as tail(order + 1) is."""
+    order = tails[0].order
+    return series_sum([tails[min(i, order + 1) - 1].shift(s) for s, i in terms if s <= order],
+                      order)
+
+
+def test_smallest_part_builders_match_tail_family_sums():
+    # sum over the smallest part j of q^(jk) * prod_(m > j) (1 +- q^m), and
+    # the 2*A_k pieces, against the tail family they were once summed from
+    for order in sorted({0, 1, 2, 60, 300, 745} | set(range(10))):
+        plus, minus = (pochhammer_infinite_starts(sign, order) for sign in (PLUS, MINUS))
+        p1 = [(s, s + 1) for s in range(2, order + 1)]
+        assert gf(ClassSpec("P1"), order) == _tail_family_sum(plus, p1), order
+        for k in range(1, 9):
+            if order not in {0, 1, 2, k - 1, k, k + 1, 60, 300, 745}:
+                continue
+            dk = [(j * k, j + 1) for j in range(order // k + 1)]
+            whole, diff = _tail_family_sum(plus, dk), _tail_family_sum(minus, dk)
+            assert gf(ClassSpec("Dk", k), order) == whole, (k, order)
+            assert gf(ClassSpec("SptKd", k), order) == _tail_family_sum(plus, dk[1:]), (k, order)
+            assert gf_parity_difference("Dk", k, order) == diff, (k, order)
+            assert gf(ClassSpec("Dk_e", k), order) == (whole + diff).halve(), (k, order)
+            assert gf(ClassSpec("Dk_o", k), order) == (whole - diff).halve(), (k, order)
+            pdprime = _tail_family_sum(plus, [(s * k + k - 1, s + 2) for s in range(1, order + 1)])
+            assert gf(ClassSpec("Pdprime", k), order) == pdprime, (k, order)
+            if k == 1:
+                assert gf(ClassSpec("P2"), order) == pdprime, order
+
+
+# The largest order at which each smallest-part series fits below 2**63, and
+# the message one order more raises: the first coefficient of the result
+# that leaves the bound, or of the distinct-part product tail(1), which every
+# builder reads first, where that fails before the result does.
+SMALLEST_PART_EDGES = [
+    (ClassSpec("Dk", 2), 748, 9234859427653261696),
+    (ClassSpec("Dk", 8), 753, 9281046515468703324),
+    (ClassSpec("Dk", 10), 755, 9498789159012851362),
+    (ClassSpec("Dk", 12), 756, 9453045468566700448),
+    (ClassSpec("SptKd", 2), 769, 9322334643320220726),
+    (ClassSpec("P1"), 769, 9322334643320220726),
+    (ClassSpec("P2"), 769, 9322334643320220726),
+    (ClassSpec("Pdprime", 2), 769, 9322334643320220726),
+    (ClassSpec("Dk_e", 4), 750, 9290184424880516576),
+]
+
+
+@pytest.mark.parametrize("spec, largest, magnitude", SMALLEST_PART_EDGES,
+                         ids=[str(edge[0]) for edge in SMALLEST_PART_EDGES])
+def test_smallest_part_builders_keep_their_overflow_edges(spec, largest, magnitude):
+    assert gf(spec, largest).order == largest
+    with pytest.raises(CoefficientOverflowError) as raised:
+        gf(spec, largest + 1)
+    assert str(raised.value) == f"coefficient magnitude {magnitude} exceeds 2**63"
+    for cache in (gf, counting._signed):
+        cache.cache_clear()
+
+
+def test_dk_parity_difference_builds_past_the_whole_family_edge():
+    # the even-minus-odd difference stays far below the bound at order 800
+    for k in range(1, 9):
+        assert gf_parity_difference("Dk", k, 800).order == 800
+    for cache in (gf_parity_difference, counting._signed):
+        cache.cache_clear()
+
+
+def test_smallest_part_builder_holds_no_tail_family():
+    # the tail family at order 740 would be 741 series, 6.9 MiB
+    for cache in (gf, counting._signed):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        gf(ClassSpec("Dk", 2), 740)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert not hasattr(counting, "_tails") and not hasattr(counting, "_tail_families")
 
 
 def test_repeated_smallest_decomposes_into_distinct_plus_positive():

@@ -6,6 +6,8 @@ direct partition enumeration) so the series path never checks itself.
 """
 
 import itertools
+import random
+from operator import neg
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from qpart import series as series_module
 from qpart.series import (
     COEFF_LIMIT,
     MINUS,
+    NEWTON_RECIPROCAL_ORDER,
     PLUS,
     SPARSE_MUL_TERMS,
     CoefficientOverflowError,
@@ -158,11 +161,61 @@ def test_reciprocal_odd_part_counts():
 def test_reciprocal_requires_unit_constant():
     with pytest.raises(NonUnitConstantError):
         S([2, 1]).reciprocal()
+    for order in (0, 1, NEWTON_RECIPROCAL_ORDER, 300):
+        for constant in (0, -2, 3):
+            with pytest.raises(NonUnitConstantError):
+                S([constant] + [1] * order).reciprocal()
 
 
 def test_reciprocal_of_negative_unit():
     s = S([-1, 3, 2, -4, 1])
     assert s * s.reciprocal() == TruncatedSeries.one(4)
+
+
+def reference_reciprocal(a):
+    """The schoolbook recurrence r[i] = -a[0] * sum of a[j]*r[i-j], j >= 1."""
+    out = [a[0]]
+    for i in range(1, len(a)):
+        out.append(-a[0] * sum(a[j] * out[i - j] for j in range(1, i + 1) if a[j]))
+    return out
+
+
+def _reciprocal_inputs(order):
+    """Unit-constant inputs with constant term +1 and -1: dense (distinct
+    parts), sparse (Euler's product, whose inverse leaves the bound at q^406;
+    1 - q^3 - q^7, at q^307; 1 - 2q - q^2, at q^50, below the Newton start)
+    and the odd-parts product, whose inverse at 740 sits just under it."""
+    for row in (pochhammer_infinite(PLUS, 1, 1, order).coeffs,
+                pochhammer_infinite(MINUS, 1, 1, order).coeffs,
+                S([1, 0, 0, -1, 0, 0, 0, -1][:order + 1], order).coeffs,
+                S([1, -2, -1][:order + 1], order).coeffs,
+                pochhammer_infinite(MINUS, 1, 2, order).coeffs):
+        yield row
+        yield tuple(map(neg, row))
+
+
+def _assert_reciprocal_matches(row, want):
+    """row's reciprocal is `want`, or both leave the bound at its first
+    coefficient that does."""
+    over = [c for c in want if abs(c) >= COEFF_LIMIT]
+    if over:
+        with pytest.raises(CoefficientOverflowError) as raised:
+            TruncatedSeries(row).reciprocal()
+        assert str(raised.value) == f"coefficient magnitude {abs(over[0])} exceeds 2**63"
+    else:
+        assert TruncatedSeries(row).reciprocal().coeffs == tuple(want)
+
+
+def test_reciprocal_matches_schoolbook_recurrence():
+    # every order 0..300 on both sides of the Newton start, and order 740;
+    # a prefix of the reference at the largest order is the reference at a
+    # smaller one, since the recurrence is lower-triangular
+    assert 0 < NEWTON_RECIPROCAL_ORDER < 300
+    for top, orders in ((300, range(301)), (740, (740,))):
+        for row in _reciprocal_inputs(top):
+            want = reference_reciprocal(row)
+            for order in orders:
+                _assert_reciprocal_matches(row[:order + 1], want[:order + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +477,20 @@ def test_factor_kernels_match_plain_loops(order_rows, m, sign):
         kernel(got, m, sign)
         reference(want, m, sign)
         assert got == want
+
+
+def test_div_factor_matches_plain_loop_on_both_paths():
+    # small m against the length runs the residue-class sums, larger m the
+    # block walk; lengths up to 90 cover both on either side of the switch
+    rng = random.Random(8)
+    for length in range(91):
+        row = [rng.randint(-BIG, BIG) for _ in range(length)]
+        for m in range(1, length + 3):
+            for sign in (PLUS, MINUS):
+                got, want = list(row), list(row)
+                _div_factor(got, m, sign)
+                reference_div_factor(want, m, sign)
+                assert got == want, (length, m, sign)
 
 
 def test_factor_kernels_reject_bad_exponent():

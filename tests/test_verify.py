@@ -76,6 +76,24 @@ def test_t3_notes_record_empirical_onset():
     assert "stated bound 12" in onset_notes[1]
 
 
+def test_t8_builds_each_falling_product_once_per_k(monkeypatch):
+    # (q^(j+1); q)_(k-j-1) does not depend on N: one build per (k, j),
+    # 21 for kmax = 6, rather than one per (k, j, N)
+    built = []
+    original = verify.pochhammer_finite
+
+    def recording(sign, *args):
+        if sign == -1:
+            built.append(args)
+        return original(sign, *args)
+
+    monkeypatch.setattr(verify, "pochhammer_finite", recording)
+    report = run_task("T8", kmax=6, n_terms=8, order=40)
+    assert report.passed and report.checked_cells == 6 * 9 + 9
+    assert sorted(built) == sorted((j + 1, 1, k - j - 1, 40)
+                                   for k in range(1, 7) for j in range(k))
+
+
 def test_reports_are_deterministic():
     a = run_task("T3x", kmax=2, order=60)
     b = run_task("T3x", kmax=2, order=60)
