@@ -30,7 +30,7 @@ from .counting import (
 )
 from .partitions import AnchoredPartition, ClassSpec, Partition, PartitionError
 from .series import CoefficientOverflowError
-from .verify import TASK_ORDER, run_all, run_task, reports_to_junit
+from .verify import TASKS, run_all, run_task, reports_to_junit
 
 DEFAULT_ORDER_ENV = "QPART_DEFAULT_ORDER"
 
@@ -330,9 +330,13 @@ def _render_reports(reports, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
-    if args.task not in TASK_ORDER:
-        parser.error(f"unknown task {args.task!r}; known: {', '.join(TASK_ORDER)}")
-    report = run_task(args.task, nmax=args.nmax, kmax=args.kmax, order=args.order)
+    if args.task not in TASKS:
+        parser.error(f"unknown task {args.task!r}; known: {', '.join(TASKS)}")
+    overrides = {"nmax": args.nmax, "kmax": args.kmax, "order": args.order}
+    for flag, value in overrides.items():
+        if value is not None and flag not in TASKS[args.task].parameters:
+            parser.error(f"task {args.task} takes no --{flag}")
+    report = run_task(args.task, **overrides)
     return _render_reports([report], args)
 
 

@@ -34,6 +34,18 @@ add shifted terms into one accumulator by slice.  A running core is cut to
 the coefficients its later terms can still reach before each update: the
 kernels are lower-triangular, so what is kept stays exact.
 
+The windowed series (Bk, Ck and their halves and differences) are sums over
+l of q^(2l - offset) * core_l * W_l, where W_l is the product of
+(1 + sign*q^(2l+2i)) over the window i = 1 .. k-1.  By the q-binomial
+theorem (Andrews, *The Theory of Partitions*, Thm 3.3), W_l is the sum over
+j < k of sign^j * q^(2lj) * e_j, where e_j = q^(j(j+1)) * [k-1 choose j]_(q^2)
+does not depend on l.  So S(k, sign) is the sum of sign^j * e_j * T_j, and
+each T_j, the sum of q^((2+2j)l - offset) * core_l, depends on neither k
+nor the sign: ``_window_sum`` sweeps the core once per (core, offset, j,
+order) and keeps T_j in its own bounded cache, whose bound,
+``WINDOW_SUM_CACHE_SIZE``, is set beside it.  E and F are T_0 of their own
+cores.
+
 The repeated-smallest-part series (Dk, SptKd, their halves and difference,
 P1, P2 and Pdprime) are sums of q^(s+t*d) * tail(i+t), where tail(i) is the
 product of (1 + sign*q^m) over m >= i.  ``_tail_sum`` folds such a sum by
@@ -49,8 +61,9 @@ from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import isqrt
-from operator import add
+from operator import add, mul
 from typing import NamedTuple
 
 from .partitions import (
@@ -468,31 +481,71 @@ def _gf_dk(k: int, order: int, sign: int = PLUS, first: int = 0) -> TruncatedSer
     return _tail_sum(sign, order, first * k, k, first + 1)
 
 
-def _running_sum(order: int, shift, update, k: int = 1, sign: int = PLUS) -> TruncatedSeries:
-    """Sum of q^shift(l) * core_l * window_l over l = 1, 2, ... while shift(l) <= order.
+# Bound of the window-sum cache.  One entry is a tuple of order+1 integers,
+# about 33 KB at order 740.  The series_deep benchmark needs 12 sums (Bk and
+# Ck for j = 0..4, E and F) and report --all 36 (T2, T3, T3x, T5 and T6 at
+# six orders), so 64 entries keep every sum of one run, under 2.2 MB.
+WINDOW_SUM_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=WINDOW_SUM_CACHE_SIZE)
+def _window_sum(update, offset: int, j: int, order: int) -> tuple[int, ...]:
+    """T_j: the sum of q^((2+2j)*l - offset) * core_l over l = 1, 2, ...
+    while the shift stays <= order.
 
     core_l is kept as one running coefficient list: update(core, l) turns
-    core_(l-1) into core_l in place, from core_0 = 1.  window_l is the
-    product of (1 + sign*q^v) over the window values of l at parameter k,
-    which is 1 at k = 1.  The shift grows with l, so only the first
-    order - shift(l) + 1 coefficients of core_l reach the sum; the rest is
-    dropped before the update, which leaves the kept ones exact because
-    the update kernels are lower-triangular.
+    core_(l-1) into core_l in place, from core_0 = 1.  The shift grows with
+    l, so only the first order - shift + 1 coefficients of core_l reach the
+    sum; the rest is dropped before the update, which leaves the kept ones
+    exact because the update kernels are lower-triangular.  The sum depends
+    on neither k nor the sign, so one sweep serves every window; it is a
+    plain tuple, unchecked, and only the series built from it is checked.
     """
     acc = [0] * (order + 1)
     core = [1] + [0] * order
     l = 1
-    while (s := shift(l)) <= order:
+    while (s := (2 + 2 * j) * l - offset) <= order:
         del core[order - s + 1:]
         update(core, l)
-        term = core
-        window = _window_values(l, k)
-        if window:
-            term = core.copy()
-            for v in window:
-                _mul_factor(term, v, sign)
-        acc[s:] = map(add, acc[s:], term)
+        acc[s:] = map(add, acc[s:], core)
         l += 1
+    return tuple(acc)
+
+
+def _window_rows(k: int, order: int) -> list[list[int]]:
+    """e_j for j < k: the elementary symmetric polynomials of q^2, q^4, ...,
+    q^(2k-2), which are q^(j(j+1)) * [k-1 choose j]_(q^2), truncated at order.
+
+    One factor (1 + t*q^v) at a time: e_j <- e_j + q^v * e_(j-1), from the
+    top j down so each step reads the e_(j-1) before this factor.
+    """
+    rows = [[1]]
+    for v in range(2, 2 * k - 1, 2):
+        rows.append([])
+        for j in range(len(rows) - 1, 0, -1):
+            row, lower = rows[j], rows[j - 1]
+            # e_j has lower degree than q^v * e_(j-1), so the slice below
+            # never outruns `lower` and the row keeps its length
+            row += [0] * (min(len(lower) + v, order + 1) - len(row))
+            row[v:] = map(add, row[v:], lower)
+    return rows
+
+
+def _window_series(update, offset: int, k: int, order: int, sign: int) -> TruncatedSeries:
+    """Sum of q^(2l - offset) * core_l * W_l over l >= 1, where W_l, the
+    product of (1 + sign*q^(2l+2i)) over the window i = 1 .. k-1, is the sum
+    of sign^j * q^(2lj) * e_j over j < k (the q-binomial theorem).
+
+    So the sum is the sum of sign^j * e_j * T_j over j < k, with T_j from
+    :func:`_window_sum`: each nonzero term of e_j adds one shifted, scaled
+    copy of T_j.
+    """
+    acc = [0] * (order + 1)
+    for j, row in enumerate(_window_rows(k, order)):
+        sums = _window_sum(update, offset, j, order)
+        for d, c in enumerate(row):
+            if c:
+                acc[d:] = map(add, acc[d:], map(mul, sums, repeat(sign ** j * c)))
     return TruncatedSeries(tuple(acc))
 
 
@@ -516,13 +569,15 @@ def _grow_e_core(core: list, l: int) -> None:
 
 
 def _gf_bk(k: int, order: int, sign: int = PLUS) -> TruncatedSeries:
-    """Largest-odd-part sum of the window-marked B product."""
-    return _running_sum(order, lambda l: 2 * l - 1, _grow_odd_core, k, sign)
+    """Largest-odd-part sum of the window-marked B product: the largest odd
+    part 2l-1 and free odd parts up to it, sum_j sign^j * e_j * T_j."""
+    return _window_series(_grow_odd_core, 1, k, order, sign)
 
 
 def _gf_ck(k: int, order: int, sign: int = PLUS) -> TruncatedSeries:
-    """Anchor sum of the window-marked C product, over the anchor half l."""
-    return _running_sum(order, lambda l: 2 * l, _grow_c_core, k, sign)
+    """Anchor sum of the window-marked C product, over the anchor half l:
+    the anchor 2l and the C core below it, sum_j sign^j * e_j * T_j."""
+    return _window_series(_grow_c_core, 0, k, order, sign)
 
 
 def _gf_p1(order: int) -> TruncatedSeries:
@@ -568,9 +623,9 @@ _ENGINES: dict[str, _Engine] = {
     "Ck_o": _Engine(lambda n, k: _iter_ck(n, k, False), lambda k: (_walk_ck, (k, 1), None),
                     _halves(_gf_ck, 1)),
     "E": _Engine(lambda n, k: _iter_e(n), lambda k: (_walk_e, (), None),
-                 lambda k, order: _running_sum(order, lambda l: 2 * l - 1, _grow_e_core)),
+                 lambda k, order: TruncatedSeries(_window_sum(_grow_e_core, 1, 0, order))),
     "F": _Engine(lambda n, k: _iter_f(n), lambda k: (_walk_f, (), None),
-                 lambda k, order: _running_sum(order, lambda l: 2 * l, _grow_odd_core)),
+                 lambda k, order: TruncatedSeries(_window_sum(_grow_odd_core, 0, 0, order))),
     "P1": _Engine(lambda n, k: _distinct(n, n, 2) if n else (), lambda k: (_walk_p1, (), None),
                   lambda k, order: _gf_p1(order)),
     "P2": _Engine(lambda n, k: _iter_pdprime(n, 1), lambda k: (_walk_pdprime, (1,), None),

@@ -38,9 +38,11 @@ T12  engine self-tests: geometric-sum expansion of reciprocal products and
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass, field
 from functools import cache
+from operator import add
 from xml.etree import ElementTree
 
 from .counting import (
@@ -58,6 +60,8 @@ from .series import (
     MINUS,
     PLUS,
     TruncatedSeries,
+    _check_bounds,
+    _mul_factor,
     compare_series,
     pochhammer_finite,
     pochhammer_infinite,
@@ -179,7 +183,7 @@ def _check_terms(ns, terms, order: int, guard=None, **cell) -> tuple[int, dict |
     return cells, None
 
 
-def _task_t1(nmax: int = 60, **_) -> tuple[int, dict | None, list[str], dict]:
+def _task_t1(nmax: int = 60) -> tuple[int, dict | None, list[str], dict]:
     d2 = ClassSpec("Dk", 2)
 
     def odd_d2(tag: str, count, n: int) -> dict | None:
@@ -197,7 +201,7 @@ def _task_t1(nmax: int = 60, **_) -> tuple[int, dict | None, list[str], dict]:
     return cells, bad, [], {"nmax": nmax}
 
 
-def _task_t2(kmax: int = 5, nmax: int = 60, **_) -> tuple[int, dict | None, list[str], dict]:
+def _task_t2(kmax: int = 5, nmax: int = 60) -> tuple[int, dict | None, list[str], dict]:
     params = {"kmax": kmax, "nmax": nmax}
     notes = []
     cells = 0
@@ -244,7 +248,7 @@ def _chain_holds_t3(bdiff, cdiff, d2k, n: int) -> bool:
     return d % 2 == 0 and bdiff.coefficient(n) == cdiff.coefficient(n + 1) == d // 2
 
 
-def _task_t3(kmax: int = 4, **_) -> tuple[int, dict | None, list[str], dict]:
+def _task_t3(kmax: int = 4) -> tuple[int, dict | None, list[str], dict]:
     params = {"kmax": kmax}
     notes = []
     cells = 0
@@ -280,7 +284,7 @@ def _task_t3(kmax: int = 4, **_) -> tuple[int, dict | None, list[str], dict]:
     return cells, None, notes, params
 
 
-def _task_t3x(kmax: int = 4, order: int = 200, **_) -> tuple[int, dict | None, list[str], dict]:
+def _task_t3x(kmax: int = 4, order: int = 200) -> tuple[int, dict | None, list[str], dict]:
     params = {"kmax": kmax, "order": order}
     cells = 0
     for k in range(1, kmax + 1):
@@ -296,7 +300,7 @@ def _task_t3x(kmax: int = 4, order: int = 200, **_) -> tuple[int, dict | None, l
     return cells, None, [], params
 
 
-def _task_t4(kmax: int = 5, nmax: int = 60, **_) -> tuple[int, dict | None, list[str], dict]:
+def _task_t4(kmax: int = 5, nmax: int = 60) -> tuple[int, dict | None, list[str], dict]:
     params = {"kmax": kmax, "nmax": nmax}
     cells = 0
     for k in range(1, kmax + 1):
@@ -311,7 +315,7 @@ def _task_t4(kmax: int = 5, nmax: int = 60, **_) -> tuple[int, dict | None, list
     return cells, None, [], params
 
 
-def _task_t5(kmax: int = 3, **_) -> tuple[int, dict | None, list[str], dict]:
+def _task_t5(kmax: int = 3) -> tuple[int, dict | None, list[str], dict]:
     params = {"kmax": kmax}
     notes = []
     cells = 0
@@ -339,7 +343,7 @@ def _task_t5(kmax: int = 3, **_) -> tuple[int, dict | None, list[str], dict]:
     return cells, None, notes, params
 
 
-def _task_t6(nmax: int = 60, **_) -> tuple[int, dict | None, list[str], dict]:
+def _task_t6(nmax: int = 60) -> tuple[int, dict | None, list[str], dict]:
     cells, bad = _check_terms(range(1, nmax + 1), [
         ("A(n)", lambda count, n: count(ClassSpec("A"), n)),
         ("E(n+2)", lambda count, n: count(ClassSpec("E"), n + 2)),
@@ -357,8 +361,8 @@ def _t7_expected(k: int, n: int) -> int:
     return 0
 
 
-def _task_t7(kmax: int = 8, nmax: int = 60, enum_nmax: int = 34,
-             **_) -> tuple[int, dict | None, list[str], dict]:
+def _task_t7(kmax: int = 8, nmax: int = 60,
+             enum_nmax: int = 34) -> tuple[int, dict | None, list[str], dict]:
     params = {"kmax": kmax, "nmax": nmax, "enum_nmax": enum_nmax}
     notes = []
     cells = 0
@@ -388,7 +392,7 @@ def _task_t7(kmax: int = 8, nmax: int = 60, enum_nmax: int = 34,
     return cells, None, notes, params
 
 
-def _task_t7c(kmax: int = 8, nmax: int = 60, **_) -> tuple[int, dict | None, list[str], dict]:
+def _task_t7c(kmax: int = 8, nmax: int = 60) -> tuple[int, dict | None, list[str], dict]:
     params = {"kmax": kmax, "nmax": nmax}
     cells = 0
     for k in range(1, kmax + 1):
@@ -406,8 +410,8 @@ def _task_t7c(kmax: int = 8, nmax: int = 60, **_) -> tuple[int, dict | None, lis
     return cells, None, [], params
 
 
-def _task_t8(kmax: int = 6, n_terms: int = 30, order: int = 120,
-             **_) -> tuple[int, dict | None, list[str], dict]:
+def _task_t8(kmax: int = 6, n_terms: int = 30,
+             order: int = 120) -> tuple[int, dict | None, list[str], dict]:
     params = {"kmax": kmax, "N_max": n_terms, "order": order}
     tails_plus = pochhammer_infinite_starts(PLUS, order)
     full_plus = tails_plus[0]
@@ -455,7 +459,7 @@ def _task_t8(kmax: int = 6, n_terms: int = 30, order: int = 120,
     return cells, None, notes, params
 
 
-def _task_t9(kmax: int = 8, order: int = 120, **_) -> tuple[int, dict | None, list[str], dict]:
+def _task_t9(kmax: int = 8, order: int = 120) -> tuple[int, dict | None, list[str], dict]:
     params = {"kmax": kmax, "order": order}
     distinct_gf = pochhammer_infinite(PLUS, 1, 1, order)
     cells = 0
@@ -477,7 +481,7 @@ def _task_t9(kmax: int = 8, order: int = 120, **_) -> tuple[int, dict | None, li
     return cells, None, [], params
 
 
-def _task_t10(kmax: int = 5, nmax: int = 60, **_) -> tuple[int, dict | None, list[str], dict]:
+def _task_t10(kmax: int = 5, nmax: int = 60) -> tuple[int, dict | None, list[str], dict]:
     params = {"kmax": kmax, "nmax": nmax}
     a = ClassSpec("A")
     cells = 0
@@ -498,7 +502,7 @@ def _task_t10(kmax: int = 5, nmax: int = 60, **_) -> tuple[int, dict | None, lis
 T11_ENUM_NMAX = 40
 
 
-def _task_t11(kmax: int = 6, nmax: int = 80, **_) -> tuple[int, dict | None, list[str], dict]:
+def _task_t11(kmax: int = 6, nmax: int = 80) -> tuple[int, dict | None, list[str], dict]:
     params = {"kmax": kmax, "nmax": nmax}
     notes = []
     cells = 0
@@ -532,8 +536,34 @@ def _task_t11(kmax: int = 6, nmax: int = 80, **_) -> tuple[int, dict | None, lis
     return cells, None, notes, params
 
 
-def _task_t12(order: int = 40, collapse_order: int = 60,
-              **_) -> tuple[int, dict | None, list[str], dict]:
+# T12 checks the telescoping collapse for k = 1 .. this many.
+T12_COLLAPSE_KMAX = 8
+
+
+def _collapse_sums(order: int) -> list[list[int]]:
+    """For k = 1 .. T12_COLLAPSE_KMAX, the sum of q^((m-1)k) * tail(m) over
+    m >= 1 truncated at order, where tail(m) is the product of (1 - q^i)
+    over i >= m.
+
+    One running tail(m) = (1 - q^m) * tail(m+1) is taken downward from
+    tail(order+1), which is 1 up to the order, and added by slice into each
+    sum its shift still reaches, so O(order) coefficients per sum are held.
+    Every tail is checked against the coefficient bound, as a series is.
+    """
+    sums = [[0] * (order + 1) for _ in range(T12_COLLAPSE_KMAX)]
+    tail = [1] + [0] * order
+    for m in range(order + 1, 0, -1):
+        _mul_factor(tail, m, MINUS)  # a no-op at m = order + 1
+        _check_bounds(tail)
+        for k, acc in enumerate(sums, 1):
+            s = (m - 1) * k
+            if s <= order:
+                acc[s:] = map(add, acc[s:], tail)
+    return sums
+
+
+def _task_t12(order: int = 40,
+              collapse_order: int = 60) -> tuple[int, dict | None, list[str], dict]:
     params = {"order": order, "collapse_order": collapse_order}
     cells = 0
     # geometric expansion: reciprocal of the falling tail product equals the
@@ -555,10 +585,8 @@ def _task_t12(order: int = 40, collapse_order: int = 60,
             witness["cell"]["c"] = c
             return cells, witness, [], params
     # telescoping collapse of the signed smallest-part sum
-    tails_minus = pochhammer_infinite_starts(MINUS, collapse_order)
-    for k in range(1, 9):
-        lhs = series_sum([tails_minus[j].shift(j * k)
-                          for j in range(collapse_order // k + 1)], collapse_order)
+    for k, acc in enumerate(_collapse_sums(collapse_order), 1):
+        lhs = TruncatedSeries(tuple(acc))
         rhs = pochhammer_finite(MINUS, 1, 1, k - 1, collapse_order)
         cells += collapse_order + 1
         report = compare_series(lhs, rhs)
@@ -573,6 +601,11 @@ class TaskDef:
     task_id: str
     summary: str
     fn: object
+
+    @property
+    def parameters(self) -> tuple[str, ...]:
+        """Names of the grid parameters the task takes."""
+        return tuple(inspect.signature(self.fn).parameters)
 
 
 TASKS: dict[str, TaskDef] = {
@@ -606,13 +639,17 @@ TASK_ORDER = list(TASKS)
 def run_task(task_id: str, **overrides) -> VerificationReport:
     """Run one registered task.
 
-    Overrides whose value is None are dropped; the task then drops any key
-    it does not take, so an unknown key is ignored, not rejected.
+    Overrides whose value is None are dropped; any other key the task does
+    not take raises TypeError before the task runs.
     """
     if task_id not in TASKS:
         raise KeyError(f"unknown task {task_id!r}; known: {', '.join(TASK_ORDER)}")
     task = TASKS[task_id]
     kwargs = {k: v for k, v in overrides.items() if v is not None}
+    unknown = sorted(kwargs.keys() - task.parameters)
+    if unknown:
+        raise TypeError(f"task {task_id} takes no {', '.join(unknown)}; "
+                        f"it takes {', '.join(task.parameters)}")
     start = time.perf_counter()
     cells, witness, notes, params = task.fn(**kwargs)
     elapsed = time.perf_counter() - start
@@ -628,8 +665,8 @@ def run_task(task_id: str, **overrides) -> VerificationReport:
     )
 
 
-def run_all(**overrides) -> list[VerificationReport]:
-    return [run_task(task_id, **overrides) for task_id in TASK_ORDER]
+def run_all() -> list[VerificationReport]:
+    return [run_task(task_id) for task_id in TASK_ORDER]
 
 
 def reports_to_junit(reports: list[VerificationReport]) -> str:

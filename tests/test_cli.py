@@ -211,6 +211,13 @@ def test_verify_unknown_task(capsys):
     assert err.value.code == 2
 
 
+def test_verify_rejects_a_flag_the_task_does_not_take(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--task", "T9", "--nmax", "5"])
+    assert err.value.code == 2
+    assert "task T9 takes no --nmax" in capsys.readouterr().err
+
+
 def test_verify_output_is_byte_stable(capsys):
     _, first = run_cli(capsys, "verify", "--task", "T9", "--kmax", "3",
                        "--order", "40", "--format", "json", "--no-timestamp")

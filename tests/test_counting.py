@@ -2,6 +2,8 @@
 quantities, and the anchored-vs-raw diagnostic for the C family."""
 
 import tracemalloc
+from functools import lru_cache
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from qpart.series import (
     MINUS,
     PLUS,
     CoefficientOverflowError,
+    TruncatedSeries,
     pochhammer_infinite_starts,
     series_sum,
 )
@@ -280,7 +283,7 @@ def test_parity_difference_rejects_unsplit_family():
             gf_parity_difference(family, 2, 10)
 
 
-@pytest.mark.parametrize("family, core", [("Ck", "_running_sum"), ("Bk", "_running_sum"),
+@pytest.mark.parametrize("family, core", [("Ck", "_window_series"), ("Bk", "_window_series"),
                                           ("Dk", "_tail_sum")])
 def test_split_family_builds_each_signed_series_once(monkeypatch, family, core):
     # both halves, the difference and (Dk) the whole family share one
@@ -380,6 +383,112 @@ def test_dk_parity_difference_builds_past_the_whole_family_edge():
     for k in range(1, 9):
         assert gf_parity_difference("Dk", k, 800).order == 800
     for cache in (gf_parity_difference, counting._signed):
+        cache.cache_clear()
+
+
+def _running_sum(order, shift, update, k=1, sign=PLUS):
+    """The Bk/Ck/E/F builder before the window sums, kept verbatim as the
+    reference: one core sweep per (k, sign), each term multiplied by its
+    k-1 window factors."""
+    acc = [0] * (order + 1)
+    core = [1] + [0] * order
+    l = 1
+    while (s := shift(l)) <= order:
+        del core[order - s + 1:]
+        update(core, l)
+        term = core
+        window = counting._window_values(l, k)
+        if window:
+            term = core.copy()
+            for v in window:
+                series._mul_factor(term, v, sign)
+        acc[s:] = map(add, acc[s:], term)
+        l += 1
+    return TruncatedSeries(tuple(acc))
+
+
+def test_window_builders_match_per_window_sweep():
+    # sum_j sign^j * e_j * T_j against the window product taken term by term
+    odd, c_core = lambda l: 2 * l - 1, lambda l: 2 * l
+    for order in (0, 1, 2, 3, 7, 50, 300, 740):
+        for k in range(1, 9):
+            for sign in (PLUS, MINUS):
+                assert counting._gf_bk(k, order, sign) == \
+                    _running_sum(order, odd, counting._grow_odd_core, k, sign), (k, order, sign)
+                assert counting._gf_ck(k, order, sign) == \
+                    _running_sum(order, c_core, counting._grow_c_core, k, sign), (k, order, sign)
+        assert gf(ClassSpec("E"), order) == _running_sum(order, odd, counting._grow_e_core)
+        assert gf(ClassSpec("F"), order) == _running_sum(order, c_core, counting._grow_odd_core)
+    for cache in (gf, counting._signed, counting._window_sum):
+        cache.cache_clear()
+
+
+# The largest order at which each window series fits below 2**63, and the
+# message one order more raises: the first coefficient of S(+1), or of the
+# class series, that leaves the bound.  Measured on the per-window sweep.
+WINDOW_EDGES = [
+    (ClassSpec("C"), 770, 9322334643320220726),
+    (ClassSpec("E"), 771, 9322334643320220726),
+    (ClassSpec("F"), 770, 9322334643320220726),
+    (ClassSpec("Bk_e", 2), 747, 9234859427653261696),
+    (ClassSpec("Bk_o", 2), 767, 9239655354309336716),
+    (ClassSpec("Ck_e", 2), 748, 9234859427653261696),
+    (ClassSpec("Ck_o", 2), 768, 9239655354309336716),
+    (ClassSpec("Bk_e", 3), 747, 9288151756146833256),
+    (ClassSpec("Bk_o", 3), 766, 9445700503124866542),
+    (ClassSpec("Ck_e", 3), 748, 9288151756146833256),
+    (ClassSpec("Ck_o", 3), 767, 9445700503124866542),
+    (ClassSpec("Bk_e", 4), 747, 9385281999739531812),
+    (ClassSpec("Ck_e", 4), 748, 9385281999739531812),
+    (ClassSpec("Bk_e", 5), 747, 9519291012607657864),
+    (ClassSpec("Bk_o", 5), 762, 9242113116615256591),
+    (ClassSpec("Ck_e", 5), 748, 9519291012607657864),
+    (ClassSpec("Ck_o", 5), 763, 9242113116615256591),
+]
+
+
+@pytest.mark.parametrize("spec, largest, magnitude", WINDOW_EDGES,
+                         ids=[str(edge[0]) for edge in WINDOW_EDGES])
+def test_window_builders_keep_their_overflow_edges(spec, largest, magnitude):
+    assert gf(spec, largest).order == largest
+    with pytest.raises(CoefficientOverflowError) as raised:
+        gf(spec, largest + 1)
+    assert str(raised.value) == f"coefficient magnitude {magnitude} exceeds 2**63"
+    for cache in (gf, counting._signed, counting._window_sum):
+        cache.cache_clear()
+
+
+def test_window_parity_differences_build_past_the_halves_edge():
+    # S(-1) stays below the bound where S(+1), and so each half, has left it
+    for family in ("Bk", "Ck"):
+        for k in range(1, 9):
+            assert gf_parity_difference(family, k, 760).order == 760
+    for cache in (gf_parity_difference, counting._signed, counting._window_sum):
+        cache.cache_clear()
+
+
+def test_window_sums_serve_every_k_and_both_signs(monkeypatch):
+    # one core sweep per (family, j, order): k = 1..5 needs j = 0..4
+    runs = []
+
+    def recording(update, offset, j, order):
+        runs.append(update)
+        return original(update, offset, j, order)
+
+    original = counting._window_sum.__wrapped__
+    monkeypatch.setattr(counting, "_window_sum",
+                        lru_cache(maxsize=counting.WINDOW_SUM_CACHE_SIZE)(recording))
+    # a cold sweep, then one that rebuilds every series from the kept sums
+    for bk_runs, ck_runs in ((5, 5), (0, 0)):
+        runs.clear()
+        for cache in (gf, counting._signed):
+            cache.cache_clear()
+        for k in range(1, 6):
+            for class_id in ("Bk_e", "Bk_o", "Ck_e", "Ck_o"):
+                gf(ClassSpec(class_id, k), 90)
+        assert runs.count(counting._grow_odd_core) == bk_runs
+        assert runs.count(counting._grow_c_core) == ck_runs
+    for cache in (gf, counting._signed):
         cache.cache_clear()
 
 

@@ -1,13 +1,14 @@
 """Verifier registry: reports, determinism, worked cells, serialization."""
 
 import json
+import tracemalloc
 
 import pytest
 
 from qpart import counting, verify
 from qpart.counting import count_ak_doubled, count_by_enumeration, gf_parity_difference
 from qpart.partitions import ClassSpec
-from qpart.series import TruncatedSeries
+from qpart.series import MINUS, TruncatedSeries, pochhammer_infinite_starts, series_sum
 from qpart.verify import (
     TASK_ORDER,
     TASKS,
@@ -121,10 +122,40 @@ def test_report_serialization_and_junit():
 
 
 def test_override_filtering():
-    # tasks ignore override keys they do not understand, and None overrides
+    # None overrides are dropped; a key the task does not take is rejected
+    # before the task runs
     report = run_task("T9", kmax=3, order=40, nmax=None)
     assert report.passed
     assert report.parameters == {"kmax": 3, "order": 40}
+    with pytest.raises(TypeError, match="task T9 takes no nmax; it takes kmax, order"):
+        run_task("T9", nmax=5)
+    assert TASKS["T12"].parameters == ("order", "collapse_order")
+
+
+def _tail_family_collapse(order: int, k: int) -> TruncatedSeries:
+    """The sum of q^(jk) * tail(j+1) over j, read off the whole tail family."""
+    tails = pochhammer_infinite_starts(MINUS, order)
+    return series_sum([tails[j].shift(j * k) for j in range(order // k + 1)], order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 60, 740])
+def test_t12_collapse_sums_match_tail_family(order):
+    sums = verify._collapse_sums(order)
+    assert len(sums) == verify.T12_COLLAPSE_KMAX
+    for k, got in enumerate(sums, 1):
+        assert tuple(got) == _tail_family_collapse(order, k).coeffs, k
+
+
+def test_t12_holds_no_tail_family():
+    # the tail family at collapse order 740 would be 741 series, 11 MiB
+    tracemalloc.start()
+    try:
+        report = run_task("T12", collapse_order=740)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 2 << 20, peak
 
 
 def _bump_enumeration(monkeypatch, spec, n):
