@@ -36,7 +36,6 @@ partitions of n+1 comes in two strategies:
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -98,14 +97,6 @@ def _sorted_parts(parts) -> tuple[int, ...]:
     return tuple(sorted(parts, reverse=True))
 
 
-def _require(condition: bool, message: str | Callable[[], str]) -> None:
-    """Raise BijectionError unless condition holds.  A message that renders
-    partitions is passed as a zero-argument callable, so that its text is
-    built only on failure; sweeps of round-trips never fail."""
-    if not condition:
-        raise BijectionError(message() if callable(message) else message)
-
-
 # ---------------------------------------------------------------------------
 # binary merge/split between odd-part and distinct-part partitions
 # ---------------------------------------------------------------------------
@@ -114,7 +105,8 @@ def _require(condition: bool, message: str | Callable[[], str]) -> None:
 def glaisher_merge(p: Partition) -> Partition:
     """Odd parts to distinct parts: an odd value a of multiplicity
     f = sum 2^e_i (binary digits) becomes the parts a * 2^e_i."""
-    _require(all(v % 2 for v in p.parts), "merge needs all parts odd")
+    if not all(v % 2 for v in p.parts):
+        raise BijectionError("merge needs all parts odd")
     out = []
     for a, f in p.multiplicities().items():
         e = 0
@@ -129,7 +121,8 @@ def glaisher_merge(p: Partition) -> Partition:
 def glaisher_split(p: Partition) -> Partition:
     """Distinct parts back to odd parts: m = 2^e * a (a odd) becomes 2^e
     copies of a.  Defined on any all-positive partition."""
-    _require(all(v >= 1 for v in p.parts), "split needs positive parts")
+    if not all(v >= 1 for v in p.parts):
+        raise BijectionError("split needs positive parts")
     out = []
     for m in p.parts:
         a = m
@@ -152,8 +145,10 @@ def akdk_map(k: int, p: Partition) -> BijectionOutcome:
     The four-way case split (smallest zero or repeated, equal to 1 or not)
     lands in exactly one of P2, P1, Pdprime, Pprime at weight n-1.
     """
-    _require(is_member(_spec("Dk", k), p), lambda: f"{p} is not a Dk member (k={k})")
-    _require(p.weight >= 2, "map defined for weight >= 2")
+    if not is_member(_spec("Dk", k), p):
+        raise BijectionError(f"{p} is not a Dk member (k={k})")
+    if p.weight < 2:
+        raise BijectionError("map defined for weight >= 2")
     parts = p.parts
     if parts[-1] == 0:
         positives = parts[:-k]
@@ -172,14 +167,16 @@ def akdk_map(k: int, p: Partition) -> BijectionOutcome:
         else:
             image = Partition(parts[:-1])
             target, tag = _spec("Pprime", k), "repeated,smallest=1"
-    _require(is_member(target, image), lambda: f"image {image} is not in {target}")
+    if not is_member(target, image):
+        raise BijectionError(f"image {image} is not in {target}")
     return BijectionOutcome(image, target, (tag,))
 
 
 def akdk_inverse(k: int, outcome: BijectionOutcome) -> Partition:
     """Add 1 back to the appropriate part and restore the Dk form."""
     image = outcome.image
-    _require(isinstance(image, Partition), "akdk images are plain partitions")
+    if not isinstance(image, Partition):
+        raise BijectionError("akdk images are plain partitions")
     cid = outcome.target_class.class_id
     parts = image.parts
     if cid == "P2":
@@ -192,8 +189,8 @@ def akdk_inverse(k: int, outcome: BijectionOutcome) -> Partition:
         result = Partition(_sorted_parts(parts + (1,)))
     else:
         raise BijectionError(f"unexpected target class {outcome.target_class}")
-    _require(is_member(_spec("Dk", k), result),
-             lambda: f"inverse image {result} is not a Dk member")
+    if not is_member(_spec("Dk", k), result):
+        raise BijectionError(f"inverse image {result} is not a Dk member")
     return result
 
 
@@ -214,25 +211,29 @@ def dk_recurrence_map(k: int, p: Partition, source: str) -> BijectionOutcome:
     sub-ranges of Dk-1(n-k+1) distinguished by the smallest part and the
     gap above it.
     """
-    _require(k >= 2, "recurrence needs k >= 2")
-    _require(source in (SOURCE_DK, SOURCE_DK_MINUS_1),
-             lambda: f"unknown source tag {source!r}")
+    if k < 2:
+        raise BijectionError("recurrence needs k >= 2")
+    if source not in (SOURCE_DK, SOURCE_DK_MINUS_1):
+        raise BijectionError(f"unknown source tag {source!r}")
     mult = k if source == SOURCE_DK else k - 1
-    _require(is_member(_spec("Dk", mult), p),
-             lambda: f"{p} is not a D-member with smallest multiplicity {mult}")
-    _require(p.weight > k - 1, "weight must exceed k-1")
+    if not is_member(_spec("Dk", mult), p):
+        raise BijectionError(f"{p} is not a D-member with smallest multiplicity {mult}")
+    if p.weight <= k - 1:
+        raise BijectionError("weight must exceed k-1")
     parts = p.parts
     if parts[-1] == 0:
         image = Partition(parts[:-mult])
         tag = f"zeros,{source}"
         out = BijectionOutcome(image, _A, (tag,))
-        _require(is_member(_A, image), lambda: f"{image} not distinct")
+        if not is_member(_A, image):
+            raise BijectionError(f"{image} not distinct")
         return out
     s = parts[-1]
     image = Partition(parts[: len(parts) - (k - 1)] + (s - 1,) * (k - 1))
     tag = f"shift,{source},{'smallest=1' if s == 1 else 'smallest>1'}"
     target = _spec("Dk", k - 1)
-    _require(is_member(target, image), lambda: f"image {image} is not in {target}")
+    if not is_member(target, image):
+        raise BijectionError(f"image {image} is not in {target}")
     return BijectionOutcome(image, target, (tag,))
 
 
@@ -248,7 +249,8 @@ def dk_recurrence_subrange(k: int, image: Partition) -> str:
     s = parts[-1]
     if s == 0:
         positives = [v for v in parts if v > 0]
-        _require(bool(positives), "zero-weight image has no sub-range")
+        if not positives:
+            raise BijectionError("zero-weight image has no sub-range")
         return "a" if positives[-1] == 1 else "c"
     return "b" if s + 1 in parts else "d"
 
@@ -256,7 +258,8 @@ def dk_recurrence_subrange(k: int, image: Partition) -> str:
 def dk_recurrence_inverse(k: int, outcome: BijectionOutcome) -> tuple[Partition, str]:
     """Recover (source partition, source tag) from a tagged image."""
     image = outcome.image
-    _require(isinstance(image, Partition), "recurrence images are plain partitions")
+    if not isinstance(image, Partition):
+        raise BijectionError("recurrence images are plain partitions")
     if outcome.target_class.class_id == "A":
         source = SOURCE_DK if outcome.case_tag[0].endswith(SOURCE_DK) else SOURCE_DK_MINUS_1
         zeros = k if source == SOURCE_DK else k - 1
@@ -312,19 +315,21 @@ def _anchored_block(l: int, weight: int) -> RankBlock:
 
 def _largest_odd_half(p: Partition) -> int:
     odds = [v for v in p.parts if v % 2]
-    _require(bool(odds), lambda: f"{p} has no odd part")
+    if not odds:
+        raise BijectionError(f"{p} has no odd part")
     return (max(odds) + 1) // 2
 
 
 def base_bc_map(p: Partition, strategy: str = RANK) -> AnchoredPartition:
     """Map an all-odd partition of n to an anchored partition of n+1."""
-    _require(is_member(_B, p), lambda: f"{p} is not an all-odd partition")
+    if not is_member(_B, p):
+        raise BijectionError(f"{p} is not an all-odd partition")
     l = _largest_odd_half(p)
     if strategy == RANK:
         b_block, b_rank = _odd_block(l, p.weight)
         c_block, _ = _anchored_block(l, p.weight + 1)
-        _require(len(b_block) == len(c_block),
-                 lambda: f"block size mismatch at l={l}, weight={p.weight}")
+        if len(b_block) != len(c_block):
+            raise BijectionError(f"block size mismatch at l={l}, weight={p.weight}")
         return AnchoredPartition(2 * l, Partition(c_block[b_rank[p.parts]]))
     if strategy == AKY_SKETCH:
         rest = list(p.parts)
@@ -340,21 +345,22 @@ def base_bc_map(p: Partition, strategy: str = RANK) -> AnchoredPartition:
 
 def base_bc_inverse(ap: AnchoredPartition, strategy: str = RANK) -> Partition:
     """Map an anchored partition of n+1 back to an all-odd partition of n."""
-    _require(is_member(_C, ap), lambda: f"{ap} is not an anchored member")
+    if not is_member(_C, ap):
+        raise BijectionError(f"{ap} is not an anchored member")
     l = ap.anchor // 2
     if strategy == RANK:
         c_block, c_rank = _anchored_block(l, ap.weight)
         b_block, _ = _odd_block(l, ap.weight - 1)
-        _require(len(b_block) == len(c_block),
-                 lambda: f"block size mismatch at l={l}, weight={ap.weight - 1}")
+        if len(b_block) != len(c_block):
+            raise BijectionError(f"block size mismatch at l={l}, weight={ap.weight - 1}")
         return Partition(b_block[c_rank[ap.partition.parts]])
     if strategy == AKY_SKETCH:
         rest = list(ap.partition.parts)
         rest.remove(ap.anchor)
         split = glaisher_split(Partition(_sorted_parts(rest))) if rest else Partition(())
         result = Partition(_sorted_parts(split.parts + (ap.anchor - 1,)))
-        _require(is_member(_B, result),
-                 lambda: f"sketch inverse image {result} is not all-odd")
+        if not is_member(_B, result):
+            raise BijectionError(f"sketch inverse image {result} is not all-odd")
         return result
     raise BijectionError(f"unknown strategy {strategy!r}")
 
@@ -426,9 +432,11 @@ def bkck_map(k: int, parity: str, p: Partition,
     flipped parity, and re-attaches m; with no window parts it is exactly
     the base map.
     """
-    _require(parity in ("e", "o"), "parity must be 'e' or 'o'")
+    if parity not in ("e", "o"):
+        raise BijectionError("parity must be 'e' or 'o'")
     spec = _spec(f"Bk_{parity}", k)
-    _require(is_member(spec, p), lambda: f"{p} is not a member of {spec}")
+    if not is_member(spec, p):
+        raise BijectionError(f"{p} is not a member of {spec}")
     evens = [v for v in p.parts if v % 2 == 0]
     if not evens:
         image = base_bc_map(p, strategy)
@@ -443,17 +451,19 @@ def bkck_map(k: int, parity: str, p: Partition,
             Partition(_sorted_parts(sub.image.partition.parts + (m,))))
         outcome = BijectionOutcome(lifted, _spec(f"Ck_{parity}", k),
                                    (f"strip:{m}",) + sub.case_tag)
-    _require(is_member(outcome.target_class, outcome.image),
-             lambda: f"image {outcome.image} is not in {outcome.target_class}")
+    if not is_member(outcome.target_class, outcome.image):
+        raise BijectionError(f"image {outcome.image} is not in {outcome.target_class}")
     return outcome
 
 
 def bkck_inverse(k: int, parity: str, ap: AnchoredPartition,
                  strategy: str = RANK) -> BijectionOutcome:
     """Inverse direction: anchored side of weight n+1 to odd side of n."""
-    _require(parity in ("e", "o"), "parity must be 'e' or 'o'")
+    if parity not in ("e", "o"):
+        raise BijectionError("parity must be 'e' or 'o'")
     spec = _spec(f"Ck_{parity}", k)
-    _require(is_member(spec, ap), lambda: f"{ap} is not a member of {spec}")
+    if not is_member(spec, ap):
+        raise BijectionError(f"{ap} is not a member of {spec}")
     extras = [v for v in ap.partition.parts if v > ap.anchor]
     if not extras:
         image = base_bc_inverse(ap, strategy)
@@ -467,8 +477,8 @@ def bkck_inverse(k: int, parity: str, ap: AnchoredPartition,
         lifted = Partition(_sorted_parts(sub.image.parts + (m,)))
         outcome = BijectionOutcome(lifted, _spec(f"Bk_{parity}", k),
                                    (f"strip:{m}",) + sub.case_tag)
-    _require(is_member(outcome.target_class, outcome.image),
-             lambda: f"image {outcome.image} is not in {outcome.target_class}")
+    if not is_member(outcome.target_class, outcome.image):
+        raise BijectionError(f"image {outcome.image} is not in {outcome.target_class}")
     return outcome
 
 
@@ -482,18 +492,23 @@ _EF_DIRECTIONS = ("B->F", "F->B", "B->E", "E->B")
 def ef_shift(direction: str, p: Partition) -> Partition:
     """Add or remove 1 (F directions) or 2 (E directions) on the largest
     part, moving between the all-odd class and the unique-largest classes."""
-    _require(direction in _EF_DIRECTIONS,
-             lambda: f"direction must be one of {_EF_DIRECTIONS}")
+    if direction not in _EF_DIRECTIONS:
+        raise BijectionError(f"direction must be one of {_EF_DIRECTIONS}")
     parts = p.parts
     if direction == "B->F":
-        _require(is_member(_B, p), lambda: f"{p} is not all-odd")
+        if not is_member(_B, p):
+            raise BijectionError(f"{p} is not all-odd")
         return Partition((parts[0] + 1,) + parts[1:])
     if direction == "F->B":
-        _require(is_member(_F, p), lambda: f"{p} has no unique even largest part")
+        if not is_member(_F, p):
+            raise BijectionError(f"{p} has no unique even largest part")
         return Partition((parts[0] - 1,) + parts[1:])
     if direction == "B->E":
-        _require(is_member(_B, p), lambda: f"{p} is not all-odd")
+        if not is_member(_B, p):
+            raise BijectionError(f"{p} is not all-odd")
         return Partition((parts[0] + 2,) + parts[1:])
-    _require(is_member(_E, p), lambda: f"{p} is not odd with unique largest part")
-    _require(parts[0] >= 3, "largest part must be at least 3 to shift down")
+    if not is_member(_E, p):
+        raise BijectionError(f"{p} is not odd with unique largest part")
+    if parts[0] < 3:
+        raise BijectionError("largest part must be at least 3 to shift down")
     return Partition((parts[0] - 2,) + parts[1:])

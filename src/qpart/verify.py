@@ -7,12 +7,21 @@ mismatching cell with both values so it can be replayed through the CLI
 count commands.  Thresholds that appear in the identities are taken
 literally, with one exception: for k >= 4, T3 and T5 check the fixed window
 [168, 220] at order 250, which lies below the stated bound (224 at k = 4);
-ROADMAP item 4 replaces the window with the measured onset k(2k-1).
-Behaviour below a threshold is recorded as an informational note, never
-asserted.  The dual-path tasks (T1, T2, T4, T6, T10) are lists of named
-terms that one loop evaluates by enumeration and then by series: each path
-reads one row per class, the class's exhaustive enumeration counts or its
-generating-function coefficients up to the task's order.
+ROADMAP item 1 replaces the window with the stated bound.  Behaviour below a
+threshold is recorded as an informational note, never asserted.
+
+A task is a generator over its grid, whose parameters and defaults are its
+signature.  It yields each check as (cells, witness or None) and each note as
+a string, in the order it runs them; one runner adds up the cells, keeps the
+notes and stops at the first witness.  A check is one of three kinds: a
+chain at one cell (named values that must all equal the first; the first
+that differs names the witness), an evenness chain (a value against itself
+rounded up to even), or a series comparison worth one cell per coefficient,
+whose witness cell leads with the first differing exponent.  The dual-path
+tasks (T1, T2, T4, T6, T10) are lists of named terms that one loop evaluates
+by enumeration and then by series: each path reads one row per class, the
+class's exhaustive enumeration counts or its generating-function
+coefficients up to the task's order.
 
 Registered tasks
 ----------------
@@ -124,33 +133,38 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _witness(cell: dict, left_name: str, left: int, right_name: str, right: int) -> dict:
-    return {"cell": cell, "left_name": left_name, "left": left,
-            "right_name": right_name, "right": right}
-
-
-def _series_witness(k: int | None, report, left_name: str, right_name: str) -> dict:
-    cell = {"exponent": report.index}
-    if k is not None:
-        cell["k"] = k
-    return _witness(cell, left_name, report.left, right_name, report.right)
-
-
 # ---------------------------------------------------------------------------
-# task implementations; each returns (checked_cells, witness|None, notes, params)
+# check builders and tasks
 # ---------------------------------------------------------------------------
 
 
-def _chain_check(n: int, pairs: list[tuple[str, int]]) -> dict | None:
-    """All named values equal; witness names the first offending pair."""
-    name0, v0 = pairs[0]
-    for name, v in pairs[1:]:
-        if v != v0:
-            return _witness({"n": n}, name0, v0, name, v)
+def _chain(cell: dict, *chains: list[tuple[str, int]]) -> dict | None:
+    """Each chain's named values all equal its first, chain by chain; the
+    first value that differs names the witness at `cell`."""
+    for (name0, v0), *rest in chains:
+        for name, v in rest:
+            if v != v0:
+                return {"cell": cell, "left_name": name0, "left": v0,
+                        "right_name": name, "right": v}
     return None
 
 
-def _check_terms(ns, terms, order: int, guard=None, **cell) -> tuple[int, dict | None]:
+def _even(name: str, v: int) -> list[tuple[str, int]]:
+    """A chain that holds when v is even."""
+    return [(name, v), ("even value", v + v % 2)]
+
+
+def _series(cell: dict, left_name: str, lhs: TruncatedSeries,
+            right_name: str, rhs: TruncatedSeries) -> dict | None:
+    """Coefficientwise equality; the witness cell leads with the exponent."""
+    report = compare_series(lhs, rhs)
+    if report.equal:
+        return None
+    return _chain({"exponent": report.index, **cell},
+                  [(left_name, report.left), (right_name, report.right)])
+
+
+def _check_terms(ns, terms, order: int, guard=None, **cell):
     """All named terms equal at each n in `ns`, by enumeration then by series.
 
     A term is (label, value(count, n)), where count(spec, m) is the class
@@ -158,9 +172,9 @@ def _check_terms(ns, terms, order: int, guard=None, **cell) -> tuple[int, dict |
     `order`, or the q^m coefficient of the class generating function
     truncated at `order`.  Each path reads one row or series per class.  At
     each n the values tagged [enum] come first, then those tagged [series];
-    `guard(tag, count, n)` is asked on each path in the same order and may
-    return a witness before any term is compared.  The witness cell holds n
-    followed by `cell`.  Returns (cells checked, witness or None).
+    `guard(tag, count, n)` returns a chain on each path, checked in the same
+    order before any term is compared.  Yields one check per n, whose
+    witness cell holds n followed by `cell`.
     """
     def reader(row_of):
         row_of = cache(row_of)
@@ -168,167 +182,108 @@ def _check_terms(ns, terms, order: int, guard=None, **cell) -> tuple[int, dict |
 
     paths = (("enum", reader(lambda spec: count_row(spec, order))),
              ("series", reader(lambda spec: gf(spec, order).coeffs)))
-    cells = 0
     for n in ns:
-        cells += 1
-        bad = None
-        if guard:
-            bad = next(filter(None, (guard(tag, count, n) for tag, count in paths)), None)
-        if not bad:
-            bad = _chain_check(n, [(f"{label} [{tag}]", value(count, n))
-                                   for tag, count in paths for label, value in terms])
-        if bad:
-            bad["cell"].update(cell)
-            return cells, bad
-    return cells, None
+        guards = [guard(tag, count, n) for tag, count in paths] if guard else []
+        yield 1, _chain({"n": n, **cell}, *guards,
+                        [(f"{label} [{tag}]", value(count, n))
+                         for tag, count in paths for label, value in terms])
 
 
-def _task_t1(nmax: int = 60) -> tuple[int, dict | None, list[str], dict]:
+def _task_t1(nmax: int = 60):
     d2 = ClassSpec("Dk", 2)
 
-    def odd_d2(tag: str, count, n: int) -> dict | None:
+    def odd_d2(tag: str, count, n: int) -> list[tuple[str, int]]:
         # The enumeration witness name carries no tag; reports pin it.
-        d = count(d2, n + 1)
-        name = "D2(n+1)" if tag == "enum" else f"D2(n+1) [{tag}]"
-        return _witness({"n": n}, name, d, "even value", d + 1) if d % 2 else None
+        return _even("D2(n+1)" if tag == "enum" else f"D2(n+1) [{tag}]", count(d2, n + 1))
 
-    cells, bad = _check_terms(range(1, nmax + 1), [
+    yield from _check_terms(range(1, nmax + 1), [
         ("A(n)", lambda count, n: count(ClassSpec("A"), n)),
         ("B(n)", lambda count, n: count(ClassSpec("B"), n)),
         ("C(n+1)", lambda count, n: count(ClassSpec("C"), n + 1)),
         ("D2(n+1)/2", lambda count, n: count(d2, n + 1) // 2),
     ], nmax + 1, guard=odd_d2)
-    return cells, bad, [], {"nmax": nmax}
 
 
-def _task_t2(kmax: int = 5, nmax: int = 60) -> tuple[int, dict | None, list[str], dict]:
-    params = {"kmax": kmax, "nmax": nmax}
-    notes = []
-    cells = 0
+def _task_t2(kmax: int = 5, nmax: int = 60):
     for k in range(1, kmax + 1):
         for parity in ("e", "o"):
             bk, ck = ClassSpec(f"Bk_{parity}", k), ClassSpec(f"Ck_{parity}", k)
-            checked, bad = _check_terms(range(1, nmax + 1), [
+            yield from _check_terms(range(1, nmax + 1), [
                 (f"Bk_{parity}(n)", lambda count, n: count(bk, n)),
                 (f"Ck_{parity}(n+1)", lambda count, n: count(ck, n + 1)),
             ], nmax + 1, k=k, parity=parity)
-            cells += checked
-            if bad:
-                return cells, bad, notes, params
     for n in range(2, 13):
         report = c_family_ambiguity(2, n)
         if report.diverges:
             first = report.ambiguous[0][0] if report.ambiguous else None
-            notes.append(
-                f"anchored vs raw multiset counts diverge first at k=2, n={n}: "
-                f"anchored e/o = {report.anchored_even}/{report.anchored_odd}, "
-                f"raw e/o = {report.raw_even}/{report.raw_odd} over "
-                f"{report.raw_distinct_multisets} distinct multisets "
-                f"(ambiguous witness: {first})")
+            yield (f"anchored vs raw multiset counts diverge first at k=2, n={n}: "
+                   f"anchored e/o = {report.anchored_even}/{report.anchored_odd}, "
+                   f"raw e/o = {report.raw_even}/{report.raw_odd} over "
+                   f"{report.raw_distinct_multisets} distinct multisets "
+                   f"(ambiguous witness: {first})")
             break
-    return cells, None, notes, params
 
 
-def _t3_window(k: int) -> tuple[int, int]:
-    bound = stated_bound(k)
+def _difference_chain(k: int):
+    """Window, series order, and the Bk and Ck parity differences and the D_2k
+    series that T3 and T5 read.  For k >= 4 the window is fixed at
+    [168, 220], below the stated bound (ROADMAP item 1)."""
     if k >= 4:
-        return 168, 220
-    return bound, bound + 60
+        lo, hi, order = 168, 220, 250
+    else:
+        lo = stated_bound(k)
+        hi, order = lo + 60, lo + 62
+    return (lo, hi, order, gf_parity_difference("Bk", k, order),
+            gf_parity_difference("Ck", k, order), gf(ClassSpec("Dk", 2 * k), order))
 
 
-def _t3_values(k: int, order: int) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
-    bdiff = gf_parity_difference("Bk", k, order)
-    cdiff = gf_parity_difference("Ck", k, order)
-    d2k = gf(ClassSpec("Dk", 2 * k), order)
-    return bdiff, cdiff, d2k
-
-
-def _chain_holds_t3(bdiff, cdiff, d2k, n: int) -> bool:
-    d = d2k.coefficient(n + 1)
-    return d % 2 == 0 and bdiff.coefficient(n) == cdiff.coefficient(n + 1) == d // 2
-
-
-def _task_t3(kmax: int = 4) -> tuple[int, dict | None, list[str], dict]:
-    params = {"kmax": kmax}
-    notes = []
-    cells = 0
+def _task_t3(kmax: int = 4):
     for k in range(1, kmax + 1):
-        lo, hi = _t3_window(k)
-        order = 250 if k >= 4 else hi + 2
+        lo, hi, order, bdiff, cdiff, d2k = _difference_chain(k)
         if k >= 4:
-            notes.append(f"k={k}: series order raised to {order} to cover the window")
-        bdiff, cdiff, d2k = _t3_values(k, order)
-        for n in range(lo, hi + 1):
-            cells += 1
+            yield f"k={k}: series order raised to {order} to cover the window"
+
+        def failure(n: int) -> dict | None:
             d = d2k.coefficient(n + 1)
-            if d % 2:
-                return cells, _witness({"k": k, "n": n}, "D_2k(n+1)", d,
-                                       "even value", d + 1), notes, params
-            bad = _chain_check(n, [
-                ("Bk_e-Bk_o(n)", bdiff.coefficient(n)),
-                ("Ck_e-Ck_o(n+1)", cdiff.coefficient(n + 1)),
-                ("D_2k(n+1)/2", d // 2),
-            ])
-            if bad:
-                bad["cell"]["k"] = k
-                return cells, bad, notes, params
-        onset = lo
-        for n in range(hi, 0, -1):
-            if not _chain_holds_t3(bdiff, cdiff, d2k, n):
-                onset = n + 1
-                break
-        else:
-            onset = 1
-        notes.append(f"k={k}: chain holds empirically from n={onset} onward "
-                     f"(stated bound {stated_bound(k)}, window [{lo}, {hi}])")
-    return cells, None, notes, params
+            # the guard names (k, n), the chain (n, k); reports pin both
+            return (_chain({"k": k, "n": n}, _even("D_2k(n+1)", d))
+                    or _chain({"n": n, "k": k}, [("Bk_e-Bk_o(n)", bdiff.coefficient(n)),
+                                                 ("Ck_e-Ck_o(n+1)", cdiff.coefficient(n + 1)),
+                                                 ("D_2k(n+1)/2", d // 2)]))
+
+        for n in range(lo, hi + 1):
+            yield 1, failure(n)
+        onset = next((n + 1 for n in range(hi, 0, -1) if failure(n)), 1)
+        yield (f"k={k}: chain holds empirically from n={onset} onward "
+               f"(stated bound {stated_bound(k)}, window [{lo}, {hi}])")
 
 
-def _task_t3x(kmax: int = 4, order: int = 200) -> tuple[int, dict | None, list[str], dict]:
-    params = {"kmax": kmax, "order": order}
-    cells = 0
+def _task_t3x(kmax: int = 4, order: int = 200):
     for k in range(1, kmax + 1):
         lhs = gf(ClassSpec("Dk", 2 * k), order) + pochhammer_finite(MINUS, 1, 1, 2 * k - 1, order)
         rhs = (gf_parity_difference("Ck", k, order)
                + pochhammer_finite(MINUS, 2, 2, k - 1, order)).scale(2)
-        cells += order + 1
-        report = compare_series(lhs, rhs)
-        if not report.equal:
-            return cells, _series_witness(k, report,
-                                          "D_2k gf + alternating correction",
-                                          "2*(Ck diff gf + even correction)"), [], params
-    return cells, None, [], params
+        yield order + 1, _series({"k": k}, "D_2k gf + alternating correction", lhs,
+                                 "2*(Ck diff gf + even correction)", rhs)
 
 
-def _task_t4(kmax: int = 5, nmax: int = 60) -> tuple[int, dict | None, list[str], dict]:
-    params = {"kmax": kmax, "nmax": nmax}
-    cells = 0
+def _task_t4(kmax: int = 5, nmax: int = 60):
     for k in range(1, kmax + 1):
         ak, dk = ak_doubled_specs(k), ClassSpec("Dk", k)
-        checked, bad = _check_terms(range(1, nmax + 1), [
+        yield from _check_terms(range(1, nmax + 1), [
             ("2*A_k(n)", lambda count, n: sum(count(spec, n) for spec in ak)),
             ("D_k(n+1)", lambda count, n: count(dk, n + 1)),
         ], nmax + 1, k=k)
-        cells += checked
-        if bad:
-            return cells, bad, [], params
-    return cells, None, [], params
 
 
-def _task_t5(kmax: int = 3) -> tuple[int, dict | None, list[str], dict]:
-    params = {"kmax": kmax}
-    notes = []
-    cells = 0
+def _task_t5(kmax: int = 3):
     for k in range(1, kmax + 1):
-        lo, hi = _t3_window(k)
-        order = 250 if k >= 4 else hi + 2
-        bdiff, cdiff, d2k = _t3_values(k, order)
+        lo, hi, order, bdiff, cdiff, d2k = _difference_chain(k)
         a2k = series_sum([gf(spec, order) for spec in ak_doubled_specs(2 * k)], order)
         de = gf(ClassSpec("Dk_e", 2 * k), order)
         do = gf(ClassSpec("Dk_o", 2 * k), order)
         for n in range(lo, hi + 1):
-            cells += 1
-            bad = _chain_check(n, [
+            yield 1, _chain({"n": n, "k": k}, [
                 ("2*A_2k(n)", a2k.coefficient(n)),
                 ("2*(Bk_e-Bk_o)(n)", 2 * bdiff.coefficient(n)),
                 ("2*(Ck_e-Ck_o)(n+1)", 2 * cdiff.coefficient(n + 1)),
@@ -336,20 +291,15 @@ def _task_t5(kmax: int = 3) -> tuple[int, dict | None, list[str], dict]:
                 ("2*D_2k_e(n+1)", 2 * de.coefficient(n + 1)),
                 ("2*D_2k_o(n+1)", 2 * do.coefficient(n + 1)),
             ])
-            if bad:
-                bad["cell"]["k"] = k
-                return cells, bad, notes, params
-        notes.append(f"k={k}: chain checked on window [{lo}, {hi}]")
-    return cells, None, notes, params
+        yield f"k={k}: chain checked on window [{lo}, {hi}]"
 
 
-def _task_t6(nmax: int = 60) -> tuple[int, dict | None, list[str], dict]:
-    cells, bad = _check_terms(range(1, nmax + 1), [
+def _task_t6(nmax: int = 60):
+    yield from _check_terms(range(1, nmax + 1), [
         ("A(n)", lambda count, n: count(ClassSpec("A"), n)),
         ("E(n+2)", lambda count, n: count(ClassSpec("E"), n + 2)),
         ("F(n+1)", lambda count, n: count(ClassSpec("F"), n + 1)),
     ], nmax + 2)
-    return cells, bad, [], {"nmax": nmax}
 
 
 def _t7_expected(k: int, n: int) -> int:
@@ -361,58 +311,38 @@ def _t7_expected(k: int, n: int) -> int:
     return 0
 
 
-def _task_t7(kmax: int = 8, nmax: int = 60,
-             enum_nmax: int = 34) -> tuple[int, dict | None, list[str], dict]:
-    params = {"kmax": kmax, "nmax": nmax, "enum_nmax": enum_nmax}
-    notes = []
-    cells = 0
+def _task_t7(kmax: int = 8, nmax: int = 60, enum_nmax: int = 34):
     enum_hi = min(enum_nmax, nmax)
     for k in range(1, kmax + 1):
         diff = gf_parity_difference("Dk", k, nmax)
         if enum_hi >= 1:
             even, odd = (count_row(ClassSpec(f"Dk_{p}", k), enum_hi) for p in ("e", "o"))
         for n in range(1, nmax + 1):
-            cells += 1
             expected = _t7_expected(k, n)
-            got = diff.coefficient(n)
-            if got != expected:
-                return cells, _witness({"k": k, "n": n},
-                                       "Dk_e-Dk_o(n) [series]", got,
-                                       "piecewise value", expected), notes, params
+            chains = [[("Dk_e-Dk_o(n) [series]", diff.coefficient(n)),
+                       ("piecewise value", expected)]]
             if n <= enum_hi:
-                enum_diff = even[n] - odd[n]
-                if enum_diff != expected:
-                    return cells, _witness({"k": k, "n": n},
-                                           "Dk_e-Dk_o(n) [enum]", enum_diff,
-                                           "piecewise value", expected), notes, params
+                chains.append([("Dk_e-Dk_o(n) [enum]", even[n] - odd[n]),
+                               ("piecewise value", expected)])
+            yield 1, _chain({"k": k, "n": n}, *chains)
         edge1, edge2 = k - 1, k * (k - 1) // 2
         if edge1 >= 1:
-            notes.append(f"k={k}: branch boundaries diff({edge1})={_t7_expected(k, edge1)}"
-                         f", diff({edge2})={_t7_expected(k, edge2)}")
-    return cells, None, notes, params
+            yield (f"k={k}: branch boundaries diff({edge1})={_t7_expected(k, edge1)}"
+                   f", diff({edge2})={_t7_expected(k, edge2)}")
 
 
-def _task_t7c(kmax: int = 8, nmax: int = 60) -> tuple[int, dict | None, list[str], dict]:
-    params = {"kmax": kmax, "nmax": nmax}
-    cells = 0
+def _task_t7c(kmax: int = 8, nmax: int = 60):
     for k in range(1, kmax + 1):
         dk = gf(ClassSpec("Dk", k), nmax)
         de = gf(ClassSpec("Dk_e", k), nmax)
         do = gf(ClassSpec("Dk_o", k), nmax)
         for n in range(k * (k - 1) // 2 + 1, nmax + 1):
-            cells += 1
-            if de.coefficient(n) != do.coefficient(n):
-                return cells, _witness({"k": k, "n": n}, "Dk_e(n)", de.coefficient(n),
-                                       "Dk_o(n)", do.coefficient(n)), [], params
-            if dk.coefficient(n) % 2:
-                return cells, _witness({"k": k, "n": n}, "Dk(n) mod 2",
-                                       dk.coefficient(n) % 2, "0", 0), [], params
-    return cells, None, [], params
+            yield 1, _chain({"k": k, "n": n},
+                            [("Dk_e(n)", de.coefficient(n)), ("Dk_o(n)", do.coefficient(n))],
+                            [("Dk(n) mod 2", dk.coefficient(n) % 2), ("0", 0)])
 
 
-def _task_t8(kmax: int = 6, n_terms: int = 30,
-             order: int = 120) -> tuple[int, dict | None, list[str], dict]:
-    params = {"kmax": kmax, "N_max": n_terms, "order": order}
+def _task_t8(kmax: int = 6, n_terms: int = 30, order: int = 120):
     tails_plus = pochhammer_infinite_starts(PLUS, order)
     full_plus = tails_plus[0]
     # (1 + q)(1 + q^2)...(1 + q^N) and its reciprocal, for N = 0..n_terms
@@ -421,14 +351,12 @@ def _task_t8(kmax: int = 6, n_terms: int = 30,
         partials.append(partials[-1] * pochhammer_finite(PLUS, m, 1, 1, order))
     recips = [s.reciprocal() for s in partials]
     two = TruncatedSeries.one(order).scale(2)
-    cells = 0
     for k in range(1, kmax + 1):
         # (q^(j+1); q)_(k-j-1) for j < k, the same for every N
         falling = [pochhammer_finite(MINUS, j + 1, 1, k - j - 1, order) for j in range(k)]
         lhs = TruncatedSeries.zero(order)
         for big_n in range(0, n_terms + 1):
             lhs = lhs + tails_plus[big_n].shift(k * big_n)
-            cells += 1
             bracket = TruncatedSeries.zero(order)
             for j in range(k):
                 piece = two - recips[big_n].shift((big_n + 1) * j)
@@ -436,65 +364,37 @@ def _task_t8(kmax: int = 6, n_terms: int = 30,
                 if (j + k - 1) % 2:
                     term = -term
                 bracket = bracket + term
-            rhs = full_plus * bracket
-            report = compare_series(lhs, rhs)
-            if not report.equal:
-                witness = _series_witness(k, report, "signed smallest-part partial sum",
-                                          "tail-product closed form")
-                witness["cell"]["N"] = big_n
-                return cells, witness, [], params
-    notes = []
+            yield 1, _series({"k": k, "N": big_n}, "signed smallest-part partial sum", lhs,
+                             "tail-product closed form", full_plus * bracket)
     for big_n in range(0, n_terms + 1):
-        cells += 1
         lhs = series_sum([recips[j].shift(j) for j in range(big_n + 1)], order)
-        rhs = two - recips[big_n]
-        report = compare_series(lhs, rhs)
-        if not report.equal:
-            witness = _series_witness(None, report, "sum of q^j/(1+q)...(1+q^j)",
-                                      "2 - reciprocal")
-            witness["cell"]["N"] = big_n
-            return cells, witness, notes, params
-    notes.append("k=1 row reduces to the two-minus-reciprocal identity; "
-                 f"verified independently for N=0..{n_terms}")
-    return cells, None, notes, params
+        yield 1, _series({"N": big_n}, "sum of q^j/(1+q)...(1+q^j)", lhs,
+                         "2 - reciprocal", two - recips[big_n])
+    yield ("k=1 row reduces to the two-minus-reciprocal identity; "
+           f"verified independently for N=0..{n_terms}")
 
 
-def _task_t9(kmax: int = 8, order: int = 120) -> tuple[int, dict | None, list[str], dict]:
-    params = {"kmax": kmax, "order": order}
+def _task_t9(kmax: int = 8, order: int = 120):
     distinct_gf = pochhammer_infinite(PLUS, 1, 1, order)
-    cells = 0
     for k in range(1, kmax + 1):
         lhs = gf(ClassSpec("Dk", k), order)
-        poly = TruncatedSeries.zero(order)
-        for j in range(k):
-            term = pochhammer_finite(MINUS, k - j, 1, j, order)
-            poly = poly + (term if j % 2 == 0 else -term)
+        poly = TruncatedSeries.from_coeffs(derive_dk_relation(k).coefficients[:order + 1], order)
         correction = pochhammer_finite(MINUS, 1, 1, k - 1, order)
         if k % 2:
             correction = -correction
         rhs = (distinct_gf * poly).scale(2) + correction
-        cells += order + 1
-        report = compare_series(lhs, rhs)
-        if not report.equal:
-            return cells, _series_witness(k, report, "D_k gf",
-                                          "2*distinct_gf*polynomial + correction"), [], params
-    return cells, None, [], params
+        yield order + 1, _series({"k": k}, "D_k gf", lhs,
+                                 "2*distinct_gf*polynomial + correction", rhs)
 
 
-def _task_t10(kmax: int = 5, nmax: int = 60) -> tuple[int, dict | None, list[str], dict]:
-    params = {"kmax": kmax, "nmax": nmax}
+def _task_t10(kmax: int = 5, nmax: int = 60):
     a = ClassSpec("A")
-    cells = 0
     for k in range(2, kmax + 1):
         dk, dk1 = ClassSpec("Dk", k), ClassSpec("Dk", k - 1)
-        checked, bad = _check_terms(range(k, nmax + 1), [
+        yield from _check_terms(range(k, nmax + 1), [
             ("D_k(n)+D_k-1(n)", lambda count, n: count(dk, n) + count(dk1, n)),
             ("D_k-1(n-k+1)+2A(n)", lambda count, n: count(dk1, n - k + 1) + 2 * count(a, n)),
         ], nmax, k=k)
-        cells += checked
-        if bad:
-            return cells, bad, [], params
-    return cells, None, [], params
 
 
 # T11 checks D_3 by enumeration too, up to this weight; the series check
@@ -502,38 +402,27 @@ def _task_t10(kmax: int = 5, nmax: int = 60) -> tuple[int, dict | None, list[str
 T11_ENUM_NMAX = 40
 
 
-def _task_t11(kmax: int = 6, nmax: int = 80) -> tuple[int, dict | None, list[str], dict]:
-    params = {"kmax": kmax, "nmax": nmax}
-    notes = []
-    cells = 0
+def _task_t11(kmax: int = 6, nmax: int = 80):
     sa = gf(ClassSpec("A"), nmax)
     d3 = gf(ClassSpec("Dk", 3), nmax)
     enum_d3 = count_row(ClassSpec("Dk", 3), min(nmax, T11_ENUM_NMAX))
     for n in range(4, nmax + 1):
-        cells += 1
         rhs = (2 * sa.coefficient(n - 3) - 2 * sa.coefficient(n - 1)
                + 2 * sa.coefficient(n))
-        if d3.coefficient(n) != rhs:
-            return cells, _witness({"n": n}, "D_3(n)", d3.coefficient(n),
-                                   "2A(n-3)-2A(n-1)+2A(n)", rhs), notes, params
+        chains = [[("D_3(n)", d3.coefficient(n)), ("2A(n-3)-2A(n-1)+2A(n)", rhs)]]
         if n <= T11_ENUM_NMAX:
-            enum = enum_d3[n]
-            if enum != rhs:
-                return cells, _witness({"n": n}, "D_3(n) [enum]", enum,
-                                       "2A(n-3)-2A(n-1)+2A(n)", rhs), notes, params
+            chains.append([("D_3(n) [enum]", enum_d3[n]), ("2A(n-3)-2A(n-1)+2A(n)", rhs)])
+        yield 1, _chain({"n": n}, *chains)
     for k in range(1, kmax + 1):
         relation = derive_dk_relation(k)
         dk = gf(ClassSpec("Dk", k), nmax)
-        notes.append(f"k={k}: D_k(n) = 2*sum(c_m*A(n-m)) with coefficients "
-                     f"{list(relation.coefficients)} for n > {relation.threshold}")
+        yield (f"k={k}: D_k(n) = 2*sum(c_m*A(n-m)) with coefficients "
+               f"{list(relation.coefficients)} for n > {relation.threshold}")
         for n in range(relation.threshold + 1, nmax + 1):
-            cells += 1
             rhs = 2 * sum(c * sa.coefficient(n - m)
                           for m, c in enumerate(relation.coefficients) if n - m >= 0)
-            if dk.coefficient(n) != rhs:
-                return cells, _witness({"k": k, "n": n}, "D_k(n)", dk.coefficient(n),
-                                       "2*sum(c_m*A(n-m))", rhs), notes, params
-    return cells, None, notes, params
+            yield 1, _chain({"k": k, "n": n},
+                            [("D_k(n)", dk.coefficient(n)), ("2*sum(c_m*A(n-m))", rhs)])
 
 
 # T12 checks the telescoping collapse for k = 1 .. this many.
@@ -562,10 +451,7 @@ def _collapse_sums(order: int) -> list[list[int]]:
     return sums
 
 
-def _task_t12(order: int = 40,
-              collapse_order: int = 60) -> tuple[int, dict | None, list[str], dict]:
-    params = {"order": order, "collapse_order": collapse_order}
-    cells = 0
+def _task_t12(order: int = 40, collapse_order: int = 60):
     # geometric expansion: reciprocal of the falling tail product equals the
     # termwise sum of q^(c*m) / (1-q)...(1-q^m)
     factorial_recips = [TruncatedSeries.one(order)]
@@ -577,23 +463,13 @@ def _task_t12(order: int = 40,
         lhs = pochhammer_infinite(MINUS, c, 1, order).reciprocal()
         rhs = series_sum(
             [factorial_recips[m].shift(c * m) for m in range(order // c + 1)], order)
-        cells += order + 1
-        report = compare_series(lhs, rhs)
-        if not report.equal:
-            witness = _series_witness(None, report, "reciprocal tail product",
-                                      "termwise geometric sum")
-            witness["cell"]["c"] = c
-            return cells, witness, [], params
+        yield order + 1, _series({"c": c}, "reciprocal tail product", lhs,
+                                 "termwise geometric sum", rhs)
     # telescoping collapse of the signed smallest-part sum
     for k, acc in enumerate(_collapse_sums(collapse_order), 1):
-        lhs = TruncatedSeries(tuple(acc))
-        rhs = pochhammer_finite(MINUS, 1, 1, k - 1, collapse_order)
-        cells += collapse_order + 1
-        report = compare_series(lhs, rhs)
-        if not report.equal:
-            return cells, _series_witness(k, report, "signed smallest-part sum",
-                                          "alternating finite product"), [], params
-    return cells, None, [], params
+        yield collapse_order + 1, _series(
+            {"k": k}, "signed smallest-part sum", TruncatedSeries(tuple(acc)),
+            "alternating finite product", pochhammer_finite(MINUS, 1, 1, k - 1, collapse_order))
 
 
 @dataclass(frozen=True)
@@ -601,6 +477,8 @@ class TaskDef:
     task_id: str
     summary: str
     fn: object
+    # the name a report gives a parameter, where it is not the parameter's own
+    labels: dict = field(default_factory=dict)
 
     @property
     def parameters(self) -> tuple[str, ...]:
@@ -623,7 +501,7 @@ TASKS: dict[str, TaskDef] = {
         TaskDef("T7", "piecewise pentagonal law for Dk_e - Dk_o", _task_t7),
         TaskDef("T7c", "Dk_e(n) = Dk_o(n) and Dk(n) even for n > k(k-1)/2", _task_t7c),
         TaskDef("T8", "finite signed smallest-part sum equals its tail-product closed form",
-                _task_t8),
+                _task_t8, {"n_terms": "N_max"}),
         TaskDef("T9", "closed form of the D_k generating function", _task_t9),
         TaskDef("T10", "D_k(n) + D_k-1(n) = D_k-1(n-k+1) + 2A(n)", _task_t10),
         TaskDef("T11", "D_3(n) = 2A(n-3) - 2A(n-1) + 2A(n), derived D_k expansions",
@@ -636,11 +514,27 @@ TASKS: dict[str, TaskDef] = {
 TASK_ORDER = list(TASKS)
 
 
+def _run(checks) -> tuple[int, dict | None, list[str]]:
+    """Add up the cells of a task's checks and collect its notes, up to the
+    first check that names a witness."""
+    cells, notes = 0, []
+    for check in checks:
+        if isinstance(check, str):
+            notes.append(check)
+            continue
+        checked, witness = check
+        cells += checked
+        if witness:
+            return cells, witness, notes
+    return cells, None, notes
+
+
 def run_task(task_id: str, **overrides) -> VerificationReport:
     """Run one registered task.
 
     Overrides whose value is None are dropped; any other key the task does
-    not take raises TypeError before the task runs.
+    not take raises TypeError before the task runs.  The report's parameters
+    are the whole grid that ran, defaults included.
     """
     if task_id not in TASKS:
         raise KeyError(f"unknown task {task_id!r}; known: {', '.join(TASK_ORDER)}")
@@ -650,8 +544,10 @@ def run_task(task_id: str, **overrides) -> VerificationReport:
     if unknown:
         raise TypeError(f"task {task_id} takes no {', '.join(unknown)}; "
                         f"it takes {', '.join(task.parameters)}")
+    grid = inspect.signature(task.fn).bind(**kwargs)
+    grid.apply_defaults()
     start = time.perf_counter()
-    cells, witness, notes, params = task.fn(**kwargs)
+    cells, witness, notes = _run(task.fn(**grid.arguments))
     elapsed = time.perf_counter() - start
     return VerificationReport(
         task_id=task_id,
@@ -660,7 +556,8 @@ def run_task(task_id: str, **overrides) -> VerificationReport:
         checked_cells=cells,
         witness=witness,
         notes=notes,
-        parameters=params,
+        parameters={task.labels.get(name, name): value
+                    for name, value in grid.arguments.items()},
         wall_time=elapsed,
     )
 

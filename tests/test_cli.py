@@ -1,10 +1,14 @@
 """Command-line surface: dispatch, formats, exit codes, determinism."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from qpart.cli import main
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def run_cli(capsys, *argv):
@@ -244,6 +248,15 @@ def test_report_all_covers_every_task_once(capsys):
     assert names == ["T1", "T2", "T3", "T3x", "T4", "T5", "T6", "T7",
                      "T7c", "T8", "T9", "T10", "T11", "T12"]
     assert all(r["status"] == "pass" for r in data["reports"])
+    # the report bytes are pinned: the JSON by the benchmark reference, the
+    # markdown here
+    reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
+    assert hashlib.sha256(out.encode()).hexdigest() == reference["report_all"]["sha256"]
+    code, out = run_cli(capsys, "report", "--all", "--format", "markdown",
+                        "--no-timestamp")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "033526072b0d7fa64d00aea8d537c69850542b9dc01b490b0ba5095e05a18b5c")
 
 
 def test_count_raw_diagnostic(capsys):

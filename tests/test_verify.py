@@ -8,7 +8,7 @@ import pytest
 from qpart import counting, verify
 from qpart.counting import count_ak_doubled, count_by_enumeration, gf_parity_difference
 from qpart.partitions import ClassSpec
-from qpart.series import MINUS, TruncatedSeries, pochhammer_infinite_starts, series_sum
+from qpart.series import MINUS, PLUS, TruncatedSeries, pochhammer_infinite_starts, series_sum
 from qpart.verify import (
     TASK_ORDER,
     TASKS,
@@ -173,20 +173,47 @@ def _bump_enumeration(monkeypatch, spec, n):
         monkeypatch.setattr(module, "count_row", patched)
 
 
+def _plus_one(series, n):
+    coeffs = list(series.coeffs)
+    coeffs[n] += 1
+    return TruncatedSeries(tuple(coeffs))
+
+
 def _bump_series(monkeypatch, spec, n):
     """One generating-function coefficient off by one, in a real series."""
     original = counting.gf
 
     def patched(s, order):
         series = original(s, order)
-        if s != spec:
-            return series
-        coeffs = list(series.coeffs)
-        coeffs[n] += 1
-        return TruncatedSeries(tuple(coeffs))
+        return _plus_one(series, n) if s == spec else series
 
     for module in (verify, counting):
         monkeypatch.setattr(module, "gf", patched)
+
+
+def _bump_parity_difference(monkeypatch, family_k, n):
+    """One coefficient of gf_parity_difference(family, k, order) off by one."""
+    original = counting.gf_parity_difference
+
+    def patched(family, k, order):
+        series = original(family, k, order)
+        return _plus_one(series, n) if (family, k) == family_k else series
+
+    for module in (verify, counting):
+        monkeypatch.setattr(module, "gf_parity_difference", patched)
+
+
+def _bump_pochhammer(monkeypatch, name_args, n):
+    """One coefficient off by one in the product that verify builds by
+    calling `name` with exactly `args`."""
+    name, args = name_args
+    original = getattr(verify, name)
+
+    def patched(*a):
+        series = original(*a)
+        return _plus_one(series, n) if a == args else series
+
+    monkeypatch.setattr(verify, name, patched)
 
 
 def _witness(cell, left_name, left, right_name, right):
@@ -222,6 +249,51 @@ def _witness(cell, left_name, left, right_name, right):
     # an odd series D2 coefficient would floor to the right half
     ("T1", {"nmax": 10}, _bump_series, ClassSpec("Dk", 2), 8, 7,
      _witness({"n": 7}, "D2(n+1) [series]", 11, "even value", 12)),
+    # T3: the odd-D_2k guard names (k, n), the chain names (n, k)
+    ("T3", {"kmax": 1}, _bump_series, ClassSpec("Dk", 2), 5, 4,
+     _witness({"k": 1, "n": 4}, "D_2k(n+1)", 5, "even value", 6)),
+    ("T3", {"kmax": 2}, _bump_parity_difference, ("Bk", 2), 15, 65,
+     _witness({"n": 15, "k": 2}, "Bk_e-Bk_o(n)", 23, "Ck_e-Ck_o(n+1)", 22)),
+    ("T5", {"kmax": 1}, _bump_series, ClassSpec("Dk_e", 2), 10, 9,
+     _witness({"n": 9, "k": 1}, "2*A_2k(n)", 16, "2*D_2k_e(n+1)", 18)),
+    ("T7", {"kmax": 3, "nmax": 20}, _bump_parity_difference, ("Dk", 3), 5, 45,
+     _witness({"k": 3, "n": 5}, "Dk_e-Dk_o(n) [series]", 1, "piecewise value", 0)),
+    ("T7", {"kmax": 3, "nmax": 20}, _bump_enumeration, ClassSpec("Dk_o", 2), 7, 27,
+     _witness({"k": 2, "n": 7}, "Dk_e-Dk_o(n) [enum]", -1, "piecewise value", 0)),
+    ("T7c", {"kmax": 3, "nmax": 20}, _bump_series, ClassSpec("Dk_e", 3), 10, 46,
+     _witness({"k": 3, "n": 10}, "Dk_e(n)", 8, "Dk_o(n)", 7)),
+    ("T7c", {"kmax": 3, "nmax": 20}, _bump_series, ClassSpec("Dk", 2), 9, 28,
+     _witness({"k": 2, "n": 9}, "Dk(n) mod 2", 1, "0", 0)),
+    ("T11", {"kmax": 4, "nmax": 40}, _bump_series, ClassSpec("Dk", 3), 10, 7,
+     _witness({"n": 10}, "D_3(n)", 15, "2A(n-3)-2A(n-1)+2A(n)", 14)),
+    ("T11", {"kmax": 4, "nmax": 40}, _bump_enumeration, ClassSpec("Dk", 3), 12, 9,
+     _witness({"n": 12}, "D_3(n) [enum]", 23, "2A(n-3)-2A(n-1)+2A(n)", 22)),
+    ("T11", {"kmax": 4, "nmax": 40}, _bump_series, ClassSpec("Dk", 4), 30, 177,
+     _witness({"k": 4, "n": 30}, "D_k(n)", 427, "2*sum(c_m*A(n-m))", 426)),
+    # series witnesses: the exponent, then the cell
+    ("T3x", {"kmax": 2, "order": 30}, _bump_parity_difference, ("Ck", 2), 7, 62,
+     _witness({"exponent": 7, "k": 2}, "D_2k gf + alternating correction", 6,
+              "2*(Ck diff gf + even correction)", 8)),
+    ("T9", {"kmax": 3, "order": 30}, _bump_series, ClassSpec("Dk", 2), 9, 62,
+     _witness({"exponent": 9, "k": 2}, "D_k gf", 13,
+              "2*distinct_gf*polynomial + correction", 12)),
+    ("T8", {"kmax": 4, "n_terms": 5, "order": 30}, _bump_pochhammer,
+     ("pochhammer_finite", (MINUS, 2, 1, 1, 30)), 3, 13,
+     _witness({"exponent": 3, "k": 3, "N": 0}, "signed smallest-part partial sum", 2,
+              "tail-product closed form", 0)),
+    # with no k rows only the two-minus-reciprocal rows run
+    ("T8", {"kmax": 0, "n_terms": 5, "order": 30}, _bump_pochhammer,
+     ("pochhammer_finite", (PLUS, 3, 1, 1, 30)), 4, 4,
+     _witness({"exponent": 4, "N": 3}, "sum of q^j/(1+q)...(1+q^j)", -2,
+              "2 - reciprocal", -1)),
+    ("T12", {"order": 20, "collapse_order": 30}, _bump_pochhammer,
+     ("pochhammer_infinite", (MINUS, 2, 1, 20)), 4, 42,
+     _witness({"exponent": 4, "c": 2}, "reciprocal tail product", 1,
+              "termwise geometric sum", 2)),
+    ("T12", {"order": 20, "collapse_order": 30}, _bump_pochhammer,
+     ("pochhammer_finite", (MINUS, 1, 1, 2, 30)), 2, 156,
+     _witness({"exponent": 2, "k": 3}, "signed smallest-part sum", -1,
+              "alternating finite product", 0)),
 ])
 def test_dual_path_failure_witness(monkeypatch, task, grid, bump, spec, n, cells, witness):
     # passing reports carry no labels, so only a forced mismatch pins them
@@ -231,3 +303,13 @@ def test_dual_path_failure_witness(monkeypatch, task, grid, bump, spec, n, cells
     assert report.checked_cells == cells
     # json.dumps keeps key order, which the report bytes depend on
     assert json.dumps(report.witness) == json.dumps(witness)
+
+
+@pytest.mark.parametrize("task_id", TASK_ORDER)
+def test_report_parameters_are_the_task_parameters(task_id):
+    # every parameter is reported under its own name, except T8's n_terms,
+    # which the reports call N_max
+    names = [{"n_terms": "N_max"}.get(p, p) for p in TASKS[task_id].parameters]
+    report = run_task(task_id, **{p: 2 for p in TASKS[task_id].parameters})
+    assert report.passed
+    assert list(report.parameters.items()) == [(name, 2) for name in names]
