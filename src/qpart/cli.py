@@ -332,10 +332,15 @@ def _render_reports(reports, args) -> int:
 def _cmd_verify(parser, args) -> int:
     if args.task not in TASKS:
         parser.error(f"unknown task {args.task!r}; known: {', '.join(TASKS)}")
+    task = TASKS[args.task]
     overrides = {"nmax": args.nmax, "kmax": args.kmax, "order": args.order}
     for flag, value in overrides.items():
-        if value is not None and flag not in TASKS[args.task].parameters:
+        if value is None:
+            continue
+        if flag not in task.parameters:
             parser.error(f"task {args.task} takes no --{flag}")
+        if value < task.least[flag]:
+            parser.error(f"task {args.task} takes --{flag} >= {task.least[flag]}, not {value}")
     report = run_task(args.task, **overrides)
     return _render_reports([report], args)
 

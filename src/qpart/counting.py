@@ -9,14 +9,20 @@ list of parts: each steps from one member to the next in a fixed
 lexicographic order, with residual-weight pruning, and yields a fresh tuple,
 so a member costs no chain of suspended frames.  ``walk(k)`` names the row
 walk that counts the class: one exhaustive descent over the class's
-structure that visits each member of a weight in a window [lo, hi] once,
-builds no members, and adds 1 to that weight's entry of a row.  A walk
-that splits by a part count fills an even and an odd row at once, so Dk_e,
-Dk_o and Dk share one walk, as do Pe_d, Po_d and A, and the bounded pair;
-the Bk and Ck halves share no prefix and walk apart.  :func:`count_row` reads
-rows, and :func:`count_by_enumeration` is its window [n, n].  Walked rows
-are kept in one bounded cache, and a kept row serves every shorter request.
-No walk reads a generating function, memoises or uses a closed form.
+structure that builds no members and counts those of the weights in a
+window [lo, hi] into a difference row.  It visits every prefix that has room
+for one more part once, and counts the run of that prefix's one-part
+extensions, one member at each of a stretch of consecutive weights, as one
+range update: +1 where the run starts and -1 one slot past its end.  One
+running sum per row then turns the differences into counts.  A walk that
+splits by a part count fills an even and an odd row at once, so Dk_e, Dk_o
+and Dk share one walk, as do Pe_d, Po_d and A, and the bounded pair; the Bk
+and Ck halves share no prefix and walk apart.  :func:`count_row` reads rows,
+and :func:`count_by_enumeration` is its window [n, n].  Walked rows are kept
+in one bounded cache, and a kept row serves every shorter request.  No walk
+reads a generating function, memoises a subtree or shares one between
+classes, and none uses a closed form beyond a run of consecutive last
+parts.
 
 ``gf(k, order)`` builds the class generating function on the exact engine
 in :mod:`qpart.series`, and :func:`gf` reads coefficients off it.  Each
@@ -61,7 +67,7 @@ from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, islice, repeat
 from math import isqrt
 from operator import add, mul
 from typing import NamedTuple
@@ -284,12 +290,18 @@ def _iter_distinct_parity(n: int, hi: int, odd: int):
 
 
 # ---------------------------------------------------------------------------
-# row walks: one exhaustive descent per structure that counts each member of
-# weight at most hi in row[weight], a row being a list of hi+1 counts.  A
-# walk skips a subtree only when none of its members reaches the window's
-# low end lo, so the members of weights lo..hi are each reached exactly
-# once; entries below lo may hold partial counts and are dropped by the
-# caller.  A walk counts into a pair of rows: a split class reads one of
+# row walks: one exhaustive descent per structure that counts the members of
+# weight at most hi into a difference row of hi+2 slots.  Every prefix that
+# has room for one more part is visited once, and the run of its one-part
+# extensions, one member at each of the consecutive weights a..b, is one
+# range update: +1 at slot a and -1 at slot b+1 (slot hi+1 takes the -1 of
+# a run that ends at hi).  A point count is a run of length 1.  _walked sums
+# each row once to turn it into counts.  Nothing is memoised, no generating
+# function is read, and no closed form is used beyond a run of consecutive
+# last parts.  A walk skips a subtree only when none of its members reaches
+# the window's low end lo, so the members of weights lo..hi are each counted
+# exactly once; entries below lo may hold partial counts and are dropped by
+# the caller.  A walk counts into a pair of rows: a split class reads one of
 # them, rows[0] its even and rows[1] its odd half, and any other class the
 # sum of the two.
 # ---------------------------------------------------------------------------
@@ -301,39 +313,54 @@ def _walk_distinct(row, other, lo: int, hi: int, w: int, v: int, least: int) -> 
     top = hi - w
     if top > v:
         top = v
-    for p in range(top, least - 1, -1):
+    if top < least:
+        return
+    other[w + least] += 1  # the one-part sets: weights w+least .. w+top
+    other[w + top + 1] -= 1
+    # Each child w+p with room for a second part counts the run of its
+    # one-part extensions: inline, or by the call that descends further when
+    # it also has room for a third part.
+    room = hi - w - least
+    for p in range(room if room < v else v, least, -1):
         x = w + p
         # The parts least..p-1 add at most (p-1+least)(p-least)/2, and less
         # for every smaller p.
         if lo and x + (p - 1 + least) * (p - least) // 2 < lo:
             break
-        other[x] += 1
-        if p > least and x + least <= hi:  # room for a further part
+        if p > least + 1 and x + 2 * least < hi:  # room for a third part
             _walk_distinct(other, row, lo, hi, x, p - 1, least)
+        else:  # second parts least .. min(p-1, hi-x)
+            row[x + least] += 1
+            row[x + p if x + p <= hi else hi + 1] -= 1
 
 
-def _walk_odd(row, lo: int, hi: int, w: int, v: int) -> None:
-    """Count weight w plus each multiset of odd parts <= v."""
+def _walk_odd(row, hi: int, w: int, v: int) -> None:
+    """Count weight w plus each multiset of odd parts <= v.
+
+    Parts 1 take every prefix on to hi, so no subtree misses the window and
+    the walk has no low end to prune at."""
     if v < 1:
         row[w] += 1
+        row[w + 1] -= 1
         return
-    # Parts 3 and 1 in a loop: from each weight x = w + 3c the 1s fill every
-    # weight up to hi, one member per weight.
+    # Parts 3 and 1 in a loop: from each weight x = w + 3c the 1s make one
+    # member at every weight x..hi, one run.
     for x in range(w, hi + 1, 3) if v >= 3 else (w,):
-        for y in range(x if x > lo else lo, hi + 1):
-            row[y] += 1
+        row[x] += 1
+        row[hi + 1] -= 1
     top = hi - w
     if top > v:
         top = v
     for u in range(5, top + 1, 2):
         for x in range(w + u, hi + 1, u):
-            _walk_odd(row, lo, hi, x, u - 2)
+            _walk_odd(row, hi, x, u - 2)
 
 
 def _walk_c_core(row, lo: int, hi: int, w: int, v: int, l: int) -> None:
     """Count weight w plus each multiset of parts <= v that is free in
     (l, 2l] and distinct in [1, l]."""
     row[w] += 1
+    row[w + 1] -= 1
     if w + l * (l + 1) // 2 >= lo:  # the distinct parts can reach lo
         _walk_distinct(row, row, lo, hi, w, l, 1)
     top = hi - w
@@ -350,7 +377,7 @@ def _walk_bk(rows, lo: int, hi: int, k: int, odd: int) -> None:
     for l in range(1, (hi + 1) // 2 + 1):
         base = 2 * l - 1
         for extras in _window_subsets(l, k, hi - base, not odd):
-            _walk_odd(rows[0], lo, hi, base + sum(extras), base)
+            _walk_odd(rows[0], hi, base + sum(extras), base)
 
 
 def _walk_ck(rows, lo: int, hi: int, k: int, odd: int) -> None:
@@ -367,23 +394,25 @@ def _walk_dk(rows, lo: int, hi: int, k: int, first: int) -> None:
     # parity of the number of distinct parts above it.
     for s in range(first, hi // k + 1):
         rows[0][k * s] += 1
+        rows[0][k * s + 1] -= 1
         _walk_distinct(*rows, lo, hi, k * s, hi, s + 1)
 
 
 def _walk_a(rows, lo: int, hi: int, k: int | None) -> None:
     # Distinct parts, split by the parity of their number; below k if given.
     rows[0][0] += 1
+    rows[0][1] -= 1
     _walk_distinct(*rows, lo, hi, 0, hi if k is None else k - 1, 1)
 
 
 def _walk_e(rows, lo: int, hi: int) -> None:
     for m in range(1, hi + 1, 2):
-        _walk_odd(rows[0], lo, hi, m, m - 2)
+        _walk_odd(rows[0], hi, m, m - 2)
 
 
 def _walk_f(rows, lo: int, hi: int) -> None:
     for m in range(2, hi + 1, 2):
-        _walk_odd(rows[0], lo, hi, m, m - 1)
+        _walk_odd(rows[0], hi, m, m - 1)
 
 
 def _walk_p1(rows, lo: int, hi: int) -> None:
@@ -393,6 +422,7 @@ def _walk_p1(rows, lo: int, hi: int) -> None:
 def _walk_pprime(rows, lo: int, hi: int, k: int) -> None:
     if k - 1 <= hi:
         rows[0][k - 1] += 1
+        rows[0][k] -= 1
         _walk_distinct(*rows, lo, hi, k - 1, hi, 2)
 
 
@@ -403,6 +433,7 @@ def _walk_pdprime(rows, lo: int, hi: int, k: int) -> None:
         if base > hi:
             break
         rows[0][base] += 1
+        rows[0][base + 1] -= 1
         _walk_distinct(*rows, lo, hi, base, hi, s + 2)
 
 
@@ -678,17 +709,20 @@ _rows: OrderedDict = OrderedDict()
 def _walked(walk, args: tuple, lo: int, hi: int):
     """The row pair of walk(*args) that covers weights lo..hi.
 
-    A cached pair covers every shorter request; a walk from weight 0 is
-    kept, and one that starts higher is not, since it leaves the entries
-    below lo incomplete.
+    The walk fills a pair of difference rows of hi+2 slots, the last one
+    taking the -1 of every run that ends at hi; a running sum of each, cut
+    to hi+1 entries, gives the counts.  A cached pair covers every shorter
+    request; a walk from weight 0 is kept, and one that starts higher is
+    not, since it leaves the entries below lo incomplete.
     """
     key = (walk, args)
     rows = _rows.get(key)
     if rows is not None and len(rows[0]) > hi:
         _rows.move_to_end(key)
         return rows
-    rows = ([0] * (hi + 1), [0] * (hi + 1))
-    walk(rows, lo, hi, *args)
+    diffs = ([0] * (hi + 2), [0] * (hi + 2))
+    walk(diffs, lo, hi, *args)
+    rows = tuple(list(islice(accumulate(d), hi + 1)) for d in diffs)
     if lo == 0:
         _rows[key] = rows
         _rows.move_to_end(key)
@@ -700,11 +734,14 @@ def _walked(walk, args: tuple, lo: int, hi: int):
 def count_row(spec: ClassSpec, hi: int, lo: int = 0) -> tuple[int, ...]:
     """Numbers of class members of weights lo..hi, by one exhaustive walk.
 
-    The walk visits every member of a weight in the window once, building
-    no members, and reads no generating function, so it stays an
-    independent oracle for :func:`gf`.  Classes that name the same walk,
-    such as Dk and its halves, share its rows.  Rows walked from weight 0
-    are kept, and a kept row serves every shorter request.
+    The walk builds no members.  It visits every prefix that has room for
+    one more part once and counts the run of that prefix's one-part
+    extensions, one member at each of a stretch of consecutive weights, as
+    one range update of a difference row, which one running sum turns into
+    counts.  It memoises nothing and reads no generating function, so it
+    stays an independent oracle for :func:`gf`.  Classes that name the same
+    walk, such as Dk and its halves, share its rows.  Rows walked from
+    weight 0 are kept, and a kept row serves every shorter request.
     """
     if lo < 0 or hi < 0:
         raise PartitionError("weight must be non-negative")

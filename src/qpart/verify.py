@@ -11,13 +11,15 @@ ROADMAP item 1 replaces the window with the stated bound.  Behaviour below a
 threshold is recorded as an informational note, never asserted.
 
 A task is a generator over its grid, whose parameters and defaults are its
-signature.  It yields each check as (cells, witness or None) and each note as
-a string, in the order it runs them; one runner adds up the cells, keeps the
-notes and stops at the first witness.  A check is one of three kinds: a
-chain at one cell (named values that must all equal the first; the first
-that differs names the witness), an evenness chain (a value against itself
-rounded up to even), or a series comparison worth one cell per coefficient,
-whose witness cell leads with the first differing exponent.  The dual-path
+signature; its registry entry declares the least legal value of each
+parameter, and a grid below it, or a run that checks no cell, is an error,
+never a pass.  It yields each check as (cells, witness or None) and each
+note as a string, in the order it runs them; one runner adds up the cells,
+keeps the notes and stops at the first witness.  A check is one of three
+kinds: a chain at one cell (named values that must all equal the first; the
+first that differs names the witness), an evenness chain (a value against
+itself rounded up to even), or a series comparison worth one cell per
+coefficient, whose witness cell leads with the first differing exponent.  The dual-path
 tasks (T1, T2, T4, T6, T10) are lists of named terms that one loop evaluates
 by enumeration and then by series: each path reads one row per class, the
 class's exhaustive enumeration counts or its generating-function
@@ -477,6 +479,10 @@ class TaskDef:
     task_id: str
     summary: str
     fn: object
+    # each grid parameter -> its least legal value: at that value the grid
+    # still checks at least one cell, and below it a run would check none of
+    # what the parameter counts
+    least: dict
     # the name a report gives a parameter, where it is not the parameter's own
     labels: dict = field(default_factory=dict)
 
@@ -488,26 +494,35 @@ class TaskDef:
 
 TASKS: dict[str, TaskDef] = {
     t.task_id: t for t in (
-        TaskDef("T1", "A(n) = B(n) = C(n+1) = D_2(n+1)/2", _task_t1),
-        TaskDef("T2", "Bk_e(n) = Ck_e(n+1) and Bk_o(n) = Ck_o(n+1)", _task_t2),
+        TaskDef("T1", "A(n) = B(n) = C(n+1) = D_2(n+1)/2", _task_t1, {"nmax": 1}),
+        TaskDef("T2", "Bk_e(n) = Ck_e(n+1) and Bk_o(n) = Ck_o(n+1)", _task_t2,
+                {"kmax": 1, "nmax": 1}),
         TaskDef("T3", "Bk_e-Bk_o(n) = Ck_e-Ck_o(n+1) = D_2k(n+1)/2 above the stated bound",
-                _task_t3),
+                _task_t3, {"kmax": 1}),
         TaskDef("T3x", "exact series identity with correction polynomials behind T3",
-                _task_t3x),
-        TaskDef("T4", "2*A_k(n) = D_k(n+1)", _task_t4),
+                _task_t3x, {"kmax": 1, "order": 0}),
+        TaskDef("T4", "2*A_k(n) = D_k(n+1)", _task_t4, {"kmax": 1, "nmax": 1}),
         TaskDef("T5", "A_2k(n) = Bk-diff(n) = Ck-diff(n+1) = D_2k(n+1)/2 "
-                      "= D_2k_e(n+1) = D_2k_o(n+1) above the stated bound", _task_t5),
-        TaskDef("T6", "A(n) = E(n+2) = F(n+1)", _task_t6),
-        TaskDef("T7", "piecewise pentagonal law for Dk_e - Dk_o", _task_t7),
-        TaskDef("T7c", "Dk_e(n) = Dk_o(n) and Dk(n) even for n > k(k-1)/2", _task_t7c),
+                      "= D_2k_e(n+1) = D_2k_o(n+1) above the stated bound", _task_t5,
+                {"kmax": 1}),
+        TaskDef("T6", "A(n) = E(n+2) = F(n+1)", _task_t6, {"nmax": 1}),
+        # enum_nmax = 0 checks the series side alone
+        TaskDef("T7", "piecewise pentagonal law for Dk_e - Dk_o", _task_t7,
+                {"kmax": 1, "nmax": 1, "enum_nmax": 0}),
+        TaskDef("T7c", "Dk_e(n) = Dk_o(n) and Dk(n) even for n > k(k-1)/2", _task_t7c,
+                {"kmax": 1, "nmax": 1}),
+        # kmax = 0 runs the two-minus-reciprocal rows alone
         TaskDef("T8", "finite signed smallest-part sum equals its tail-product closed form",
-                _task_t8, {"n_terms": "N_max"}),
-        TaskDef("T9", "closed form of the D_k generating function", _task_t9),
-        TaskDef("T10", "D_k(n) + D_k-1(n) = D_k-1(n-k+1) + 2A(n)", _task_t10),
+                _task_t8, {"kmax": 0, "n_terms": 0, "order": 0}, {"n_terms": "N_max"}),
+        TaskDef("T9", "closed form of the D_k generating function", _task_t9,
+                {"kmax": 1, "order": 0}),
+        # the recurrence starts at k = 2 and n = k
+        TaskDef("T10", "D_k(n) + D_k-1(n) = D_k-1(n-k+1) + 2A(n)", _task_t10,
+                {"kmax": 2, "nmax": 2}),
         TaskDef("T11", "D_3(n) = 2A(n-3) - 2A(n-1) + 2A(n), derived D_k expansions",
-                _task_t11),
+                _task_t11, {"kmax": 1, "nmax": 1}),
         TaskDef("T12", "engine self-tests: geometric expansion and telescoping collapse",
-                _task_t12),
+                _task_t12, {"order": 0, "collapse_order": 0}),
     )
 }
 
@@ -533,8 +548,10 @@ def run_task(task_id: str, **overrides) -> VerificationReport:
     """Run one registered task.
 
     Overrides whose value is None are dropped; any other key the task does
-    not take raises TypeError before the task runs.  The report's parameters
-    are the whole grid that ran, defaults included.
+    not take raises TypeError, and a value below the parameter's least legal
+    value ValueError, before the task runs.  A run that checks no cell
+    raises ValueError rather than pass.  The report's parameters are the
+    whole grid that ran, defaults included.
     """
     if task_id not in TASKS:
         raise KeyError(f"unknown task {task_id!r}; known: {', '.join(TASK_ORDER)}")
@@ -546,9 +563,14 @@ def run_task(task_id: str, **overrides) -> VerificationReport:
                         f"it takes {', '.join(task.parameters)}")
     grid = inspect.signature(task.fn).bind(**kwargs)
     grid.apply_defaults()
+    for name, value in grid.arguments.items():
+        if value < task.least[name]:
+            raise ValueError(f"task {task_id} takes {name} >= {task.least[name]}, not {value}")
     start = time.perf_counter()
     cells, witness, notes = _run(task.fn(**grid.arguments))
     elapsed = time.perf_counter() - start
+    if not cells:
+        raise ValueError(f"task {task_id} checked no cells on the grid {grid.arguments}")
     return VerificationReport(
         task_id=task_id,
         summary=task.summary,

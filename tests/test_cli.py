@@ -222,6 +222,19 @@ def test_verify_rejects_a_flag_the_task_does_not_take(capsys):
     assert "task T9 takes no --nmax" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--task", "T1", "--nmax", "0"), "task T1 takes --nmax >= 1, not 0"),
+    (("--task", "T3", "--kmax", "-2", "--format", "json"), "task T3 takes --kmax >= 1, not -2"),
+    (("--task", "T4", "--nmax", "-3"), "task T4 takes --nmax >= 1, not -3"),
+])
+def test_verify_rejects_an_empty_grid(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", *argv])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "PASS" not in captured.out
+
+
 def test_verify_output_is_byte_stable(capsys):
     _, first = run_cli(capsys, "verify", "--task", "T9", "--kmax", "3",
                        "--order", "40", "--format", "json", "--no-timestamp")

@@ -147,6 +147,22 @@ def test_count_walk_matches_materialised_members():
         assert count_row(spec, 30) == want, spec
 
 
+def test_count_walk_matches_generators_in_every_window():
+    # every window up to weight 16, each walked on its own, covers the lo
+    # prune and the slot past hi that takes the ends of runs; then the whole
+    # row at weight 40
+    for spec in _specs(5):
+        members = counting._ENGINES[spec.class_id].members
+        want = tuple(sum(1 for _ in members(n, spec.k)) for n in range(41))
+        for hi in range(17):
+            for lo in range(hi + 1):
+                counting._rows.clear()
+                assert count_row(spec, hi, lo) == want[lo:hi + 1], (spec, lo, hi)
+        counting._rows.clear()
+        assert count_row(spec, 40) == want, spec
+    _clear_enumeration_caches()
+
+
 def test_kept_row_serves_shorter_requests(monkeypatch):
     walks = []
     original = counting._walk_dk

@@ -34,6 +34,26 @@ def test_unknown_task_rejected():
         run_task("T99")
 
 
+@pytest.mark.parametrize("task_id", TASK_ORDER)
+def test_least_grid_checks_cells_and_below_it_is_rejected(task_id):
+    task = TASKS[task_id]
+    assert set(task.least) == set(task.parameters)
+    report = run_task(task_id, **task.least)
+    assert report.passed and report.checked_cells > 0
+    for name, least in task.least.items():
+        with pytest.raises(ValueError, match=f"{name} >= {least}, not {least - 1}"):
+            run_task(task_id, **{name: least - 1})
+
+
+def test_run_that_checks_no_cell_is_not_a_pass(monkeypatch):
+    def notes_only(nmax: int = 3):
+        yield "no checks"
+
+    monkeypatch.setitem(TASKS, "T1", verify.TaskDef("T1", "empty", notes_only, {"nmax": 0}))
+    with pytest.raises(ValueError, match="checked no cells"):
+        run_task("T1")
+
+
 def test_t1_small_grid():
     report = run_task("T1", nmax=25)
     assert report.passed
