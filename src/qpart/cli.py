@@ -34,6 +34,10 @@ from .verify import TASKS, run_all, run_task, reports_to_junit
 
 DEFAULT_ORDER_ENV = "QPART_DEFAULT_ORDER"
 
+# every grid parameter some task takes, in registry order -> its `verify` flag
+VERIFY_GRID_FLAGS = {p: "--" + p.replace("_", "-")
+                     for t in TASKS.values() for p in t.parameters}
+
 
 def _default_order(parser: argparse.ArgumentParser) -> int:
     value = os.environ.get(DEFAULT_ORDER_ENV, "200")
@@ -333,14 +337,15 @@ def _cmd_verify(parser, args) -> int:
     if args.task not in TASKS:
         parser.error(f"unknown task {args.task!r}; known: {', '.join(TASKS)}")
     task = TASKS[args.task]
-    overrides = {"nmax": args.nmax, "kmax": args.kmax, "order": args.order}
-    for flag, value in overrides.items():
+    overrides = {name: getattr(args, name) for name in VERIFY_GRID_FLAGS}
+    for name, value in overrides.items():
         if value is None:
             continue
-        if flag not in task.parameters:
-            parser.error(f"task {args.task} takes no --{flag}")
-        if value < task.least[flag]:
-            parser.error(f"task {args.task} takes --{flag} >= {task.least[flag]}, not {value}")
+        flag = VERIFY_GRID_FLAGS[name]
+        if name not in task.parameters:
+            parser.error(f"task {args.task} takes no {flag}")
+        if value < task.least[name]:
+            parser.error(f"task {args.task} takes {flag} >= {task.least[name]}, not {value}")
     report = run_task(args.task, **overrides)
     return _render_reports([report], args)
 
@@ -421,9 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run one registered identity task")
     p_verify.add_argument("--task", required=True)
-    p_verify.add_argument("--nmax", type=int)
-    p_verify.add_argument("--kmax", type=int)
-    p_verify.add_argument("--order", type=int)
+    for flag in VERIFY_GRID_FLAGS.values():
+        p_verify.add_argument(flag, type=int)
     p_verify.add_argument("--junit", help="write a JUnit XML summary to this path")
     p_verify.add_argument("--no-timestamp", action="store_true",
                           help="suppress timestamps and wall times for byte-stable output")

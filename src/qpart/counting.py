@@ -35,8 +35,14 @@ Every signed series is built once per (builder, k, order, sign) and kept in
 one bounded cache, ``_signed``, that the two halves, the whole-family row
 (Dk, SptKd, C) and :func:`gf_parity_difference` all read; a series is
 immutable, so sharing it is safe.  Its bound, ``SIGNED_CACHE_SIZE``, is set
-beside it.  The builders keep their running products as plain lists and
-add shifted terms into one accumulator by slice.  A running core is cut to
+beside it.  So the distinct-part product (-q; q)_inf is built once per
+order: A reads it as ``_signed(_gf_distinct, None, order, PLUS)``, Pe_d and
+Po_d halve it with its sign -1 twin, and every ``_tail_sum`` divides it
+down to its first tail; the T8 and T9 checks in :mod:`qpart.verify` read it
+through ``gf(A)``.  Likewise Pprime(k) is ``gf(Pprime(1))`` shifted by k-1,
+so its product (-q^2; q)_inf is built once per order for every k.  The
+builders keep their running products as plain lists and add shifted terms
+into one accumulator by slice.  A running core is cut to
 the coefficients its later terms can still reach before each update: the
 kernels are lower-triangular, so what is kept stays exact.
 
@@ -616,6 +622,14 @@ def _gf_p1(order: int) -> TruncatedSeries:
     return _tail_sum(PLUS, order, 2, 1, 3)
 
 
+def _gf_pprime(k: int, order: int) -> TruncatedSeries:
+    # k-1 ones, then distinct parts >= 2: q^(k-1) * tail(2), the one
+    # product every k shifts, read through gf's cache at k = 1.
+    if k == 1:
+        return pochhammer_infinite(PLUS, 2, 1, order)
+    return gf(ClassSpec("Pprime", 1), order).shift(k - 1)
+
+
 def _gf_pdprime(k: int, order: int) -> TruncatedSeries:
     # Smallest part s >= 1, k-1 parts s+1, then distinct parts above s+1:
     # q^(sk + k - 1) * tail(s+2).
@@ -630,11 +644,16 @@ class _Engine(NamedTuple):
 
 # class id -> engines; C is Ck_e and P2 is Pdprime, both at k = 1, and B is
 # Bk_e at k = 1.  Classes that name the same walk and arguments share its
-# rows.  The gf builders reach the qpart.series functions by module-level
-# name at call time, never through a captured reference, so a patch of one
-# of those names (a tracer, the independence test) stays in the path.
+# rows.  A, Pe_d, Po_d and every smallest-part builder (Dk, SptKd, their
+# halves, P1, P2, Pdprime) share the one distinct product
+# _signed(_gf_distinct, None, order, PLUS), and every Pprime(k) shifts
+# gf(Pprime(1)).  The gf builders reach the qpart.series functions by
+# module-level name at call time, never through a captured reference, so a
+# patch of one of those names (a tracer, the independence test) stays in
+# the path.
 _ENGINES: dict[str, _Engine] = {
-    "A": _Engine(lambda n, k: _distinct(n, n), lambda k: (_walk_a, (None,), None), _gf_distinct),
+    "A": _Engine(lambda n, k: _distinct(n, n), lambda k: (_walk_a, (None,), None),
+                 lambda k, order: _signed(_gf_distinct, None, order, PLUS)),
     "B": _Engine(lambda n, k: _odd_multiset(n, n) if n else (), lambda k: (_walk_bk, (1, 0), None),
                  lambda k, order: pochhammer_infinite(MINUS, 1, 2, order).reciprocal()),
     "C": _Engine(lambda n, k: _iter_ck(n, 1, True), lambda k: (_walk_ck, (1, 0), None),
@@ -661,8 +680,7 @@ _ENGINES: dict[str, _Engine] = {
                   lambda k, order: _gf_p1(order)),
     "P2": _Engine(lambda n, k: _iter_pdprime(n, 1), lambda k: (_walk_pdprime, (1,), None),
                   lambda k, order: _gf_pdprime(1, order)),
-    "Pprime": _Engine(_iter_pprime, lambda k: (_walk_pprime, (k,), None),
-                      lambda k, order: pochhammer_infinite(PLUS, 2, 1, order).shift(k - 1)),
+    "Pprime": _Engine(_iter_pprime, lambda k: (_walk_pprime, (k,), None), _gf_pprime),
     "Pdprime": _Engine(_iter_pdprime, lambda k: (_walk_pdprime, (k,), None), _gf_pdprime),
     "Pe_d": _Engine(lambda n, k: _iter_distinct_parity(n, n, 0), lambda k: (_walk_a, (None,), 0),
                     _halves(_gf_distinct, 0)),

@@ -72,11 +72,11 @@ from .series import (
     PLUS,
     TruncatedSeries,
     _check_bounds,
+    _div_factor,
     _mul_factor,
     compare_series,
     pochhammer_finite,
     pochhammer_infinite,
-    pochhammer_infinite_starts,
     series_sum,
 )
 
@@ -345,29 +345,39 @@ def _task_t7c(kmax: int = 8, nmax: int = 60):
 
 
 def _task_t8(kmax: int = 6, n_terms: int = 30, order: int = 120):
-    tails_plus = pochhammer_infinite_starts(PLUS, order)
-    full_plus = tails_plus[0]
+    # For each k and N = 0..n_terms, with tail(m) the product of (1 + q^i)
+    # over i >= m, falling[j] = (q^(j+1); q)_(k-j-1) and e_j = (-1)^(j+k-1):
+    #   sum of q^(kM) * tail(M+1) over M <= N
+    #     = tail(1) * sum_j e_j * falling[j] * (2 - q^((N+1)j) / (1+q)...(1+q^N)).
+    # By linearity the bracket is 2*F_k - recips[N] * G_(k,N), where
+    # F_k = sum_j e_j * falling[j] and G_(k,N) = sum_j e_j * q^((N+1)j) * falling[j],
+    # so the right side is 2*(tail(1)*F_k) - (tail(1)*recips[N]) * G_(k,N),
+    # exact modulo q^(order+1): one product per (k, N), besides tail(1)*F_k
+    # once per k and tail(1)*recips[N] once per N.
+    full_plus = gf(ClassSpec("A"), order)
     # (1 + q)(1 + q^2)...(1 + q^N) and its reciprocal, for N = 0..n_terms
     partials = [TruncatedSeries.one(order)]
     for m in range(1, n_terms + 1):
         partials.append(partials[-1] * pochhammer_finite(PLUS, m, 1, 1, order))
     recips = [s.reciprocal() for s in partials]
+    scaled_recips = [full_plus * r for r in recips]
+    # tail(N+1) for the left side, one running tail(N+1) = tail(N) / (1 + q^N)
+    tails, tail = [full_plus], list(full_plus.coeffs)
+    for big_n in range(1, n_terms + 1):
+        _div_factor(tail, big_n, PLUS)
+        tails.append(TruncatedSeries(tuple(tail)))
     two = TruncatedSeries.one(order).scale(2)
     for k in range(1, kmax + 1):
         # (q^(j+1); q)_(k-j-1) for j < k, the same for every N
         falling = [pochhammer_finite(MINUS, j + 1, 1, k - j - 1, order) for j in range(k)]
+        signed = [-f if (j + k - 1) % 2 else f for j, f in enumerate(falling)]
+        twice_full_f = (full_plus * series_sum(signed, order)).scale(2)
         lhs = TruncatedSeries.zero(order)
         for big_n in range(0, n_terms + 1):
-            lhs = lhs + tails_plus[big_n].shift(k * big_n)
-            bracket = TruncatedSeries.zero(order)
-            for j in range(k):
-                piece = two - recips[big_n].shift((big_n + 1) * j)
-                term = falling[j] * piece
-                if (j + k - 1) % 2:
-                    term = -term
-                bracket = bracket + term
+            lhs = lhs + tails[big_n].shift(k * big_n)
+            g = series_sum([f.shift((big_n + 1) * j) for j, f in enumerate(signed)], order)
             yield 1, _series({"k": k, "N": big_n}, "signed smallest-part partial sum", lhs,
-                             "tail-product closed form", full_plus * bracket)
+                             "tail-product closed form", twice_full_f - scaled_recips[big_n] * g)
     for big_n in range(0, n_terms + 1):
         lhs = series_sum([recips[j].shift(j) for j in range(big_n + 1)], order)
         yield 1, _series({"N": big_n}, "sum of q^j/(1+q)...(1+q^j)", lhs,
@@ -377,7 +387,7 @@ def _task_t8(kmax: int = 6, n_terms: int = 30, order: int = 120):
 
 
 def _task_t9(kmax: int = 8, order: int = 120):
-    distinct_gf = pochhammer_infinite(PLUS, 1, 1, order)
+    distinct_gf = gf(ClassSpec("A"), order)
     for k in range(1, kmax + 1):
         lhs = gf(ClassSpec("Dk", k), order)
         poly = TruncatedSeries.from_coeffs(derive_dk_relation(k).coefficients[:order + 1], order)
@@ -548,9 +558,9 @@ def run_task(task_id: str, **overrides) -> VerificationReport:
     """Run one registered task.
 
     Overrides whose value is None are dropped; any other key the task does
-    not take raises TypeError, and a value below the parameter's least legal
-    value ValueError, before the task runs.  A run that checks no cell
-    raises ValueError rather than pass.  The report's parameters are the
+    not take raises TypeError, and a value that is not an int, or is below
+    the parameter's least legal value, ValueError, before the task runs.  A
+    run that checks no cell raises ValueError rather than pass.  The report's parameters are the
     whole grid that ran, defaults included.
     """
     if task_id not in TASKS:
@@ -564,6 +574,9 @@ def run_task(task_id: str, **overrides) -> VerificationReport:
     grid = inspect.signature(task.fn).bind(**kwargs)
     grid.apply_defaults()
     for name, value in grid.arguments.items():
+        # bool is an int subclass, but True is no grid size
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"task {task_id} takes an integer {name}, not {value!r}")
         if value < task.least[name]:
             raise ValueError(f"task {task_id} takes {name} >= {task.least[name]}, not {value}")
     start = time.perf_counter()

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from qpart import verify
 from qpart.cli import main
+from qpart.series import TruncatedSeries
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -226,6 +228,10 @@ def test_verify_rejects_a_flag_the_task_does_not_take(capsys):
     (("--task", "T1", "--nmax", "0"), "task T1 takes --nmax >= 1, not 0"),
     (("--task", "T3", "--kmax", "-2", "--format", "json"), "task T3 takes --kmax >= 1, not -2"),
     (("--task", "T4", "--nmax", "-3"), "task T4 takes --nmax >= 1, not -3"),
+    (("--task", "T7", "--enum-nmax", "-1"), "task T7 takes --enum-nmax >= 0, not -1"),
+    (("--task", "T8", "--n-terms", "-1"), "task T8 takes --n-terms >= 0, not -1"),
+    (("--task", "T12", "--collapse-order", "-1"),
+     "task T12 takes --collapse-order >= 0, not -1"),
 ])
 def test_verify_rejects_an_empty_grid(capsys, argv, message):
     with pytest.raises(SystemExit) as err:
@@ -233,6 +239,39 @@ def test_verify_rejects_an_empty_grid(capsys, argv, message):
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert message in captured.err and "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--task", "T1", "--n-terms", "5"), "task T1 takes no --n-terms"),
+    (("--task", "T8", "--enum-nmax", "5"), "task T8 takes no --enum-nmax"),
+    (("--task", "T9", "--collapse-order", "5"), "task T9 takes no --collapse-order"),
+])
+def test_verify_rejects_a_grid_flag_the_task_does_not_declare(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", *argv])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_verify_replays_a_t8_witness_at_a_non_default_n_terms(capsys, monkeypatch):
+    # one coefficient of the factor 1 + q^3 of (1+q)...(1+q^N) off by one
+    original = verify.pochhammer_finite
+
+    def patched(*args):
+        series = original(*args)
+        if args != (1, 3, 1, 1, 30):
+            return series
+        return TruncatedSeries(series.coeffs[:4] + (series.coeffs[4] + 1,) + series.coeffs[5:])
+
+    monkeypatch.setattr(verify, "pochhammer_finite", patched)
+    report = verify.run_task("T8", kmax=0, n_terms=5, order=30)
+    assert report.status == "fail"
+    code, out = run_cli(capsys, "verify", "--task", "T8", "--kmax", "0", "--n-terms", "5",
+                        "--order", "30", "--format", "json", "--no-timestamp")
+    assert code == 1
+    replayed = json.loads(out)["reports"][0]
+    assert replayed["parameters"] == {"kmax": 0, "N_max": 5, "order": 30}
+    assert replayed["witness"] == report.witness
 
 
 def test_verify_output_is_byte_stable(capsys):

@@ -369,8 +369,13 @@ def test_smallest_part_builders_match_tail_family_sums():
 # The largest order at which each smallest-part series fits below 2**63, and
 # the message one order more raises: the first coefficient of the result
 # that leaves the bound, or of the distinct-part product tail(1), which every
-# builder reads first, where that fails before the result does.
+# builder reads first, where that fails before the result does.  A is tail(1)
+# itself, and every Pprime(k) shifts the one product tail(2) of Pprime(1).
 SMALLEST_PART_EDGES = [
+    (ClassSpec("A"), 769, 9322334643320220726),
+    (ClassSpec("Pprime", 1), 791, 9465882482837068524),
+    (ClassSpec("Pprime", 2), 791, 9465882482837068524),
+    (ClassSpec("Pprime", 5), 791, 9465882482837068524),
     (ClassSpec("Dk", 2), 748, 9234859427653261696),
     (ClassSpec("Dk", 8), 753, 9281046515468703324),
     (ClassSpec("Dk", 10), 755, 9498789159012851362),

@@ -3,6 +3,7 @@
 import json
 import tracemalloc
 
+import oracles
 import pytest
 
 from qpart import counting, verify
@@ -113,6 +114,80 @@ def test_t8_builds_each_falling_product_once_per_k(monkeypatch):
     assert report.passed and report.checked_cells == 6 * 9 + 9
     assert sorted(built) == sorted((j + 1, 1, k - j - 1, 40)
                                    for k in range(1, 7) for j in range(k))
+
+
+def test_t8_makes_one_product_per_cell(monkeypatch):
+    # by linearity: one product per (k, N), tail(1)*F_k once per k and
+    # tail(1)*recips[N] once per N, besides the n_terms partial products
+    # (1+q)...(1+q^N)
+    products = []
+    original = TruncatedSeries.__mul__
+
+    def recording(a, b):
+        products.append(a.order)
+        return original(a, b)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", recording)
+    kmax, n_terms = 6, 8
+    report = run_task("T8", kmax=kmax, n_terms=n_terms, order=40)
+    assert report.passed
+    assert len(products) == kmax * (n_terms + 1) + kmax + (n_terms + 1) + n_terms
+
+
+def test_t8_closed_form_equals_the_per_j_bracket(monkeypatch):
+    # the linear closed form against the per-j bracket loop it replaced, at
+    # every (k, N) of T8's default grid
+    compared = {}
+    original = verify._series
+
+    def recording(cell, left_name, lhs, right_name, rhs):
+        if "k" in cell:
+            compared[cell["k"], cell["N"]] = rhs
+        return original(cell, left_name, lhs, right_name, rhs)
+
+    monkeypatch.setattr(verify, "_series", recording)
+    assert run_task("T8", kmax=6, n_terms=30, order=120).passed
+    reference = oracles.t8_closed_forms(6, 30, 120)
+    assert len(compared) == len(reference) == 6 * 31
+    for cell, rhs in reference.items():
+        assert compared[cell] == rhs, cell
+
+
+def test_infinite_products_are_built_once_per_order(monkeypatch):
+    # A, Pe_d, the smallest-part sums and T9 share (-q; q)_inf, and every
+    # Pprime(k) shifts the one (-q^2; q)_inf
+    order = 97
+    for cache in (counting.gf, counting._signed):
+        cache.cache_clear()
+    built = []
+    original = counting.pochhammer_infinite
+
+    def recording(*args):
+        built.append(args)
+        return original(*args)
+
+    for module in (counting, verify):
+        monkeypatch.setattr(module, "pochhammer_infinite", recording)
+    specs = [ClassSpec("A"), ClassSpec("Pe_d"), ClassSpec("Dk", 2)]
+    specs += [ClassSpec("Pprime", k) for k in range(1, 6)]
+    for spec in specs:
+        counting.gf(spec, order)
+    assert run_task("T9", order=order).passed
+    assert built.count((PLUS, 1, 1, order)) == 1
+    assert built.count((PLUS, 2, 1, order)) == 1
+    for cache in (counting.gf, counting._signed):
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("task_id, name, value", [
+    ("T1", "nmax", True),
+    ("T1", "nmax", 2.5),
+    ("T8", "n_terms", "3"),
+    ("T8", "n_terms", 3.0),
+])
+def test_grid_values_must_be_ints(task_id, name, value):
+    with pytest.raises(ValueError, match=f"task {task_id} takes an integer {name}, not {value!r}"):
+        run_task(task_id, **{name: value})
 
 
 def test_reports_are_deterministic():
