@@ -44,6 +44,7 @@ from .partitions import (
     AnchoredPartition,
     ClassSpec,
     Partition,
+    PartitionError,
     is_member,
 )
 
@@ -93,10 +94,6 @@ class BijectionOutcome:
         }
 
 
-def _sorted_parts(parts) -> tuple[int, ...]:
-    return tuple(sorted(parts, reverse=True))
-
-
 # ---------------------------------------------------------------------------
 # binary merge/split between odd-part and distinct-part partitions
 # ---------------------------------------------------------------------------
@@ -115,7 +112,7 @@ def glaisher_merge(p: Partition) -> Partition:
                 out.append(a << e)
             f >>= 1
             e += 1
-    return Partition(_sorted_parts(out))
+    return Partition.from_parts(out)
 
 
 def glaisher_split(p: Partition) -> Partition:
@@ -131,7 +128,7 @@ def glaisher_split(p: Partition) -> Partition:
             a //= 2
             copies *= 2
         out.extend([a] * copies)
-    return Partition(_sorted_parts(out))
+    return Partition.from_parts(out)
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +176,20 @@ def akdk_inverse(k: int, outcome: BijectionOutcome) -> Partition:
         raise BijectionError("akdk images are plain partitions")
     cid = outcome.target_class.class_id
     parts = image.parts
-    if cid == "P2":
-        result = Partition(_sorted_parts(parts[:-1] + (parts[-1] + 1,) + (0,) * k))
-    elif cid == "P1":
-        result = Partition(parts + (1,) + (0,) * k)
-    elif cid == "Pdprime":
-        result = Partition(_sorted_parts(parts[:-1] + (parts[-1] + 1,)))
-    elif cid == "Pprime":
-        result = Partition(_sorted_parts(parts + (1,)))
-    else:
-        raise BijectionError(f"unexpected target class {outcome.target_class}")
+    # A member's raised or appended part lands in place; a forged image's may not.
+    try:
+        if cid == "P2":
+            result = Partition(parts[:-1] + (parts[-1] + 1,) + (0,) * k)
+        elif cid == "P1":
+            result = Partition(parts + (1,) + (0,) * k)
+        elif cid == "Pdprime":
+            result = Partition(parts[:-1] + (parts[-1] + 1,))
+        elif cid == "Pprime":
+            result = Partition(parts + (1,))
+        else:
+            raise BijectionError(f"unexpected target class {outcome.target_class}")
+    except PartitionError as err:
+        raise BijectionError(f"image {image} is not in {outcome.target_class}") from err
     if not is_member(_spec("Dk", k), result):
         raise BijectionError(f"inverse image {result} is not a Dk member")
     return result
@@ -267,9 +268,13 @@ def dk_recurrence_inverse(k: int, outcome: BijectionOutcome) -> tuple[Partition,
     sub = dk_recurrence_subrange(k, image)
     parts = image.parts
     s = parts[-1]
-    raised = _sorted_parts(parts[: len(parts) - (k - 1)] + (s + 1,) * (k - 1))
+    # a Dk-1 member's part above its k-1 smallest is at least s + 1
+    try:
+        raised = Partition(parts[: len(parts) - (k - 1)] + (s + 1,) * (k - 1))
+    except PartitionError as err:
+        raise BijectionError(f"image {image} is not in {outcome.target_class}") from err
     source = SOURCE_DK if sub in ("a", "b") else SOURCE_DK_MINUS_1
-    return Partition(raised), source
+    return raised, source
 
 
 # ---------------------------------------------------------------------------
@@ -313,30 +318,21 @@ def _anchored_block(l: int, weight: int) -> RankBlock:
     return _rank_block((anchor,) + core for core in _c_core(weight - anchor, anchor, l))
 
 
-def _largest_odd_half(p: Partition) -> int:
-    odds = [v for v in p.parts if v % 2]
-    if not odds:
-        raise BijectionError(f"{p} has no odd part")
-    return (max(odds) + 1) // 2
-
-
 def base_bc_map(p: Partition, strategy: str = RANK) -> AnchoredPartition:
     """Map an all-odd partition of n to an anchored partition of n+1."""
     if not is_member(_B, p):
         raise BijectionError(f"{p} is not an all-odd partition")
-    l = _largest_odd_half(p)
+    l = (p.parts[0] + 1) // 2  # an all-odd member's largest part is 2l-1
     if strategy == RANK:
-        b_block, b_rank = _odd_block(l, p.weight)
-        c_block, _ = _anchored_block(l, p.weight + 1)
+        weight = p.weight
+        b_block, b_rank = _odd_block(l, weight)
+        c_block, _ = _anchored_block(l, weight + 1)
         if len(b_block) != len(c_block):
-            raise BijectionError(f"block size mismatch at l={l}, weight={p.weight}")
+            raise BijectionError(f"block size mismatch at l={l}, weight={weight}")
         return AnchoredPartition(2 * l, Partition(c_block[b_rank[p.parts]]))
     if strategy == AKY_SKETCH:
-        rest = list(p.parts)
-        rest.remove(2 * l - 1)
-        merged = glaisher_merge(Partition(_sorted_parts(rest)))
-        candidate = AnchoredPartition(
-            2 * l, Partition(_sorted_parts(merged.parts + (2 * l,))))
+        merged = glaisher_merge(Partition(p.parts[1:]))
+        candidate = AnchoredPartition(2 * l, Partition.from_parts(merged.parts + (2 * l,)))
         if not is_member(_C, candidate):
             raise SketchMembershipError(p, candidate)
         return candidate
@@ -349,16 +345,18 @@ def base_bc_inverse(ap: AnchoredPartition, strategy: str = RANK) -> Partition:
         raise BijectionError(f"{ap} is not an anchored member")
     l = ap.anchor // 2
     if strategy == RANK:
-        c_block, c_rank = _anchored_block(l, ap.weight)
-        b_block, _ = _odd_block(l, ap.weight - 1)
+        weight = ap.weight - 1
+        c_block, c_rank = _anchored_block(l, weight + 1)
+        b_block, _ = _odd_block(l, weight)
         if len(b_block) != len(c_block):
-            raise BijectionError(f"block size mismatch at l={l}, weight={ap.weight - 1}")
+            raise BijectionError(f"block size mismatch at l={l}, weight={weight}")
         return Partition(b_block[c_rank[ap.partition.parts]])
     if strategy == AKY_SKETCH:
         rest = list(ap.partition.parts)
         rest.remove(ap.anchor)
-        split = glaisher_split(Partition(_sorted_parts(rest))) if rest else Partition(())
-        result = Partition(_sorted_parts(split.parts + (ap.anchor - 1,)))
+        split = glaisher_split(Partition(tuple(rest))) if rest else Partition(())
+        # the other parts are at most 2l, so their odd parts at most 2l-1
+        result = Partition((ap.anchor - 1,) + split.parts)
         if not is_member(_B, result):
             raise BijectionError(f"sketch inverse image {result} is not all-odd")
         return result
@@ -418,37 +416,29 @@ def _parity_flip(parity: str) -> str:
     return "o" if parity == "e" else "e"
 
 
-def _remove_one(parts: tuple[int, ...], value: int) -> tuple[int, ...]:
-    out = list(parts)
-    out.remove(value)
-    return tuple(out)
-
-
 def bkck_map(k: int, parity: str, p: Partition,
              strategy: str = RANK) -> BijectionOutcome:
     """Windowed family map, odd side of weight n to anchored side of n+1.
 
-    Strips the largest window part m, recurses one window level down with
-    flipped parity, and re-attaches m; with no window parts it is exactly
-    the base map.
+    A member's window parts are the even prefix above its largest odd part.
+    Strips the first, m = parts[0], recurses one window level down with
+    flipped parity, and re-attaches m in front: the image keeps the anchor,
+    below m.  With no window parts it is exactly the base map.
     """
     if parity not in ("e", "o"):
         raise BijectionError("parity must be 'e' or 'o'")
     spec = _spec(f"Bk_{parity}", k)
     if not is_member(spec, p):
         raise BijectionError(f"{p} is not a member of {spec}")
-    evens = [v for v in p.parts if v % 2 == 0]
-    if not evens:
+    m = p.parts[0]
+    if m % 2:
         image = base_bc_map(p, strategy)
         outcome = BijectionOutcome(image, _spec(f"Ck_{parity}", k),
                                    (f"base[{strategy}]:anchor={image.anchor}",))
     else:
-        m = max(evens)
-        stripped = Partition(_remove_one(p.parts, m))
-        sub = bkck_map(k - 1, _parity_flip(parity), stripped, strategy)
+        sub = bkck_map(k - 1, _parity_flip(parity), Partition(p.parts[1:]), strategy)
         lifted = AnchoredPartition(
-            sub.image.anchor,
-            Partition(_sorted_parts(sub.image.partition.parts + (m,))))
+            sub.image.anchor, Partition((m,) + sub.image.partition.parts))
         outcome = BijectionOutcome(lifted, _spec(f"Ck_{parity}", k),
                                    (f"strip:{m}",) + sub.case_tag)
     if not is_member(outcome.target_class, outcome.image):
@@ -458,23 +448,27 @@ def bkck_map(k: int, parity: str, p: Partition,
 
 def bkck_inverse(k: int, parity: str, ap: AnchoredPartition,
                  strategy: str = RANK) -> BijectionOutcome:
-    """Inverse direction: anchored side of weight n+1 to odd side of n."""
+    """Inverse direction: anchored side of weight n+1 to odd side of n.
+
+    A member's window extras are the prefix above its anchor.  Strips the
+    first, m = parts[0], recurses one level down with flipped parity, and
+    re-attaches m in front of the image, whose parts are all below m.
+    """
     if parity not in ("e", "o"):
         raise BijectionError("parity must be 'e' or 'o'")
     spec = _spec(f"Ck_{parity}", k)
     if not is_member(spec, ap):
         raise BijectionError(f"{ap} is not a member of {spec}")
-    extras = [v for v in ap.partition.parts if v > ap.anchor]
-    if not extras:
+    parts = ap.partition.parts
+    m = parts[0]
+    if m <= ap.anchor:
         image = base_bc_inverse(ap, strategy)
         outcome = BijectionOutcome(image, _spec(f"Bk_{parity}", k),
                                    (f"base[{strategy}]:anchor={ap.anchor}",))
     else:
-        m = max(extras)
-        stripped = AnchoredPartition(ap.anchor,
-                                     Partition(_remove_one(ap.partition.parts, m)))
+        stripped = AnchoredPartition(ap.anchor, Partition(parts[1:]))
         sub = bkck_inverse(k - 1, _parity_flip(parity), stripped, strategy)
-        lifted = Partition(_sorted_parts(sub.image.parts + (m,)))
+        lifted = Partition((m,) + sub.image.parts)
         outcome = BijectionOutcome(lifted, _spec(f"Bk_{parity}", k),
                                    (f"strip:{m}",) + sub.case_tag)
     if not is_member(outcome.target_class, outcome.image):

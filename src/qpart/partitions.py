@@ -64,25 +64,17 @@ class PartitionError(ValueError):
     """Malformed partition input (ordering, sign, or representation kind)."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Partition:
-    """Weakly decreasing tuple of non-negative integer parts."""
+    """Weakly decreasing tuple of non-negative integer parts, checked in one
+    frame at C speed; only a faulty tuple pays the loop naming its fault."""
 
     parts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        parts = self.parts
-        # One pass at C speed for the common valid case; the loop below only
-        # names the first fault.
-        if not parts or (parts[-1] >= 0 and all(map(ge, parts, parts[1:]))):
-            return
-        prev = None
-        for p in parts:
-            if p < 0:
-                raise PartitionError(f"negative part {p}")
-            if prev is not None and p > prev:
-                raise PartitionError("parts must be weakly decreasing")
-            prev = p
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        if parts and not (parts[-1] >= 0 and all(map(ge, parts, parts[1:]))):
+            _raise_first_fault(parts)
+        _set_parts(self, parts)
 
     @classmethod
     def from_parts(cls, parts) -> "Partition":
@@ -106,6 +98,20 @@ class Partition:
         if not self.parts:
             return "(empty)"
         return "+".join(str(p) for p in self.parts)
+
+
+_set_parts = Partition.parts.__set__  # the slot's setter, past the frozen __setattr__
+
+
+def _raise_first_fault(parts) -> None:
+    """Name the first negative part or increase of parts."""
+    prev = None
+    for p in parts:
+        if p < 0:
+            raise PartitionError(f"negative part {p}")
+        if prev is not None and p > prev:
+            raise PartitionError("parts must be weakly decreasing")
+        prev = p
 
 
 @dataclass(frozen=True, slots=True)
@@ -219,10 +225,13 @@ def _member_b(p: Partition, k: None) -> bool:
 
 def _dk_parts_above(p: Partition, k: int) -> int | None:
     """Number of parts above the smallest of a Dk member."""
-    if not p.parts:
+    parts = p.parts
+    above = len(parts) - k
+    # The smallest fills exactly the last k places: parts[above] equals it,
+    # and parts[:above + 1] distinct puts parts[above - 1] above it.
+    if above < 0 or parts[above] != parts[-1] or not _is_distinct(parts[:above + 1]):
         return None
-    _, mult, rest_distinct = smallest_part_profile(p)
-    return len(p.parts) - k if mult == k and rest_distinct else None
+    return above
 
 
 def _member_dk(p: Partition, k: int) -> bool:
@@ -231,10 +240,6 @@ def _member_dk(p: Partition, k: int) -> bool:
 
 def _member_sptkd(p: Partition, k: int) -> bool:
     return _dk_parts_above(p, k) is not None and p.parts[-1] >= 1
-
-
-def _window(l: int, k: int) -> tuple[int, int]:
-    return 2 * l + 2, 2 * l + 2 * k - 2
 
 
 def _bk_evens(p: Partition, k: int) -> int | None:
@@ -250,8 +255,9 @@ def _bk_evens(p: Partition, k: int) -> int | None:
         evens += 1
     else:
         return None
-    lo, hi = _window((parts[evens] + 1) // 2, k)
-    if evens and (parts[0] > hi or parts[evens - 1] < lo or not _is_distinct(parts[:evens])):
+    top = parts[evens]  # 2l-1, so the window [2l+2, 2l+2k-2] is [top+3, top+2k-1]
+    if evens and (parts[0] > top + 2 * k - 1 or parts[evens - 1] < top + 3
+                  or not _is_distinct(parts[:evens])):
         return None
     return evens if all(map(_odd, parts[evens + 1:])) else None
 
@@ -262,12 +268,11 @@ def _ck_extras(ap: AnchoredPartition, k: int) -> int | None:
     if parts and parts[-1] < 1:
         return None
     anchor = ap.anchor
-    l = anchor // 2
-    # The extras are the prefix above the anchor: distinct even parts no
+    # The extras are the prefix above the anchor 2l: distinct even parts no
     # larger than 2l+2k-2.  An even part above 2l is at least 2l+2, the
     # window's low end, and distinct window values number at most k-1.
     extras = 0
-    bound = _window(l, k)[1] + 1
+    bound = anchor + 2 * k - 1
     for v in parts:
         if v <= anchor:
             break
@@ -276,7 +281,7 @@ def _ck_extras(ap: AnchoredPartition, k: int) -> int | None:
         bound = v
         extras += 1
     # The parts <= l are a suffix; they must be distinct.
-    small = bisect_left(parts, -l, key=neg)
+    small = bisect_left(parts, -(anchor // 2), key=neg)
     return extras if _is_distinct(parts[small:]) else None
 
 

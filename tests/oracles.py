@@ -1,6 +1,40 @@
 """Reference code that the package replaced, kept verbatim for the tests
 that compare the new code with it."""
 
+from bisect import bisect_left
+from operator import ge, neg
+
+from qpart import bijections
+from qpart.bijections import (
+    AKY_SKETCH,
+    RANK,
+    SOURCE_DK,
+    SOURCE_DK_MINUS_1,
+    STRATEGIES,
+    BijectionError,
+    BijectionOutcome,
+    SketchMembershipError,
+    _B,
+    _C,
+    _anchored_block,
+    _odd_block,
+    _parity_flip,
+    _spec,
+    dk_recurrence_subrange,
+    glaisher_merge,
+    glaisher_split,
+)
+from qpart.counting import enumerate_class
+from qpart.partitions import (
+    AnchoredPartition,
+    ClassSpec,
+    Partition,
+    PartitionError,
+    _is_distinct,
+    _odd,
+    is_member,
+    smallest_part_profile,
+)
 from qpart.series import (
     MINUS,
     PLUS,
@@ -37,3 +71,299 @@ def t8_closed_forms(kmax: int, n_terms: int, order: int) -> dict:
                 bracket = bracket + term
             out[k, big_n] = full_plus * bracket
     return out
+
+
+# ---------------------------------------------------------------------------
+# bijections: the maps before window parts were stripped from the front and
+# re-attached ones stopped being re-sorted
+# ---------------------------------------------------------------------------
+
+def _sorted_parts(parts) -> tuple[int, ...]:
+    return tuple(sorted(parts, reverse=True))
+
+
+def akdk_inverse(k: int, outcome: BijectionOutcome) -> Partition:
+    """Add 1 back to the appropriate part and restore the Dk form."""
+    image = outcome.image
+    if not isinstance(image, Partition):
+        raise BijectionError("akdk images are plain partitions")
+    cid = outcome.target_class.class_id
+    parts = image.parts
+    if cid == "P2":
+        result = Partition(_sorted_parts(parts[:-1] + (parts[-1] + 1,) + (0,) * k))
+    elif cid == "P1":
+        result = Partition(parts + (1,) + (0,) * k)
+    elif cid == "Pdprime":
+        result = Partition(_sorted_parts(parts[:-1] + (parts[-1] + 1,)))
+    elif cid == "Pprime":
+        result = Partition(_sorted_parts(parts + (1,)))
+    else:
+        raise BijectionError(f"unexpected target class {outcome.target_class}")
+    if not is_member(_spec("Dk", k), result):
+        raise BijectionError(f"inverse image {result} is not a Dk member")
+    return result
+
+
+def dk_recurrence_inverse(k: int, outcome: BijectionOutcome) -> tuple[Partition, str]:
+    """Recover (source partition, source tag) from a tagged image."""
+    image = outcome.image
+    if not isinstance(image, Partition):
+        raise BijectionError("recurrence images are plain partitions")
+    if outcome.target_class.class_id == "A":
+        source = SOURCE_DK if outcome.case_tag[0].endswith(SOURCE_DK) else SOURCE_DK_MINUS_1
+        zeros = k if source == SOURCE_DK else k - 1
+        return Partition(image.parts + (0,) * zeros), source
+    sub = dk_recurrence_subrange(k, image)
+    parts = image.parts
+    s = parts[-1]
+    raised = _sorted_parts(parts[: len(parts) - (k - 1)] + (s + 1,) * (k - 1))
+    source = SOURCE_DK if sub in ("a", "b") else SOURCE_DK_MINUS_1
+    return Partition(raised), source
+
+
+def _largest_odd_half(p: Partition) -> int:
+    odds = [v for v in p.parts if v % 2]
+    if not odds:
+        raise BijectionError(f"{p} has no odd part")
+    return (max(odds) + 1) // 2
+
+
+def base_bc_map(p: Partition, strategy: str = RANK) -> AnchoredPartition:
+    """Map an all-odd partition of n to an anchored partition of n+1."""
+    if not is_member(_B, p):
+        raise BijectionError(f"{p} is not an all-odd partition")
+    l = _largest_odd_half(p)
+    if strategy == RANK:
+        b_block, b_rank = _odd_block(l, p.weight)
+        c_block, _ = _anchored_block(l, p.weight + 1)
+        if len(b_block) != len(c_block):
+            raise BijectionError(f"block size mismatch at l={l}, weight={p.weight}")
+        return AnchoredPartition(2 * l, Partition(c_block[b_rank[p.parts]]))
+    if strategy == AKY_SKETCH:
+        rest = list(p.parts)
+        rest.remove(2 * l - 1)
+        merged = glaisher_merge(Partition(_sorted_parts(rest)))
+        candidate = AnchoredPartition(
+            2 * l, Partition(_sorted_parts(merged.parts + (2 * l,))))
+        if not is_member(_C, candidate):
+            raise SketchMembershipError(p, candidate)
+        return candidate
+    raise BijectionError(f"unknown strategy {strategy!r}")
+
+
+def base_bc_inverse(ap: AnchoredPartition, strategy: str = RANK) -> Partition:
+    """Map an anchored partition of n+1 back to an all-odd partition of n."""
+    if not is_member(_C, ap):
+        raise BijectionError(f"{ap} is not an anchored member")
+    l = ap.anchor // 2
+    if strategy == RANK:
+        c_block, c_rank = _anchored_block(l, ap.weight)
+        b_block, _ = _odd_block(l, ap.weight - 1)
+        if len(b_block) != len(c_block):
+            raise BijectionError(f"block size mismatch at l={l}, weight={ap.weight - 1}")
+        return Partition(b_block[c_rank[ap.partition.parts]])
+    if strategy == AKY_SKETCH:
+        rest = list(ap.partition.parts)
+        rest.remove(ap.anchor)
+        split = glaisher_split(Partition(_sorted_parts(rest))) if rest else Partition(())
+        result = Partition(_sorted_parts(split.parts + (ap.anchor - 1,)))
+        if not is_member(_B, result):
+            raise BijectionError(f"sketch inverse image {result} is not all-odd")
+        return result
+    raise BijectionError(f"unknown strategy {strategy!r}")
+
+
+def _remove_one(parts: tuple[int, ...], value: int) -> tuple[int, ...]:
+    out = list(parts)
+    out.remove(value)
+    return tuple(out)
+
+
+def bkck_map(k: int, parity: str, p: Partition,
+             strategy: str = RANK) -> BijectionOutcome:
+    """Windowed family map, odd side of weight n to anchored side of n+1.
+
+    Strips the largest window part m, recurses one window level down with
+    flipped parity, and re-attaches m; with no window parts it is exactly
+    the base map.
+    """
+    if parity not in ("e", "o"):
+        raise BijectionError("parity must be 'e' or 'o'")
+    spec = _spec(f"Bk_{parity}", k)
+    if not is_member(spec, p):
+        raise BijectionError(f"{p} is not a member of {spec}")
+    evens = [v for v in p.parts if v % 2 == 0]
+    if not evens:
+        image = base_bc_map(p, strategy)
+        outcome = BijectionOutcome(image, _spec(f"Ck_{parity}", k),
+                                   (f"base[{strategy}]:anchor={image.anchor}",))
+    else:
+        m = max(evens)
+        stripped = Partition(_remove_one(p.parts, m))
+        sub = bkck_map(k - 1, _parity_flip(parity), stripped, strategy)
+        lifted = AnchoredPartition(
+            sub.image.anchor,
+            Partition(_sorted_parts(sub.image.partition.parts + (m,))))
+        outcome = BijectionOutcome(lifted, _spec(f"Ck_{parity}", k),
+                                   (f"strip:{m}",) + sub.case_tag)
+    if not is_member(outcome.target_class, outcome.image):
+        raise BijectionError(f"image {outcome.image} is not in {outcome.target_class}")
+    return outcome
+
+
+def bkck_inverse(k: int, parity: str, ap: AnchoredPartition,
+                 strategy: str = RANK) -> BijectionOutcome:
+    """Inverse direction: anchored side of weight n+1 to odd side of n."""
+    if parity not in ("e", "o"):
+        raise BijectionError("parity must be 'e' or 'o'")
+    spec = _spec(f"Ck_{parity}", k)
+    if not is_member(spec, ap):
+        raise BijectionError(f"{ap} is not a member of {spec}")
+    extras = [v for v in ap.partition.parts if v > ap.anchor]
+    if not extras:
+        image = base_bc_inverse(ap, strategy)
+        outcome = BijectionOutcome(image, _spec(f"Bk_{parity}", k),
+                                   (f"base[{strategy}]:anchor={ap.anchor}",))
+    else:
+        m = max(extras)
+        stripped = AnchoredPartition(ap.anchor,
+                                     Partition(_remove_one(ap.partition.parts, m)))
+        sub = bkck_inverse(k - 1, _parity_flip(parity), stripped, strategy)
+        lifted = Partition(_sorted_parts(sub.image.parts + (m,)))
+        outcome = BijectionOutcome(lifted, _spec(f"Bk_{parity}", k),
+                                   (f"strip:{m}",) + sub.case_tag)
+    if not is_member(outcome.target_class, outcome.image):
+        raise BijectionError(f"image {outcome.image} is not in {outcome.target_class}")
+    return outcome
+
+
+# ---------------------------------------------------------------------------
+# partitions: validation and the predicates before their helpers were inlined
+# ---------------------------------------------------------------------------
+
+def partition_post_init(self) -> None:
+    """``Partition.__post_init__``: validation after the generated
+    ``__init__`` set ``self.parts``."""
+    parts = self.parts
+    # One pass at C speed for the common valid case; the loop below only
+    # names the first fault.
+    if not parts or (parts[-1] >= 0 and all(map(ge, parts, parts[1:]))):
+        return
+    prev = None
+    for p in parts:
+        if p < 0:
+            raise PartitionError(f"negative part {p}")
+        if prev is not None and p > prev:
+            raise PartitionError("parts must be weakly decreasing")
+        prev = p
+
+
+def _dk_parts_above(p: Partition, k: int) -> int | None:
+    """Number of parts above the smallest of a Dk member."""
+    if not p.parts:
+        return None
+    _, mult, rest_distinct = smallest_part_profile(p)
+    return len(p.parts) - k if mult == k and rest_distinct else None
+
+
+def _window(l: int, k: int) -> tuple[int, int]:
+    return 2 * l + 2, 2 * l + 2 * k - 2
+
+
+def _bk_evens(p: Partition, k: int) -> int | None:
+    """Number of even window parts of a Bk member of either parity."""
+    parts = p.parts
+    if not parts or parts[-1] < 1:
+        return None
+    # The window lies above the largest odd part, so its evens are a prefix.
+    evens = 0
+    for v in parts:
+        if v % 2:
+            break
+        evens += 1
+    else:
+        return None
+    lo, hi = _window((parts[evens] + 1) // 2, k)
+    if evens and (parts[0] > hi or parts[evens - 1] < lo or not _is_distinct(parts[:evens])):
+        return None
+    return evens if all(map(_odd, parts[evens + 1:])) else None
+
+
+def _ck_extras(ap: AnchoredPartition, k: int) -> int | None:
+    """Number of window extras of a valid anchored decomposition, else None."""
+    parts = ap.partition.parts
+    if parts and parts[-1] < 1:
+        return None
+    anchor = ap.anchor
+    l = anchor // 2
+    # The extras are the prefix above the anchor: distinct even parts no
+    # larger than 2l+2k-2.  An even part above 2l is at least 2l+2, the
+    # window's low end, and distinct window values number at most k-1.
+    extras = 0
+    bound = _window(l, k)[1] + 1
+    for v in parts:
+        if v <= anchor:
+            break
+        if v % 2 or v >= bound:
+            return None
+        bound = v
+        extras += 1
+    # The parts <= l are a suffix; they must be distinct.
+    small = bisect_left(parts, -l, key=neg)
+    return extras if _is_distinct(parts[small:]) else None
+
+
+# ---------------------------------------------------------------------------
+# the changed maps against the copies above
+# ---------------------------------------------------------------------------
+
+
+def _result(call, *args):
+    """What a call returns, or the type and text of what it raises."""
+    try:
+        return call(*args)
+    except Exception as err:  # noqa: BLE001 - compared, not handled
+        return type(err), str(err)
+
+
+def _changed_map_calls(n: int, k: int):
+    """(name, new map, copy, args) for every call the comparison makes at
+    weight n and parameter k: both parities and both strategies.  bkck at
+    k = 1 and parity e is the base map on every all-odd member and its
+    inverse on every anchored one, so the base maps are compared through it."""
+    for parity in "eo":
+        sources = enumerate_class(ClassSpec(f"Bk_{parity}", k), n)
+        images = enumerate_class(ClassSpec(f"Ck_{parity}", k), n)
+        for strategy in STRATEGIES:
+            for p in sources:
+                yield "bkck_map", bijections.bkck_map, bkck_map, (k, parity, p, strategy)
+            for ap in images:
+                yield ("bkck_inverse", bijections.bkck_inverse, bkck_inverse,
+                       (k, parity, ap, strategy))
+    for p in enumerate_class(ClassSpec("Dk", k), n):
+        out = _result(bijections.akdk_map, k, p)
+        if isinstance(out, BijectionOutcome):
+            yield "akdk_inverse", bijections.akdk_inverse, akdk_inverse, (k, out)
+    if k < 2:
+        return
+    for source, mult in ((SOURCE_DK, k), (SOURCE_DK_MINUS_1, k - 1)):
+        for p in enumerate_class(ClassSpec("Dk", mult), n):
+            out = _result(bijections.dk_recurrence_map, k, p, source)
+            if isinstance(out, BijectionOutcome):
+                yield ("dk_recurrence_inverse", bijections.dk_recurrence_inverse,
+                       dk_recurrence_inverse, (k, out))
+
+
+def map_mismatches(weights, ks) -> tuple[int, list[str]]:
+    """Calls compared over the weights and k values, and one line per call
+    whose image, target class, case tag or raised type and text differ from
+    the copy's."""
+    compared, mismatches = 0, []
+    for k in ks:
+        for n in weights:
+            for name, new, old, args in _changed_map_calls(n, k):
+                compared += 1
+                got, want = _result(new, *args), _result(old, *args)
+                if got != want:
+                    mismatches.append(f"{name}{args}: {got!r}, before {want!r}")
+    return compared, mismatches

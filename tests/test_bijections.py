@@ -32,6 +32,8 @@ from qpart.bijections import (
 from qpart.counting import enumerate_class
 from qpart.partitions import AnchoredPartition, ClassSpec, Partition, is_member
 
+import oracles
+
 P = Partition.from_parts
 
 
@@ -464,6 +466,124 @@ def test_maps_build_each_class_spec_once(monkeypatch):
     sweep()
     assert built == []
     assert bijections._spec.cache_info().maxsize is not None
+
+
+# ---------------------------------------------------------------------------
+# forged outcomes: an image outside its tagged class whose re-attached part
+# lands out of order is named, never re-sorted into some Dk member
+# ---------------------------------------------------------------------------
+
+FORGED_OUTCOMES = [
+    # (map, k, image parts, tagged target); the part raised or appended
+    # would sit above its neighbour
+    (akdk_inverse, 2, (3, 3), ClassSpec("P2")),
+    (akdk_inverse, 2, (2, 0), ClassSpec("P1")),
+    (akdk_inverse, 1, (3, 3), ClassSpec("Pdprime", 1)),
+    (akdk_inverse, 1, (3, 0), ClassSpec("Pprime", 1)),
+    (dk_recurrence_inverse, 3, (5, 2, 2, 2), ClassSpec("Dk", 2)),
+]
+
+
+@pytest.mark.parametrize("inverse, k, parts, target", FORGED_OUTCOMES,
+                         ids=[f"{f.__name__}-{t}" for f, _, _, t in FORGED_OUTCOMES])
+def test_forged_outcome_out_of_order_is_a_bijection_error(inverse, k, parts, target):
+    out = bijections.BijectionOutcome(Partition(parts), target, ("forged",))
+    with pytest.raises(BijectionError) as err:
+        inverse(k, out)
+    assert type(err.value) is BijectionError
+    assert str(err.value) == f"image {Partition(parts)} is not in {target}"
+
+
+# ---------------------------------------------------------------------------
+# the maps against their copies from before they stripped window parts from
+# the front and stopped re-sorting (tests/oracles.py)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_changed_maps_match_pre_change_copies(k):
+    # every member of weights 0..24, both parities and both strategies;
+    # image, target class, case tag, or raised type and text
+    compared, mismatches = oracles.map_mismatches(range(25), [k])
+    assert compared > 4000
+    assert mismatches == []
+
+
+# is_member calls and Partition constructions of one sweep of each public map
+# over every member of its domain at weight 16 (an inverse over every image
+# of its map).  The numbers are those of the maps before they stopped
+# re-sorting, so a check dropped or added shows here.
+CHECKS_AT_16 = {
+    "glaisher_merge": (0, 32),
+    "glaisher_split": (0, 32),
+    "ef_shift": (113, 113),
+    "akdk_map": (92, 46),
+    "akdk_inverse": (46, 46),
+    "dk_recurrence_map": (200, 100),
+    "dk_recurrence_inverse": (0, 100),
+    "base_bc_map": (96, 128),
+    "base_bc_inverse": (96, 128),
+    "bkck_map": (263, 109),
+    "bkck_inverse": (263, 109),
+    "sketch_harness": (110, 197),
+}
+
+
+def _check_sweeps(n: int) -> dict:
+    """Public map -> (callable, argument tuples) at weight n."""
+    def members(cid, k=None, weight=n):
+        return enumerate_class(ClassSpec(cid, k), weight)
+
+    dk_sources = [(p, source) for source, mult in ((SOURCE_DK, 3), (SOURCE_DK_MINUS_1, 2))
+                  for p in members("Dk", mult)]
+    windowed = ((2, "e"), (3, "o"), (4, "e"))
+    return {
+        "glaisher_merge": (glaisher_merge, [(p,) for p in members("B")]),
+        "glaisher_split": (glaisher_split, [(p,) for p in members("A")]),
+        "ef_shift": (ef_shift, [(d, p) for d, cid in (("B->F", "B"), ("F->B", "F"),
+                                                     ("B->E", "B"), ("E->B", "E"))
+                                for p in members(cid)]),
+        "akdk_map": (akdk_map, [(3, p) for p in members("Dk", 3)]),
+        "akdk_inverse": (akdk_inverse, [(3, akdk_map(3, p)) for p in members("Dk", 3)]),
+        "dk_recurrence_map": (dk_recurrence_map, [(3, p, s) for p, s in dk_sources]),
+        "dk_recurrence_inverse": (dk_recurrence_inverse,
+                                  [(3, dk_recurrence_map(3, p, s)) for p, s in dk_sources]),
+        "base_bc_map": (base_bc_map, [(p, s) for s in (RANK, AKY_SKETCH) for p in members("B")]),
+        "base_bc_inverse": (base_bc_inverse, [(ap, s) for s in (RANK, AKY_SKETCH)
+                                              for ap in members("C", weight=n + 1)]),
+        "bkck_map": (bkck_map, [(k, par, p) for k, par in windowed
+                                for p in members(f"Bk_{par}", k)]),
+        "bkck_inverse": (bkck_inverse, [(k, par, ap) for k, par in windowed
+                                        for ap in members(f"Ck_{par}", k, n + 1)]),
+        "sketch_harness": (sketch_harness, [(n,)]),
+    }
+
+
+def test_every_map_keeps_its_checks(monkeypatch):
+    sweeps = _check_sweeps(16)
+    counts = Counter()
+    real_member, real_init = bijections.is_member, Partition.__init__
+
+    def member(spec, value):
+        counts["is_member"] += 1
+        return real_member(spec, value)
+
+    def init(self, *args, **kwargs):
+        counts["Partition"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(bijections, "is_member", member)
+    monkeypatch.setattr(Partition, "__init__", init)
+    got = {}
+    for name, (call, calls) in sweeps.items():
+        counts.clear()
+        for args in calls:
+            try:
+                call(*args)
+            except BijectionError:
+                pass
+        got[name] = (counts["is_member"], counts["Partition"])
+    assert got == CHECKS_AT_16
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 from collections import Counter
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -16,10 +17,15 @@ from qpart.partitions import (
     Partition,
     PartitionError,
     anchor_decompositions,
+    _bk_evens,
+    _ck_extras,
+    _dk_parts_above,
     _is_distinct,
     is_member,
     smallest_part_profile,
 )
+
+import oracles
 
 P = Partition.from_parts
 
@@ -343,3 +349,55 @@ def test_is_member_digest_over_every_class_and_anchor():
                         answers.extend("1" if is_member(spec, v) else "0" for v in values)
     assert len(answers) == MEMBERSHIP_ANSWERS
     assert hashlib.sha256("".join(answers).encode()).hexdigest() == MEMBERSHIP_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# predicates against their copies from before their helpers were inlined
+# (tests/oracles.py)
+# ---------------------------------------------------------------------------
+
+
+# predicate calls of the first comparison below, and faulty tuples of the
+# second
+PREDICATE_CALLS = 154260
+PARTITION_FAULTS = 9205
+
+
+def test_predicates_match_pre_change_copies():
+    # every partition of weight <= 18 with 0..5 zeros appended, k = 1..5,
+    # and every anchor of each for the anchored classes
+    compared = 0
+    for n in range(19):
+        for positive in _every_partition(n):
+            anchors = sorted({v for v in positive if v % 2 == 0})
+            for zeros in range(6):
+                p = Partition(positive + (0,) * zeros)
+                anchored = [AnchoredPartition(a, p) for a in anchors]
+                for k in range(1, 6):
+                    assert _dk_parts_above(p, k) == oracles._dk_parts_above(p, k), (p, k)
+                    assert _bk_evens(p, k) == oracles._bk_evens(p, k), (p, k)
+                    for ap in anchored:
+                        assert _ck_extras(ap, k) == oracles._ck_extras(ap, k), (ap, k)
+                    compared += 2 + len(anchored)
+    assert compared == PREDICATE_CALLS
+
+
+def test_partition_faults_match_pre_change_check():
+    # every tuple of length <= 5 over -2..3: the same values are accepted,
+    # and the same first fault is named for a negative part or an increase
+    faults = 0
+    for length in range(6):
+        for parts in product(range(-2, 4), repeat=length):
+            try:
+                oracles.partition_post_init(SimpleNamespace(parts=parts))
+                want = None
+            except PartitionError as err:
+                want = str(err)
+            if want is None:
+                assert Partition(parts).parts == parts
+                continue
+            faults += 1
+            with pytest.raises(PartitionError) as err:
+                Partition(parts)
+            assert str(err.value) == want, parts
+    assert faults == PARTITION_FAULTS
