@@ -32,12 +32,21 @@ partitions of n+1 comes in two strategies:
     can overshoot the anchor (1+1+...+1 of weight 8 produces a part 4 above
     anchor 2), so this strategy is run under a harness that records
     membership failures instead of asserting success.
+
+``MAPS`` holds each public map once, by its ``qpart bijection --name``.  A
+row's ``sweep(**flags)`` gives the (source class, [(forward, inverse), ...])
+pairs a weight-n round-trip runs, ``apply(value, **flags)`` the (image, case
+tags) of one input, and ``domain(n, **flags)`` why no member of weight n is in
+the domain, or None.  The flags a row reads are the other parameters in these
+signatures; one without a default is required.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 from .counting import _c_core, _odd_multiset, enumerate_class
 from .partitions import (
@@ -86,13 +95,6 @@ class BijectionOutcome:
     target_class: ClassSpec
     case_tag: tuple[str, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "image": self.image.to_json(),
-            "target_class": str(self.target_class),
-            "case_tag": list(self.case_tag),
-        }
-
 
 # ---------------------------------------------------------------------------
 # binary merge/split between odd-part and distinct-part partitions
@@ -136,16 +138,20 @@ def glaisher_split(p: Partition) -> Partition:
 # ---------------------------------------------------------------------------
 
 
+def _akdk_domain(n: int) -> str | None:
+    return "map defined for weight >= 2" if n < 2 else None
+
+
 def akdk_map(k: int, p: Partition) -> BijectionOutcome:
     """Subtract 1 from the smallest part of a Dk member of weight n >= 2.
 
     The four-way case split (smallest zero or repeated, equal to 1 or not)
     lands in exactly one of P2, P1, Pdprime, Pprime at weight n-1.
     """
+    if reason := _akdk_domain(p.weight):
+        raise BijectionError(reason)
     if not is_member(_spec("Dk", k), p):
         raise BijectionError(f"{p} is not a Dk member (k={k})")
-    if p.weight < 2:
-        raise BijectionError("map defined for weight >= 2")
     parts = p.parts
     if parts[-1] == 0:
         positives = parts[:-k]
@@ -188,7 +194,7 @@ def akdk_inverse(k: int, outcome: BijectionOutcome) -> Partition:
             result = Partition(parts + (1,))
         else:
             raise BijectionError(f"unexpected target class {outcome.target_class}")
-    except PartitionError as err:
+    except (IndexError, PartitionError) as err:
         raise BijectionError(f"image {image} is not in {outcome.target_class}") from err
     if not is_member(_spec("Dk", k), result):
         raise BijectionError(f"inverse image {result} is not a Dk member")
@@ -203,6 +209,12 @@ SOURCE_DK = "Dk"
 SOURCE_DK_MINUS_1 = "Dk-1"
 
 
+def _dk_recurrence_domain(n: int, k: int) -> str | None:
+    if k < 2:
+        return "recurrence needs k >= 2"
+    return "weight must exceed k-1" if n <= k - 1 else None
+
+
 def dk_recurrence_map(k: int, p: Partition, source: str) -> BijectionOutcome:
     """Subtract 1 from each of the k-1 smallest parts.
 
@@ -212,15 +224,13 @@ def dk_recurrence_map(k: int, p: Partition, source: str) -> BijectionOutcome:
     sub-ranges of Dk-1(n-k+1) distinguished by the smallest part and the
     gap above it.
     """
-    if k < 2:
-        raise BijectionError("recurrence needs k >= 2")
+    if reason := _dk_recurrence_domain(p.weight, k):
+        raise BijectionError(reason)
     if source not in (SOURCE_DK, SOURCE_DK_MINUS_1):
         raise BijectionError(f"unknown source tag {source!r}")
     mult = k if source == SOURCE_DK else k - 1
     if not is_member(_spec("Dk", mult), p):
         raise BijectionError(f"{p} is not a D-member with smallest multiplicity {mult}")
-    if p.weight <= k - 1:
-        raise BijectionError("weight must exceed k-1")
     parts = p.parts
     if parts[-1] == 0:
         image = Partition(parts[:-mult])
@@ -261,20 +271,20 @@ def dk_recurrence_inverse(k: int, outcome: BijectionOutcome) -> tuple[Partition,
     image = outcome.image
     if not isinstance(image, Partition):
         raise BijectionError("recurrence images are plain partitions")
-    if outcome.target_class.class_id == "A":
-        source = SOURCE_DK if outcome.case_tag[0].endswith(SOURCE_DK) else SOURCE_DK_MINUS_1
-        zeros = k if source == SOURCE_DK else k - 1
-        return Partition(image.parts + (0,) * zeros), source
-    sub = dk_recurrence_subrange(k, image)
     parts = image.parts
-    s = parts[-1]
-    # a Dk-1 member's part above its k-1 smallest is at least s + 1
-    try:
-        raised = Partition(parts[: len(parts) - (k - 1)] + (s + 1,) * (k - 1))
-    except PartitionError as err:
-        raise BijectionError(f"image {image} is not in {outcome.target_class}") from err
-    source = SOURCE_DK if sub in ("a", "b") else SOURCE_DK_MINUS_1
-    return raised, source
+    if outcome.target_class.class_id == "A":
+        from_dk = outcome.case_tag[0].endswith(SOURCE_DK)
+        result = Partition(parts + (0,) * (k if from_dk else k - 1))
+    else:
+        # a Dk-1 member's part above its k-1 smallest parts s is at least s + 1
+        try:
+            from_dk = dk_recurrence_subrange(k, image) in ("a", "b")
+            result = Partition(parts[: len(parts) - (k - 1)] + (parts[-1] + 1,) * (k - 1))
+        except (IndexError, PartitionError) as err:
+            raise BijectionError(f"image {image} is not in {outcome.target_class}") from err
+    if not is_member(_spec("Dk", k if from_dk else k - 1), result):
+        raise BijectionError(f"inverse image {result} is not a Dk member")
+    return result, SOURCE_DK if from_dk else SOURCE_DK_MINUS_1
 
 
 # ---------------------------------------------------------------------------
@@ -480,14 +490,14 @@ def bkck_inverse(k: int, parity: str, ap: AnchoredPartition,
 # largest-part shifts between the odd-parts class and E / F
 # ---------------------------------------------------------------------------
 
-_EF_DIRECTIONS = ("B->F", "F->B", "B->E", "E->B")
+EF_DIRECTIONS = ("B->F", "F->B", "B->E", "E->B")
 
 
 def ef_shift(direction: str, p: Partition) -> Partition:
     """Add or remove 1 (F directions) or 2 (E directions) on the largest
     part, moving between the all-odd class and the unique-largest classes."""
-    if direction not in _EF_DIRECTIONS:
-        raise BijectionError(f"direction must be one of {_EF_DIRECTIONS}")
+    if direction not in EF_DIRECTIONS:
+        raise BijectionError(f"direction must be one of {EF_DIRECTIONS}")
     parts = p.parts
     if direction == "B->F":
         if not is_member(_B, p):
@@ -506,3 +516,64 @@ def ef_shift(direction: str, p: Partition) -> Partition:
     if parts[0] < 3:
         raise BijectionError("largest part must be at least 3 to shift down")
     return Partition((parts[0] - 2,) + parts[1:])
+
+
+# ---------------------------------------------------------------------------
+# the public maps by name: how `qpart bijection` sweeps and applies each one
+# ---------------------------------------------------------------------------
+
+
+class MapRow(NamedTuple):
+    sweep: Callable
+    apply: Callable
+    domain: Callable = lambda n: None
+
+
+def _tagged(out: BijectionOutcome) -> tuple:
+    return out.image, out.case_tag
+
+
+def _dk_recurrence_sweep(k: int):
+    # lazily: at k = 1, Dk(1) refuses a negative weight before Dk(0) is built
+    for source, mult in ((SOURCE_DK, k), (SOURCE_DK_MINUS_1, k - 1)):
+        yield ClassSpec("Dk", mult), [(partial(dk_recurrence_map, k, source=source),
+                                       lambda out: dk_recurrence_inverse(k, out)[0])]
+
+
+def _base_bc_apply(value, strategy: str = RANK) -> tuple:
+    inverse = isinstance(value, AnchoredPartition)
+    return (base_bc_inverse if inverse else base_bc_map)(value, strategy), (f"base[{strategy}]",)
+
+
+def _bkck_apply(value, k: int, parity: str, strategy: str = RANK) -> tuple:
+    inverse = isinstance(value, AnchoredPartition)
+    return _tagged((bkck_inverse if inverse else bkck_map)(k, parity, value, strategy))
+
+
+MAPS: dict[str, MapRow] = {
+    "glaisher": MapRow(
+        sweep=lambda: [(_B, [(glaisher_merge, glaisher_split)])],
+        apply=lambda value: (glaisher_merge(value), ("binary-merge",))),
+    "akdk": MapRow(
+        sweep=lambda k: [(ClassSpec("Dk", k), [(partial(akdk_map, k), partial(akdk_inverse, k))])],
+        apply=lambda value, k: _tagged(akdk_map(k, value)),
+        domain=_akdk_domain),
+    "dk-recurrence": MapRow(
+        sweep=_dk_recurrence_sweep,
+        apply=lambda value, k, source=SOURCE_DK: _tagged(dk_recurrence_map(k, value, source)),
+        domain=_dk_recurrence_domain),
+    "base-bc": MapRow(
+        sweep=lambda strategy=RANK: [(_B, [(partial(base_bc_map, strategy=strategy),
+                                            partial(base_bc_inverse, strategy=strategy))])],
+        apply=_base_bc_apply),
+    "bkck": MapRow(
+        sweep=lambda k, parity, strategy=RANK: [(
+            ClassSpec(f"Bk_{parity}", k),
+            [(partial(bkck_map, k, parity, strategy=strategy),
+              lambda out: bkck_inverse(k, parity, out.image, strategy).image)])],
+        apply=_bkck_apply),
+    "ef-shift": MapRow(
+        sweep=lambda: [(_B, [(partial(ef_shift, "B->F"), partial(ef_shift, "F->B")),
+                             (partial(ef_shift, "B->E"), partial(ef_shift, "E->B"))])],
+        apply=lambda value, direction: (ef_shift(direction, value), (direction,))),
+}

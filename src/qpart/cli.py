@@ -4,8 +4,9 @@ Every command is deterministic; output is byte-identical across runs once
 ``--no-timestamp`` suppresses the generation timestamp and wall times.
 Exit status: 0 on success or verification pass, 1 on a verification or
 round-trip mismatch (the witness is printed), 2 on usage errors, including
-a request past the 64-bit coefficient range of the series engine and a
-round-trip sweep of a weight class that lies outside the map's domain.
+a request past the 64-bit coefficient range of the series engine, a
+round-trip sweep of a weight class that lies outside the map's domain or
+has no member, and a bijection flag that the map does not read.
 
 The default truncation order for series output can be overridden with the
 ``QPART_DEFAULT_ORDER`` environment variable.
@@ -14,6 +15,7 @@ The default truncation order for series output can be overridden with the
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -173,94 +175,39 @@ def _cmd_series(parser, args) -> int:
     return 0
 
 
-def _apply_named_bijection(args, value):
-    name = args.name
-    if name == "glaisher":
-        image = bijections.glaisher_merge(value)
-        return image, ("binary-merge",)
-    if name == "akdk":
-        out = bijections.akdk_map(args.k, value)
-        return out.image, out.case_tag
-    if name == "dk-recurrence":
-        out = bijections.dk_recurrence_map(args.k, value, args.source)
-        return out.image, out.case_tag
-    if name == "base-bc":
-        if isinstance(value, AnchoredPartition):
-            return bijections.base_bc_inverse(value, args.strategy), (f"base[{args.strategy}]",)
-        return bijections.base_bc_map(value, args.strategy), (f"base[{args.strategy}]",)
-    if name == "bkck":
-        if isinstance(value, AnchoredPartition):
-            out = bijections.bkck_inverse(args.k, args.parity, value, args.strategy)
-        else:
-            out = bijections.bkck_map(args.k, args.parity, value, args.strategy)
-        return out.image, out.case_tag
-    if name == "ef-shift":
-        return bijections.ef_shift(args.direction, value), (args.direction,)
-    raise AssertionError(name)
+def _flags(function) -> dict[str, inspect.Parameter]:
+    """The flags a ``bijections.MAPS`` function reads: its parameters besides
+    its input (``value`` of apply, ``n`` of domain)."""
+    return {name: param for name, param in inspect.signature(function).parameters.items()
+            if name not in ("value", "n")}
 
 
-def _roundtrip_cases(parser, args):
-    """(source value, forward callable, inverse callable) triples at weight n."""
-    n, k, parity, strategy = args.n, args.k, args.parity, args.strategy
-    name = args.name
-    if name == "glaisher":
-        for p in enumerate_class(ClassSpec("B"), n):
-            yield p, bijections.glaisher_merge, bijections.glaisher_split
-    elif name == "akdk":
-        for p in enumerate_class(ClassSpec("Dk", k), n):
-            yield p, lambda v: bijections.akdk_map(k, v), \
-                lambda out: bijections.akdk_inverse(k, out)
-    elif name == "dk-recurrence":
-        for source, mult in ((bijections.SOURCE_DK, k), (bijections.SOURCE_DK_MINUS_1, k - 1)):
-            for p in enumerate_class(ClassSpec("Dk", mult), n):
-                yield p, (lambda v, s=source: bijections.dk_recurrence_map(k, v, s)), \
-                    (lambda out, s=source: bijections.dk_recurrence_inverse(k, out)[0])
-    elif name == "base-bc":
-        for p in enumerate_class(ClassSpec("B"), n):
-            yield p, (lambda v: bijections.base_bc_map(v, strategy)), \
-                (lambda image: bijections.base_bc_inverse(image, strategy))
-    elif name == "bkck":
-        for p in enumerate_class(ClassSpec(f"Bk_{parity}", k), n):
-            yield p, (lambda v: bijections.bkck_map(k, parity, v, strategy)), \
-                (lambda out: bijections.bkck_inverse(k, parity, out.image, strategy).image)
-    elif name == "ef-shift":
-        for p in enumerate_class(ClassSpec("B"), n):
-            yield p, (lambda v: bijections.ef_shift("B->F", v)), \
-                (lambda image: bijections.ef_shift("F->B", image))
-            yield p, (lambda v: bijections.ef_shift("B->E", v)), \
-                (lambda image: bijections.ef_shift("E->B", image))
-    else:
-        parser.error(f"unknown bijection {name!r}")
+def _call(function, flags: dict, *inputs):
+    """``function(*inputs)`` with those of the given flags that it reads."""
+    return function(*inputs, **{f: flags[f] for f in _flags(function) if f in flags})
 
 
-def _sweep_domain_error(args) -> str | None:
-    """Why no member of the swept weight class is in the map's domain, or
-    None.  A negative weight is left to the enumeration's own message."""
-    if args.n < 0:
-        return None
-    if args.name == "akdk" and args.n < 2:
-        return "map defined for weight >= 2"
-    if args.name == "dk-recurrence":
-        if args.k < 2:
-            return "recurrence needs k >= 2"
-        if args.n <= args.k - 1:
-            return "weight must exceed k-1"
-    return None
+# every flag some bijection reads, in table order
+BIJECTION_FLAGS = tuple(dict.fromkeys(
+    flag for row in bijections.MAPS.values() for fn in row for flag in _flags(fn)))
 
 
 def _cmd_bijection(parser, args) -> int:
-    needs_k = args.name in ("akdk", "dk-recurrence", "bkck")
-    if needs_k and args.k is None:
-        parser.error(f"bijection {args.name} needs --k")
-    if args.name == "bkck" and args.parity is None:
-        parser.error("bijection bkck needs --parity")
-    if args.name == "ef-shift" and args.parts and args.direction is None:
-        parser.error("ef-shift on explicit --parts needs --direction")
+    row = bijections.MAPS[args.name]
+    reads = _flags(row.apply) if args.parts else {**_flags(row.sweep), **_flags(row.domain)}
+    for flag in BIJECTION_FLAGS:
+        given = getattr(args, flag) is not None
+        if given and flag not in reads:
+            parser.error(f"bijection {args.name} takes no --{flag}"
+                         + (" without --parts" if flag in _flags(row.apply) else ""))
+        if not given and flag in reads and reads[flag].default is inspect.Parameter.empty:
+            parser.error(f"bijection {args.name} needs --{flag}")
+    flags = {flag: getattr(args, flag) for flag in reads if getattr(args, flag) is not None}
 
     if args.parts:
         value = _parse_partition(parser, args.parts, args.anchor)
         try:
-            image, tags = _apply_named_bijection(args, value)
+            image, tags = _call(row.apply, flags, value)
         except bijections.BijectionError as err:
             _emit(f"bijection failed: {err}")
             return 1
@@ -274,10 +221,17 @@ def _cmd_bijection(parser, args) -> int:
         parser.error("bijection needs --parts or --n")
     if not args.roundtrip:
         parser.error("without --parts, use --roundtrip to sweep a weight class")
-    reason = _sweep_domain_error(args)
+    # a negative weight is left to the enumeration's own message
+    reason = _call(row.domain, flags, args.n) if args.n >= 0 else None
     if reason:
-        parser.error(f"{args.name} --k {args.k} --n {args.n} is outside the map's domain: "
-                     f"{reason}")
+        shown = "".join(f"--{f} {v} " for f, v in flags.items())
+        parser.error(f"{args.name} {shown}--n {args.n} is outside the map's domain: {reason}")
+    sweeps = [(spec, enumerate_class(spec, args.n), directions)
+              for spec, directions in _call(row.sweep, flags)]
+    checked = sum(len(members) * len(directions) for _, members, directions in sweeps)
+    if not checked:
+        parser.error(f"bijection {args.name} --n {args.n} checks nothing: no member of "
+                     f"{' or '.join(str(spec) for spec, _, _ in sweeps)} has weight {args.n}")
 
     if args.name == "base-bc" and args.strategy == bijections.AKY_SKETCH:
         report = bijections.sketch_harness(args.n)
@@ -286,10 +240,10 @@ def _cmd_bijection(parser, args) -> int:
               f"{len(report.failures)} flagged")
         return 0
 
-    checked = 0
     traces = []
-    for source, forward, inverse in _roundtrip_cases(parser, args):
-        checked += 1
+    cases = ((source, forward, inverse) for _, members, directions in sweeps
+             for source in members for forward, inverse in directions)
+    for source, forward, inverse in cases:
         try:
             out = forward(source)
             back = inverse(out)
@@ -404,9 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.set_defaults(handler=_cmd_series)
 
     p_bij = sub.add_parser("bijection", help="apply or round-trip a bijection")
-    p_bij.add_argument("--name", required=True,
-                       choices=("glaisher", "akdk", "dk-recurrence", "base-bc",
-                                "bkck", "ef-shift"))
+    p_bij.add_argument("--name", required=True, choices=tuple(bijections.MAPS))
     p_bij.add_argument("--k", type=int)
     p_bij.add_argument("--parity", choices=("e", "o"))
     p_bij.add_argument("--n", type=int, help="weight class to sweep")
@@ -414,11 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bij.add_argument("--anchor", type=int,
                        help="anchor when --parts gives an anchored input")
     p_bij.add_argument("--source", choices=(bijections.SOURCE_DK, bijections.SOURCE_DK_MINUS_1),
-                       default=bijections.SOURCE_DK,
                        help="source class tag for dk-recurrence on --parts")
-    p_bij.add_argument("--direction", choices=("B->F", "F->B", "B->E", "E->B"))
-    p_bij.add_argument("--strategy", choices=bijections.STRATEGIES,
-                       default=bijections.RANK)
+    p_bij.add_argument("--direction", choices=bijections.EF_DIRECTIONS)
+    p_bij.add_argument("--strategy", choices=bijections.STRATEGIES)
     p_bij.add_argument("--roundtrip", action="store_true")
     p_bij.add_argument("--trace", action="store_true",
                        help="print case-tag chains as JSON")

@@ -481,17 +481,36 @@ FORGED_OUTCOMES = [
     (akdk_inverse, 1, (3, 3), ClassSpec("Pdprime", 1)),
     (akdk_inverse, 1, (3, 0), ClassSpec("Pprime", 1)),
     (dk_recurrence_inverse, 3, (5, 2, 2, 2), ClassSpec("Dk", 2)),
+    # an empty image has no part to raise
+    (akdk_inverse, 2, (), ClassSpec("P2")),
+    (akdk_inverse, 1, (), ClassSpec("Pdprime", 1)),
+    (dk_recurrence_inverse, 3, (), ClassSpec("Dk", 2)),
 ]
 
 
 @pytest.mark.parametrize("inverse, k, parts, target", FORGED_OUTCOMES,
-                         ids=[f"{f.__name__}-{t}" for f, _, _, t in FORGED_OUTCOMES])
+                         ids=[f"{f.__name__}-{t}{'' if parts else '-empty'}"
+                              for f, _, parts, t in FORGED_OUTCOMES])
 def test_forged_outcome_out_of_order_is_a_bijection_error(inverse, k, parts, target):
     out = bijections.BijectionOutcome(Partition(parts), target, ("forged",))
     with pytest.raises(BijectionError) as err:
         inverse(k, out)
     assert type(err.value) is BijectionError
     assert str(err.value) == f"image {Partition(parts)} is not in {target}"
+
+
+@pytest.mark.parametrize("parts, target, tag, result", [
+    # a shifted image whose raised parts fall in neither Dk(3) nor Dk(2)
+    ((5, 5, 1, 1), ClassSpec("Dk", 2), "forged", "5+5+2+2"),
+    # zeros appended to an image with a repeated part
+    ((2, 2), ClassSpec("A"), "zeros,Dk", "2+2+0+0+0"),
+    ((2, 2), ClassSpec("A"), "zeros,Dk-1", "2+2+0+0"),
+], ids=["shift", "zeros-Dk", "zeros-Dk-1"])
+def test_dk_recurrence_inverse_checks_its_result(parts, target, tag, result):
+    out = bijections.BijectionOutcome(Partition(parts), target, (tag,))
+    with pytest.raises(BijectionError) as err:
+        dk_recurrence_inverse(3, out)
+    assert str(err.value) == f"inverse image {result} is not a Dk member"
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +531,8 @@ def test_changed_maps_match_pre_change_copies(k):
 # is_member calls and Partition constructions of one sweep of each public map
 # over every member of its domain at weight 16 (an inverse over every image
 # of its map).  The numbers are those of the maps before they stopped
-# re-sorting, so a check dropped or added shows here.
+# re-sorting, so a check dropped or added shows here; dk_recurrence_inverse's
+# one is_member call per image is its check of its result.
 CHECKS_AT_16 = {
     "glaisher_merge": (0, 32),
     "glaisher_split": (0, 32),
@@ -520,7 +540,7 @@ CHECKS_AT_16 = {
     "akdk_map": (92, 46),
     "akdk_inverse": (46, 46),
     "dk_recurrence_map": (200, 100),
-    "dk_recurrence_inverse": (0, 100),
+    "dk_recurrence_inverse": (100, 100),
     "base_bc_map": (96, 128),
     "base_bc_inverse": (96, 128),
     "bkck_map": (263, 109),

@@ -1,13 +1,17 @@
 """Command-line surface: dispatch, formats, exit codes, determinism."""
 
+import argparse
 import hashlib
+import inspect
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
-from qpart import verify
-from qpart.cli import main
+from qpart import bijections, cli, verify
+from qpart.cli import BIJECTION_FLAGS, main
+from qpart.counting import count_row
 from qpart.series import TruncatedSeries
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -190,6 +194,95 @@ def test_roundtrip_outside_domain_is_usage_error(capsys, argv, reason):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.rstrip().endswith(reason)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("glaisher", "--n", "0"), "no member of B has weight 0"),
+    (("bkck", "--k", "3", "--parity", "o", "--n", "2"), "no member of Bk_o(k=3) has weight 2"),
+    (("base-bc", "--strategy", "aky-sketch", "--n", "0"), "no member of B has weight 0"),
+], ids=["glaisher-n0", "bkck-n2", "sketch-n0"])
+def test_roundtrip_over_no_member_is_usage_error(capsys, argv, message):
+    # a sweep that checks nothing is not a pass
+    with pytest.raises(SystemExit) as err:
+        main(["bijection", "--name", *argv, "--roundtrip"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip().endswith(f"checks nothing: {message}")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("glaisher", "--k", "3", "--n", "4", "--roundtrip"), "bijection glaisher takes no --k"),
+    (("akdk", "--k", "3", "--strategy", "rank", "--parts", "4,2,1,1,1"),
+     "bijection akdk takes no --strategy"),
+    (("ef-shift", "--direction", "B->F", "--n", "4", "--roundtrip"),
+     "bijection ef-shift takes no --direction without --parts"),
+    (("dk-recurrence", "--k", "3", "--source", "Dk-1", "--n", "4", "--roundtrip"),
+     "bijection dk-recurrence takes no --source without --parts"),
+    (("ef-shift", "--parts", "5,3,1"), "bijection ef-shift needs --direction"),
+    (("bkck", "--k", "3", "--n", "4", "--roundtrip"), "bijection bkck needs --parity"),
+], ids=["glaisher-k", "akdk-strategy", "ef-shift-direction", "dk-recurrence-source",
+        "ef-shift-needs-direction", "bkck-needs-parity"])
+def test_bijection_flags_are_the_ones_the_map_reads(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        main(["bijection", "--name", *argv])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip().endswith(message)
+
+
+def _reads(function) -> dict:
+    return {name: p for name, p in inspect.signature(function).parameters.items()
+            if name not in ("value", "n")}
+
+
+def test_every_map_row_sweeps_what_its_classes_count(capsys, monkeypatch):
+    # the --name choices are the table's keys, and every flag a row reads is
+    # an option
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices["bijection"]
+    options = {a.dest: a for a in sub._actions}
+    assert tuple(options["name"].choices) == tuple(bijections.MAPS)
+    assert set(BIJECTION_FLAGS) <= set(options)
+    # building the parser is most of a run's time; parse_args keeps no state
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+    values = {"k": range(1, 5), "parity": ("e", "o"), "strategy": bijections.STRATEGIES}
+    runs = 0
+    for name, row in bijections.MAPS.items():
+        reads = {**_reads(row.sweep), **_reads(row.domain)}
+        for combo in itertools.product(*(values[flag] for flag in reads)):
+            flags = dict(zip(reads, combo))
+            argv = ["bijection", "--name", name,
+                    *(x for flag, v in flags.items() for x in (f"--{flag}", str(v)))]
+            for n in range(13):
+                reason = row.domain(n, **{f: flags[f] for f in _reads(row.domain)})
+                # members times directions, counted by the row walks
+                m = 0 if reason else sum(
+                    count_row(spec, n)[n] * len(directions)
+                    for spec, directions in row.sweep(**{f: flags[f] for f in _reads(row.sweep)}))
+                runs += 1
+                try:
+                    code = main([*argv, "--n", str(n), "--roundtrip"])
+                except SystemExit as err:
+                    code = err.code
+                out, err = capsys.readouterr()
+                where = (name, flags, n)
+                if not m:
+                    assert code == 2 and out == "", where
+                    assert err.rstrip().endswith(reason or f"has weight {n}"), where
+                elif flags.get("strategy") != bijections.AKY_SKETCH:
+                    assert code == 0 and err == "", where
+                    assert out == f"round-trip OK over {m} member(s) at weight {n}\n", where
+                elif name == "base-bc":
+                    # the sketch harness flags, never fails
+                    assert code == 0 and f"/{m} members mapped;" in out, where
+                else:
+                    # the sketched base map inside bkck may leave its class
+                    assert (code, out) == (0, f"round-trip OK over {m} member(s) at weight {n}\n") \
+                        or (code == 1 and out.startswith("FAIL at ")), where
+    assert runs >= 13 * len(bijections.MAPS)
 
 
 def test_roundtrip_at_domain_edge_runs(capsys):
