@@ -268,6 +268,8 @@ def dk_recurrence_subrange(k: int, image: Partition) -> str:
 
 def dk_recurrence_inverse(k: int, outcome: BijectionOutcome) -> tuple[Partition, str]:
     """Recover (source partition, source tag) from a tagged image."""
+    if k < 2:
+        raise BijectionError("recurrence needs k >= 2")
     image = outcome.image
     if not isinstance(image, Partition):
         raise BijectionError("recurrence images are plain partitions")

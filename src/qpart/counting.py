@@ -37,8 +37,8 @@ one bounded cache, ``_signed``, that the two halves, the whole-family row
 immutable, so sharing it is safe.  Its bound, ``SIGNED_CACHE_SIZE``, is set
 beside it.  So the distinct-part product (-q; q)_inf is built once per
 order: A reads it as ``_signed(_gf_distinct, None, order, PLUS)``, Pe_d and
-Po_d halve it with its sign -1 twin, and every ``_tail_sum`` divides it
-down to its first tail; the T8 and T9 checks in :mod:`qpart.verify` read it
+Po_d halve it with its sign -1 twin, and every ``_tail_sum`` reads it as
+its overflow guard; the T8 and T9 checks in :mod:`qpart.verify` read it
 through ``gf(A)``.  Likewise Pprime(k) is ``gf(Pprime(1))`` shifted by k-1,
 so its product (-q^2; q)_inf is built once per order for every k.  The
 builders keep their running products as plain lists and add shifted terms
@@ -60,11 +60,10 @@ cores.
 
 The repeated-smallest-part series (Dk, SptKd, their halves and difference,
 P1, P2 and Pdprime) are sums of q^(s+t*d) * tail(i+t), where tail(i) is the
-product of (1 + sign*q^m) over m >= i.  ``_tail_sum`` folds such a sum by
-Horner's rule from its last term down, one factor division per term, and
-multiplies once by the first tail, which it divides out of the cached
-tail(1).  No family of tails is built, so a build holds O(order)
-coefficients at a time.
+product of (1 + sign*q^m) over m >= i.  ``_tail_sum`` expands the tails by
+Euler's identity (Andrews, *The Theory of Partitions*, Cor. 2.2) and adds
+about sqrt(2*order) geometric series, two factor divisions each, with no
+tail family and no series product: O(order) coefficients at a time.
 """
 from __future__ import annotations
 
@@ -75,7 +74,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice, repeat
 from math import isqrt
-from operator import add, mul
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .partitions import (
@@ -90,7 +89,6 @@ from .series import (
     PLUS,
     TruncatedSeries,
     _div_factor,
-    _kronecker_product,
     _mul_factor,
     pochhammer_finite,
     pochhammer_infinite,
@@ -479,31 +477,31 @@ def _gf_distinct(k: int | None, order: int, sign: int = PLUS) -> TruncatedSeries
 
 
 def _tail_sum(sign: int, order: int, shift: int, step: int, first: int) -> TruncatedSeries:
-    """Sum of q^(shift + t*step) * tail(first + t) over t = 0, 1, ... while
-    the shift stays <= order, where tail(i) is the product of (1 + sign*q^m)
-    over m >= i.
+    """Sum of q^(shift + t*step) * tail(first + t) over t >= 0, where tail(i)
+    is the product of (1 + sign*q^m) over m >= i.
 
-    The sum is tail(first) * R_0 with R_t = 1 + q^step * R_(t+1) / (1 +
-    sign*q^(first+t)), and R = 1 at the last term.  Horner's rule runs that
-    from the last term down, one division per term, with R cut to the
-    order - shift(t) + 1 coefficients its term can reach, so only O(order)
-    coefficients are held at once.  tail(first) is the cached distinct-part
-    series tail(1) divided by its first first-1 factors, and one truncated
-    product finishes the sum.  tail(1) is read before anything else, so an
-    order it does not fit raises its overflow message first; R is a plain
-    list and only the result is checked against the bound.
+    By Euler's expansion (Andrews, *The Theory of Partitions*, Cor. 2.2),
+    tail(i) = sum_j sign^j * q^(ij + j(j-1)/2) / (q; q)_j, so the sum is
+    sum_j sign^j * q^e_j / ((q; q)_j * (1 - q^(step+j))) with e_j = shift +
+    first*j + j(j-1)/2, over the about sqrt(2*order) j with e_j <= order.
+    Term j is the running 1/(q; q)_j, cut to the order - e_j + 1 coefficients
+    it reaches, divided by (1 - q^(step+j)): two divisions per j and O(order)
+    coefficients held.  Only the result is checked against the bound.
     """
-    full = _signed(_gf_distinct, None, order, sign).coeffs
-    if shift > order:
-        return TruncatedSeries.zero(order)
-    r = [1] + [0] * ((order - shift) % step)
-    for i in range(first + (order - shift) // step - 1, first - 1, -1):
-        _div_factor(r, i, sign)
-        r[:0] = [1] + [0] * (step - 1)
-    tail = list(full[:order - shift + 1])
-    for m in range(1, first):
-        _div_factor(tail, m, sign)
-    return TruncatedSeries((0,) * shift + tuple(_kronecker_product(r, tail, order - shift)))
+    # Read only for its guard: an order tail(1) does not fit raises its message.
+    _signed(_gf_distinct, None, order, sign)
+    acc = [0] * (order + 1)
+    r = [1] + [0] * (order - shift)  # 1/(q; q)_0, cut to what term 0 reaches
+    j, e = 0, shift
+    while e <= order:
+        term = r.copy()
+        _div_factor(term, step + j, MINUS)
+        acc[e:] = map(sub if sign == MINUS and j % 2 else add, acc[e:], term)
+        j += 1
+        e += first + j - 1
+        del r[max(order - e + 1, 0):]
+        _div_factor(r, j, MINUS)
+    return TruncatedSeries(tuple(acc))
 
 
 def _gf_dk(k: int, order: int, sign: int = PLUS, first: int = 0) -> TruncatedSeries:
@@ -511,9 +509,9 @@ def _gf_dk(k: int, order: int, sign: int = PLUS, first: int = 0) -> TruncatedSer
 
     With sign -1 each part above the smallest carries a -1 weight, so the
     coefficients become the even-minus-odd difference of the parity split.
-    first = 1 leaves out the zero smallest part, which gives SptKd.  The
-    terms step by k in the shift and by 1 in the tail, so one Horner fold
-    of :func:`_tail_sum` builds the sum.
+    first = 1 leaves out the zero smallest part, which gives SptKd.  By
+    :func:`_tail_sum` the sum is that of sign^j * q^(first*k + (first+1)*j
+    + j(j-1)/2) / ((q; q)_j * (1 - q^(k+j))) over j >= 0.
     """
     return _tail_sum(sign, order, first * k, k, first + 1)
 

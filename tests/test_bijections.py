@@ -513,6 +513,20 @@ def test_dk_recurrence_inverse_checks_its_result(parts, target, tag, result):
     assert str(err.value) == f"inverse image {result} is not a Dk member"
 
 
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("parts, target, tag", [
+    ((3, 1), ClassSpec("A"), "zeros,Dk-1"),
+    ((3, 1), ClassSpec("Dk", 1), "shift,Dk,smallest=1"),
+], ids=["A-tagged", "Dk-tagged"])
+def test_dk_recurrence_inverse_refuses_k_below_2(k, parts, target, tag):
+    # the reason the forward map gives, before any class is built at k-1
+    out = bijections.BijectionOutcome(Partition(parts), target, (tag,))
+    with pytest.raises(BijectionError) as err:
+        dk_recurrence_inverse(k, out)
+    assert type(err.value) is BijectionError
+    assert str(err.value) == "recurrence needs k >= 2"
+
+
 # ---------------------------------------------------------------------------
 # the maps against their copies from before they stripped window parts from
 # the front and stopped re-sorting (tests/oracles.py)

@@ -200,7 +200,7 @@ def test_count_walk_never_reads_the_series_path(monkeypatch):
         raise AssertionError("enumeration oracle touched the series path")
 
     for name in ("gf", "gf_parity_difference", "count_by_series", "pochhammer_finite",
-                 "pochhammer_infinite", "_mul_factor", "_div_factor", "_kronecker_product"):
+                 "pochhammer_infinite", "_mul_factor", "_div_factor"):
         monkeypatch.setattr(counting, name, forbidden)
     for name in ("pochhammer_finite", "pochhammer_infinite", "pochhammer_infinite_starts",
                  "series_sum", "_mul_factor", "_div_factor", "_kronecker_product"):
@@ -525,6 +525,41 @@ def test_smallest_part_builder_holds_no_tail_family():
         tracemalloc.stop()
     assert peak < 1 << 20, peak
     assert not hasattr(counting, "_tails") and not hasattr(counting, "_tail_families")
+
+
+def test_smallest_part_sums_cost_two_divisions_per_euler_term(monkeypatch):
+    # sum_j sign^j * q^e_j / ((q; q)_j * (1 - q^(step+j))) over the j with
+    # e_j = shift + first*j + j(j-1)/2 <= order: one division extends
+    # 1/(q; q)_j and one makes term j, and no series product is taken
+    calls = {}
+
+    def counted(name, kernel):
+        def count(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return kernel(*args)
+        return count
+
+    monkeypatch.setattr(counting, "_div_factor", counted("div", counting._div_factor))
+    monkeypatch.setattr(series, "_kronecker_product", counted("kron", series._kronecker_product))
+    order = 740
+    builds = [  # (build, shift, first) of the one _tail_sum behind it
+        (lambda: gf(ClassSpec("Dk", 2), order), 0, 1),
+        (lambda: gf(ClassSpec("P1"), order), 2, 3),
+        (lambda: gf(ClassSpec("Pdprime", 2), order), 3, 3),
+        (lambda: gf_parity_difference("Dk", 4, order), 0, 1),
+    ]
+    divisions = []
+    for build, shift, first in builds:
+        for cache in (gf, gf_parity_difference, counting._signed):
+            cache.cache_clear()
+        calls.clear()
+        build()
+        terms = sum(1 for j in range(order + 1) if shift + first * j + j * (j - 1) // 2 <= order)
+        assert calls == {"div": 2 * terms}, (shift, first)
+        divisions.append(calls["div"])
+    assert divisions == [76, 74, 72, 76]
+    for cache in (gf, gf_parity_difference, counting._signed):
+        cache.cache_clear()
 
 
 def test_repeated_smallest_decomposes_into_distinct_plus_positive():
