@@ -24,27 +24,28 @@ reads a generating function, memoises a subtree or shares one between
 classes, and none uses a closed form beyond a run of consecutive last
 parts.
 
-``gf(k, order)`` builds the class generating function on the exact engine
-in :mod:`qpart.series`, and :func:`gf` reads coefficients off it.  Each
-parity-split family has one signed builder S(k, order, sign) that marks
-every part the split counts with the sign: S(+1) is the whole family and
-S(-1) the even-minus-odd difference, so the halves are (S(+1) +- S(-1))/2,
-which must be integral.
+``gf(k, order)`` builds the class generating function as a tuple of plain
+integers with the kernels of :mod:`qpart.series`; :func:`gf` and
+:func:`gf_parity_difference` make it a series, the one place the 2**63
+bound is checked, so each series stops where its own coefficients leave it.
+Each parity-split family has one signed builder S(k, order, sign) that
+marks every part the split counts with the sign: S(+1) is the whole family
+and S(-1) the even-minus-odd difference, so the halves are
+(S(+1) +- S(-1))/2, which must be integral.
 
-Every signed series is built once per (builder, k, order, sign) and kept in
+Every signed tuple is built once per (builder, k, order, sign) and kept in
 one bounded cache, ``_signed``, that the two halves, the whole-family row
-(Dk, SptKd, C) and :func:`gf_parity_difference` all read; a series is
-immutable, so sharing it is safe.  Its bound, ``SIGNED_CACHE_SIZE``, is set
-beside it.  So the distinct-part product (-q; q)_inf is built once per
-order: A reads it as ``_signed(_gf_distinct, None, order, PLUS)``, Pe_d and
-Po_d halve it with its sign -1 twin, and every ``_tail_sum`` reads it as
-its overflow guard; the T8 and T9 checks in :mod:`qpart.verify` read it
-through ``gf(A)``.  Likewise Pprime(k) is ``gf(Pprime(1))`` shifted by k-1,
-so its product (-q^2; q)_inf is built once per order for every k.  The
-builders keep their running products as plain lists and add shifted terms
-into one accumulator by slice.  A running core is cut to
-the coefficients its later terms can still reach before each update: the
-kernels are lower-triangular, so what is kept stays exact.
+(Dk, C) and :func:`gf_parity_difference` all read.  Its bound,
+``SIGNED_CACHE_SIZE``, is set beside it.  So the distinct-part product
+(-q; q)_inf is built once per order: A reads it as ``_signed(_gf_distinct,
+None, order, PLUS)``, Pe_d and Po_d halve it with its sign -1 twin, and
+SptKd(k) is Dk(k) minus it, as a Dk member has either a positive smallest
+part or k zeros below distinct parts.  Likewise Pprime(k) is
+``gf(Pprime(1))`` shifted by k-1, so its product (-q^2; q)_inf is built
+once per order for every k.  The builders keep their running products as
+plain lists and add shifted terms into one accumulator by slice.  A running
+core is cut to the coefficients its later terms can still reach before each
+update: the kernels are lower-triangular, so what is kept stays exact.
 
 The windowed series (Bk, Ck and their halves and differences) are sums over
 l of q^(2l - offset) * core_l * W_l, where W_l is the product of
@@ -58,8 +59,8 @@ order) and keeps T_j in its own bounded cache, whose bound,
 ``WINDOW_SUM_CACHE_SIZE``, is set beside it.  E and F are T_0 of their own
 cores.
 
-The repeated-smallest-part series (Dk, SptKd, their halves and difference,
-P1, P2 and Pdprime) are sums of q^(s+t*d) * tail(i+t), where tail(i) is the
+The repeated-smallest-part series (Dk, its halves and difference, P1, P2
+and Pdprime) are sums of q^(s+t*d) * tail(i+t), where tail(i) is the
 product of (1 + sign*q^m) over m >= i.  ``_tail_sum`` expands the tails by
 Euler's identity (Andrews, *The Theory of Partitions*, Cor. 2.2) and adds
 about sqrt(2*order) geometric series, two factor divisions each, with no
@@ -89,7 +90,9 @@ from .series import (
     PLUS,
     TruncatedSeries,
     _div_factor,
+    _halve,
     _mul_factor,
+    _pochhammer,
     pochhammer_finite,
     pochhammer_infinite,
 )
@@ -446,50 +449,46 @@ def _walk_pdprime(rows, lo: int, hi: int, k: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-# Bound of the signed-build cache.  One entry is a tuple of order+1 integers
-# below 2**63, at most 33 KB at order 750, so 64 entries stay under 2.2 MB.
-# The series_deep benchmark (every class at order 740, then T3x, T8, T9 and
-# T12) builds 44 distinct signed series and a CLI command a few, so within
-# one run each is built once.
+# Bound of the signed-build cache.  One entry is a tuple of order+1 plain
+# integers, about 33 KB at order 750, so 64 entries stay under 2.2 MB.  The
+# series_deep benchmark (every class at order 740, then T3x, T8, T9 and T12)
+# builds 41 distinct signed tuples and a CLI command a few, so within one
+# run each is built once.
 SIGNED_CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=SIGNED_CACHE_SIZE)
-def _signed(build, k: int | None, order: int, sign: int, *rest) -> TruncatedSeries:
-    """build(k, order, sign, *rest), made once per key and then shared."""
-    return build(k, order, sign, *rest)
+def _signed(build, k: int | None, order: int, sign: int) -> tuple[int, ...]:
+    """build(k, order, sign), made once per key and then shared."""
+    return build(k, order, sign)
 
 
 def _halves(build, parity: int):
     """Builder of the even (parity 0) or odd half of a split family, from its
     signed builder: (S(+1) + S(-1))/2 or (S(+1) - S(-1))/2."""
-    def halve(k: int | None, order: int) -> TruncatedSeries:
+    def halve(k: int | None, order: int) -> tuple[int, ...]:
         plus, minus = _signed(build, k, order, PLUS), _signed(build, k, order, MINUS)
-        return (plus - minus if parity else plus + minus).halve()
+        return _halve(list(map(sub if parity else add, plus, minus)))
     return halve
 
 
-def _gf_distinct(k: int | None, order: int, sign: int = PLUS) -> TruncatedSeries:
+def _gf_distinct(k: int | None, order: int, sign: int = PLUS) -> tuple[int, ...]:
     """Distinct parts, below k when k is given, each marked with the sign."""
-    if k is None:
-        return pochhammer_infinite(sign, 1, 1, order)
-    return pochhammer_finite(sign, 1, 1, k - 1, order)
+    return tuple(_pochhammer(sign, 1, 1, order if k is None else k - 1, order))
 
 
-def _tail_sum(sign: int, order: int, shift: int, step: int, first: int) -> TruncatedSeries:
-    """Sum of q^(shift + t*step) * tail(first + t) over t >= 0, where tail(i)
+def _tail_sum(sign: int, order: int, shift: int, step: int, start: int) -> tuple[int, ...]:
+    """Sum of q^(shift + t*step) * tail(start + t) over t >= 0, where tail(i)
     is the product of (1 + sign*q^m) over m >= i.
 
     By Euler's expansion (Andrews, *The Theory of Partitions*, Cor. 2.2),
     tail(i) = sum_j sign^j * q^(ij + j(j-1)/2) / (q; q)_j, so the sum is
     sum_j sign^j * q^e_j / ((q; q)_j * (1 - q^(step+j))) with e_j = shift +
-    first*j + j(j-1)/2, over the about sqrt(2*order) j with e_j <= order.
+    start*j + j(j-1)/2, over the about sqrt(2*order) j with e_j <= order.
     Term j is the running 1/(q; q)_j, cut to the order - e_j + 1 coefficients
-    it reaches, divided by (1 - q^(step+j)): two divisions per j and O(order)
-    coefficients held.  Only the result is checked against the bound.
+    it reaches, divided by (1 - q^(step+j)): two divisions per j, O(order)
+    coefficients held and no tail built.
     """
-    # Read only for its guard: an order tail(1) does not fit raises its message.
-    _signed(_gf_distinct, None, order, sign)
     acc = [0] * (order + 1)
     r = [1] + [0] * (order - shift)  # 1/(q; q)_0, cut to what term 0 reaches
     j, e = 0, shift
@@ -498,22 +497,21 @@ def _tail_sum(sign: int, order: int, shift: int, step: int, first: int) -> Trunc
         _div_factor(term, step + j, MINUS)
         acc[e:] = map(sub if sign == MINUS and j % 2 else add, acc[e:], term)
         j += 1
-        e += first + j - 1
+        e += start + j - 1
         del r[max(order - e + 1, 0):]
         _div_factor(r, j, MINUS)
-    return TruncatedSeries(tuple(acc))
+    return tuple(acc)
 
 
-def _gf_dk(k: int, order: int, sign: int = PLUS, first: int = 0) -> TruncatedSeries:
-    """Sum over the smallest-part index j >= first of q^(jk) * tail(j+1).
+def _gf_dk(k: int, order: int, sign: int = PLUS) -> tuple[int, ...]:
+    """Sum over the smallest-part index s >= 0 of q^(sk) * tail(s+1).
 
     With sign -1 each part above the smallest carries a -1 weight, so the
     coefficients become the even-minus-odd difference of the parity split.
-    first = 1 leaves out the zero smallest part, which gives SptKd.  By
-    :func:`_tail_sum` the sum is that of sign^j * q^(first*k + (first+1)*j
-    + j(j-1)/2) / ((q; q)_j * (1 - q^(k+j))) over j >= 0.
+    By :func:`_tail_sum` the sum is that of sign^j * q^(j(j+1)/2) /
+    ((q; q)_j * (1 - q^(k+j))) over j >= 0.
     """
-    return _tail_sum(sign, order, first * k, k, first + 1)
+    return _tail_sum(sign, order, 0, k, 1)
 
 
 # Bound of the window-sum cache.  One entry is a tuple of order+1 integers,
@@ -530,7 +528,7 @@ def _window_sum(update, offset: int, j: int, order: int) -> tuple[int, ...]:
 
     core_l is kept as one running coefficient list: update(core, l) turns
     core_(l-1) into core_l in place, from core_0 = 1.  The shift grows with
-    l, so only the first order - shift + 1 coefficients of core_l reach the
+    l, so only the lowest order - shift + 1 coefficients of core_l reach the
     sum; the rest is dropped before the update, which leaves the kept ones
     exact because the update kernels are lower-triangular.  The sum depends
     on neither k nor the sign, so one sweep serves every window; it is a
@@ -566,7 +564,7 @@ def _window_rows(k: int, order: int) -> list[list[int]]:
     return rows
 
 
-def _window_series(update, offset: int, k: int, order: int, sign: int) -> TruncatedSeries:
+def _window_series(update, offset: int, k: int, order: int, sign: int) -> tuple[int, ...]:
     """Sum of q^(2l - offset) * core_l * W_l over l >= 1, where W_l, the
     product of (1 + sign*q^(2l+2i)) over the window i = 1 .. k-1, is the sum
     of sign^j * q^(2lj) * e_j over j < k (the q-binomial theorem).
@@ -581,7 +579,7 @@ def _window_series(update, offset: int, k: int, order: int, sign: int) -> Trunca
         for d, c in enumerate(row):
             if c:
                 acc[d:] = map(add, acc[d:], map(mul, sums, repeat(sign ** j * c)))
-    return TruncatedSeries(tuple(acc))
+    return tuple(acc)
 
 
 def _grow_odd_core(core: list, l: int) -> None:
@@ -603,57 +601,47 @@ def _grow_e_core(core: list, l: int) -> None:
         _div_factor(core, 2 * l - 3, MINUS)
 
 
-def _gf_bk(k: int, order: int, sign: int = PLUS) -> TruncatedSeries:
+def _gf_bk(k: int, order: int, sign: int = PLUS) -> tuple[int, ...]:
     """Largest-odd-part sum of the window-marked B product: the largest odd
     part 2l-1 and free odd parts up to it, sum_j sign^j * e_j * T_j."""
     return _window_series(_grow_odd_core, 1, k, order, sign)
 
 
-def _gf_ck(k: int, order: int, sign: int = PLUS) -> TruncatedSeries:
+def _gf_ck(k: int, order: int, sign: int = PLUS) -> tuple[int, ...]:
     """Anchor sum of the window-marked C product, over the anchor half l:
     the anchor 2l and the C core below it, sum_j sign^j * e_j * T_j."""
     return _window_series(_grow_c_core, 0, k, order, sign)
 
 
-def _gf_p1(order: int) -> TruncatedSeries:
-    # Smallest part s >= 2, then distinct parts above s: q^s * tail(s+1).
-    return _tail_sum(PLUS, order, 2, 1, 3)
-
-
-def _gf_pprime(k: int, order: int) -> TruncatedSeries:
+def _gf_pprime(k: int, order: int) -> tuple[int, ...]:
     # k-1 ones, then distinct parts >= 2: q^(k-1) * tail(2), the one
     # product every k shifts, read through gf's cache at k = 1.
     if k == 1:
-        return pochhammer_infinite(PLUS, 2, 1, order)
-    return gf(ClassSpec("Pprime", 1), order).shift(k - 1)
-
-
-def _gf_pdprime(k: int, order: int) -> TruncatedSeries:
-    # Smallest part s >= 1, k-1 parts s+1, then distinct parts above s+1:
-    # q^(sk + k - 1) * tail(s+2).
-    return _tail_sum(PLUS, order, 2 * k - 1, k, 3)
+        return pochhammer_infinite(PLUS, 2, 1, order).coeffs
+    return gf(ClassSpec("Pprime", 1), order).shift(k - 1).coeffs
 
 
 class _Engine(NamedTuple):
     members: Callable  # (n, k) -> tuples; (anchor, tuple) pairs if anchored
     walk: Callable  # k -> (row walk, its arguments, the half read: 0, 1 or None for both)
-    gf: Callable  # (k, order) -> generating function truncated at order
+    gf: Callable  # (k, order) -> coefficients of the generating function up to q^order
 
 
 # class id -> engines; C is Ck_e and P2 is Pdprime, both at k = 1, and B is
 # Bk_e at k = 1.  Classes that name the same walk and arguments share its
-# rows.  A, Pe_d, Po_d and every smallest-part builder (Dk, SptKd, their
-# halves, P1, P2, Pdprime) share the one distinct product
+# rows.  A, Pe_d, Po_d and SptKd (Dk - A) share the one distinct product
 # _signed(_gf_distinct, None, order, PLUS), and every Pprime(k) shifts
-# gf(Pprime(1)).  The gf builders reach the qpart.series functions by
-# module-level name at call time, never through a captured reference, so a
-# patch of one of those names (a tracer, the independence test) stays in
-# the path.
+# gf(Pprime(1)).  P1 sums q^s * tail(s+1) over s >= 2, and Pdprime(k), P2
+# at k = 1, sums q^(sk + k - 1) * tail(s+2) over s >= 1 (k-1 parts s+1
+# above the smallest part s), each by one _tail_sum.  The gf builders reach
+# the qpart.series functions by module-level name at call time, never
+# through a captured reference, so a patch of one of those names (a tracer,
+# the independence test) stays in the path.
 _ENGINES: dict[str, _Engine] = {
     "A": _Engine(lambda n, k: _distinct(n, n), lambda k: (_walk_a, (None,), None),
                  lambda k, order: _signed(_gf_distinct, None, order, PLUS)),
     "B": _Engine(lambda n, k: _odd_multiset(n, n) if n else (), lambda k: (_walk_bk, (1, 0), None),
-                 lambda k, order: pochhammer_infinite(MINUS, 1, 2, order).reciprocal()),
+                 lambda k, order: pochhammer_infinite(MINUS, 1, 2, order).reciprocal().coeffs),
     "C": _Engine(lambda n, k: _iter_ck(n, 1, True), lambda k: (_walk_ck, (1, 0), None),
                  lambda k, order: _signed(_gf_ck, 1, order, PLUS)),
     "Dk": _Engine(_iter_dk, lambda k: (_walk_dk, (k, 0), None),
@@ -671,15 +659,16 @@ _ENGINES: dict[str, _Engine] = {
     "Ck_o": _Engine(lambda n, k: _iter_ck(n, k, False), lambda k: (_walk_ck, (k, 1), None),
                     _halves(_gf_ck, 1)),
     "E": _Engine(lambda n, k: _iter_e(n), lambda k: (_walk_e, (), None),
-                 lambda k, order: TruncatedSeries(_window_sum(_grow_e_core, 1, 0, order))),
+                 lambda k, order: _window_sum(_grow_e_core, 1, 0, order)),
     "F": _Engine(lambda n, k: _iter_f(n), lambda k: (_walk_f, (), None),
-                 lambda k, order: TruncatedSeries(_window_sum(_grow_odd_core, 0, 0, order))),
+                 lambda k, order: _window_sum(_grow_odd_core, 0, 0, order)),
     "P1": _Engine(lambda n, k: _distinct(n, n, 2) if n else (), lambda k: (_walk_p1, (), None),
-                  lambda k, order: _gf_p1(order)),
+                  lambda k, order: _tail_sum(PLUS, order, 2, 1, 3)),
     "P2": _Engine(lambda n, k: _iter_pdprime(n, 1), lambda k: (_walk_pdprime, (1,), None),
-                  lambda k, order: _gf_pdprime(1, order)),
+                  lambda k, order: _tail_sum(PLUS, order, 1, 1, 3)),
     "Pprime": _Engine(_iter_pprime, lambda k: (_walk_pprime, (k,), None), _gf_pprime),
-    "Pdprime": _Engine(_iter_pdprime, lambda k: (_walk_pdprime, (k,), None), _gf_pdprime),
+    "Pdprime": _Engine(_iter_pdprime, lambda k: (_walk_pdprime, (k,), None),
+                       lambda k, order: _tail_sum(PLUS, order, 2 * k - 1, k, 3)),
     "Pe_d": _Engine(lambda n, k: _iter_distinct_parity(n, n, 0), lambda k: (_walk_a, (None,), 0),
                     _halves(_gf_distinct, 0)),
     "Po_d": _Engine(lambda n, k: _iter_distinct_parity(n, n, 1), lambda k: (_walk_a, (None,), 1),
@@ -689,7 +678,8 @@ _ENGINES: dict[str, _Engine] = {
     "Po_bounded": _Engine(lambda n, k: _iter_distinct_parity(n, k - 1, 1),
                           lambda k: (_walk_a, (k,), 1), _halves(_gf_distinct, 1)),
     "SptKd": _Engine(lambda n, k: _iter_dk(n, k, None, 1), lambda k: (_walk_dk, (k, 1), None),
-                     lambda k, order: _signed(_gf_dk, k, order, PLUS, 1)),
+                     lambda k, order: tuple(map(sub, _signed(_gf_dk, k, order, PLUS),
+                                                _signed(_gf_distinct, None, order, PLUS)))),
 }
 
 # parity-split family -> signed builder, whose S(-1) is the even-minus-odd difference
@@ -786,19 +776,20 @@ def gf(spec: ClassSpec, order: int) -> TruncatedSeries:
     """
     if order < 0:
         raise PartitionError("order must be non-negative")
-    return _ENGINES[spec.class_id].gf(spec.k, order)
+    return TruncatedSeries(_ENGINES[spec.class_id].gf(spec.k, order))
 
 
 @lru_cache(maxsize=64)
 def gf_parity_difference(class_family: str, k: int, order: int) -> TruncatedSeries:
-    """Even-minus-odd difference series of a parity-split family.
-
-    One evaluation of the sign-marked product at -1; cheaper and more
-    direct than subtracting the two recombined halves.
-    """
+    """Even-minus-odd difference series of a parity-split family: its
+    signed builder at -1, one build where the two halves would take two."""
     if class_family not in _SIGNED:
         raise PartitionError(f"no parity split for family {class_family!r}")
-    return _signed(_SIGNED[class_family], k, order, MINUS)
+    if type(k) is not int or k < 1:
+        raise PartitionError(f"family {class_family} needs a positive k")
+    if order < 0:
+        raise PartitionError("order must be non-negative")
+    return TruncatedSeries(_signed(_SIGNED[class_family], k, order, MINUS))
 
 
 def count_by_series(spec: ClassSpec, n: int, order: int | None = None) -> int:

@@ -77,6 +77,14 @@ def _check_bounds(coeffs) -> None:
             )
 
 
+def _halve(coeffs) -> tuple:
+    """Every coefficient divided by 2, requiring exact divisibility."""
+    if any(map((1).__and__, coeffs)):
+        i = next(i for i, c in enumerate(coeffs) if c % 2)
+        raise SeriesError(f"coefficient of q^{i} is odd: {coeffs[i]}")
+    return tuple(map(floordiv, coeffs, repeat(2)))
+
+
 # In-place kernels on coefficient lists.  `sign` is +1 or -1, i.e. the
 # factor is (1 + sign*q^m).  Both run in O(order) and are the workhorses
 # behind every Pochhammer product and reciprocal in this module.  Both are
@@ -320,10 +328,7 @@ class TruncatedSeries:
 
     def halve(self) -> "TruncatedSeries":
         """Divide every coefficient by 2, requiring exact divisibility."""
-        if any(map((1).__and__, self.coeffs)):
-            i = next(i for i, c in enumerate(self.coeffs) if c % 2)
-            raise SeriesError(f"coefficient of q^{i} is odd: {self.coeffs[i]}")
-        return TruncatedSeries(tuple(map(floordiv, self.coeffs, repeat(2))))
+        return TruncatedSeries(_halve(self.coeffs))
 
     # -- serialization ----------------------------------------------------
 
@@ -364,6 +369,11 @@ def pochhammer_finite(sign: int, start_exp: int, step: int, terms: int,
     order are still part of the product but cannot touch coefficients
     <= order, so they are skipped.
     """
+    return TruncatedSeries(tuple(_pochhammer(sign, start_exp, step, terms, order)))
+
+
+def _pochhammer(sign: int, start_exp: int, step: int, terms: int, order: int) -> list:
+    """The coefficients of :func:`pochhammer_finite` as a plain list, unchecked."""
     if sign not in (PLUS, MINUS):
         raise ValueError("sign must be +1 or -1")
     if terms < 0:
@@ -376,8 +386,7 @@ def pochhammer_finite(sign: int, start_exp: int, step: int, terms: int,
         if m > order:
             break
         _mul_factor(coeffs, m, sign)
-    _check_bounds(coeffs)
-    return TruncatedSeries(tuple(coeffs))
+    return coeffs
 
 
 def pochhammer_infinite(sign: int, start_exp: int, step: int,
@@ -407,7 +416,6 @@ def pochhammer_infinite_starts(sign: int, order: int) -> list[TruncatedSeries]:
         _mul_factor(coeffs, m, sign)
         out.append(tuple(coeffs))
     out.reverse()
-    _check_bounds(out[0])
     return [TruncatedSeries(t) for t in out]
 
 

@@ -367,3 +367,31 @@ def map_mismatches(weights, ks) -> tuple[int, list[str]]:
                 if got != want:
                     mismatches.append(f"{name}{args}: {got!r}, before {want!r}")
     return compared, mismatches
+
+
+# ---------------------------------------------------------------------------
+# smallest-part series: sums over the whole tail family, the way they were
+# built before Euler's expansion, on plain integers with no bound check
+# ---------------------------------------------------------------------------
+
+
+def tail_family_sums(sign: int, order: int, *term_lists) -> list[tuple[int, ...]]:
+    """For each list of (s, i), the sum of q^s * tail(i) up to q^order, where
+    tail(i) is the product of (1 + sign*q^m) over m >= i.
+
+    The tails come from one downward sweep on plain integers, tail(m) =
+    (1 + sign*q^m) * tail(m+1) from tail(order+1) = 1, one plain loop per
+    factor; tail(i) for i > order+1 is 1 up to the order as well."""
+    starts = {}  # i -> (list index, shift) of each term that reads tail(i)
+    for n, terms in enumerate(term_lists):
+        for s, i in terms:
+            if s <= order:
+                starts.setdefault(min(i, order + 1), []).append((n, s))
+    sums = [[0] * (order + 1) for _ in term_lists]
+    tail = [1] + [0] * order
+    for m in range(order + 1, 0, -1):
+        if m <= order:
+            tail[m:] = [c + sign * d for c, d in zip(tail[m:], tail)]
+        for n, s in starts.get(m, ()):
+            sums[n][s:] = [a + c for a, c in zip(sums[n][s:], tail)]
+    return [tuple(acc) for acc in sums]

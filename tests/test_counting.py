@@ -3,12 +3,13 @@ quantities, and the anchored-vs-raw diagnostic for the C family."""
 
 import tracemalloc
 from functools import lru_cache
-from operator import add
+from operator import add, sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from qpart import counting, series
 from qpart.counting import (
     CountTable,
@@ -200,10 +201,11 @@ def test_count_walk_never_reads_the_series_path(monkeypatch):
         raise AssertionError("enumeration oracle touched the series path")
 
     for name in ("gf", "gf_parity_difference", "count_by_series", "pochhammer_finite",
-                 "pochhammer_infinite", "_mul_factor", "_div_factor"):
+                 "pochhammer_infinite", "_pochhammer", "_mul_factor", "_div_factor", "_halve"):
         monkeypatch.setattr(counting, name, forbidden)
     for name in ("pochhammer_finite", "pochhammer_infinite", "pochhammer_infinite_starts",
-                 "series_sum", "_mul_factor", "_div_factor", "_kronecker_product"):
+                 "_pochhammer", "series_sum", "_mul_factor", "_div_factor", "_halve",
+                 "_kronecker_product"):
         monkeypatch.setattr(series, name, forbidden)
     for name in ("__mul__", "reciprocal"):
         monkeypatch.setattr(series.TruncatedSeries, name, forbidden)
@@ -299,6 +301,21 @@ def test_parity_difference_rejects_unsplit_family():
             gf_parity_difference(family, 2, 10)
 
 
+@pytest.mark.parametrize("family, k", [("Bk", 0), ("Ck", -1), ("Dk", 0), ("Dk", True),
+                                       ("Bk", 2.0), ("Ck", "2")])
+def test_parity_difference_needs_a_positive_int_k(family, k):
+    with pytest.raises(PartitionError, match=f"^family {family} needs a positive k$"):
+        gf_parity_difference(family, k, 10)
+
+
+@pytest.mark.parametrize("family", ["Dk", "Bk", "Ck"])
+def test_parity_difference_rejects_negative_order_as_gf_does(family):
+    with pytest.raises(PartitionError, match="^order must be non-negative$"):
+        gf_parity_difference(family, 2, -1)
+    with pytest.raises(PartitionError, match="^order must be non-negative$"):
+        gf(ClassSpec(f"{family}_e", 2), -1)
+
+
 @pytest.mark.parametrize("family, core", [("Ck", "_window_series"), ("Bk", "_window_series"),
                                           ("Dk", "_tail_sum")])
 def test_split_family_builds_each_signed_series_once(monkeypatch, family, core):
@@ -367,10 +384,10 @@ def test_smallest_part_builders_match_tail_family_sums():
 
 
 # The largest order at which each smallest-part series fits below 2**63, and
-# the message one order more raises: the first coefficient of the result
-# that leaves the bound, or of the distinct-part product tail(1), which every
-# builder reads first, where that fails before the result does.  A is tail(1)
-# itself, and every Pprime(k) shifts the one product tail(2) of Pprime(1).
+# the message one order more raises: each series stops where its own
+# coefficients leave the bound, and names the first that does.  A is tail(1)
+# itself, and every Pprime(k) shifts the one product tail(2) of Pprime(1),
+# read as the series gf(Pprime(1)), so Pprime(k) stops where it does.
 SMALLEST_PART_EDGES = [
     (ClassSpec("A"), 769, 9322334643320220726),
     (ClassSpec("Pprime", 1), 791, 9465882482837068524),
@@ -380,11 +397,11 @@ SMALLEST_PART_EDGES = [
     (ClassSpec("Dk", 8), 753, 9281046515468703324),
     (ClassSpec("Dk", 10), 755, 9498789159012851362),
     (ClassSpec("Dk", 12), 756, 9453045468566700448),
-    (ClassSpec("SptKd", 2), 769, 9322334643320220726),
-    (ClassSpec("P1"), 769, 9322334643320220726),
-    (ClassSpec("P2"), 769, 9322334643320220726),
-    (ClassSpec("Pdprime", 2), 769, 9322334643320220726),
-    (ClassSpec("Dk_e", 4), 750, 9290184424880516576),
+    (ClassSpec("SptKd", 2), 771, 9312860572454354816),
+    (ClassSpec("P1"), 791, 9465882482837068524),
+    (ClassSpec("P2"), 790, 9465882482837068524),
+    (ClassSpec("Pdprime", 2), 793, 9446889356224923742),
+    (ClassSpec("Dk_e", 4), 772, 9376662804616113574),
 ]
 
 
@@ -408,9 +425,9 @@ def test_dk_parity_difference_builds_past_the_whole_family_edge():
 
 
 def _running_sum(order, shift, update, k=1, sign=PLUS):
-    """The Bk/Ck/E/F builder before the window sums, kept verbatim as the
-    reference: one core sweep per (k, sign), each term multiplied by its
-    k-1 window factors."""
+    """The Bk/Ck/E/F builder before the window sums, kept as the reference:
+    one core sweep per (k, sign), each term multiplied by its k-1 window
+    factors, on plain integers."""
     acc = [0] * (order + 1)
     core = [1] + [0] * order
     l = 1
@@ -425,7 +442,7 @@ def _running_sum(order, shift, update, k=1, sign=PLUS):
                 series._mul_factor(term, v, sign)
         acc[s:] = map(add, acc[s:], term)
         l += 1
-    return TruncatedSeries(tuple(acc))
+    return tuple(acc)
 
 
 def test_window_builders_match_per_window_sweep():
@@ -438,33 +455,35 @@ def test_window_builders_match_per_window_sweep():
                     _running_sum(order, odd, counting._grow_odd_core, k, sign), (k, order, sign)
                 assert counting._gf_ck(k, order, sign) == \
                     _running_sum(order, c_core, counting._grow_c_core, k, sign), (k, order, sign)
-        assert gf(ClassSpec("E"), order) == _running_sum(order, odd, counting._grow_e_core)
-        assert gf(ClassSpec("F"), order) == _running_sum(order, c_core, counting._grow_odd_core)
+        assert gf(ClassSpec("E"), order).coeffs == _running_sum(order, odd, counting._grow_e_core)
+        assert gf(ClassSpec("F"), order).coeffs == \
+            _running_sum(order, c_core, counting._grow_odd_core)
     for cache in (gf, counting._signed, counting._window_sum):
         cache.cache_clear()
 
 
 # The largest order at which each window series fits below 2**63, and the
-# message one order more raises: the first coefficient of S(+1), or of the
-# class series, that leaves the bound.  Measured on the per-window sweep.
+# message one order more raises: each series stops where its own
+# coefficients leave the bound, and names the first that does; the halves
+# are added and halved on plain integers, so S(+1) may leave it first.
 WINDOW_EDGES = [
     (ClassSpec("C"), 770, 9322334643320220726),
     (ClassSpec("E"), 771, 9322334643320220726),
     (ClassSpec("F"), 770, 9322334643320220726),
-    (ClassSpec("Bk_e", 2), 747, 9234859427653261696),
-    (ClassSpec("Bk_o", 2), 767, 9239655354309336716),
-    (ClassSpec("Ck_e", 2), 748, 9234859427653261696),
-    (ClassSpec("Ck_o", 2), 768, 9239655354309336716),
-    (ClassSpec("Bk_e", 3), 747, 9288151756146833256),
-    (ClassSpec("Bk_o", 3), 766, 9445700503124866542),
-    (ClassSpec("Ck_e", 3), 748, 9288151756146833256),
-    (ClassSpec("Ck_o", 3), 767, 9445700503124866542),
-    (ClassSpec("Bk_e", 4), 747, 9385281999739531812),
-    (ClassSpec("Ck_e", 4), 748, 9385281999739531812),
-    (ClassSpec("Bk_e", 5), 747, 9519291012607657864),
-    (ClassSpec("Bk_o", 5), 762, 9242113116615256591),
-    (ClassSpec("Ck_e", 5), 748, 9519291012607657864),
-    (ClassSpec("Ck_o", 5), 763, 9242113116615256591),
+    (ClassSpec("Bk_e", 2), 769, 9322334643320220726),
+    (ClassSpec("Bk_o", 2), 864, 9282105177903063166),
+    (ClassSpec("Ck_e", 2), 770, 9322334643320220726),
+    (ClassSpec("Ck_o", 2), 865, 9282105177903063166),
+    (ClassSpec("Bk_e", 3), 769, 9374896185637793388),
+    (ClassSpec("Bk_o", 3), 842, 9387455831954702390),
+    (ClassSpec("Ck_e", 3), 770, 9374896185637793388),
+    (ClassSpec("Ck_o", 3), 843, 9387455831954702390),
+    (ClassSpec("Bk_e", 4), 769, 9470814835554340778),
+    (ClassSpec("Ck_e", 4), 770, 9470814835554340778),
+    (ClassSpec("Bk_e", 5), 768, 9303700557606623802),
+    (ClassSpec("Bk_o", 5), 820, 9261383812089741348),
+    (ClassSpec("Ck_e", 5), 769, 9303700557606623802),
+    (ClassSpec("Ck_o", 5), 821, 9261383812089741348),
 ]
 
 
@@ -480,11 +499,57 @@ def test_window_builders_keep_their_overflow_edges(spec, largest, magnitude):
 
 
 def test_window_parity_differences_build_past_the_halves_edge():
-    # S(-1) stays below the bound where S(+1), and so each half, has left it
+    # S(-1) stays below the bound at order 760, where S(+1) of k = 8 has left it
     for family in ("Bk", "Ck"):
         for k in range(1, 9):
             assert gf_parity_difference(family, k, 760).order == 760
     for cache in (gf_parity_difference, counting._signed, counting._window_sum):
+        cache.cache_clear()
+
+
+def test_edges_past_their_parts_match_plain_integer_references():
+    # each series whose own coefficients fit past the edge of a series it is
+    # built from or beside (SptKd = Dk - A; the halves (S(+1) +- S(-1))/2 of
+    # Dk, Bk and Ck; P1, P2 and Pdprime(2) past tail(1) = A, whose edge is
+    # 769), against references on plain integers that never check the bound:
+    # the tail-family sums, the per-window sweep and a product of plain
+    # loops.  At its pinned edge each series equals its reference, whose
+    # first coefficient past 2**63 is the next one, of the pinned magnitude.
+    edges = {spec: (largest, magnitude)
+             for spec, largest, magnitude in SMALLEST_PART_EDGES + WINDOW_EDGES}
+    top = 794
+    spt2, p1, p2, pdprime2, dk4 = oracles.tail_family_sums(
+        PLUS, top, [(2 * j, j + 1) for j in range(1, top)], [(s, s + 1) for s in range(2, top)],
+        [(s, s + 2) for s in range(1, top)], [(2 * s + 1, s + 2) for s in range(1, top)],
+        [(4 * j, j + 1) for j in range(top)])
+    dk4_diff, = oracles.tail_family_sums(MINUS, top, [(4 * j, j + 1) for j in range(top)])
+    references = {ClassSpec("SptKd", 2): spt2, ClassSpec("P1"): p1, ClassSpec("P2"): p2,
+                  ClassSpec("Pdprime", 2): pdprime2,
+                  ClassSpec("Dk_e", 4): tuple((a + b) // 2 for a, b in zip(dk4, dk4_diff))}
+    odd, c_core = lambda l: 2 * l - 1, lambda l: 2 * l
+    for family, shift, update in (("Bk", odd, counting._grow_odd_core),
+                                  ("Ck", c_core, counting._grow_c_core)):
+        for k in range(2, 6):
+            halves = [ClassSpec(f"{family}_{p}", k) for p in ("e", "o")]
+            order = max(edges[spec][0] for spec in halves if spec in edges) + 1
+            plus, minus = (_running_sum(order, shift, update, k, sign) for sign in (PLUS, MINUS))
+            for spec, op in zip(halves, (add, sub)):
+                if spec in edges:
+                    assert not any(map((1).__and__, map(op, plus, minus))), spec
+                    references[spec] = tuple(c // 2 for c in map(op, plus, minus))
+    assert len(references) == 19
+    a = [1] + [0] * 864  # (-q; q)_inf up to q^864, one plain loop per factor
+    for m in range(1, 865):
+        a[m:] = [c + d for c, d in zip(a[m:], a)]
+    # Bk_o(2) = (q^3 - q^5) * A - q^3 - q^4 + q^5, whose q^0 .. q^4 are 0
+    bko2 = [0] * 5 + [a[n - 3] - a[n - 5] + (n == 5) for n in range(5, 865)]
+    assert references[ClassSpec("Bk_o", 2)][:865] == tuple(bko2)
+    for spec, reference in references.items():
+        largest, magnitude = edges[spec]
+        assert gf(spec, largest).coeffs == reference[:largest + 1], spec
+        assert next(i for i, c in enumerate(reference) if abs(c) >= 1 << 63) == largest + 1, spec
+        assert abs(reference[largest + 1]) == magnitude, spec
+    for cache in (gf, counting._signed, counting._window_sum):
         cache.cache_clear()
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 import oracles
 import pytest
 
-from qpart import counting, verify
+from qpart import counting, series, verify
 from qpart.counting import count_ak_doubled, count_by_enumeration, gf_parity_difference
 from qpart.partitions import ClassSpec
 from qpart.series import MINUS, PLUS, TruncatedSeries, pochhammer_infinite_starts, series_sum
@@ -154,27 +154,27 @@ def test_t8_closed_form_equals_the_per_j_bracket(monkeypatch):
 
 
 def test_infinite_products_are_built_once_per_order(monkeypatch):
-    # A, Pe_d, the smallest-part sums and T9 share (-q; q)_inf, and every
-    # Pprime(k) shifts the one (-q^2; q)_inf
+    # A, Pe_d, SptKd (Dk - A) and T9 share (-q; q)_inf, and every Pprime(k)
+    # shifts the one (-q^2; q)_inf; every product goes through one loop
     order = 97
     for cache in (counting.gf, counting._signed):
         cache.cache_clear()
     built = []
-    original = counting.pochhammer_infinite
+    original = series._pochhammer
 
     def recording(*args):
         built.append(args)
         return original(*args)
 
-    for module in (counting, verify):
-        monkeypatch.setattr(module, "pochhammer_infinite", recording)
-    specs = [ClassSpec("A"), ClassSpec("Pe_d"), ClassSpec("Dk", 2)]
+    for module in (counting, series):
+        monkeypatch.setattr(module, "_pochhammer", recording)
+    specs = [ClassSpec("A"), ClassSpec("Pe_d"), ClassSpec("Dk", 2), ClassSpec("SptKd", 2)]
     specs += [ClassSpec("Pprime", k) for k in range(1, 6)]
     for spec in specs:
         counting.gf(spec, order)
     assert run_task("T9", order=order).passed
-    assert built.count((PLUS, 1, 1, order)) == 1
-    assert built.count((PLUS, 2, 1, order)) == 1
+    assert built.count((PLUS, 1, 1, order, order)) == 1
+    assert built.count((PLUS, 2, 1, order - 1, order)) == 1
     for cache in (counting.gf, counting._signed):
         cache.cache_clear()
 
