@@ -1,28 +1,31 @@
 """Dual-path counting: exhaustive enumeration and generating-function
 coefficients for every partition class, each path an oracle for the other.
 
-One table, ``_ENGINES``, holds the three engines of each class id.
-``members(n, k)`` generates the members of weight n; :func:`enumerate_class`,
-and through it the bijections, materialises them.  The member generators
-(``_distinct``, ``_odd_multiset``, ``_c_core``) are loops over one mutable
-list of parts: each steps from one member to the next in a fixed
-lexicographic order, with residual-weight pruning, and yields a fresh tuple,
-so a member costs no chain of suspended frames.  ``walk(k)`` names the row
-walk that counts the class: one exhaustive descent over the class's
-structure that builds no members and counts those of the weights in a
-window [lo, hi] into a difference row.  It visits every prefix that has room
-for one more part once, and counts the run of that prefix's one-part
-extensions, one member at each of a stretch of consecutive weights, as one
-range update: +1 where the run starts and -1 one slot past its end.  One
-running sum per row then turns the differences into counts.  A walk that
-splits by a part count fills an even and an odd row at once, so Dk_e, Dk_o
-and Dk share one walk, as do Pe_d, Po_d and A, and the bounded pair; the Bk
-and Ck halves share no prefix and walk apart.  :func:`count_row` reads rows,
-and :func:`count_by_enumeration` is its window [n, n].  Walked rows are kept
-in one bounded cache, and a kept row serves every shorter request.  No walk
-reads a generating function, memoises a subtree or shares one between
-classes, and none uses a closed form beyond a run of consecutive last
-parts.
+Every class of the paper is fixed head parts around one fill: distinct
+parts, odd parts, or a C core (parts distinct up to l, free above it).  One
+table, ``_ENGINES``, gives each class id its shape and its generating
+function.  A shape yields the heads of the class's members up to a weight,
+each as (parts above the fill, parts below it, fill, fill arguments), and
+``FILLS`` gives each fill its generator and its row walk, so two drivers
+read the same heads.  ``_members`` runs the fill's generator under each head
+and yields the members of weight n in a fixed order, which
+:func:`enumerate_class`, and through it the bijections, materialises; a
+split class keeps the fills whose part count has its parity.  The fill
+generators are loops over one mutable list of parts that step from one fill
+to the next, with residual-weight pruning, and yield fresh tuples.  ``_walk``
+runs the fill's row walk from each head's weight: one exhaustive descent
+that builds no members and counts those of the weights in a window [lo, hi]
+into a difference row.  It visits every prefix that has room for one more
+part once, and counts the run of its one-part extensions, one member at
+each of a stretch of consecutive weights, as one range update: +1 where the
+run starts and -1 one slot past its end.  One running sum per row then
+turns the differences into counts.  The distinct walk counts sets of even
+and odd size into two rows at once, so classes with the same shape and
+arguments share one walk: Dk, Dk_e and Dk_o, as do A, Pe_d and Po_d.
+:func:`count_row` reads rows, and :func:`count_by_enumeration` is its window
+[n, n].  Walked rows are kept in one bounded cache, and a kept row serves
+every shorter request.  No walk reads a generating function or memoises a
+subtree, and none uses a closed form beyond a run of consecutive last parts.
 
 ``gf(k, order)`` builds the class generating function as a tuple of plain
 integers with the kernels of :mod:`qpart.series`; :func:`gf` and
@@ -40,12 +43,12 @@ one bounded cache, ``_signed``, that the two halves, the whole-family row
 (-q; q)_inf is built once per order: A reads it as ``_signed(_gf_distinct,
 None, order, PLUS)``, Pe_d and Po_d halve it with its sign -1 twin, and
 SptKd(k) is Dk(k) minus it, as a Dk member has either a positive smallest
-part or k zeros below distinct parts.  Likewise Pprime(k) is
-``gf(Pprime(1))`` shifted by k-1, so its product (-q^2; q)_inf is built
-once per order for every k.  The builders keep their running products as
-plain lists and add shifted terms into one accumulator by slice.  A running
-core is cut to the coefficients its later terms can still reach before each
-update: the kernels are lower-triangular, so what is kept stays exact.
+part or k zeros below distinct parts.  Likewise every Pprime(k) shifts
+the one product (-q^2; q)_inf of its order by k-1.  The builders keep their
+running products as plain lists and add shifted terms into one accumulator
+by slice.  A running core is cut to the coefficients its later terms can
+still reach before each update: the kernels are lower-triangular, so what
+is kept stays exact.
 
 The windowed series (Bk, Ck and their halves and differences) are sums over
 l of q^(2l - offset) * core_l * W_l, where W_l is the product of
@@ -98,7 +101,7 @@ from .series import (
 )
 
 # ---------------------------------------------------------------------------
-# raw enumerators: tuples of parts in descending order, yielded in a fixed
+# fill generators: tuples of parts in descending order, yielded in a fixed
 # order that enumerate_class and `qpart enumerate` pass on
 # (tests/test_generators.py pins it)
 # ---------------------------------------------------------------------------
@@ -213,104 +216,15 @@ def _c_core(total: int, v: int, l: int):
         top -= 1
 
 
-def _window_values(l: int, k: int) -> list[int]:
-    return [2 * l + 2 * i for i in range(1, k)]
-
-
-def _window_subsets(l: int, k: int, budget: int, want_even: bool):
-    """Distinct even window extras of the requested count parity, descending."""
-    values = [v for v in _window_values(l, k) if v <= budget]
-    for r in range(len(values) + 1):
-        if (r % 2 == 0) != want_even:
-            continue
-        for combo in itertools.combinations(values, r):
-            if sum(combo) <= budget:
-                yield tuple(sorted(combo, reverse=True))
-
-
-def _iter_bk(n: int, k: int, want_even: bool):
-    # Fix the largest odd part 2l-1, pick window extras, fill with odd parts.
-    # The extras lie above 2l-1, so the parts come out descending.
-    for l in range(1, (n + 1) // 2 + 1):
-        base = 2 * l - 1
-        for extras in _window_subsets(l, k, n - base, want_even):
-            head = extras + (base,)
-            for fill in _odd_multiset(n - sum(head), base):
-                yield head + fill
-
-
-def _iter_ck(n: int, k: int, want_even: bool):
-    # Fix the anchor 2l, pick window extras, fill the core below the anchor.
-    # The extras lie above 2l, so the parts come out descending.
-    for l in range(1, n // 2 + 1):
-        anchor = 2 * l
-        for extras in _window_subsets(l, k, n - anchor, want_even):
-            head = extras + (anchor,)
-            for core in _c_core(n - sum(head), anchor, l):
-                yield anchor, head + core
-
-
-def _iter_dk(n: int, k: int, odd: int | None = None, first: int = 0):
-    """Dk members with smallest part s >= first (first = 1: SptKd), and with
-    a number of parts above the smallest of parity `odd` if given.
-
-    Zero-smallest members carry their k explicit zeros.
-    """
-    for s in range(first, n // k + 1):
-        for rest in _distinct(n - k * s, n - k * s, s + 1):
-            if odd is None or len(rest) % 2 == odd:
-                yield rest + (s,) * k
-
-
-def _iter_e(n: int):
-    for m in range(1, n + 1, 2):
-        for fill in _odd_multiset(n - m, m - 2):
-            yield (m,) + fill
-
-
-def _iter_f(n: int):
-    for m in range(2, n + 1, 2):
-        for fill in _odd_multiset(n - m, m - 1):
-            yield (m,) + fill
-
-
-def _iter_pprime(n: int, k: int):
-    rest = n - (k - 1)
-    if rest < 0:
-        return
-    for a in _distinct(rest, rest, 2):
-        yield a + (1,) * (k - 1)
-
-
-def _iter_pdprime(n: int, k: int):
-    # at k = 1 this is P2: no (s+1)-parts, distinct parts >= s+2
-    for s in range(1, n + 1):
-        rest = n - s - (s + 1) * (k - 1)
-        if rest < 0:
-            break
-        for a in _distinct(rest, rest, s + 2):
-            yield a + (s + 1,) * (k - 1) + (s,)
-
-
-def _iter_distinct_parity(n: int, hi: int, odd: int):
-    return (a for a in _distinct(n, hi) if len(a) % 2 == odd)
-
-
 # ---------------------------------------------------------------------------
-# row walks: one exhaustive descent per structure that counts the members of
-# weight at most hi into a difference row of hi+2 slots.  Every prefix that
-# has room for one more part is visited once, and the run of its one-part
-# extensions, one member at each of the consecutive weights a..b, is one
-# range update: +1 at slot a and -1 at slot b+1 (slot hi+1 takes the -1 of
-# a run that ends at hi).  A point count is a run of length 1.  _walked sums
-# each row once to turn it into counts.  Nothing is memoised, no generating
-# function is read, and no closed form is used beyond a run of consecutive
-# last parts.  A walk skips a subtree only when none of its members reaches
-# the window's low end lo, so the members of weights lo..hi are each counted
+# fill walks: each counts weight w plus every fill of weight at most hi - w
+# into a difference row of hi+2 slots, a run of consecutive weights a..b as
+# +1 at slot a and -1 at slot b+1 (slot hi+1 takes the -1 of a run that ends
+# at hi).  A walk skips a subtree only when none of its members reaches the
+# window's low end lo, so the members of weights lo..hi are each counted
 # exactly once; entries below lo may hold partial counts and are dropped by
-# the caller.  A walk counts into a pair of rows: a split class reads one of
-# them, rows[0] its even and rows[1] its odd half, and any other class the
-# sum of the two.
+# the caller.  The distinct walk counts a set of even size into one row and
+# one of odd size into the other; the odd and core walks use one row.
 # ---------------------------------------------------------------------------
 
 
@@ -378,70 +292,117 @@ def _walk_c_core(row, lo: int, hi: int, w: int, v: int, l: int) -> None:
             _walk_c_core(row, lo, hi, x, u - 1, l)
 
 
-def _walk_bk(rows, lo: int, hi: int, k: int, odd: int) -> None:
-    # Fix the largest odd part 2l-1 and window extras of count parity odd,
-    # fill with odd parts.
-    for l in range(1, (hi + 1) // 2 + 1):
-        base = 2 * l - 1
-        for extras in _window_subsets(l, k, hi - base, not odd):
-            _walk_odd(rows[0], hi, base + sum(extras), base)
+# ---------------------------------------------------------------------------
+# shapes: a class is fixed head parts around one fill.  shape(n, *args)
+# yields the heads of its members up to weight n, in the class's order, as
+# (parts above the fill, parts below it, fill, fill arguments).  _members
+# runs the fill's generator under each head and _walk its row walk.
+# ---------------------------------------------------------------------------
 
 
-def _walk_ck(rows, lo: int, hi: int, k: int, odd: int) -> None:
-    # Fix the anchor 2l and window extras of count parity odd, fill the core
-    # below the anchor.
-    for l in range(1, hi // 2 + 1):
-        anchor = 2 * l
-        for extras in _window_subsets(l, k, hi - anchor, not odd):
-            _walk_c_core(rows[0], lo, hi, anchor + sum(extras), anchor, l)
+def _walk_sets(rows, lo: int, hi: int, w: int, v: int, least: int) -> None:
+    rows[0][w] += 1  # the empty set; _walk_distinct counts the others
+    rows[0][w + 1] -= 1
+    _walk_distinct(*rows, lo, hi, w, v, least)
 
 
-def _walk_dk(rows, lo: int, hi: int, k: int, first: int) -> None:
-    # Smallest part s >= first k times (first = 1: SptKd), split by the
-    # parity of the number of distinct parts above it.
-    for s in range(first, hi // k + 1):
-        rows[0][k * s] += 1
-        rows[0][k * s + 1] -= 1
-        _walk_distinct(*rows, lo, hi, k * s, hi, s + 1)
+# fill -> (generator of the fills of a total, row walk from a weight w).
+# distinct: parts in [least, v], arguments (v, least); odd: odd parts <= v,
+# (v,); core: parts <= v, distinct up to l and free above it, (v, l).
+FILLS = {
+    "distinct": (_distinct, _walk_sets),
+    "odd": (_odd_multiset, lambda rows, lo, hi, w, v: _walk_odd(rows[0], hi, w, v)),
+    "core": (_c_core, lambda rows, lo, hi, w, v, l: _walk_c_core(rows[0], lo, hi, w, v, l)),
+}
 
 
-def _walk_a(rows, lo: int, hi: int, k: int | None) -> None:
-    # Distinct parts, split by the parity of their number; below k if given.
-    rows[0][0] += 1
-    rows[0][1] -= 1
-    _walk_distinct(*rows, lo, hi, 0, hi if k is None else k - 1, 1)
+def _window_values(l: int, k: int) -> list[int]:
+    return [2 * l + 2 * i for i in range(1, k)]
 
 
-def _walk_e(rows, lo: int, hi: int) -> None:
-    for m in range(1, hi + 1, 2):
-        _walk_odd(rows[0], hi, m, m - 2)
+def _window_subsets(l: int, k: int, budget: int, want_even: bool):
+    """Distinct even window extras of the requested count parity, descending."""
+    values = [v for v in _window_values(l, k) if v <= budget]
+    for r in range(len(values) + 1):
+        if (r % 2 == 0) != want_even:
+            continue
+        for combo in itertools.combinations(values, r):
+            if sum(combo) <= budget:
+                yield tuple(sorted(combo, reverse=True))
 
 
-def _walk_f(rows, lo: int, hi: int) -> None:
-    for m in range(2, hi + 1, 2):
-        _walk_odd(rows[0], hi, m, m - 1)
+def _distinct_parts(n: int, k: int | None):
+    # A and its halves, and the bounded pair below k: distinct parts, no head
+    yield (), (), "distinct", (n if k is None else k - 1, 1)
 
 
-def _walk_p1(rows, lo: int, hi: int) -> None:
-    _walk_distinct(*rows, lo, hi, 0, hi, 2)
+def _largest_odd(n: int):
+    # B: the largest part m, odd, from the top down, then odd parts <= m
+    for m in range(n - 1 + n % 2, 0, -2):
+        yield (m,), (), "odd", (m,)
 
 
-def _walk_pprime(rows, lo: int, hi: int, k: int) -> None:
-    if k - 1 <= hi:
-        rows[0][k - 1] += 1
-        rows[0][k] -= 1
-        _walk_distinct(*rows, lo, hi, k - 1, hi, 2)
+def _odd_window(n: int, k: int, odd: int):
+    # Bk: window extras of count parity odd, the largest odd part 2l-1, then odd parts
+    for l in range(1, (n + 1) // 2 + 1):
+        for extras in _window_subsets(l, k, n - 2 * l + 1, not odd):
+            yield extras + (2 * l - 1,), (), "odd", (2 * l - 1,)
 
 
-def _walk_pdprime(rows, lo: int, hi: int, k: int) -> None:
-    # at k = 1 this is P2: no (s+1)-parts, distinct parts >= s+2
-    for s in range(1, hi + 1):
-        base = s + (s + 1) * (k - 1)
-        if base > hi:
-            break
-        rows[0][base] += 1
-        rows[0][base + 1] -= 1
-        _walk_distinct(*rows, lo, hi, base, hi, s + 2)
+def _anchor_window(n: int, k: int, odd: int):
+    # Ck (C at k = 1): window extras of count parity odd, the anchor 2l, then the core
+    for l in range(1, n // 2 + 1):
+        for extras in _window_subsets(l, k, n - 2 * l, not odd):
+            yield extras + (2 * l,), (), "core", (2 * l, l)
+
+
+def _smallest_repeated(n: int, k: int, first: int):
+    # Dk (SptKd: first = 1): distinct parts above s, then the smallest part s k times
+    for s in range(first, n // k + 1):
+        yield (), (s,) * k, "distinct", (n, s + 1)
+
+
+def _unique_largest(n: int, first: int, gap: int):
+    # E (first 1, gap 2), F (2, 1): the largest part m, then odd parts <= m - gap
+    for m in range(first, n + 1, 2):
+        yield (m,), (), "odd", (m - gap,)
+
+
+def _largest_above_one(n: int):
+    # P1: the largest part m, from the top down, then distinct parts in [2, m-1]
+    for m in range(n, 1, -1):
+        yield (m,), (), "distinct", (m - 1, 2)
+
+
+def _ones_below(n: int, k: int):
+    # Pprime: distinct parts >= 2, then k-1 ones
+    if k - 1 <= n:
+        yield (), (1,) * (k - 1), "distinct", (n, 2)
+
+
+def _gap_above_smallest(n: int, k: int):
+    # Pdprime (P2 at k = 1): distinct parts >= s+2, then k-1 parts s+1, then s
+    for s in range(1, (n - k + 1) // k + 1):
+        yield (), (s + 1,) * (k - 1) + (s,), "distinct", (n, s + 2)
+
+
+def _members(spec: ClassSpec, n: int):
+    """The members of weight n, heads in shape order and, under each head,
+    fills in generator order.  A split class keeps the fills whose part
+    count has its parity; an anchored one yields (anchor, parts)."""
+    shape, args, half, _ = _ENGINES[spec.class_id]
+    anchored = spec.anchored
+    for above, below, fill, fill_args in shape(n, *args(spec.k)):
+        for parts in FILLS[fill][0](n - sum(above) - sum(below), *fill_args):
+            if half is None or len(parts) % 2 == half:
+                parts = above + parts + below
+                yield (above[-1], parts) if anchored else parts
+
+
+def _walk(rows, lo: int, hi: int, shape, args: tuple) -> None:
+    """Count the members of shape(hi, *args) into the row pair."""
+    for above, below, fill, fill_args in shape(hi, *args):
+        FILLS[fill][1](rows, lo, hi, sum(above) + sum(below), *fill_args)
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +413,9 @@ def _walk_pdprime(rows, lo: int, hi: int, k: int) -> None:
 # Bound of the signed-build cache.  One entry is a tuple of order+1 plain
 # integers, about 33 KB at order 750, so 64 entries stay under 2.2 MB.  The
 # series_deep benchmark (every class at order 740, then T3x, T8, T9 and T12)
-# builds 41 distinct signed tuples and a CLI command a few, so within one
-# run each is built once.
+# builds 42 distinct signed tuples, so within one run each is built once;
+# report --all builds 87, at orders 60..250, and reads none again once it
+# is dropped.
 SIGNED_CACHE_SIZE = 64
 
 
@@ -613,71 +575,66 @@ def _gf_ck(k: int, order: int, sign: int = PLUS) -> tuple[int, ...]:
     return _window_series(_grow_c_core, 0, k, order, sign)
 
 
+def _gf_tail(k: int, order: int, sign: int = PLUS) -> tuple[int, ...]:
+    """Distinct parts >= k, each marked with the sign: tail(k)."""
+    return tuple(_pochhammer(sign, k, 1, max(order - k + 1, 0), order))
+
+
 def _gf_pprime(k: int, order: int) -> tuple[int, ...]:
     # k-1 ones, then distinct parts >= 2: q^(k-1) * tail(2), the one
-    # product every k shifts, read through gf's cache at k = 1.
-    if k == 1:
-        return pochhammer_infinite(PLUS, 2, 1, order).coeffs
-    return gf(ClassSpec("Pprime", 1), order).shift(k - 1).coeffs
+    # unchecked product per order that every k shifts.
+    ones = min(k - 1, order + 1)
+    return (0,) * ones + _signed(_gf_tail, 2, order, PLUS)[:order + 1 - ones]
 
 
 class _Engine(NamedTuple):
-    members: Callable  # (n, k) -> tuples; (anchor, tuple) pairs if anchored
-    walk: Callable  # k -> (row walk, its arguments, the half read: 0, 1 or None for both)
+    shape: Callable  # (n, *args) -> the heads of the members up to weight n
+    args: Callable  # k -> the shape's arguments
+    half: int | None  # the parity of the fill's part count kept, or None for both
     gf: Callable  # (k, order) -> coefficients of the generating function up to q^order
 
 
-# class id -> engines; C is Ck_e and P2 is Pdprime, both at k = 1, and B is
-# Bk_e at k = 1.  Classes that name the same walk and arguments share its
-# rows.  A, Pe_d, Po_d and SptKd (Dk - A) share the one distinct product
-# _signed(_gf_distinct, None, order, PLUS), and every Pprime(k) shifts
-# gf(Pprime(1)).  P1 sums q^s * tail(s+1) over s >= 2, and Pdprime(k), P2
-# at k = 1, sums q^(sk + k - 1) * tail(s+2) over s >= 1 (k-1 parts s+1
-# above the smallest part s), each by one _tail_sum.  The gf builders reach
-# the qpart.series functions by module-level name at call time, never
-# through a captured reference, so a patch of one of those names (a tracer,
-# the independence test) stays in the path.
+# class id -> engines; C is Ck_e and P2 is Pdprime, both at k = 1.  Classes
+# with the same shape and arguments share its rows.  A, Pe_d, Po_d and SptKd
+# (Dk - A) share the one distinct product _signed(_gf_distinct, None, order,
+# PLUS), and every Pprime(k) shifts _signed(_gf_tail, 2, order, PLUS).  P1
+# sums q^s * tail(s+1) over s >= 2, and Pdprime(k), P2 at k = 1, sums
+# q^(sk + k - 1) * tail(s+2) over s >= 1 (k-1 parts s+1 above the smallest
+# part s), each by one _tail_sum.  The gf builders reach the qpart.series
+# functions by module-level name at call time, never through a captured
+# reference, so a patch of one of those names (a tracer, the independence
+# test) stays in the path.
 _ENGINES: dict[str, _Engine] = {
-    "A": _Engine(lambda n, k: _distinct(n, n), lambda k: (_walk_a, (None,), None),
+    "A": _Engine(_distinct_parts, lambda k: (None,), None,
                  lambda k, order: _signed(_gf_distinct, None, order, PLUS)),
-    "B": _Engine(lambda n, k: _odd_multiset(n, n) if n else (), lambda k: (_walk_bk, (1, 0), None),
+    "B": _Engine(_largest_odd, lambda k: (), None,
                  lambda k, order: pochhammer_infinite(MINUS, 1, 2, order).reciprocal().coeffs),
-    "C": _Engine(lambda n, k: _iter_ck(n, 1, True), lambda k: (_walk_ck, (1, 0), None),
+    "C": _Engine(_anchor_window, lambda k: (1, 0), None,
                  lambda k, order: _signed(_gf_ck, 1, order, PLUS)),
-    "Dk": _Engine(_iter_dk, lambda k: (_walk_dk, (k, 0), None),
+    "Dk": _Engine(_smallest_repeated, lambda k: (k, 0), None,
                   lambda k, order: _signed(_gf_dk, k, order, PLUS)),
-    "Dk_e": _Engine(lambda n, k: _iter_dk(n, k, 0), lambda k: (_walk_dk, (k, 0), 0),
-                    _halves(_gf_dk, 0)),
-    "Dk_o": _Engine(lambda n, k: _iter_dk(n, k, 1), lambda k: (_walk_dk, (k, 0), 1),
-                    _halves(_gf_dk, 1)),
-    "Bk_e": _Engine(lambda n, k: _iter_bk(n, k, True), lambda k: (_walk_bk, (k, 0), None),
-                    _halves(_gf_bk, 0)),
-    "Bk_o": _Engine(lambda n, k: _iter_bk(n, k, False), lambda k: (_walk_bk, (k, 1), None),
-                    _halves(_gf_bk, 1)),
-    "Ck_e": _Engine(lambda n, k: _iter_ck(n, k, True), lambda k: (_walk_ck, (k, 0), None),
-                    _halves(_gf_ck, 0)),
-    "Ck_o": _Engine(lambda n, k: _iter_ck(n, k, False), lambda k: (_walk_ck, (k, 1), None),
-                    _halves(_gf_ck, 1)),
-    "E": _Engine(lambda n, k: _iter_e(n), lambda k: (_walk_e, (), None),
+    "Dk_e": _Engine(_smallest_repeated, lambda k: (k, 0), 0, _halves(_gf_dk, 0)),
+    "Dk_o": _Engine(_smallest_repeated, lambda k: (k, 0), 1, _halves(_gf_dk, 1)),
+    "Bk_e": _Engine(_odd_window, lambda k: (k, 0), None, _halves(_gf_bk, 0)),
+    "Bk_o": _Engine(_odd_window, lambda k: (k, 1), None, _halves(_gf_bk, 1)),
+    "Ck_e": _Engine(_anchor_window, lambda k: (k, 0), None, _halves(_gf_ck, 0)),
+    "Ck_o": _Engine(_anchor_window, lambda k: (k, 1), None, _halves(_gf_ck, 1)),
+    "E": _Engine(_unique_largest, lambda k: (1, 2), None,
                  lambda k, order: _window_sum(_grow_e_core, 1, 0, order)),
-    "F": _Engine(lambda n, k: _iter_f(n), lambda k: (_walk_f, (), None),
+    "F": _Engine(_unique_largest, lambda k: (2, 1), None,
                  lambda k, order: _window_sum(_grow_odd_core, 0, 0, order)),
-    "P1": _Engine(lambda n, k: _distinct(n, n, 2) if n else (), lambda k: (_walk_p1, (), None),
+    "P1": _Engine(_largest_above_one, lambda k: (), None,
                   lambda k, order: _tail_sum(PLUS, order, 2, 1, 3)),
-    "P2": _Engine(lambda n, k: _iter_pdprime(n, 1), lambda k: (_walk_pdprime, (1,), None),
+    "P2": _Engine(_gap_above_smallest, lambda k: (1,), None,
                   lambda k, order: _tail_sum(PLUS, order, 1, 1, 3)),
-    "Pprime": _Engine(_iter_pprime, lambda k: (_walk_pprime, (k,), None), _gf_pprime),
-    "Pdprime": _Engine(_iter_pdprime, lambda k: (_walk_pdprime, (k,), None),
+    "Pprime": _Engine(_ones_below, lambda k: (k,), None, _gf_pprime),
+    "Pdprime": _Engine(_gap_above_smallest, lambda k: (k,), None,
                        lambda k, order: _tail_sum(PLUS, order, 2 * k - 1, k, 3)),
-    "Pe_d": _Engine(lambda n, k: _iter_distinct_parity(n, n, 0), lambda k: (_walk_a, (None,), 0),
-                    _halves(_gf_distinct, 0)),
-    "Po_d": _Engine(lambda n, k: _iter_distinct_parity(n, n, 1), lambda k: (_walk_a, (None,), 1),
-                    _halves(_gf_distinct, 1)),
-    "Pe_bounded": _Engine(lambda n, k: _iter_distinct_parity(n, k - 1, 0),
-                          lambda k: (_walk_a, (k,), 0), _halves(_gf_distinct, 0)),
-    "Po_bounded": _Engine(lambda n, k: _iter_distinct_parity(n, k - 1, 1),
-                          lambda k: (_walk_a, (k,), 1), _halves(_gf_distinct, 1)),
-    "SptKd": _Engine(lambda n, k: _iter_dk(n, k, None, 1), lambda k: (_walk_dk, (k, 1), None),
+    "Pe_d": _Engine(_distinct_parts, lambda k: (None,), 0, _halves(_gf_distinct, 0)),
+    "Po_d": _Engine(_distinct_parts, lambda k: (None,), 1, _halves(_gf_distinct, 1)),
+    "Pe_bounded": _Engine(_distinct_parts, lambda k: (k,), 0, _halves(_gf_distinct, 0)),
+    "Po_bounded": _Engine(_distinct_parts, lambda k: (k,), 1, _halves(_gf_distinct, 1)),
+    "SptKd": _Engine(_smallest_repeated, lambda k: (k, 1), None,
                      lambda k, order: tuple(map(sub, _signed(_gf_dk, k, order, PLUS),
                                                 _signed(_gf_distinct, None, order, PLUS)))),
 }
@@ -694,26 +651,27 @@ def enumerate_class(spec: ClassSpec, n: int) -> list:
     """
     if n < 0:
         raise PartitionError("weight must be non-negative")
-    members = _ENGINES[spec.class_id].members(n, spec.k)
+    members = _members(spec, n)
     if spec.anchored:
         return [AnchoredPartition(a, Partition(parts)) for a, parts in members]
     return [Partition(parts) for parts in members]
 
 
 # Bound of the row cache.  An entry is the row pair of one walked structure:
-# under 5 KB at the weights report --all walks (up to 62), where it keeps 32
+# under 5 KB at the weights report --all walks (up to 62), where it keeps 43
 # structures, and about 8 KB at weight 110, where walking Dk(1) already takes
 # about 10 s.  64 entries keep every structure of one report and stay under
 # 1 MB.
 ROW_CACHE_SIZE = 64
 
-# (walk, its arguments) -> row pair walked from weight 0, least recently
+# (shape, its arguments) -> row pair walked from weight 0, least recently
 # used first
 _rows: OrderedDict = OrderedDict()
 
 
-def _walked(walk, args: tuple, lo: int, hi: int):
-    """The row pair of walk(*args) that covers weights lo..hi.
+def _walked(shape, args: tuple, lo: int, hi: int):
+    """The row pair of the members of shape(n, *args) that covers weights
+    lo..hi.
 
     The walk fills a pair of difference rows of hi+2 slots, the last one
     taking the -1 of every run that ends at hi; a running sum of each, cut
@@ -721,13 +679,13 @@ def _walked(walk, args: tuple, lo: int, hi: int):
     request; a walk from weight 0 is kept, and one that starts higher is
     not, since it leaves the entries below lo incomplete.
     """
-    key = (walk, args)
+    key = (shape, args)
     rows = _rows.get(key)
     if rows is not None and len(rows[0]) > hi:
         _rows.move_to_end(key)
         return rows
     diffs = ([0] * (hi + 2), [0] * (hi + 2))
-    walk(diffs, lo, hi, *args)
+    _walk(diffs, lo, hi, shape, args)
     rows = tuple(list(islice(accumulate(d), hi + 1)) for d in diffs)
     if lo == 0:
         _rows[key] = rows
@@ -738,21 +696,17 @@ def _walked(walk, args: tuple, lo: int, hi: int):
 
 
 def count_row(spec: ClassSpec, hi: int, lo: int = 0) -> tuple[int, ...]:
-    """Numbers of class members of weights lo..hi, by one exhaustive walk.
-
-    The walk builds no members.  It visits every prefix that has room for
-    one more part once and counts the run of that prefix's one-part
-    extensions, one member at each of a stretch of consecutive weights, as
-    one range update of a difference row, which one running sum turns into
-    counts.  It memoises nothing and reads no generating function, so it
-    stays an independent oracle for :func:`gf`.  Classes that name the same
-    walk, such as Dk and its halves, share its rows.  Rows walked from
-    weight 0 are kept, and a kept row serves every shorter request.
+    """Numbers of class members of weights lo..hi, by one exhaustive walk
+    of the class's shape that builds no members, memoises nothing and reads
+    no generating function, so it stays an independent oracle for
+    :func:`gf`.  Classes with the same shape and arguments, such as Dk and
+    its halves, share its rows; rows walked from weight 0 are kept, and a
+    kept row serves every shorter request.
     """
     if lo < 0 or hi < 0:
         raise PartitionError("weight must be non-negative")
-    walk, args, half = _ENGINES[spec.class_id].walk(spec.k)
-    even, odd = _walked(walk, args, lo, hi)
+    shape, args, half, _ = _ENGINES[spec.class_id]
+    even, odd = _walked(shape, args(spec.k), lo, hi)
     if half is None:
         return tuple(map(add, even[lo:hi + 1], odd[lo:hi + 1]))
     return tuple((even, odd)[half][lo:hi + 1])
@@ -961,7 +915,8 @@ def c_family_ambiguity(k: int, n: int) -> AmbiguityReport:
     anchored_even = count_by_enumeration(ClassSpec("Ck_e", k), n)
     anchored_odd = count_by_enumeration(ClassSpec("Ck_o", k), n)
     seen: dict[tuple[int, ...], list[AnchoredPartition]] = {}
-    for anchor, parts in itertools.chain(_iter_ck(n, k, True), _iter_ck(n, k, False)):
+    for anchor, parts in itertools.chain(_members(ClassSpec("Ck_e", k), n),
+                                         _members(ClassSpec("Ck_o", k), n)):
         seen.setdefault(parts, []).append(AnchoredPartition(anchor, Partition(parts)))
     raw_even = raw_odd = 0
     ambiguous = []

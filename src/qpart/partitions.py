@@ -15,9 +15,9 @@ anchor of a raw multiset for diagnostics.
 Each class is defined once, as one row of the ``_CLASSES`` table: whether
 it takes k, whether it is counted over anchored partitions, and its
 membership predicate ``member(value, k)``.  :class:`ClassSpec`,
-:func:`is_member` and the ``CLASS_INFO`` view read that table; the
-enumeration and generating-function engines of each class sit in the
-matching table of :mod:`qpart.counting`.
+:func:`is_member` and the ``CLASS_INFO`` view read that table; the shape
+that enumerates each class's members and its generating function sit in
+the matching table ``_ENGINES`` of :mod:`qpart.counting`.
 
 Class identifiers
 -----------------
@@ -150,7 +150,7 @@ class ClassSpec:
         if self.class_id not in _CLASSES:
             raise PartitionError(f"unknown class id {self.class_id!r}")
         if _CLASSES[self.class_id].requires_k:
-            if self.k is None or self.k < 1:
+            if type(self.k) is not int or self.k < 1:
                 raise PartitionError(f"class {self.class_id} needs a positive k")
         elif self.k is not None:
             raise PartitionError(f"class {self.class_id} takes no k parameter")

@@ -1,6 +1,7 @@
 """Reference code that the package replaced, kept verbatim for the tests
 that compare the new code with it."""
 
+import itertools
 from bisect import bisect_left
 from operator import ge, neg
 
@@ -24,7 +25,7 @@ from qpart.bijections import (
     glaisher_merge,
     glaisher_split,
 )
-from qpart.counting import enumerate_class
+from qpart.counting import _c_core, _distinct, _odd_multiset, enumerate_class
 from qpart.partitions import (
     AnchoredPartition,
     ClassSpec,
@@ -367,6 +368,129 @@ def map_mismatches(weights, ks) -> tuple[int, list[str]]:
                 if got != want:
                     mismatches.append(f"{name}{args}: {got!r}, before {want!r}")
     return compared, mismatches
+
+
+# ---------------------------------------------------------------------------
+# member generators: one per class, before the classes became shapes of
+# heads over a shared fill; enumerate_class keeps their members and order
+# ---------------------------------------------------------------------------
+
+def _window_values(l: int, k: int) -> list[int]:
+    return [2 * l + 2 * i for i in range(1, k)]
+
+
+def _window_subsets(l: int, k: int, budget: int, want_even: bool):
+    """Distinct even window extras of the requested count parity, descending."""
+    values = [v for v in _window_values(l, k) if v <= budget]
+    for r in range(len(values) + 1):
+        if (r % 2 == 0) != want_even:
+            continue
+        for combo in itertools.combinations(values, r):
+            if sum(combo) <= budget:
+                yield tuple(sorted(combo, reverse=True))
+
+
+def _iter_bk(n: int, k: int, want_even: bool):
+    # Fix the largest odd part 2l-1, pick window extras, fill with odd parts.
+    # The extras lie above 2l-1, so the parts come out descending.
+    for l in range(1, (n + 1) // 2 + 1):
+        base = 2 * l - 1
+        for extras in _window_subsets(l, k, n - base, want_even):
+            head = extras + (base,)
+            for fill in _odd_multiset(n - sum(head), base):
+                yield head + fill
+
+
+def _iter_ck(n: int, k: int, want_even: bool):
+    # Fix the anchor 2l, pick window extras, fill the core below the anchor.
+    # The extras lie above 2l, so the parts come out descending.
+    for l in range(1, n // 2 + 1):
+        anchor = 2 * l
+        for extras in _window_subsets(l, k, n - anchor, want_even):
+            head = extras + (anchor,)
+            for core in _c_core(n - sum(head), anchor, l):
+                yield anchor, head + core
+
+
+def _iter_dk(n: int, k: int, odd: int | None = None, first: int = 0):
+    """Dk members with smallest part s >= first (first = 1: SptKd), and with
+    a number of parts above the smallest of parity `odd` if given.
+
+    Zero-smallest members carry their k explicit zeros.
+    """
+    for s in range(first, n // k + 1):
+        for rest in _distinct(n - k * s, n - k * s, s + 1):
+            if odd is None or len(rest) % 2 == odd:
+                yield rest + (s,) * k
+
+
+def _iter_e(n: int):
+    for m in range(1, n + 1, 2):
+        for fill in _odd_multiset(n - m, m - 2):
+            yield (m,) + fill
+
+
+def _iter_f(n: int):
+    for m in range(2, n + 1, 2):
+        for fill in _odd_multiset(n - m, m - 1):
+            yield (m,) + fill
+
+
+def _iter_pprime(n: int, k: int):
+    rest = n - (k - 1)
+    if rest < 0:
+        return
+    for a in _distinct(rest, rest, 2):
+        yield a + (1,) * (k - 1)
+
+
+def _iter_pdprime(n: int, k: int):
+    # at k = 1 this is P2: no (s+1)-parts, distinct parts >= s+2
+    for s in range(1, n + 1):
+        rest = n - s - (s + 1) * (k - 1)
+        if rest < 0:
+            break
+        for a in _distinct(rest, rest, s + 2):
+            yield a + (s + 1,) * (k - 1) + (s,)
+
+
+def _iter_distinct_parity(n: int, hi: int, odd: int):
+    return (a for a in _distinct(n, hi) if len(a) % 2 == odd)
+
+
+# class id -> (n, k) -> member tuples, (anchor, tuple) pairs if anchored
+MEMBERS = {
+    "A": lambda n, k: _distinct(n, n),
+    "B": lambda n, k: _odd_multiset(n, n) if n else (),
+    "C": lambda n, k: _iter_ck(n, 1, True),
+    "Dk": _iter_dk,
+    "Dk_e": lambda n, k: _iter_dk(n, k, 0),
+    "Dk_o": lambda n, k: _iter_dk(n, k, 1),
+    "Bk_e": lambda n, k: _iter_bk(n, k, True),
+    "Bk_o": lambda n, k: _iter_bk(n, k, False),
+    "Ck_e": lambda n, k: _iter_ck(n, k, True),
+    "Ck_o": lambda n, k: _iter_ck(n, k, False),
+    "E": lambda n, k: _iter_e(n),
+    "F": lambda n, k: _iter_f(n),
+    "P1": lambda n, k: _distinct(n, n, 2) if n else (),
+    "P2": lambda n, k: _iter_pdprime(n, 1),
+    "Pprime": _iter_pprime,
+    "Pdprime": _iter_pdprime,
+    "Pe_d": lambda n, k: _iter_distinct_parity(n, n, 0),
+    "Po_d": lambda n, k: _iter_distinct_parity(n, n, 1),
+    "Pe_bounded": lambda n, k: _iter_distinct_parity(n, k - 1, 0),
+    "Po_bounded": lambda n, k: _iter_distinct_parity(n, k - 1, 1),
+    "SptKd": lambda n, k: _iter_dk(n, k, None, 1),
+}
+
+
+def class_members(spec: ClassSpec, n: int) -> list:
+    """The members of weight n in the order of the class's generator, as
+    enumerate_class returns them."""
+    members = MEMBERS[spec.class_id](n, spec.k)
+    if spec.anchored:
+        return [AnchoredPartition(a, Partition(parts)) for a, parts in members]
+    return [Partition(parts) for parts in members]
 
 
 # ---------------------------------------------------------------------------

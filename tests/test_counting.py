@@ -153,8 +153,7 @@ def test_count_walk_matches_generators_in_every_window():
     # prune and the slot past hi that takes the ends of runs; then the whole
     # row at weight 40
     for spec in _specs(5):
-        members = counting._ENGINES[spec.class_id].members
-        want = tuple(sum(1 for _ in members(n, spec.k)) for n in range(41))
+        want = tuple(sum(1 for _ in counting._members(spec, n)) for n in range(41))
         for hi in range(17):
             for lo in range(hi + 1):
                 counting._rows.clear()
@@ -166,20 +165,20 @@ def test_count_walk_matches_generators_in_every_window():
 
 def test_kept_row_serves_shorter_requests(monkeypatch):
     walks = []
-    original = counting._walk_dk
+    original = counting._walk
 
-    def recording(rows, lo, hi, k, *rest):
-        walks.append((lo, hi, k))
-        return original(rows, lo, hi, k, *rest)
+    def recording(rows, lo, hi, shape, args):
+        walks.append((lo, hi, shape, args))
+        return original(rows, lo, hi, shape, args)
 
-    monkeypatch.setitem(counting._ENGINES, "Dk", counting._ENGINES["Dk"]._replace(
-        walk=lambda k: (recording, (k, 0), None)))
+    monkeypatch.setattr(counting, "_walk", recording)
     _clear_enumeration_caches()
     row = count_row(ClassSpec("Dk", 2), 20)
     assert count_row(ClassSpec("Dk", 2), 12, 5) == row[5:13]
     assert count_by_enumeration(ClassSpec("Dk", 2), 20) == row[20]
     assert count_row(ClassSpec("Dk", 2), 22, 22) == (count_row(ClassSpec("Dk", 2), 22)[22],)
-    assert walks == [(0, 20, 2), (22, 22, 2), (0, 22, 2)]
+    dk2 = counting._smallest_repeated, (2, 0)
+    assert walks == [(0, 20, *dk2), (22, 22, *dk2), (0, 22, *dk2)]
     _clear_enumeration_caches()
 
 
@@ -188,7 +187,7 @@ def test_row_cache_is_bounded():
     for k in range(1, counting.ROW_CACHE_SIZE + 6):
         count_row(ClassSpec("Pe_bounded", k), 3)
     assert len(counting._rows) == counting.ROW_CACHE_SIZE
-    assert (counting._walk_a, (1,)) not in counting._rows
+    assert (counting._distinct_parts, (1,)) not in counting._rows
     _clear_enumeration_caches()
 
 
@@ -386,13 +385,14 @@ def test_smallest_part_builders_match_tail_family_sums():
 # The largest order at which each smallest-part series fits below 2**63, and
 # the message one order more raises: each series stops where its own
 # coefficients leave the bound, and names the first that does.  A is tail(1)
-# itself, and every Pprime(k) shifts the one product tail(2) of Pprime(1),
-# read as the series gf(Pprime(1)), so Pprime(k) stops where it does.
+# itself, and Pprime(k) is q^(k-1) * tail(2), the one unchecked product
+# tail(2) shifted by k-1, whose first coefficient past the bound is at q^792:
+# so Pprime(k) stops at 790 + k.
 SMALLEST_PART_EDGES = [
     (ClassSpec("A"), 769, 9322334643320220726),
     (ClassSpec("Pprime", 1), 791, 9465882482837068524),
-    (ClassSpec("Pprime", 2), 791, 9465882482837068524),
-    (ClassSpec("Pprime", 5), 791, 9465882482837068524),
+    (ClassSpec("Pprime", 2), 792, 9465882482837068524),
+    (ClassSpec("Pprime", 5), 795, 9465882482837068524),
     (ClassSpec("Dk", 2), 748, 9234859427653261696),
     (ClassSpec("Dk", 8), 753, 9281046515468703324),
     (ClassSpec("Dk", 10), 755, 9498789159012851362),
@@ -498,7 +498,7 @@ def test_window_builders_keep_their_overflow_edges(spec, largest, magnitude):
         cache.cache_clear()
 
 
-def test_window_parity_differences_build_past_the_halves_edge():
+def test_window_parity_differences_build_at_order_760_up_to_k_8():
     # S(-1) stays below the bound at order 760, where S(+1) of k = 8 has left it
     for family in ("Bk", "Ck"):
         for k in range(1, 9):

@@ -4,14 +4,21 @@ the same order, as the recursive generators they replaced.
 The three recursive generators below are verbatim copies of the earlier
 code and serve as references.  ``enumerate_class`` lists members in
 generator order and ``qpart enumerate`` prints them in that order, so the
-order is part of the output, not only the set.
+order is part of the output, not only the set; it is compared, class by
+class, with the per-class generators kept in ``tests/oracles.py``.
 """
 
+import oracles
 from qpart import counting
+from qpart.counting import enumerate_class
+from qpart.partitions import CLASS_INFO, ClassSpec
 
 # Every argument of every generator runs to one past the range that changes
 # its output: above the total a bound no longer cuts anything.
 TOTAL = 40
+# Every class spec with k = 1..KMAX is compared at weights 0..CLASS_TOTAL.
+KMAX = 5
+CLASS_TOTAL = 30
 # The full (v, l) grid of _c_core has 9.5 million members at total 40; it
 # runs to this total, and the anchored cores (v = 2l) that every caller
 # asks for run to TOTAL.
@@ -114,3 +121,10 @@ def test_c_core_matches_reference_order_on_the_full_grid():
                 assert list(counting._c_core(total, v, l)) == \
                     list(_c_core(total, v, l)), (total, v, l)
 
+
+def test_enumerate_class_matches_reference_order():
+    specs = [ClassSpec(cid, k) for cid, (requires_k, _) in CLASS_INFO.items()
+             for k in (range(1, KMAX + 1) if requires_k else (None,))]
+    for spec in specs:
+        for n in range(CLASS_TOTAL + 1):
+            assert enumerate_class(spec, n) == oracles.class_members(spec, n), (spec, n)

@@ -83,6 +83,12 @@ def test_class_spec_k_validation():
     assert str(ClassSpec("Dk", 3)) == "Dk(k=3)"
 
 
+@pytest.mark.parametrize("k", [2.5, True, "2", 0, -1])
+def test_class_spec_needs_a_positive_int_k(k):
+    with pytest.raises(PartitionError, match="^class Dk needs a positive k$"):
+        ClassSpec("Dk", k)
+
+
 def test_value_types_keep_no_instance_dict():
     # Slotted values: no per-instance __dict__, and still frozen.
     from qpart.bijections import BijectionOutcome
