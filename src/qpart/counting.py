@@ -97,7 +97,6 @@ from .series import (
     _mul_factor,
     _pochhammer,
     pochhammer_finite,
-    pochhammer_infinite,
 )
 
 # ---------------------------------------------------------------------------
@@ -580,6 +579,14 @@ def _gf_tail(k: int, order: int, sign: int = PLUS) -> tuple[int, ...]:
     return tuple(_pochhammer(sign, k, 1, max(order - k + 1, 0), order))
 
 
+def _gf_odd(order: int) -> tuple[int, ...]:
+    """Odd parts: 1/(q; q^2)_inf, one division per odd factor up to the order."""
+    coeffs = [1] + [0] * order
+    for m in range(1, order + 1, 2):
+        _div_factor(coeffs, m, MINUS)
+    return tuple(coeffs)
+
+
 def _gf_pprime(k: int, order: int) -> tuple[int, ...]:
     # k-1 ones, then distinct parts >= 2: q^(k-1) * tail(2), the one
     # unchecked product per order that every k shifts.
@@ -595,20 +602,21 @@ class _Engine(NamedTuple):
 
 
 # class id -> engines; C is Ck_e and P2 is Pdprime, both at k = 1.  Classes
-# with the same shape and arguments share its rows.  A, Pe_d, Po_d and SptKd
-# (Dk - A) share the one distinct product _signed(_gf_distinct, None, order,
-# PLUS), and every Pprime(k) shifts _signed(_gf_tail, 2, order, PLUS).  P1
-# sums q^s * tail(s+1) over s >= 2, and Pdprime(k), P2 at k = 1, sums
-# q^(sk + k - 1) * tail(s+2) over s >= 1 (k-1 parts s+1 above the smallest
-# part s), each by one _tail_sum.  The gf builders reach the qpart.series
-# functions by module-level name at call time, never through a captured
-# reference, so a patch of one of those names (a tracer, the independence
-# test) stays in the path.
+# with the same shape and arguments share its rows.  B's builder _gf_odd
+# divides 1 by each (1 - q^m), m odd, and inverts no series.  A, Pe_d, Po_d
+# and SptKd (Dk - A) share the one distinct product _signed(_gf_distinct,
+# None, order, PLUS), and every Pprime(k) shifts _signed(_gf_tail, 2, order,
+# PLUS).  P1 sums q^s * tail(s+1) over s >= 2, and Pdprime(k), P2 at k = 1,
+# sums q^(sk + k - 1) * tail(s+2) over s >= 1 (k-1 parts s+1 above the
+# smallest part s), each by one _tail_sum.  The gf builders reach the
+# qpart.series functions by module-level name at call time, never through a
+# captured reference, so a patch of one of those names (a tracer, the
+# independence test) stays in the path.
 _ENGINES: dict[str, _Engine] = {
     "A": _Engine(_distinct_parts, lambda k: (None,), None,
                  lambda k, order: _signed(_gf_distinct, None, order, PLUS)),
     "B": _Engine(_largest_odd, lambda k: (), None,
-                 lambda k, order: pochhammer_infinite(MINUS, 1, 2, order).reciprocal().coeffs),
+                 lambda k, order: _gf_odd(order)),
     "C": _Engine(_anchor_window, lambda k: (1, 0), None,
                  lambda k, order: _signed(_gf_ck, 1, order, PLUS)),
     "Dk": _Engine(_smallest_repeated, lambda k: (k, 0), None,
@@ -643,14 +651,30 @@ _ENGINES: dict[str, _Engine] = {
 _SIGNED = {"Dk": _gf_dk, "Bk": _gf_bk, "Ck": _gf_ck}
 
 
+def _require_natural(what: str, *values) -> None:
+    """Refuse a weight or order that is not a non-negative int; bool is an
+    int subclass, but True is no weight."""
+    for value in values:
+        if type(value) is not int:
+            raise PartitionError(f"{what} must be a non-negative int, not {value!r}")
+        if value < 0:
+            raise PartitionError(f"{what} must be non-negative")
+
+
+def _series_order(n: int, order: int | None) -> int:
+    """n, or `order` if given and larger: the order a series count builds."""
+    if order is not None:
+        _require_natural("order", order)
+    return max(n, order or 0)
+
+
 def enumerate_class(spec: ClassSpec, n: int) -> list:
     """Complete duplicate-free list of class members of weight n.
 
     C-family members come back as :class:`AnchoredPartition`, everything
     else as :class:`Partition`.
     """
-    if n < 0:
-        raise PartitionError("weight must be non-negative")
+    _require_natural("weight", n)
     members = _members(spec, n)
     if spec.anchored:
         return [AnchoredPartition(a, Partition(parts)) for a, parts in members]
@@ -703,8 +727,7 @@ def count_row(spec: ClassSpec, hi: int, lo: int = 0) -> tuple[int, ...]:
     its halves, share its rows; rows walked from weight 0 are kept, and a
     kept row serves every shorter request.
     """
-    if lo < 0 or hi < 0:
-        raise PartitionError("weight must be non-negative")
+    _require_natural("weight", lo, hi)
     shape, args, half, _ = _ENGINES[spec.class_id]
     even, odd = _walked(shape, args(spec.k), lo, hi)
     if half is None:
@@ -712,14 +735,14 @@ def count_row(spec: ClassSpec, hi: int, lo: int = 0) -> tuple[int, ...]:
     return tuple((even, odd)[half][lo:hi + 1])
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=65536, typed=True)
 def count_by_enumeration(spec: ClassSpec, n: int) -> int:
     """Number of class members of weight n: :func:`count_row` on the
     window [n, n], or read off a kept row that reaches n."""
     return count_row(spec, n, n)[0]
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def gf(spec: ClassSpec, order: int) -> TruncatedSeries:
     """Generating function of the class, truncated at `order`.
 
@@ -728,12 +751,11 @@ def gf(spec: ClassSpec, order: int) -> TruncatedSeries:
     evaluations; non-integral halves would signal an implementation bug and
     raise.
     """
-    if order < 0:
-        raise PartitionError("order must be non-negative")
+    _require_natural("order", order)
     return TruncatedSeries(_ENGINES[spec.class_id].gf(spec.k, order))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def gf_parity_difference(class_family: str, k: int, order: int) -> TruncatedSeries:
     """Even-minus-odd difference series of a parity-split family: its
     signed builder at -1, one build where the two halves would take two."""
@@ -741,18 +763,15 @@ def gf_parity_difference(class_family: str, k: int, order: int) -> TruncatedSeri
         raise PartitionError(f"no parity split for family {class_family!r}")
     if type(k) is not int or k < 1:
         raise PartitionError(f"family {class_family} needs a positive k")
-    if order < 0:
-        raise PartitionError("order must be non-negative")
+    _require_natural("order", order)
     return TruncatedSeries(_signed(_SIGNED[class_family], k, order, MINUS))
 
 
 def count_by_series(spec: ClassSpec, n: int, order: int | None = None) -> int:
     """The q^n coefficient of the class generating function, built to at
     least order n."""
-    if n < 0:
-        raise PartitionError("weight must be non-negative")
-    series = gf(spec, max(n, order or 0))
-    return series.coefficient(n)
+    _require_natural("weight", n)
+    return gf(spec, _series_order(n, order)).coefficient(n)
 
 
 # ---------------------------------------------------------------------------
@@ -857,12 +876,11 @@ def count_table(spec: ClassSpec, nmax: int, method: str = "enumeration",
     """Counts of the class at weights 0..nmax on one path: one enumeration
     row (:func:`count_row`), or the coefficients of one generating function
     built to order max(nmax, order)."""
-    if nmax < 0:
-        raise PartitionError("weight must be non-negative")
+    _require_natural("weight", nmax)
     if method == "enumeration":
         values = dict(enumerate(count_row(spec, nmax)))
     elif method == "series":
-        series = gf(spec, max(nmax, order or 0))
+        series = gf(spec, _series_order(nmax, order))
         values = {n: series.coefficient(n) for n in range(nmax + 1)}
     else:
         raise PartitionError(f"unknown counting method {method!r}")

@@ -34,9 +34,8 @@ interpreted loops, with the same exact integer results:
   single factor) is instead multiplied row by row, one slice update per
   nonzero term, which is faster below that size.
 * :meth:`TruncatedSeries.reciprocal` runs the schoolbook recurrence, one
-  ``sum(map(mul))`` per coefficient, up to ``NEWTON_RECIPROCAL_ORDER`` and
-  then doubles the number of known coefficients by Newton's iteration
-  r <- r + r*(1 - a*r), two Kronecker products per doubling.
+  ``sum(map(mul))`` per coefficient.  The package's reciprocal products are
+  built by dividing by one factor at a time with ``_div_factor`` instead.
 """
 
 from __future__ import annotations
@@ -87,10 +86,10 @@ def _halve(coeffs) -> tuple:
 
 # In-place kernels on coefficient lists.  `sign` is +1 or -1, i.e. the
 # factor is (1 + sign*q^m).  Both run in O(order) and are the workhorses
-# behind every Pochhammer product and reciprocal in this module.  Both are
-# lower-triangular: entry i of the result depends on entries <= i only, so
-# a caller may drop the tail of the list before a call and keep the rest
-# exact.
+# behind every Pochhammer product and every reciprocal product the package
+# builds.  Both are lower-triangular: entry i of the result depends on
+# entries <= i only, so a caller may drop the tail of the list before a
+# call and keep the rest exact.
 
 _ADD_SIGNED = {PLUS: add, MINUS: sub}  # sign -> (x, y) -> x + sign*y
 
@@ -172,16 +171,6 @@ def _kronecker_product(a, b, n: int) -> list:
     cuts = map(slice, range(0, size, width), range(width, size + 1, width))
     digits = map(int.from_bytes, map(packed.__getitem__, cuts), repeat("little"))
     return list(map(half.__rsub__, digits))
-
-
-# Below this order the reciprocal's schoolbook recurrence, one sum(map(mul))
-# per coefficient, beats Newton doubling, which pays two Kronecker products
-# per step; on Pochhammer inputs the two meet near order 100.  On the
-# odd-part product at orders 40, 80, 250 and 740 the recurrence alone takes
-# 0.05, 0.17, 1.6 and 17 ms, Newton from one coefficient 0.24, 0.61, 1.1 and
-# 6.0 ms, and Newton from 64 recurrence coefficients 0.06, 0.26, 0.93 and
-# 5.4 ms.
-NEWTON_RECIPROCAL_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -298,32 +287,19 @@ class TruncatedSeries:
         """Inverse r with self * r == 1 up to the order.
 
         Requires constant term +1 or -1; everything this package inverts
-        (Pochhammer products) has one.  The first NEWTON_RECIPROCAL_ORDER
-        coefficients come from the recurrence r[i] = -a[0] * sum of
-        a[j]*r[i-j] over j >= 1.  After that, each Newton step
-        r <- r + r*(1 - a*r) doubles the number of exact coefficients with
-        two truncated Kronecker products, so the whole inverse costs a few
-        products at the full order instead of order^2/2 multiplications.
-        The steps work on plain lists and only the result is checked
-        against the bound, as with the plain loop.
+        (Pochhammer products) has one.  Runs the schoolbook recurrence
+        r[i] = -a[0] * sum of a[j]*r[i-j] over j >= 1, one sum(map(mul)) per
+        coefficient, on a plain list; only the result is checked against
+        the bound.
         """
         a = self.coeffs
         if a[0] not in (1, -1):
             raise NonUnitConstantError(
                 f"cannot invert series with constant term {a[0]}"
             )
-        n = self.order
         r = [a[0]]
-        for i in range(1, min(n + 1, NEWTON_RECIPROCAL_ORDER)):
+        for i in range(1, len(a)):
             r.append(-a[0] * sum(map(mul, a[i:0:-1], r)))
-        known = len(r)
-        while known <= n:
-            step = min(known, n + 1 - known)
-            # a*r is 1 below q^known; minus its next `step` coefficients are
-            # those of 1 - a*r, whose product with r extends r.
-            ar = _kronecker_product(a[:known + step], r, known + step - 1)
-            r += map(neg, _kronecker_product(r[:step], ar[known:], step - 1))
-            known += step
         return TruncatedSeries(tuple(r))
 
     def halve(self) -> "TruncatedSeries":
@@ -396,8 +372,8 @@ def pochhammer_infinite(sign: int, start_exp: int, step: int,
     Later factors are 1 + O(q^(order+1)) and cannot change any retained
     coefficient.
     """
-    if start_exp < 1:
-        raise ValueError("start exponent must be positive")
+    if start_exp < 1 or step < 1:
+        raise ValueError("start exponent and step must be positive")
     terms_needed = max(0, (order - start_exp) // step + 1)
     return pochhammer_finite(sign, start_exp, step, terms_needed, order)
 

@@ -350,21 +350,19 @@ def _task_t8(kmax: int = 6, n_terms: int = 30, order: int = 120):
     #   sum of q^(kM) * tail(M+1) over M <= N
     #     = tail(1) * sum_j e_j * falling[j] * (2 - q^((N+1)j) / (1+q)...(1+q^N)).
     # By linearity the bracket is 2*F_k - recips[N] * G_(k,N), where
-    # F_k = sum_j e_j * falling[j] and G_(k,N) = sum_j e_j * q^((N+1)j) * falling[j],
-    # so the right side is 2*(tail(1)*F_k) - (tail(1)*recips[N]) * G_(k,N),
-    # exact modulo q^(order+1): one product per (k, N), besides tail(1)*F_k
-    # once per k and tail(1)*recips[N] once per N.
+    # F_k = sum_j e_j * falling[j] and G_(k,N) = sum_j e_j * q^((N+1)j) * falling[j].
+    # tail(1)*recips[N] is tail(N+1), exactly modulo q^(order+1), so the
+    # right side is 2*(tail(1)*F_k) - tail(N+1) * G_(k,N): one product per
+    # (k, N), besides tail(1)*F_k once per k.
     full_plus = gf(ClassSpec("A"), order)
-    # (1 + q)(1 + q^2)...(1 + q^N) and its reciprocal, for N = 0..n_terms
-    partials = [TruncatedSeries.one(order)]
-    for m in range(1, n_terms + 1):
-        partials.append(partials[-1] * pochhammer_finite(PLUS, m, 1, 1, order))
-    recips = [s.reciprocal() for s in partials]
-    scaled_recips = [full_plus * r for r in recips]
-    # tail(N+1) for the left side, one running tail(N+1) = tail(N) / (1 + q^N)
+    # recips[N] = 1/((1 + q)...(1 + q^N)) and tails[N] = tail(N+1), for
+    # N = 0..n_terms, as running divisions: entry N divides entry N-1 by 1 + q^N
+    recips, recip = [TruncatedSeries.one(order)], [1] + [0] * order
     tails, tail = [full_plus], list(full_plus.coeffs)
     for big_n in range(1, n_terms + 1):
+        _div_factor(recip, big_n, PLUS)
         _div_factor(tail, big_n, PLUS)
+        recips.append(TruncatedSeries(tuple(recip)))
         tails.append(TruncatedSeries(tuple(tail)))
     two = TruncatedSeries.one(order).scale(2)
     for k in range(1, kmax + 1):
@@ -377,7 +375,7 @@ def _task_t8(kmax: int = 6, n_terms: int = 30, order: int = 120):
             lhs = lhs + tails[big_n].shift(k * big_n)
             g = series_sum([f.shift((big_n + 1) * j) for j, f in enumerate(signed)], order)
             yield 1, _series({"k": k, "N": big_n}, "signed smallest-part partial sum", lhs,
-                             "tail-product closed form", twice_full_f - scaled_recips[big_n] * g)
+                             "tail-product closed form", twice_full_f - tails[big_n] * g)
     for big_n in range(0, n_terms + 1):
         lhs = series_sum([recips[j].shift(j) for j in range(big_n + 1)], order)
         yield 1, _series({"N": big_n}, "sum of q^j/(1+q)...(1+q^j)", lhs,
@@ -465,12 +463,12 @@ def _collapse_sums(order: int) -> list[list[int]]:
 
 def _task_t12(order: int = 40, collapse_order: int = 60):
     # geometric expansion: reciprocal of the falling tail product equals the
-    # termwise sum of q^(c*m) / (1-q)...(1-q^m)
-    factorial_recips = [TruncatedSeries.one(order)]
+    # termwise sum of q^(c*m) / (1-q)...(1-q^m).  The left side inverts the
+    # product; the factorial reciprocals on the right are running divisions.
+    factorial_recips, recip = [TruncatedSeries.one(order)], [1] + [0] * order
     for m in range(1, order + 1):
-        factorial_recips.append(
-            factorial_recips[-1] * pochhammer_finite(MINUS, m, 1, 1, order))
-    factorial_recips = [s.reciprocal() for s in factorial_recips]
+        _div_factor(recip, m, MINUS)
+        factorial_recips.append(TruncatedSeries(tuple(recip)))
     for c in (1, 2, 3):
         lhs = pochhammer_infinite(MINUS, c, 1, order).reciprocal()
         rhs = series_sum(

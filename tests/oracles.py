@@ -41,8 +41,15 @@ from qpart.series import (
     PLUS,
     TruncatedSeries,
     pochhammer_finite,
+    pochhammer_infinite,
     pochhammer_infinite_starts,
 )
+
+
+def odd_parts_by_reciprocal(order: int) -> TruncatedSeries:
+    """B's generating function as `gf` built it before it divided by one
+    factor at a time: the product (q; q^2)_inf, inverted as a series."""
+    return pochhammer_infinite(MINUS, 1, 2, order).reciprocal()
 
 
 def t8_closed_forms(kmax: int, n_terms: int, order: int) -> dict:

@@ -12,7 +12,6 @@ import pytest
 from qpart import bijections, cli, verify
 from qpart.cli import BIJECTION_FLAGS, main
 from qpart.counting import count_row
-from qpart.series import TruncatedSeries
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -121,6 +120,14 @@ def test_count_negative_weight_is_usage_error(capsys):
             main(["count", "--class", "A", "--nmax", "-1", "--method", method])
         assert err.value.code == 2
         assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("weight", [("--n", "5"), ("--nmax", "5")])
+def test_count_negative_order_is_usage_error(capsys, weight):
+    with pytest.raises(SystemExit) as err:
+        main(["count", "--class", "A", *weight, "--order", "-3", "--method", "series"])
+    assert err.value.code == 2
+    assert "order must be non-negative" in capsys.readouterr().err
 
 
 def test_count_takes_one_weight_or_a_range(capsys):
@@ -347,18 +354,22 @@ def test_verify_rejects_a_grid_flag_the_task_does_not_declare(capsys, argv, mess
 
 
 def test_verify_replays_a_t8_witness_at_a_non_default_n_terms(capsys, monkeypatch):
-    # one coefficient of the factor 1 + q^3 of (1+q)...(1+q^N) off by one
-    original = verify.pochhammer_finite
+    # the q^4 coefficient of the running reciprocal 1/((1+q)...(1+q^N)) off
+    # by one from its division by 1 + q^3 on
+    original = verify._div_factor
 
-    def patched(*args):
-        series = original(*args)
-        if args != (1, 3, 1, 1, 30):
-            return series
-        return TruncatedSeries(series.coeffs[:4] + (series.coeffs[4] + 1,) + series.coeffs[5:])
+    def patched(coeffs, m, sign):
+        original(coeffs, m, sign)
+        if (m, sign) == (3, 1):
+            coeffs[4] += 1
 
-    monkeypatch.setattr(verify, "pochhammer_finite", patched)
+    monkeypatch.setattr(verify, "_div_factor", patched)
     report = verify.run_task("T8", kmax=0, n_terms=5, order=30)
     assert report.status == "fail"
+    assert report.checked_cells == 4
+    assert report.witness == {"cell": {"exponent": 4, "N": 3},
+                              "left_name": "sum of q^j/(1+q)...(1+q^j)", "left": -2,
+                              "right_name": "2 - reciprocal", "right": -3}
     code, out = run_cli(capsys, "verify", "--task", "T8", "--kmax", "0", "--n-terms", "5",
                         "--order", "30", "--format", "json", "--no-timestamp")
     assert code == 1

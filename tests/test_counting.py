@@ -200,7 +200,7 @@ def test_count_walk_never_reads_the_series_path(monkeypatch):
         raise AssertionError("enumeration oracle touched the series path")
 
     for name in ("gf", "gf_parity_difference", "count_by_series", "pochhammer_finite",
-                 "pochhammer_infinite", "_pochhammer", "_mul_factor", "_div_factor", "_halve"):
+                 "_pochhammer", "_mul_factor", "_div_factor", "_halve"):
         monkeypatch.setattr(counting, name, forbidden)
     for name in ("pochhammer_finite", "pochhammer_infinite", "pochhammer_infinite_starts",
                  "_pochhammer", "series_sum", "_mul_factor", "_div_factor", "_halve",
@@ -230,6 +230,36 @@ def test_count_rejects_negative_weight():
         for method in ("enumeration", "series"):
             with pytest.raises(PartitionError):
                 count_table(spec, -1, method)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, "3", True])
+def test_weights_and_orders_must_be_ints(value):
+    # 2.0 and True equal cached int keys, so each entry point is warmed at
+    # the int first: a cache hit must not let them through
+    a = ClassSpec("A")
+    entries = {
+        "weight": [lambda v: enumerate_class(a, v), lambda v: count_row(a, v),
+                   lambda v: count_row(a, 5, v), lambda v: count_by_enumeration(a, v),
+                   lambda v: count_by_series(a, v), lambda v: count_table(a, v),
+                   lambda v: count_table(a, v, "series"), lambda v: count_ak_doubled(2, v)],
+        "order": [lambda v: gf(a, v), lambda v: gf_parity_difference("Dk", 2, v),
+                  lambda v: count_by_series(a, 1, v), lambda v: count_table(a, 1, "series", v),
+                  lambda v: count_ak_doubled(2, 1, "series", v)],
+    }
+    for what, calls in entries.items():
+        for call in calls:
+            call(2)
+            with pytest.raises(PartitionError) as raised:
+                call(value)
+            assert str(raised.value) == f"{what} must be a non-negative int, not {value!r}"
+
+
+def test_count_functions_reject_a_negative_order():
+    a = ClassSpec("A")
+    for call in (lambda: count_by_series(a, 5, -3), lambda: count_table(a, 5, "series", -3),
+                 lambda: count_ak_doubled(2, 5, "series", -3)):
+        with pytest.raises(PartitionError, match="^order must be non-negative$"):
+            call()
 
 
 def test_definition_and_engine_tables_cover_the_same_classes():
@@ -414,6 +444,21 @@ def test_smallest_part_builders_keep_their_overflow_edges(spec, largest, magnitu
     assert str(raised.value) == f"coefficient magnitude {magnitude} exceeds 2**63"
     for cache in (gf, counting._signed):
         cache.cache_clear()
+
+
+def test_odd_parts_by_division_match_the_inverted_product():
+    # B's series against the inverted product it replaced, on every order up
+    # to 120 and at its overflow edge: 769 builds, and 770 stops on the same
+    # coefficient with the same message
+    b = ClassSpec("B")
+    for order in (*range(121), 740, 769):
+        assert gf(b, order) == oracles.odd_parts_by_reciprocal(order), order
+    with pytest.raises(CoefficientOverflowError) as old:
+        oracles.odd_parts_by_reciprocal(770)
+    with pytest.raises(CoefficientOverflowError) as new:
+        gf(b, 770)
+    assert str(new.value) == str(old.value)
+    gf.cache_clear()
 
 
 def test_dk_parity_difference_builds_past_the_whole_family_edge():

@@ -17,7 +17,6 @@ from qpart import series as series_module
 from qpart.series import (
     COEFF_LIMIT,
     MINUS,
-    NEWTON_RECIPROCAL_ORDER,
     PLUS,
     SPARSE_MUL_TERMS,
     CoefficientOverflowError,
@@ -161,7 +160,7 @@ def test_reciprocal_odd_part_counts():
 def test_reciprocal_requires_unit_constant():
     with pytest.raises(NonUnitConstantError):
         S([2, 1]).reciprocal()
-    for order in (0, 1, NEWTON_RECIPROCAL_ORDER, 300):
+    for order in (0, 1, 64, 300):
         for constant in (0, -2, 3):
             with pytest.raises(NonUnitConstantError):
                 S([constant] + [1] * order).reciprocal()
@@ -183,8 +182,8 @@ def reference_reciprocal(a):
 def _reciprocal_inputs(order):
     """Unit-constant inputs with constant term +1 and -1: dense (distinct
     parts), sparse (Euler's product, whose inverse leaves the bound at q^406;
-    1 - q^3 - q^7, at q^307; 1 - 2q - q^2, at q^50, below the Newton start)
-    and the odd-parts product, whose inverse at 740 sits just under it."""
+    1 - q^3 - q^7, at q^307; 1 - 2q - q^2, at q^50) and the odd-parts
+    product, whose inverse at 740 sits just under it."""
     for row in (pochhammer_infinite(PLUS, 1, 1, order).coeffs,
                 pochhammer_infinite(MINUS, 1, 1, order).coeffs,
                 S([1, 0, 0, -1, 0, 0, 0, -1][:order + 1], order).coeffs,
@@ -207,10 +206,9 @@ def _assert_reciprocal_matches(row, want):
 
 
 def test_reciprocal_matches_schoolbook_recurrence():
-    # every order 0..300 on both sides of the Newton start, and order 740;
-    # a prefix of the reference at the largest order is the reference at a
-    # smaller one, since the recurrence is lower-triangular
-    assert 0 < NEWTON_RECIPROCAL_ORDER < 300
+    # every order 0..300, and order 740; a prefix of the reference at the
+    # largest order is the reference at a smaller one, since the recurrence
+    # is lower-triangular
     for top, orders in ((300, range(301)), (740, (740,))):
         for row in _reciprocal_inputs(top):
             want = reference_reciprocal(row)
@@ -262,6 +260,8 @@ def test_pochhammer_rejects_bad_arguments():
         pochhammer_finite(MINUS, 1, 1, -1, 5)
     with pytest.raises(ValueError):
         pochhammer_infinite(MINUS, 0, 1, 5)
+    with pytest.raises(ValueError, match="start exponent and step must be positive"):
+        pochhammer_infinite(PLUS, 1, 0, 10)
 
 
 def test_pochhammer_infinite_starts_family():

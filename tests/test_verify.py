@@ -117,9 +117,9 @@ def test_t8_builds_each_falling_product_once_per_k(monkeypatch):
 
 
 def test_t8_makes_one_product_per_cell(monkeypatch):
-    # by linearity: one product per (k, N), tail(1)*F_k once per k and
-    # tail(1)*recips[N] once per N, besides the n_terms partial products
-    # (1+q)...(1+q^N)
+    # by linearity: one product per (k, N) and tail(1)*F_k once per k; the
+    # reciprocals 1/((1+q)...(1+q^N)) and the tails are running divisions,
+    # and tail(1)*recips[N] is read as tail(N+1), so none of them is a product
     products = []
     original = TruncatedSeries.__mul__
 
@@ -131,7 +131,7 @@ def test_t8_makes_one_product_per_cell(monkeypatch):
     kmax, n_terms = 6, 8
     report = run_task("T8", kmax=kmax, n_terms=n_terms, order=40)
     assert report.passed
-    assert len(products) == kmax * (n_terms + 1) + kmax + (n_terms + 1) + n_terms
+    assert len(products) == kmax * (n_terms + 1) + kmax
 
 
 def test_t8_closed_form_equals_the_per_j_bracket(monkeypatch):
@@ -311,6 +311,19 @@ def _bump_pochhammer(monkeypatch, name_args, n):
     monkeypatch.setattr(verify, name, patched)
 
 
+def _bump_division(monkeypatch, factor, n):
+    """One coefficient off by one in every running list that verify divides
+    by the factor (1 + sign*q^m), given as (m, sign), from that division on."""
+    original = verify._div_factor
+
+    def patched(coeffs, m, sign):
+        original(coeffs, m, sign)
+        if (m, sign) == factor:
+            coeffs[n] += 1
+
+    monkeypatch.setattr(verify, "_div_factor", patched)
+
+
 def _witness(cell, left_name, left, right_name, right):
     return {"cell": cell, "left_name": left_name, "left": left,
             "right_name": right_name, "right": right}
@@ -376,11 +389,11 @@ def _witness(cell, left_name, left, right_name, right):
      ("pochhammer_finite", (MINUS, 2, 1, 1, 30)), 3, 13,
      _witness({"exponent": 3, "k": 3, "N": 0}, "signed smallest-part partial sum", 2,
               "tail-product closed form", 0)),
-    # with no k rows only the two-minus-reciprocal rows run
-    ("T8", {"kmax": 0, "n_terms": 5, "order": 30}, _bump_pochhammer,
-     ("pochhammer_finite", (PLUS, 3, 1, 1, 30)), 4, 4,
+    # with no k rows only the two-minus-reciprocal rows run; the fault is
+    # in the running reciprocal from its division by 1 + q^3 on
+    ("T8", {"kmax": 0, "n_terms": 5, "order": 30}, _bump_division, (3, PLUS), 4, 4,
      _witness({"exponent": 4, "N": 3}, "sum of q^j/(1+q)...(1+q^j)", -2,
-              "2 - reciprocal", -1)),
+              "2 - reciprocal", -3)),
     ("T12", {"order": 20, "collapse_order": 30}, _bump_pochhammer,
      ("pochhammer_infinite", (MINUS, 2, 1, 20)), 4, 42,
      _witness({"exponent": 4, "c": 2}, "reciprocal tail product", 1,
