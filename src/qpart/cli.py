@@ -4,9 +4,10 @@ Every command is deterministic; output is byte-identical across runs once
 ``--no-timestamp`` suppresses the generation timestamp and wall times.
 Exit status: 0 on success or verification pass, 1 on a verification or
 round-trip mismatch (the witness is printed), 2 on usage errors, including
-a request past the 64-bit coefficient range of the series engine, a
-round-trip sweep of a weight class that lies outside the map's domain or
-has no member, and a bijection flag that the map does not read.
+a request past the 64-bit coefficient range of the series engine (the
+library's message names the largest order that builds), a round-trip sweep
+of a weight class that lies outside the map's domain or has no member, and
+a flag that the command or the map does not read.
 
 The default truncation order for series output can be overridden with the
 ``QPART_DEFAULT_ORDER`` environment variable.
@@ -53,13 +54,6 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _make_spec(parser: argparse.ArgumentParser, class_id: str, k: int | None) -> ClassSpec:
-    try:
-        return ClassSpec(class_id, k)
-    except PartitionError as err:
-        parser.error(str(err))
-
-
 def _parse_partition(parser, text: str, anchor: int | None):
     try:
         parts = Partition.from_parts(int(x) for x in text.split(",") if x.strip() != "")
@@ -68,23 +62,6 @@ def _parse_partition(parser, text: str, anchor: int | None):
         return parts
     except (ValueError, PartitionError) as err:
         parser.error(f"bad --parts value: {err}")
-
-
-def _series_or_exit(parser, spec: ClassSpec, order: int):
-    """gf(spec, order); on a coefficient overflow, exit 2 naming the largest
-    order that builds for the class, found by bisecting below `order`."""
-    try:
-        return gf(spec, order)
-    except CoefficientOverflowError as err:
-        fits, overflows = 0, order
-        while overflows - fits > 1:
-            mid = (fits + overflows) // 2
-            try:
-                gf(spec, mid)
-                fits = mid
-            except CoefficientOverflowError:
-                overflows = mid
-        parser.error(f"{err}; the largest order that builds for {spec} is {fits}")
 
 
 def _emit(text: str) -> None:
@@ -97,20 +74,24 @@ def _emit(text: str) -> None:
 
 
 def _cmd_count(parser, args) -> int:
-    spec = _make_spec(parser, args.klass, args.k)
+    spec = ClassSpec(args.klass, args.k)
     if args.n is None and args.nmax is None:
         parser.error("count needs --n or --nmax")
-    methods = ("enumeration", "series") if args.method == "both" else (args.method,)
     if args.raw_diagnostic:
         if spec.class_id not in ("Ck_e", "Ck_o"):
             parser.error("--raw-diagnostic applies to the anchored Ck classes")
-        report = c_family_ambiguity(spec.k, args.n if args.n is not None else args.nmax)
+        for flag in ("nmax", "order"):
+            if getattr(args, flag) is not None:
+                parser.error(f"count --raw-diagnostic takes no --{flag}")
+        report = c_family_ambiguity(spec.k, args.n)
         _emit(json.dumps(report.to_json_dict(), indent=2))
         return 0
+    if args.order is not None and args.method == "enumeration":
+        parser.error("count --method enumeration takes no --order")
+    methods = ("enumeration", "series") if args.method == "both" else (args.method,)
     if "series" in methods:
-        # the order count_by_series and count_table build
-        _series_or_exit(parser, spec, max(args.n if args.n is not None else args.nmax,
-                                          args.order or 0))
+        # the order count_by_series and count_table build, before any walk
+        gf(spec, max(args.n if args.n is not None else args.nmax, args.order or 0))
     if args.n is not None:
         values = {}
         for method in methods:
@@ -146,7 +127,7 @@ def _cmd_count(parser, args) -> int:
 
 
 def _cmd_enumerate(parser, args) -> int:
-    spec = _make_spec(parser, args.klass, args.k)
+    spec = ClassSpec(args.klass, args.k)
     members = enumerate_class(spec, args.n)
     if args.format == "json":
         _emit(json.dumps({"class": spec.class_id, "k": spec.k, "n": args.n,
@@ -161,9 +142,9 @@ def _cmd_enumerate(parser, args) -> int:
 
 
 def _cmd_series(parser, args) -> int:
-    spec = _make_spec(parser, args.klass, args.k)
+    spec = ClassSpec(args.klass, args.k)
     order = args.order if args.order is not None else _default_order(parser)
-    series = _series_or_exit(parser, spec, order)
+    series = gf(spec, order)
     if args.format == "csv":
         lines = ["n,coefficient"]
         lines.extend(f"{i},{c}" for i, c in enumerate(series.coeffs))

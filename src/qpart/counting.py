@@ -91,6 +91,7 @@ from .partitions import (
 from .series import (
     MINUS,
     PLUS,
+    CoefficientOverflowError,
     TruncatedSeries,
     _div_factor,
     _halve,
@@ -661,6 +662,17 @@ def _require_natural(what: str, *values) -> None:
             raise PartitionError(f"{what} must be non-negative")
 
 
+def _checked(coeffs: tuple[int, ...], name: object) -> TruncatedSeries:
+    """The checked series of a builder's coefficients; as every builder is
+    lower-triangular, an overflow error names the order below its exponent."""
+    try:
+        return TruncatedSeries(coeffs)
+    except CoefficientOverflowError as err:
+        raise CoefficientOverflowError(
+            f"{err}; the largest order that builds for {name} is {err.exponent - 1}",
+            err.exponent) from None
+
+
 def _series_order(n: int, order: int | None) -> int:
     """n, or `order` if given and larger: the order a series count builds."""
     if order is not None:
@@ -752,7 +764,7 @@ def gf(spec: ClassSpec, order: int) -> TruncatedSeries:
     raise.
     """
     _require_natural("order", order)
-    return TruncatedSeries(_ENGINES[spec.class_id].gf(spec.k, order))
+    return _checked(_ENGINES[spec.class_id].gf(spec.k, order), spec)
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -764,7 +776,8 @@ def gf_parity_difference(class_family: str, k: int, order: int) -> TruncatedSeri
     if type(k) is not int or k < 1:
         raise PartitionError(f"family {class_family} needs a positive k")
     _require_natural("order", order)
-    return TruncatedSeries(_signed(_SIGNED[class_family], k, order, MINUS))
+    name = f"{class_family}_e-{class_family}_o(k={k})"
+    return _checked(_signed(_SIGNED[class_family], k, order, MINUS), name)
 
 
 def count_by_series(spec: ClassSpec, n: int, order: int | None = None) -> int:

@@ -13,7 +13,8 @@ artifact: any coefficient reaching |c| >= 2**63 raises
 a fixed-width consumer could not hold.  Every series is checked when it is
 constructed, so the guard sees exactly the values the plain loops produced:
 ``max``/``min`` test the whole vector at C speed, and only a vector that
-fails is scanned again to name the first offending coefficient.
+fails is scanned again to name the first offending coefficient, whose
+exponent the error carries as ``exponent``.
 
 The kernels do their per-coefficient work inside C builtins rather than in
 interpreted loops, with the same exact integer results:
@@ -63,17 +64,20 @@ class NonUnitConstantError(SeriesError):
 
 
 class CoefficientOverflowError(SeriesError):
-    """A coefficient left the supported 64-bit signed range."""
+    """A coefficient left the supported 64-bit signed range; ``exponent`` is
+    the exponent of the first coefficient that did."""
+
+    def __init__(self, message: str, exponent: int):
+        super().__init__(message)
+        self.exponent = exponent
 
 
 def _check_bounds(coeffs) -> None:
     if not coeffs or (-COEFF_LIMIT < min(coeffs) and max(coeffs) < COEFF_LIMIT):
         return
-    for c in coeffs:
+    for i, c in enumerate(coeffs):
         if c >= COEFF_LIMIT or c <= -COEFF_LIMIT:
-            raise CoefficientOverflowError(
-                f"coefficient magnitude {abs(c)} exceeds 2**63"
-            )
+            raise CoefficientOverflowError(f"coefficient magnitude {abs(c)} exceeds 2**63", i)
 
 
 def _halve(coeffs) -> tuple:

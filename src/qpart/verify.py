@@ -44,7 +44,8 @@ T9   closed form of the D_k generating function
 T10  D_k(n) + D_{k-1}(n) = D_{k-1}(n-k+1) + 2*A(n)
 T11  D_3(n) = 2A(n-3) - 2A(n-1) + 2A(n), and the derived D_k expansions
 T12  engine self-tests: geometric-sum expansion of reciprocal products and
-     the telescoping collapse of the signed smallest-part sum
+     the telescoping collapse of the signed smallest-part sum, read as the
+     Dk parity difference
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ import inspect
 import time
 from dataclasses import dataclass, field
 from functools import cache
-from operator import add
 from xml.etree import ElementTree
 
 from .counting import (
@@ -71,9 +71,7 @@ from .series import (
     MINUS,
     PLUS,
     TruncatedSeries,
-    _check_bounds,
     _div_factor,
-    _mul_factor,
     compare_series,
     pochhammer_finite,
     pochhammer_infinite,
@@ -439,28 +437,6 @@ def _task_t11(kmax: int = 6, nmax: int = 80):
 T12_COLLAPSE_KMAX = 8
 
 
-def _collapse_sums(order: int) -> list[list[int]]:
-    """For k = 1 .. T12_COLLAPSE_KMAX, the sum of q^((m-1)k) * tail(m) over
-    m >= 1 truncated at order, where tail(m) is the product of (1 - q^i)
-    over i >= m.
-
-    One running tail(m) = (1 - q^m) * tail(m+1) is taken downward from
-    tail(order+1), which is 1 up to the order, and added by slice into each
-    sum its shift still reaches, so O(order) coefficients per sum are held.
-    Every tail is checked against the coefficient bound, as a series is.
-    """
-    sums = [[0] * (order + 1) for _ in range(T12_COLLAPSE_KMAX)]
-    tail = [1] + [0] * order
-    for m in range(order + 1, 0, -1):
-        _mul_factor(tail, m, MINUS)  # a no-op at m = order + 1
-        _check_bounds(tail)
-        for k, acc in enumerate(sums, 1):
-            s = (m - 1) * k
-            if s <= order:
-                acc[s:] = map(add, acc[s:], tail)
-    return sums
-
-
 def _task_t12(order: int = 40, collapse_order: int = 60):
     # geometric expansion: reciprocal of the falling tail product equals the
     # termwise sum of q^(c*m) / (1-q)...(1-q^m).  The left side inverts the
@@ -475,10 +451,11 @@ def _task_t12(order: int = 40, collapse_order: int = 60):
             [factorial_recips[m].shift(c * m) for m in range(order // c + 1)], order)
         yield order + 1, _series({"c": c}, "reciprocal tail product", lhs,
                                  "termwise geometric sum", rhs)
-    # telescoping collapse of the signed smallest-part sum
-    for k, acc in enumerate(_collapse_sums(collapse_order), 1):
+    # telescoping collapse of the signed smallest-part sum over m >= 1 of
+    # q^((m-1)k) * (q^m; q)_inf, which is the Dk parity difference
+    for k in range(1, T12_COLLAPSE_KMAX + 1):
         yield collapse_order + 1, _series(
-            {"k": k}, "signed smallest-part sum", TruncatedSeries(tuple(acc)),
+            {"k": k}, "signed smallest-part sum", gf_parity_difference("Dk", k, collapse_order),
             "alternating finite product", pochhammer_finite(MINUS, 1, 1, k - 1, collapse_order))
 
 

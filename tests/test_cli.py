@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qpart import bijections, cli, verify
+from qpart import bijections, cli, counting, verify
 from qpart.cli import BIJECTION_FLAGS, main
 from qpart.counting import count_row
 
@@ -102,6 +102,37 @@ def test_coefficient_overflow_is_usage_error(capsys, argv, largest):
     message = capsys.readouterr().err
     assert "exceeds 2**63" in message
     assert f"the largest order that builds for {largest}" in message
+
+
+def test_coefficient_overflow_builds_the_class_series_once(capsys, monkeypatch):
+    # the library names the largest order, so the CLI searches for nothing
+    engine = counting._ENGINES["Ck_e"]
+    builds = []
+    monkeypatch.setitem(counting._ENGINES, "Ck_e", engine._replace(
+        gf=lambda k, order: builds.append(order) or engine.gf(k, order)))
+    with pytest.raises(SystemExit) as err:
+        main(["series", "--class", "Ck_e", "--k", "4", "--order", "1000"])
+    assert err.value.code == 2
+    assert "the largest order that builds for Ck_e(k=4) is 770" in capsys.readouterr().err
+    assert builds == [1000]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("A", "--n", "5", "--order", "-3"), "--method enumeration takes no --order"),
+    (("A", "--nmax", "5", "--order", "8", "--method", "enumeration"),
+     "--method enumeration takes no --order"),
+    (("Ck_e", "--k", "2", "--n", "6", "--order", "8", "--raw-diagnostic"),
+     "--raw-diagnostic takes no --order"),
+    (("Ck_o", "--k", "2", "--nmax", "6", "--raw-diagnostic"),
+     "--raw-diagnostic takes no --nmax"),
+], ids=["order-enumeration-default", "order-enumeration", "order-raw", "nmax-raw"])
+def test_count_flags_are_the_ones_the_path_reads(capsys, argv, flag):
+    with pytest.raises(SystemExit) as err:
+        main(["count", "--class", *argv])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip().endswith(f"count {flag}")
 
 
 def test_count_negative_weight_is_usage_error(capsys):

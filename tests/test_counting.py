@@ -441,7 +441,8 @@ def test_smallest_part_builders_keep_their_overflow_edges(spec, largest, magnitu
     assert gf(spec, largest).order == largest
     with pytest.raises(CoefficientOverflowError) as raised:
         gf(spec, largest + 1)
-    assert str(raised.value) == f"coefficient magnitude {magnitude} exceeds 2**63"
+    assert str(raised.value) == (f"coefficient magnitude {magnitude} exceeds 2**63; "
+                                 f"the largest order that builds for {spec} is {largest}")
     for cache in (gf, counting._signed):
         cache.cache_clear()
 
@@ -449,7 +450,7 @@ def test_smallest_part_builders_keep_their_overflow_edges(spec, largest, magnitu
 def test_odd_parts_by_division_match_the_inverted_product():
     # B's series against the inverted product it replaced, on every order up
     # to 120 and at its overflow edge: 769 builds, and 770 stops on the same
-    # coefficient with the same message
+    # coefficient with the same message, to which gf adds the largest order
     b = ClassSpec("B")
     for order in (*range(121), 740, 769):
         assert gf(b, order) == oracles.odd_parts_by_reciprocal(order), order
@@ -457,7 +458,8 @@ def test_odd_parts_by_division_match_the_inverted_product():
         oracles.odd_parts_by_reciprocal(770)
     with pytest.raises(CoefficientOverflowError) as new:
         gf(b, 770)
-    assert str(new.value) == str(old.value)
+    assert new.value.exponent == old.value.exponent == 770
+    assert str(new.value) == f"{old.value}; the largest order that builds for B is 769"
     gf.cache_clear()
 
 
@@ -538,7 +540,8 @@ def test_window_builders_keep_their_overflow_edges(spec, largest, magnitude):
     assert gf(spec, largest).order == largest
     with pytest.raises(CoefficientOverflowError) as raised:
         gf(spec, largest + 1)
-    assert str(raised.value) == f"coefficient magnitude {magnitude} exceeds 2**63"
+    assert str(raised.value) == (f"coefficient magnitude {magnitude} exceeds 2**63; "
+                                 f"the largest order that builds for {spec} is {largest}")
     for cache in (gf, counting._signed, counting._window_sum):
         cache.cache_clear()
 

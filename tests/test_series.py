@@ -196,11 +196,12 @@ def _reciprocal_inputs(order):
 def _assert_reciprocal_matches(row, want):
     """row's reciprocal is `want`, or both leave the bound at its first
     coefficient that does."""
-    over = [c for c in want if abs(c) >= COEFF_LIMIT]
+    over = [i for i, c in enumerate(want) if abs(c) >= COEFF_LIMIT]
     if over:
         with pytest.raises(CoefficientOverflowError) as raised:
             TruncatedSeries(row).reciprocal()
-        assert str(raised.value) == f"coefficient magnitude {abs(over[0])} exceeds 2**63"
+        assert str(raised.value) == f"coefficient magnitude {abs(want[over[0]])} exceeds 2**63"
+        assert raised.value.exponent == over[0]
     else:
         assert TruncatedSeries(row).reciprocal().coeffs == tuple(want)
 
@@ -326,6 +327,11 @@ def test_compare_order_mismatch():
 def test_overflow_detected_on_construction():
     with pytest.raises(CoefficientOverflowError):
         S([1 << 63])
+    # the error names the first coefficient past the bound, and its exponent
+    with pytest.raises(CoefficientOverflowError) as raised:
+        S([1, 2, -(1 << 63), 1 << 64])
+    assert str(raised.value) == f"coefficient magnitude {1 << 63} exceeds 2**63"
+    assert raised.value.exponent == 2
 
 
 def test_overflow_detected_in_multiplication():

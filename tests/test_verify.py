@@ -9,7 +9,7 @@ import pytest
 from qpart import counting, series, verify
 from qpart.counting import count_ak_doubled, count_by_enumeration, gf_parity_difference
 from qpart.partitions import ClassSpec
-from qpart.series import MINUS, PLUS, TruncatedSeries, pochhammer_infinite_starts, series_sum
+from qpart.series import MINUS, PLUS, TruncatedSeries
 from qpart.verify import (
     TASK_ORDER,
     TASKS,
@@ -227,20 +227,6 @@ def test_override_filtering():
     assert TASKS["T12"].parameters == ("order", "collapse_order")
 
 
-def _tail_family_collapse(order: int, k: int) -> TruncatedSeries:
-    """The sum of q^(jk) * tail(j+1) over j, read off the whole tail family."""
-    tails = pochhammer_infinite_starts(MINUS, order)
-    return series_sum([tails[j].shift(j * k) for j in range(order // k + 1)], order)
-
-
-@pytest.mark.parametrize("order", [0, 1, 2, 5, 60, 740])
-def test_t12_collapse_sums_match_tail_family(order):
-    sums = verify._collapse_sums(order)
-    assert len(sums) == verify.T12_COLLAPSE_KMAX
-    for k, got in enumerate(sums, 1):
-        assert tuple(got) == _tail_family_collapse(order, k).coeffs, k
-
-
 def test_t12_holds_no_tail_family():
     # the tail family at collapse order 740 would be 741 series, 11 MiB
     tracemalloc.start()
@@ -402,6 +388,10 @@ def _witness(cell, left_name, left, right_name, right):
      ("pochhammer_finite", (MINUS, 1, 1, 2, 30)), 2, 156,
      _witness({"exponent": 2, "k": 3}, "signed smallest-part sum", -1,
               "alternating finite product", 0)),
+    # the signed smallest-part sum is the Dk parity difference
+    ("T12", {"order": 20, "collapse_order": 30}, _bump_parity_difference, ("Dk", 3), 2, 156,
+     _witness({"exponent": 2, "k": 3}, "signed smallest-part sum", 0,
+              "alternating finite product", -1)),
 ])
 def test_dual_path_failure_witness(monkeypatch, task, grid, bump, spec, n, cells, witness):
     # passing reports carry no labels, so only a forced mismatch pins them
