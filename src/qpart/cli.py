@@ -80,15 +80,16 @@ def _cmd_count(parser, args) -> int:
     if args.raw_diagnostic:
         if spec.class_id not in ("Ck_e", "Ck_o"):
             parser.error("--raw-diagnostic applies to the anchored Ck classes")
-        for flag in ("nmax", "order"):
+        for flag in ("nmax", "order", "method", "format"):
             if getattr(args, flag) is not None:
                 parser.error(f"count --raw-diagnostic takes no --{flag}")
         report = c_family_ambiguity(spec.k, args.n)
         _emit(json.dumps(report.to_json_dict(), indent=2))
         return 0
-    if args.order is not None and args.method == "enumeration":
+    method, fmt = args.method or "enumeration", args.format or "markdown"
+    if args.order is not None and method == "enumeration":
         parser.error("count --method enumeration takes no --order")
-    methods = ("enumeration", "series") if args.method == "both" else (args.method,)
+    methods = ("enumeration", "series") if method == "both" else (method,)
     if "series" in methods:
         # the order count_by_series and count_table build, before any walk
         gf(spec, max(args.n if args.n is not None else args.nmax, args.order or 0))
@@ -103,7 +104,7 @@ def _cmd_count(parser, args) -> int:
             _emit(f"path disagreement for {spec} at n={args.n}: {values}")
             return 1
         value = next(iter(values.values()))
-        if args.format == "json":
+        if fmt == "json":
             _emit(json.dumps({"class": spec.class_id, "k": spec.k,
                               "n": args.n, "count": value,
                               "methods": sorted(values)}))
@@ -117,9 +118,9 @@ def _cmd_count(parser, args) -> int:
         _emit(f"path disagreement for {spec} at n in {sorted(diff)}")
         return 1
     table = tables[0]
-    if args.format == "json":
+    if fmt == "json":
         _emit(json.dumps(table.to_json_dict(), indent=2))
-    elif args.format == "csv":
+    elif fmt == "csv":
         _emit(table.to_csv())
     else:
         _emit(table.to_markdown())
@@ -315,12 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
     weights = p_count.add_mutually_exclusive_group()
     weights.add_argument("--n", type=int, help="one weight")
     weights.add_argument("--nmax", type=int, help="every weight from 0 to this one")
+    # --method and --format default to None, so that --raw-diagnostic, which
+    # reads neither, can refuse them when given
     p_count.add_argument("--method", choices=("enumeration", "series", "both"),
-                         default="enumeration")
+                         help="counting path (default enumeration)")
     p_count.add_argument("--order", type=int)
     p_count.add_argument("--raw-diagnostic", action="store_true",
-                         help="anchored vs raw multiset counts for Ck classes")
-    _add_format(p_count)
+                         help="anchored vs raw multiset counts for Ck classes, as JSON")
+    p_count.add_argument("--format", choices=("markdown", "json", "csv"),
+                         help="output format (default markdown)")
     p_count.set_defaults(handler=_cmd_count)
 
     p_enum = sub.add_parser("enumerate", help="list class members of one weight")

@@ -43,12 +43,12 @@ one bounded cache, ``_signed``, that the two halves, the whole-family row
 (-q; q)_inf is built once per order: A reads it as ``_signed(_gf_distinct,
 None, order, PLUS)``, Pe_d and Po_d halve it with its sign -1 twin, and
 SptKd(k) is Dk(k) minus it, as a Dk member has either a positive smallest
-part or k zeros below distinct parts.  Likewise every Pprime(k) shifts
-the one product (-q^2; q)_inf of its order by k-1.  The builders keep their
-running products as plain lists and add shifted terms into one accumulator
-by slice.  A running core is cut to the coefficients its later terms can
-still reach before each update: the kernels are lower-triangular, so what
-is kept stays exact.
+part or k zeros below distinct parts, and every Pprime(k) is that product
+divided by 1 + q, which leaves (-q^2; q)_inf, shifted by k-1.  The builders
+keep their running products as plain lists and add shifted terms into one
+accumulator by slice.  A running core is cut to the coefficients its later
+terms can still reach before each update: the kernels are lower-triangular,
+so what is kept stays exact.
 
 The windowed series (Bk, Ck and their halves and differences) are sums over
 l of q^(2l - offset) * core_l * W_l, where W_l is the product of
@@ -57,17 +57,23 @@ theorem (Andrews, *The Theory of Partitions*, Thm 3.3), W_l is the sum over
 j < k of sign^j * q^(2lj) * e_j, where e_j = q^(j(j+1)) * [k-1 choose j]_(q^2)
 does not depend on l.  So S(k, sign) is the sum of sign^j * e_j * T_j, and
 each T_j, the sum of q^((2+2j)l - offset) * core_l, depends on neither k
-nor the sign: ``_window_sum`` sweeps the core once per (core, offset, j,
-order) and keeps T_j in its own bounded cache, whose bound,
+nor the sign: ``_window_sums`` sweeps the core once per (core, offset,
+order) and adds each core_l into every T_j whose term e_j * T_j reaches the
+order, so one sweep serves every k, whatever k a run asks for first.  It
+keeps the T_j of a sweep in one bounded cache, whose bound,
 ``WINDOW_SUM_CACHE_SIZE``, is set beside it.  E and F are T_0 of their own
-cores.
+cores, by a one-term sweep.
 
 The repeated-smallest-part series (Dk, its halves and difference, P1, P2
 and Pdprime) are sums of q^(s+t*d) * tail(i+t), where tail(i) is the
 product of (1 + sign*q^m) over m >= i.  ``_tail_sum`` expands the tails by
 Euler's identity (Andrews, *The Theory of Partitions*, Cor. 2.2) and adds
-about sqrt(2*order) geometric series, two factor divisions each, with no
-tail family and no series product: O(order) coefficients at a time.
+about sqrt(2*order) geometric series, one factor division each, with no
+tail family and no series product: O(order) coefficients at a time.  Term j
+reads 1/(q; q)_j, which depends on the order alone:
+``_euler_reciprocals`` builds it once per order, one division per j, for
+every tail sum of that order, and keeps it in one bounded cache, whose
+bound, ``EULER_CACHE_SIZE``, is set beside it.
 """
 from __future__ import annotations
 
@@ -413,8 +419,8 @@ def _walk(rows, lo: int, hi: int, shape, args: tuple) -> None:
 # Bound of the signed-build cache.  One entry is a tuple of order+1 plain
 # integers, about 33 KB at order 750, so 64 entries stay under 2.2 MB.  The
 # series_deep benchmark (every class at order 740, then T3x, T8, T9 and T12)
-# builds 42 distinct signed tuples, so within one run each is built once;
-# report --all builds 87, at orders 60..250, and reads none again once it
+# builds 45 distinct signed tuples, so within one run each is built once;
+# report --all builds 86, at orders 60..250, and reads none again once it
 # is dropped.
 SIGNED_CACHE_SIZE = 64
 
@@ -439,29 +445,57 @@ def _gf_distinct(k: int | None, order: int, sign: int = PLUS) -> tuple[int, ...]
     return tuple(_pochhammer(sign, 1, 1, order if k is None else k - 1, order))
 
 
+# Bound of the Euler reciprocal cache.  One entry holds 1/(q; q)_j for every
+# j with j(j+1)/2 <= order, each cut to the order - j(j+1)/2 + 1 coefficients
+# a tail sum reads: 19,019 integers, 0.68 MiB, at order 740, and under 0.1
+# MiB at order 250.  The series_deep benchmark reads one order (740), and
+# report --all nine (60..250), four of them again after others, so 16
+# entries build each order of one run once and hold at most 11 MiB even at
+# the 2**63 edge.
+EULER_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=EULER_CACHE_SIZE)
+def _euler_reciprocals(order: int) -> tuple[tuple[int, ...], ...]:
+    """1/(q; q)_j for every j with j(j+1)/2 <= order, entry j cut to its
+    lowest order - j(j+1)/2 + 1 coefficients: one running division per j.
+
+    A tail sum's term j has degree at least j(j+1)/2, so no term reads past
+    the cut, and the sweep depends on the order alone: every tail sum of
+    one order, whatever its sign, shift, step or start, slices it.
+    """
+    r = [1] + [0] * order
+    reciprocals = [tuple(r)]
+    j = 1
+    while (cut := order - j * (j + 1) // 2 + 1) > 0:
+        del r[cut:]
+        _div_factor(r, j, MINUS)
+        reciprocals.append(tuple(r))
+        j += 1
+    return tuple(reciprocals)
+
+
 def _tail_sum(sign: int, order: int, shift: int, step: int, start: int) -> tuple[int, ...]:
     """Sum of q^(shift + t*step) * tail(start + t) over t >= 0, where tail(i)
-    is the product of (1 + sign*q^m) over m >= i.
+    is the product of (1 + sign*q^m) over m >= i, for shift >= 0, start >= 1.
 
     By Euler's expansion (Andrews, *The Theory of Partitions*, Cor. 2.2),
     tail(i) = sum_j sign^j * q^(ij + j(j-1)/2) / (q; q)_j, so the sum is
     sum_j sign^j * q^e_j / ((q; q)_j * (1 - q^(step+j))) with e_j = shift +
-    start*j + j(j-1)/2, over the about sqrt(2*order) j with e_j <= order.
-    Term j is the running 1/(q; q)_j, cut to the order - e_j + 1 coefficients
-    it reaches, divided by (1 - q^(step+j)): two divisions per j, O(order)
-    coefficients held and no tail built.
+    start*j + j(j-1)/2 >= j(j+1)/2, over the about sqrt(2*order) j with
+    e_j <= order.  Term j is 1/(q; q)_j from :func:`_euler_reciprocals`, cut
+    to the order - e_j + 1 coefficients it reaches, divided by
+    (1 - q^(step+j)): one division per j, O(order) coefficients held and no
+    tail built.
     """
     acc = [0] * (order + 1)
-    r = [1] + [0] * (order - shift)  # 1/(q; q)_0, cut to what term 0 reaches
-    j, e = 0, shift
-    while e <= order:
-        term = r.copy()
+    for j, r in enumerate(_euler_reciprocals(order)):
+        e = shift + start * j + j * (j - 1) // 2
+        if e > order:
+            break
+        term = list(r[:order - e + 1])
         _div_factor(term, step + j, MINUS)
         acc[e:] = map(sub if sign == MINUS and j % 2 else add, acc[e:], term)
-        j += 1
-        e += start + j - 1
-        del r[max(order - e + 1, 0):]
-        _div_factor(r, j, MINUS)
     return tuple(acc)
 
 
@@ -476,35 +510,49 @@ def _gf_dk(k: int, order: int, sign: int = PLUS) -> tuple[int, ...]:
     return _tail_sum(sign, order, 0, k, 1)
 
 
-# Bound of the window-sum cache.  One entry is a tuple of order+1 integers,
-# about 33 KB at order 740.  The series_deep benchmark needs 12 sums (Bk and
-# Ck for j = 0..4, E and F) and report --all 36 (T2, T3, T3x, T5 and T6 at
-# six orders), so 64 entries keep every sum of one run, under 2.2 MB.
-WINDOW_SUM_CACHE_SIZE = 64
+# Bound of the window-sum cache.  A windowed entry holds T_j for the about
+# sqrt(order) j whose terms reach the order: 13,416 integers, 0.43 MiB, at
+# order 740.  A T_0 entry (E, F) is order+1 integers.  The series_deep
+# benchmark needs 4 entries (the Bk and Ck cores, E and F) and report --all
+# 13 (T2, T3, T3x, T5 and T6 at orders 61..250), so 16 entries sweep each
+# core once per run and hold at most 7 MiB even at the 2**63 edge.
+WINDOW_SUM_CACHE_SIZE = 16
 
 
 @lru_cache(maxsize=WINDOW_SUM_CACHE_SIZE)
-def _window_sum(update, offset: int, j: int, order: int) -> tuple[int, ...]:
-    """T_j: the sum of q^((2+2j)*l - offset) * core_l over l = 1, 2, ...
-    while the shift stays <= order.
+def _window_sums(update, offset: int, order: int,
+                 windowed: bool) -> tuple[tuple[int, ...], ...]:
+    """T_j, the sum of q^((2+2j)*l - offset) * core_l over l = 1, 2, ...,
+    cut to the order - j(j+1) + 1 coefficients that e_j, of lowest degree
+    j(j+1), carries to the order: for T_0 and every j with
+    (j+1)(j+2) - offset <= order if windowed, for T_0 alone if not (E, F).
 
     core_l is kept as one running coefficient list: update(core, l) turns
-    core_(l-1) into core_l in place, from core_0 = 1.  The shift grows with
-    l, so only the lowest order - shift + 1 coefficients of core_l reach the
-    sum; the rest is dropped before the update, which leaves the kept ones
-    exact because the update kernels are lower-triangular.  The sum depends
-    on neither k nor the sign, so one sweep serves every window; it is a
-    plain tuple, unchecked, and only the series built from it is checked.
+    core_(l-1) into core_l in place, from core_0 = 1, and one sweep over l
+    adds each core_l into every T_j whose shift it still reaches.  T_0 has
+    the least shift, so only the lowest order - (2l - offset) + 1
+    coefficients of core_l reach any sum; the rest is dropped before the
+    update, which leaves the kept ones exact because the update kernels are
+    lower-triangular.  The sums depend on neither k nor the sign, so one
+    sweep serves every window; they are plain tuples, unchecked, and only
+    the series built from them is checked.
     """
-    acc = [0] * (order + 1)
+    top = 0
+    while windowed and (top + 2) * (top + 3) - offset <= order:
+        top += 1
+    sums = [[0] * (order - j * (j + 1) + 1) for j in range(top + 1)]
     core = [1] + [0] * order
     l = 1
-    while (s := (2 + 2 * j) * l - offset) <= order:
-        del core[order - s + 1:]
+    while 2 * l - offset <= order:
+        del core[order - (2 * l - offset) + 1:]
         update(core, l)
-        acc[s:] = map(add, acc[s:], core)
+        for j, acc in enumerate(sums):
+            s = (2 + 2 * j) * l - offset
+            if s >= len(acc):  # and so for every larger j
+                break
+            acc[s:] = map(add, acc[s:], core)
         l += 1
-    return tuple(acc)
+    return tuple(map(tuple, sums))
 
 
 def _window_rows(k: int, order: int) -> list[list[int]]:
@@ -532,15 +580,15 @@ def _window_series(update, offset: int, k: int, order: int, sign: int) -> tuple[
     of sign^j * q^(2lj) * e_j over j < k (the q-binomial theorem).
 
     So the sum is the sum of sign^j * e_j * T_j over j < k, with T_j from
-    :func:`_window_sum`: each nonzero term of e_j adds one shifted, scaled
-    copy of T_j.
+    :func:`_window_sums`: each nonzero term of e_j adds one shifted, scaled
+    copy of T_j.  A j past the sweep's last adds nothing below the order.
     """
     acc = [0] * (order + 1)
-    for j, row in enumerate(_window_rows(k, order)):
-        sums = _window_sum(update, offset, j, order)
+    sums = _window_sums(update, offset, order, True)
+    for j, (row, t) in enumerate(zip(_window_rows(k, order), sums)):
         for d, c in enumerate(row):
             if c:
-                acc[d:] = map(add, acc[d:], map(mul, sums, repeat(sign ** j * c)))
+                acc[d:] = map(add, acc[d:], map(mul, t, repeat(sign ** j * c)))
     return tuple(acc)
 
 
@@ -575,11 +623,6 @@ def _gf_ck(k: int, order: int, sign: int = PLUS) -> tuple[int, ...]:
     return _window_series(_grow_c_core, 0, k, order, sign)
 
 
-def _gf_tail(k: int, order: int, sign: int = PLUS) -> tuple[int, ...]:
-    """Distinct parts >= k, each marked with the sign: tail(k)."""
-    return tuple(_pochhammer(sign, k, 1, max(order - k + 1, 0), order))
-
-
 def _gf_odd(order: int) -> tuple[int, ...]:
     """Odd parts: 1/(q; q^2)_inf, one division per odd factor up to the order."""
     coeffs = [1] + [0] * order
@@ -589,10 +632,12 @@ def _gf_odd(order: int) -> tuple[int, ...]:
 
 
 def _gf_pprime(k: int, order: int) -> tuple[int, ...]:
-    # k-1 ones, then distinct parts >= 2: q^(k-1) * tail(2), the one
-    # unchecked product per order that every k shifts.
+    # k-1 ones, then distinct parts >= 2: q^(k-1) * tail(2), where tail(2)
+    # is the distinct-part product (-q; q)_inf that A reads, divided by 1 + q
     ones = min(k - 1, order + 1)
-    return (0,) * ones + _signed(_gf_tail, 2, order, PLUS)[:order + 1 - ones]
+    tail = list(_signed(_gf_distinct, None, order, PLUS)[:order + 1 - ones])
+    _div_factor(tail, 1, PLUS)
+    return (0,) * ones + tuple(tail)
 
 
 class _Engine(NamedTuple):
@@ -606,13 +651,15 @@ class _Engine(NamedTuple):
 # with the same shape and arguments share its rows.  B's builder _gf_odd
 # divides 1 by each (1 - q^m), m odd, and inverts no series.  A, Pe_d, Po_d
 # and SptKd (Dk - A) share the one distinct product _signed(_gf_distinct,
-# None, order, PLUS), and every Pprime(k) shifts _signed(_gf_tail, 2, order,
-# PLUS).  P1 sums q^s * tail(s+1) over s >= 2, and Pdprime(k), P2 at k = 1,
-# sums q^(sk + k - 1) * tail(s+2) over s >= 1 (k-1 parts s+1 above the
-# smallest part s), each by one _tail_sum.  The gf builders reach the
-# qpart.series functions by module-level name at call time, never through a
-# captured reference, so a patch of one of those names (a tracer, the
-# independence test) stays in the path.
+# None, order, PLUS), and every Pprime(k) shifts it, divided by 1 + q, by
+# k-1.  Dk, P1 and Pdprime are one _tail_sum each: P1 sums q^s * tail(s+1)
+# over s >= 2, and Pdprime(k), P2 at k = 1, sums q^(sk + k - 1) * tail(s+2)
+# over s >= 1 (k-1 parts s+1 above the smallest part s); every tail sum of
+# one order slices the one _euler_reciprocals sweep.  Bk and Ck read the one
+# _window_sums sweep of their core, and E and F a one-term sweep each.  The
+# gf builders reach the qpart.series functions by module-level name at call
+# time, never through a captured reference, so a patch of one of those names
+# (a tracer, the independence test) stays in the path.
 _ENGINES: dict[str, _Engine] = {
     "A": _Engine(_distinct_parts, lambda k: (None,), None,
                  lambda k, order: _signed(_gf_distinct, None, order, PLUS)),
@@ -629,9 +676,9 @@ _ENGINES: dict[str, _Engine] = {
     "Ck_e": _Engine(_anchor_window, lambda k: (k, 0), None, _halves(_gf_ck, 0)),
     "Ck_o": _Engine(_anchor_window, lambda k: (k, 1), None, _halves(_gf_ck, 1)),
     "E": _Engine(_unique_largest, lambda k: (1, 2), None,
-                 lambda k, order: _window_sum(_grow_e_core, 1, 0, order)),
+                 lambda k, order: _window_sums(_grow_e_core, 1, order, False)[0]),
     "F": _Engine(_unique_largest, lambda k: (2, 1), None,
-                 lambda k, order: _window_sum(_grow_odd_core, 0, 0, order)),
+                 lambda k, order: _window_sums(_grow_odd_core, 0, order, False)[0]),
     "P1": _Engine(_largest_above_one, lambda k: (), None,
                   lambda k, order: _tail_sum(PLUS, order, 2, 1, 3)),
     "P2": _Engine(_gap_above_smallest, lambda k: (1,), None,

@@ -70,6 +70,7 @@ from .counting import (
 from .series import (
     MINUS,
     PLUS,
+    CoefficientOverflowError,
     TruncatedSeries,
     _div_factor,
     compare_series,
@@ -343,6 +344,26 @@ def _task_t7c(kmax: int = 8, nmax: int = 60):
 
 
 def _task_t8(kmax: int = 6, n_terms: int = 30, order: int = 120):
+    # Each T8 series is its series at any higher order, cut at this one, so a
+    # coefficient past 2**63 at exponent e fails every order from e on, and
+    # a rerun at e - 1 fails below e or builds: the last rerun that fails
+    # names the largest order that builds, as a class series's error does.
+    try:
+        yield from _t8_checks(kmax, n_terms, order)
+    except CoefficientOverflowError as err:
+        while True:
+            try:
+                for _ in _t8_checks(kmax, n_terms, err.exponent - 1):
+                    pass
+                break
+            except CoefficientOverflowError as lower:
+                err = lower
+        raise CoefficientOverflowError(
+            f"{err}; the largest order that builds for T8 is {err.exponent - 1}",
+            err.exponent) from None
+
+
+def _t8_checks(kmax: int, n_terms: int, order: int):
     # For each k and N = 0..n_terms, with tail(m) the product of (1 + q^i)
     # over i >= m, falling[j] = (q^(j+1); q)_(k-j-1) and e_j = (-1)^(j+k-1):
     #   sum of q^(kM) * tail(M+1) over M <= N

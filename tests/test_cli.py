@@ -93,7 +93,8 @@ def test_series_env_default_order_must_be_integer(capsys, monkeypatch):
     (["count", "--class", "Dk", "--k", "2", "--nmax", "800", "--method", "both"],
      "Dk(k=2) is 748"),
     (["series", "--class", "Ck_e", "--k", "4", "--order", "1000"], "Ck_e(k=4) is 770"),
-], ids=["argv0", "argv1", "argv2", "argv3"])
+    (["verify", "--task", "T8", "--order", "748"], "T8 is 747"),
+], ids=["argv0", "argv1", "argv2", "argv3", "argv4"])
 def test_coefficient_overflow_is_usage_error(capsys, argv, largest):
     # the message names the largest order that builds for the class
     with pytest.raises(SystemExit) as err:
@@ -125,7 +126,12 @@ def test_coefficient_overflow_builds_the_class_series_once(capsys, monkeypatch):
      "--raw-diagnostic takes no --order"),
     (("Ck_o", "--k", "2", "--nmax", "6", "--raw-diagnostic"),
      "--raw-diagnostic takes no --nmax"),
-], ids=["order-enumeration-default", "order-enumeration", "order-raw", "nmax-raw"])
+    (("Ck_e", "--k", "2", "--n", "6", "--raw-diagnostic", "--method", "series"),
+     "--raw-diagnostic takes no --method"),
+    (("Ck_e", "--k", "2", "--n", "6", "--raw-diagnostic", "--format", "csv"),
+     "--raw-diagnostic takes no --format"),
+], ids=["order-enumeration-default", "order-enumeration", "order-raw", "nmax-raw",
+        "method-raw", "format-raw"])
 def test_count_flags_are_the_ones_the_path_reads(capsys, argv, flag):
     with pytest.raises(SystemExit) as err:
         main(["count", "--class", *argv])

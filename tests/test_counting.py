@@ -208,7 +208,10 @@ def test_count_walk_never_reads_the_series_path(monkeypatch):
         monkeypatch.setattr(series, name, forbidden)
     for name in ("__mul__", "reciprocal"):
         monkeypatch.setattr(series.TruncatedSeries, name, forbidden)
-    with pytest.raises(AssertionError):  # the series path is really cut off
+    # the series path is really cut off: no kept build stands in front of it
+    for cache in (counting._signed, counting._window_sums, counting._euler_reciprocals):
+        cache.cache_clear()
+    with pytest.raises(AssertionError):
         gf.__wrapped__(ClassSpec("A"), 4)
     _clear_enumeration_caches()
     assert {cell: count_by_enumeration(*cell) for cell in grid} == expected
@@ -505,7 +508,7 @@ def test_window_builders_match_per_window_sweep():
         assert gf(ClassSpec("E"), order).coeffs == _running_sum(order, odd, counting._grow_e_core)
         assert gf(ClassSpec("F"), order).coeffs == \
             _running_sum(order, c_core, counting._grow_odd_core)
-    for cache in (gf, counting._signed, counting._window_sum):
+    for cache in (gf, counting._signed, counting._window_sums):
         cache.cache_clear()
 
 
@@ -542,7 +545,7 @@ def test_window_builders_keep_their_overflow_edges(spec, largest, magnitude):
         gf(spec, largest + 1)
     assert str(raised.value) == (f"coefficient magnitude {magnitude} exceeds 2**63; "
                                  f"the largest order that builds for {spec} is {largest}")
-    for cache in (gf, counting._signed, counting._window_sum):
+    for cache in (gf, counting._signed, counting._window_sums):
         cache.cache_clear()
 
 
@@ -551,7 +554,7 @@ def test_window_parity_differences_build_at_order_760_up_to_k_8():
     for family in ("Bk", "Ck"):
         for k in range(1, 9):
             assert gf_parity_difference(family, k, 760).order == 760
-    for cache in (gf_parity_difference, counting._signed, counting._window_sum):
+    for cache in (gf_parity_difference, counting._signed, counting._window_sums):
         cache.cache_clear()
 
 
@@ -597,38 +600,42 @@ def test_edges_past_their_parts_match_plain_integer_references():
         assert gf(spec, largest).coeffs == reference[:largest + 1], spec
         assert next(i for i, c in enumerate(reference) if abs(c) >= 1 << 63) == largest + 1, spec
         assert abs(reference[largest + 1]) == magnitude, spec
-    for cache in (gf, counting._signed, counting._window_sum):
+    for cache in (gf, counting._signed, counting._window_sums):
         cache.cache_clear()
 
 
 def test_window_sums_serve_every_k_and_both_signs(monkeypatch):
-    # one core sweep per (family, j, order): k = 1..5 needs j = 0..4
+    # one core sweep per (core, offset, order) serves k = 1..5 and both
+    # signs, whether k is asked for ascending or descending
     runs = []
 
-    def recording(update, offset, j, order):
+    def recording(update, offset, order, windowed):
         runs.append(update)
-        return original(update, offset, j, order)
+        return original(update, offset, order, windowed)
 
-    original = counting._window_sum.__wrapped__
-    monkeypatch.setattr(counting, "_window_sum",
+    original = counting._window_sums.__wrapped__
+    monkeypatch.setattr(counting, "_window_sums",
                         lru_cache(maxsize=counting.WINDOW_SUM_CACHE_SIZE)(recording))
-    # a cold sweep, then one that rebuilds every series from the kept sums
-    for bk_runs, ck_runs in ((5, 5), (0, 0)):
-        runs.clear()
-        for cache in (gf, counting._signed):
-            cache.cache_clear()
-        for k in range(1, 6):
-            for class_id in ("Bk_e", "Bk_o", "Ck_e", "Ck_o"):
-                gf(ClassSpec(class_id, k), 90)
-        assert runs.count(counting._grow_odd_core) == bk_runs
-        assert runs.count(counting._grow_c_core) == ck_runs
+    for ks in (range(1, 6), range(5, 0, -1)):
+        counting._window_sums.cache_clear()
+        # a cold sweep, then one that rebuilds every series from the kept sums
+        for sweeps in (1, 0):
+            runs.clear()
+            for cache in (gf, counting._signed):
+                cache.cache_clear()
+            for k in ks:
+                for class_id in ("Bk_e", "Bk_o", "Ck_e", "Ck_o"):
+                    gf(ClassSpec(class_id, k), 90)
+            assert runs.count(counting._grow_odd_core) == sweeps, list(ks)
+            assert runs.count(counting._grow_c_core) == sweeps, list(ks)
     for cache in (gf, counting._signed):
         cache.cache_clear()
 
 
 def test_smallest_part_builder_holds_no_tail_family():
-    # the tail family at order 740 would be 741 series, 6.9 MiB
-    for cache in (gf, counting._signed):
+    # the tail family at order 740 would be 741 series, 6.9 MiB; the kept
+    # reciprocals 1/(q; q)_j, cut as the tail sums read them, are 0.68 MiB
+    for cache in (gf, counting._signed, counting._euler_reciprocals):
         cache.cache_clear()
     tracemalloc.start()
     try:
@@ -642,8 +649,11 @@ def test_smallest_part_builder_holds_no_tail_family():
 
 def test_smallest_part_sums_cost_two_divisions_per_euler_term(monkeypatch):
     # sum_j sign^j * q^e_j / ((q; q)_j * (1 - q^(step+j))) over the j with
-    # e_j = shift + first*j + j(j-1)/2 <= order: one division extends
-    # 1/(q; q)_j and one makes term j, and no series product is taken
+    # e_j = shift + first*j + j(j-1)/2 <= order: one division makes term j,
+    # and a cold order first extends 1/(q; q)_j once for each j >= 1 with
+    # j(j+1)/2 <= order, a sweep that every tail sum of the order then
+    # reads, so about two divisions per term cold and one warm; no series
+    # product is taken
     calls = {}
 
     def counted(name, kernel):
@@ -655,23 +665,28 @@ def test_smallest_part_sums_cost_two_divisions_per_euler_term(monkeypatch):
     monkeypatch.setattr(counting, "_div_factor", counted("div", counting._div_factor))
     monkeypatch.setattr(series, "_kronecker_product", counted("kron", series._kronecker_product))
     order = 740
+    sweep = sum(1 for j in range(1, order + 1) if j * (j + 1) // 2 <= order)
     builds = [  # (build, shift, first) of the one _tail_sum behind it
         (lambda: gf(ClassSpec("Dk", 2), order), 0, 1),
         (lambda: gf(ClassSpec("P1"), order), 2, 3),
         (lambda: gf(ClassSpec("Pdprime", 2), order), 3, 3),
         (lambda: gf_parity_difference("Dk", 4, order), 0, 1),
     ]
-    divisions = []
+    divisions = {False: [], True: []}  # warm -> divisions per build
     for build, shift, first in builds:
-        for cache in (gf, gf_parity_difference, counting._signed):
-            cache.cache_clear()
-        calls.clear()
-        build()
         terms = sum(1 for j in range(order + 1) if shift + first * j + j * (j - 1) // 2 <= order)
-        assert calls == {"div": 2 * terms}, (shift, first)
-        divisions.append(calls["div"])
-    assert divisions == [76, 74, 72, 76]
-    for cache in (gf, gf_parity_difference, counting._signed):
+        for warm in (False, True):
+            for cache in (gf, gf_parity_difference, counting._signed):
+                cache.cache_clear()
+            if not warm:
+                counting._euler_reciprocals.cache_clear()
+            calls.clear()
+            build()
+            assert calls == {"div": terms + (0 if warm else sweep)}, (shift, first, warm)
+            divisions[warm].append(calls["div"])
+    assert sweep == 37
+    assert divisions == {False: [75, 74, 73, 75], True: [38, 37, 36, 38]}
+    for cache in (gf, gf_parity_difference, counting._signed, counting._euler_reciprocals):
         cache.cache_clear()
 
 
