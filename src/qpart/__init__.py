@@ -24,7 +24,6 @@ from .partitions import (
     PartitionError,
     anchor_decompositions,
     is_member,
-    smallest_part_profile,
 )
 from .series import (
     CoefficientOverflowError,
@@ -70,6 +69,5 @@ __all__ = [
     "pentagonal_indicator",
     "pochhammer_finite",
     "pochhammer_infinite",
-    "smallest_part_profile",
     "__version__",
 ]

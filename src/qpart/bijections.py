@@ -16,15 +16,15 @@ partitions of n+1 comes in two strategies:
     per-anchor counts agree (both sides reduce to the same odd-part product
     per anchor), so the pairing is total and, crucially, anchor-compatible,
     which the windowed recursion below relies on when re-attaching stripped
-    window parts.  Default.  Each side's block for one anchor is built
-    once, straight from the loop-based member generators of
-    :mod:`qpart.counting`, sorted, and cached together with a dict from
-    member to rank, so both directions find a member's rank in O(1).  The
-    caches are bounded at ``RANK_CACHE_SIZE`` blocks per side.  A block
-    holds every member of its weight and anchor.  Ranking by counting
-    recurrences would hold tables polynomial in the weight instead, but
-    would pay an unranking walk on every call where a block pays one dict
-    lookup, so it is left for when memory, not time, is the limit.
+    window parts.  Default.  The two blocks of one anchor and weight are
+    built together once, straight from the loop-based member generators of
+    :mod:`qpart.counting`, sorted, and cached each with a dict from member
+    to rank, so both directions find a member's rank in O(1).  The cache is
+    bounded at ``RANK_CACHE_SIZE`` block pairs.  A block holds every member
+    of its weight and anchor.  Ranking by counting recurrences would hold
+    tables polynomial in the weight instead, but would pay an unranking walk
+    on every call where a block pays one dict lookup, so it is left for when
+    memory, not time, is the limit.
 
 ``aky-sketch``
     The sketched construction: add 1 to the largest odd part to create the
@@ -294,40 +294,29 @@ def dk_recurrence_inverse(k: int, outcome: BijectionOutcome) -> tuple[Partition,
 # ---------------------------------------------------------------------------
 
 
-# A rank block is its members in canonical (lexicographic) order plus the
-# rank of each member, so that both directions look a member up in O(1).
-# Cached blocks are shared by every caller and never mutated.
-RankBlock = tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]
-
-# Blocks kept per side.  Every member of one weight through base-bc and bkck
+# Block pairs kept.  Every member of one weight through base-bc and bkck
 # (k = 2, 3, 4), as the bijection_roundtrip benchmark runs them, needs 83
-# blocks per side at weight 60 and 113 at weight 80, so such a sweep never
-# rebuilds a block; the bound stops the caches growing across sweeps of
-# many weights in one process.
+# pairs at weight 60 and 113 at weight 80, so such a sweep never rebuilds a
+# pair; the bound stops the cache growing across sweeps of many weights in
+# one process.
 RANK_CACHE_SIZE = 128
 
 
-def _rank_block(members) -> RankBlock:
-    ordered = tuple(sorted(members))
-    return ordered, {parts: i for i, parts in enumerate(ordered)}
-
-
 @lru_cache(maxsize=RANK_CACHE_SIZE)
-def _odd_block(l: int, weight: int) -> RankBlock:
-    """All-odd partitions of `weight` whose largest part is exactly 2l-1."""
+def _rank_blocks(l: int, weight: int) -> tuple:
+    """The blocks that base-bc pairs at largest odd part 2l-1: the all-odd
+    partitions of `weight` with that largest part, and the extras-free
+    anchored partitions of weight+1 with anchor 2l.  Each block comes as
+    its members in canonical (lexicographic) order and the rank of each
+    member: (odd, odd ranks, anchored, anchored ranks).  The pair is shared
+    by every caller and never mutated."""
     base = 2 * l - 1
-    if weight < base:
-        return _rank_block(())
-    return _rank_block((base,) + fill for fill in _odd_multiset(weight - base, base))
-
-
-@lru_cache(maxsize=RANK_CACHE_SIZE)
-def _anchored_block(l: int, weight: int) -> RankBlock:
-    """Extras-free anchored partitions of `weight` with anchor 2l."""
-    anchor = 2 * l
-    if weight < anchor:
-        return _rank_block(())
-    return _rank_block((anchor,) + core for core in _c_core(weight - anchor, anchor, l))
+    odd = tuple(sorted((base,) + fill for fill in _odd_multiset(weight - base, base)))
+    anchored = tuple(sorted((base + 1,) + core for core in _c_core(weight - base, base + 1, l)))
+    if len(odd) != len(anchored):
+        raise BijectionError(f"block size mismatch at l={l}, weight={weight}")
+    return (odd, {parts: i for i, parts in enumerate(odd)},
+            anchored, {parts: i for i, parts in enumerate(anchored)})
 
 
 def base_bc_map(p: Partition, strategy: str = RANK) -> AnchoredPartition:
@@ -336,12 +325,8 @@ def base_bc_map(p: Partition, strategy: str = RANK) -> AnchoredPartition:
         raise BijectionError(f"{p} is not an all-odd partition")
     l = (p.parts[0] + 1) // 2  # an all-odd member's largest part is 2l-1
     if strategy == RANK:
-        weight = p.weight
-        b_block, b_rank = _odd_block(l, weight)
-        c_block, _ = _anchored_block(l, weight + 1)
-        if len(b_block) != len(c_block):
-            raise BijectionError(f"block size mismatch at l={l}, weight={weight}")
-        return AnchoredPartition(2 * l, Partition(c_block[b_rank[p.parts]]))
+        _, rank, anchored, _ = _rank_blocks(l, p.weight)
+        return AnchoredPartition(2 * l, Partition(anchored[rank[p.parts]]))
     if strategy == AKY_SKETCH:
         merged = glaisher_merge(Partition(p.parts[1:]))
         candidate = AnchoredPartition(2 * l, Partition.from_parts(merged.parts + (2 * l,)))
@@ -357,12 +342,8 @@ def base_bc_inverse(ap: AnchoredPartition, strategy: str = RANK) -> Partition:
         raise BijectionError(f"{ap} is not an anchored member")
     l = ap.anchor // 2
     if strategy == RANK:
-        weight = ap.weight - 1
-        c_block, c_rank = _anchored_block(l, weight + 1)
-        b_block, _ = _odd_block(l, weight)
-        if len(b_block) != len(c_block):
-            raise BijectionError(f"block size mismatch at l={l}, weight={weight}")
-        return Partition(b_block[c_rank[ap.partition.parts]])
+        odd, _, _, rank = _rank_blocks(l, ap.weight - 1)
+        return Partition(odd[rank[ap.partition.parts]])
     if strategy == AKY_SKETCH:
         rest = list(ap.partition.parts)
         rest.remove(ap.anchor)
@@ -492,32 +473,29 @@ def bkck_inverse(k: int, parity: str, ap: AnchoredPartition,
 # largest-part shifts between the odd-parts class and E / F
 # ---------------------------------------------------------------------------
 
-EF_DIRECTIONS = ("B->F", "F->B", "B->E", "E->B")
+# direction -> (source class, change to the largest part, what a non-member lacks)
+_EF_SHIFTS = {
+    "B->F": (_B, 1, "is not all-odd"),
+    "F->B": (_F, -1, "has no unique even largest part"),
+    "B->E": (_B, 2, "is not all-odd"),
+    "E->B": (_E, -2, "is not odd with unique largest part"),
+}
+EF_DIRECTIONS = tuple(_EF_SHIFTS)
 
 
 def ef_shift(direction: str, p: Partition) -> Partition:
     """Add or remove 1 (F directions) or 2 (E directions) on the largest
     part, moving between the all-odd class and the unique-largest classes."""
-    if direction not in EF_DIRECTIONS:
+    if direction not in _EF_SHIFTS:
         raise BijectionError(f"direction must be one of {EF_DIRECTIONS}")
-    parts = p.parts
-    if direction == "B->F":
-        if not is_member(_B, p):
-            raise BijectionError(f"{p} is not all-odd")
-        return Partition((parts[0] + 1,) + parts[1:])
-    if direction == "F->B":
-        if not is_member(_F, p):
-            raise BijectionError(f"{p} has no unique even largest part")
-        return Partition((parts[0] - 1,) + parts[1:])
-    if direction == "B->E":
-        if not is_member(_B, p):
-            raise BijectionError(f"{p} is not all-odd")
-        return Partition((parts[0] + 2,) + parts[1:])
-    if not is_member(_E, p):
-        raise BijectionError(f"{p} is not odd with unique largest part")
-    if parts[0] < 3:
+    source, step, fault = _EF_SHIFTS[direction]
+    if not is_member(source, p):
+        raise BijectionError(f"{p} {fault}")
+    largest = p.parts[0] + step
+    # only E->B can reach 0 or below: an F member's largest part is even, so at least 2
+    if largest < 1:
         raise BijectionError("largest part must be at least 3 to shift down")
-    return Partition((parts[0] - 2,) + parts[1:])
+    return Partition((largest,) + p.parts[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -80,26 +80,25 @@ def _cmd_count(parser, args) -> int:
     if args.raw_diagnostic:
         if spec.class_id not in ("Ck_e", "Ck_o"):
             parser.error("--raw-diagnostic applies to the anchored Ck classes")
-        for flag in ("nmax", "order", "method", "format"):
+        for flag in ("nmax", "method", "format"):
             if getattr(args, flag) is not None:
                 parser.error(f"count --raw-diagnostic takes no --{flag}")
         report = c_family_ambiguity(spec.k, args.n)
         _emit(json.dumps(report.to_json_dict(), indent=2))
         return 0
     method, fmt = args.method or "enumeration", args.format or "markdown"
-    if args.order is not None and method == "enumeration":
-        parser.error("count --method enumeration takes no --order")
     methods = ("enumeration", "series") if method == "both" else (method,)
     if "series" in methods:
-        # the order count_by_series and count_table build, before any walk
-        gf(spec, max(args.n if args.n is not None else args.nmax, args.order or 0))
+        # the series count_by_series and count_table read, built before any
+        # walk; a negative weight is left for the count to refuse
+        gf(spec, max(args.n if args.n is not None else args.nmax, 0))
     if args.n is not None:
         values = {}
         for method in methods:
             if method == "enumeration":
                 values[method] = count_by_enumeration(spec, args.n)
             else:
-                values[method] = count_by_series(spec, args.n, args.order)
+                values[method] = count_by_series(spec, args.n)
         if len(set(values.values())) > 1:
             _emit(f"path disagreement for {spec} at n={args.n}: {values}")
             return 1
@@ -111,7 +110,7 @@ def _cmd_count(parser, args) -> int:
         else:
             _emit(str(value))
         return 0
-    tables = [count_table(spec, args.nmax, m, args.order) for m in methods]
+    tables = [count_table(spec, args.nmax, m) for m in methods]
     if len(tables) == 2 and tables[0].values != tables[1].values:
         diff = {n for n in tables[0].values
                 if tables[0].values[n] != tables[1].values[n]}
@@ -320,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     # reads neither, can refuse them when given
     p_count.add_argument("--method", choices=("enumeration", "series", "both"),
                          help="counting path (default enumeration)")
-    p_count.add_argument("--order", type=int)
     p_count.add_argument("--raw-diagnostic", action="store_true",
                          help="anchored vs raw multiset counts for Ck classes, as JSON")
     p_count.add_argument("--format", choices=("markdown", "json", "csv"),

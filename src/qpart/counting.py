@@ -720,13 +720,6 @@ def _checked(coeffs: tuple[int, ...], name: object) -> TruncatedSeries:
             err.exponent) from None
 
 
-def _series_order(n: int, order: int | None) -> int:
-    """n, or `order` if given and larger: the order a series count builds."""
-    if order is not None:
-        _require_natural("order", order)
-    return max(n, order or 0)
-
-
 def enumerate_class(spec: ClassSpec, n: int) -> list:
     """Complete duplicate-free list of class members of weight n.
 
@@ -827,11 +820,12 @@ def gf_parity_difference(class_family: str, k: int, order: int) -> TruncatedSeri
     return _checked(_signed(_SIGNED[class_family], k, order, MINUS), name)
 
 
-def count_by_series(spec: ClassSpec, n: int, order: int | None = None) -> int:
-    """The q^n coefficient of the class generating function, built to at
-    least order n."""
+def count_by_series(spec: ClassSpec, n: int) -> int:
+    """The q^n coefficient of the class generating function built to order
+    n; every builder is lower-triangular, so a higher order gives the same
+    coefficient."""
     _require_natural("weight", n)
-    return gf(spec, _series_order(n, order)).coefficient(n)
+    return gf(spec, n).coefficient(n)
 
 
 # ---------------------------------------------------------------------------
@@ -844,14 +838,13 @@ def ak_doubled_specs(k: int) -> tuple[ClassSpec, ...]:
     return ClassSpec("P1"), ClassSpec("Pprime", k), ClassSpec("P2"), ClassSpec("Pdprime", k)
 
 
-def count_ak_doubled(k: int, n: int, method: str = "enumeration",
-                     order: int | None = None) -> int:
+def count_ak_doubled(k: int, n: int, method: str = "enumeration") -> int:
     """2*A_k(n) = P1 + Pprime + P2 + Pdprime counts at weight n."""
     specs = ak_doubled_specs(k)
     if method == "enumeration":
         return sum(count_by_enumeration(s, n) for s in specs)
     if method == "series":
-        return sum(count_by_series(s, n, order) for s in specs)
+        return sum(count_by_series(s, n) for s in specs)
     raise PartitionError(f"unknown counting method {method!r}")
 
 
@@ -931,16 +924,15 @@ class CountTable:
         return "\n".join(lines) + "\n"
 
 
-def count_table(spec: ClassSpec, nmax: int, method: str = "enumeration",
-                order: int | None = None) -> CountTable:
+def count_table(spec: ClassSpec, nmax: int, method: str = "enumeration") -> CountTable:
     """Counts of the class at weights 0..nmax on one path: one enumeration
     row (:func:`count_row`), or the coefficients of one generating function
-    built to order max(nmax, order)."""
+    built to order nmax."""
     _require_natural("weight", nmax)
     if method == "enumeration":
         values = dict(enumerate(count_row(spec, nmax)))
     elif method == "series":
-        series = gf(spec, _series_order(nmax, order))
+        series = gf(spec, nmax)
         values = {n: series.coefficient(n) for n in range(nmax + 1)}
     else:
         raise PartitionError(f"unknown counting method {method!r}")

@@ -163,19 +163,6 @@ class ClassSpec:
         return self.class_id if self.k is None else f"{self.class_id}(k={self.k})"
 
 
-def smallest_part_profile(p: Partition) -> tuple[int, int, bool]:
-    """(smallest part, its multiplicity, whether all larger parts are distinct)."""
-    if not p.parts:
-        raise PartitionError("empty partition has no smallest part")
-    smallest = p.parts[-1]
-    mult = 0
-    for v in reversed(p.parts):
-        if v != smallest:
-            break
-        mult += 1
-    return smallest, mult, _is_distinct(p.parts[: len(p.parts) - mult])
-
-
 # ---------------------------------------------------------------------------
 # membership predicates.  A parity-split family has one predicate that returns
 # the count whose parity splits it (None off the family); _parity_half keeps

@@ -205,6 +205,13 @@ def _task_t1(nmax: int = 60):
     ], nmax + 1, guard=odd_d2)
 
 
+# T2 notes where anchored Ck counts first part from raw multiset counts: at
+# k = 1 (no window part) never up to weight 12, at k = 2 at n = 6, where 4+2
+# is anchored both at 2 and at 4.  Weight 12 caps the scan.
+T2_AMBIGUITY_K = 2
+T2_AMBIGUITY_NMAX = 12
+
+
 def _task_t2(kmax: int = 5, nmax: int = 60):
     for k in range(1, kmax + 1):
         for parity in ("e", "o"):
@@ -213,11 +220,11 @@ def _task_t2(kmax: int = 5, nmax: int = 60):
                 (f"Bk_{parity}(n)", lambda count, n: count(bk, n)),
                 (f"Ck_{parity}(n+1)", lambda count, n: count(ck, n + 1)),
             ], nmax + 1, k=k, parity=parity)
-    for n in range(2, 13):
-        report = c_family_ambiguity(2, n)
+    for n in range(2, T2_AMBIGUITY_NMAX + 1):
+        report = c_family_ambiguity(T2_AMBIGUITY_K, n)
         if report.diverges:
             first = report.ambiguous[0][0] if report.ambiguous else None
-            yield (f"anchored vs raw multiset counts diverge first at k=2, n={n}: "
+            yield (f"anchored vs raw multiset counts diverge first at k={T2_AMBIGUITY_K}, n={n}: "
                    f"anchored e/o = {report.anchored_even}/{report.anchored_odd}, "
                    f"raw e/o = {report.raw_even}/{report.raw_odd} over "
                    f"{report.raw_distinct_multisets} distinct multisets "

@@ -3,12 +3,14 @@ that compare the new code with it."""
 
 import itertools
 from bisect import bisect_left
+from functools import lru_cache
 from operator import ge, neg
 
 from qpart import bijections
 from qpart.bijections import (
     AKY_SKETCH,
     RANK,
+    RANK_CACHE_SIZE,
     SOURCE_DK,
     SOURCE_DK_MINUS_1,
     STRATEGIES,
@@ -17,8 +19,6 @@ from qpart.bijections import (
     SketchMembershipError,
     _B,
     _C,
-    _anchored_block,
-    _odd_block,
     _parity_flip,
     _spec,
     dk_recurrence_subrange,
@@ -34,7 +34,6 @@ from qpart.partitions import (
     _is_distinct,
     _odd,
     is_member,
-    smallest_part_profile,
 )
 from qpart.series import (
     MINUS,
@@ -127,6 +126,37 @@ def dk_recurrence_inverse(k: int, outcome: BijectionOutcome) -> tuple[Partition,
     raised = _sorted_parts(parts[: len(parts) - (k - 1)] + (s + 1,) * (k - 1))
     source = SOURCE_DK if sub in ("a", "b") else SOURCE_DK_MINUS_1
     return Partition(raised), source
+
+
+# The rank blocks from before base-bc built both blocks of one (l, weight)
+# as a pair: one cache per side.
+# A rank block is its members in canonical (lexicographic) order plus the
+# rank of each member, so that both directions look a member up in O(1).
+# Cached blocks are shared by every caller and never mutated.
+RankBlock = tuple[tuple[tuple[int, ...], ...], dict[tuple[int, ...], int]]
+
+
+def _rank_block(members) -> RankBlock:
+    ordered = tuple(sorted(members))
+    return ordered, {parts: i for i, parts in enumerate(ordered)}
+
+
+@lru_cache(maxsize=RANK_CACHE_SIZE)
+def _odd_block(l: int, weight: int) -> RankBlock:
+    """All-odd partitions of `weight` whose largest part is exactly 2l-1."""
+    base = 2 * l - 1
+    if weight < base:
+        return _rank_block(())
+    return _rank_block((base,) + fill for fill in _odd_multiset(weight - base, base))
+
+
+@lru_cache(maxsize=RANK_CACHE_SIZE)
+def _anchored_block(l: int, weight: int) -> RankBlock:
+    """Extras-free anchored partitions of `weight` with anchor 2l."""
+    anchor = 2 * l
+    if weight < anchor:
+        return _rank_block(())
+    return _rank_block((anchor,) + core for core in _c_core(weight - anchor, anchor, l))
 
 
 def _largest_odd_half(p: Partition) -> int:
@@ -264,6 +294,19 @@ def partition_post_init(self) -> None:
         if prev is not None and p > prev:
             raise PartitionError("parts must be weakly decreasing")
         prev = p
+
+
+def smallest_part_profile(p: Partition) -> tuple[int, int, bool]:
+    """(smallest part, its multiplicity, whether all larger parts are distinct)."""
+    if not p.parts:
+        raise PartitionError("empty partition has no smallest part")
+    smallest = p.parts[-1]
+    mult = 0
+    for v in reversed(p.parts):
+        if v != smallest:
+            break
+        mult += 1
+    return smallest, mult, _is_distinct(p.parts[: len(p.parts) - mult])
 
 
 def _dk_parts_above(p: Partition, k: int) -> int | None:

@@ -349,13 +349,11 @@ def _message(call) -> str:
 
 @pytest.fixture
 def fresh_rank_blocks(monkeypatch):
-    """Empty rank caches before and after a test that patches their inputs
+    """Empty the rank cache before and after a test that patches its inputs
     (set up after monkeypatch, so the clear runs before the patch is undone)."""
-    bijections._odd_block.cache_clear()
-    bijections._anchored_block.cache_clear()
+    bijections._rank_blocks.cache_clear()
     yield monkeypatch
-    bijections._odd_block.cache_clear()
-    bijections._anchored_block.cache_clear()
+    bijections._rank_blocks.cache_clear()
 
 
 def _refuse(monkeypatch, *class_ids):
@@ -644,5 +642,4 @@ def test_rank_pairs_ith_members_of_sorted_blocks():
 
 
 def test_rank_caches_are_bounded():
-    for block in (bijections._odd_block, bijections._anchored_block):
-        assert block.cache_info().maxsize == bijections.RANK_CACHE_SIZE
+    assert bijections._rank_blocks.cache_info().maxsize == bijections.RANK_CACHE_SIZE

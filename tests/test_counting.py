@@ -245,9 +245,7 @@ def test_weights_and_orders_must_be_ints(value):
                    lambda v: count_row(a, 5, v), lambda v: count_by_enumeration(a, v),
                    lambda v: count_by_series(a, v), lambda v: count_table(a, v),
                    lambda v: count_table(a, v, "series"), lambda v: count_ak_doubled(2, v)],
-        "order": [lambda v: gf(a, v), lambda v: gf_parity_difference("Dk", 2, v),
-                  lambda v: count_by_series(a, 1, v), lambda v: count_table(a, 1, "series", v),
-                  lambda v: count_ak_doubled(2, 1, "series", v)],
+        "order": [lambda v: gf(a, v), lambda v: gf_parity_difference("Dk", 2, v)],
     }
     for what, calls in entries.items():
         for call in calls:
@@ -255,14 +253,6 @@ def test_weights_and_orders_must_be_ints(value):
             with pytest.raises(PartitionError) as raised:
                 call(value)
             assert str(raised.value) == f"{what} must be a non-negative int, not {value!r}"
-
-
-def test_count_functions_reject_a_negative_order():
-    a = ClassSpec("A")
-    for call in (lambda: count_by_series(a, 5, -3), lambda: count_table(a, 5, "series", -3),
-                 lambda: count_ak_doubled(2, 5, "series", -3)):
-        with pytest.raises(PartitionError, match="^order must be non-negative$"):
-            call()
 
 
 def test_definition_and_engine_tables_cover_the_same_classes():
@@ -280,6 +270,15 @@ def test_gf_repeated_smallest_values():
     assert d2.coefficient(7) == 8
     for k in (1, 2, 3, 5, 8):
         assert gf(ClassSpec("Dk", k), 6).coefficient(0) == 1
+
+
+def test_series_counts_do_not_depend_on_the_build_order():
+    # every builder is lower-triangular, so coefficient n is the same at
+    # every order >= n: a series count builds to order n and no further
+    for spec in _specs(5):
+        for n in (0, 1, 6, 17, 29, 40):
+            assert count_by_series(spec, n) == gf(spec, 2 * n + 7).coeffs[n] \
+                == gf(spec, 120).coeffs[n], (spec, n)
 
 
 def test_gf_matches_enumeration_for_distinct_class():
@@ -706,10 +705,9 @@ def test_k1_doubles_distinct_counts():
 
 
 def test_distinct_parity_difference_is_pentagonal():
+    even, odd = gf(ClassSpec("Pe_d"), 60), gf(ClassSpec("Po_d"), 60)
     for n in range(0, 61):
-        diff = (count_by_series(ClassSpec("Pe_d"), n, 60)
-                - count_by_series(ClassSpec("Po_d"), n, 60))
-        assert diff == pentagonal_indicator(n)
+        assert even.coefficient(n) - odd.coefficient(n) == pentagonal_indicator(n)
 
 
 def test_pentagonal_indicator_values():
@@ -746,10 +744,11 @@ def test_derive_dk_relation():
     for k in (1, 2, 3):
         rel = derive_dk_relation(k)
         a_counts = [count_by_enumeration(ClassSpec("A"), n) for n in range(61)]
+        dk = gf(ClassSpec("Dk", k), 60)
         for n in range(rel.threshold + 1, 61):
             expected = 2 * sum(c * a_counts[n - m]
                                for m, c in enumerate(rel.coefficients) if n >= m)
-            assert count_by_series(ClassSpec("Dk", k), n, 60) == expected, (k, n)
+            assert dk.coefficient(n) == expected, (k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -795,4 +794,4 @@ def test_ambiguity_absent_at_tiny_weight():
 def test_enumeration_counts_are_series_coefficients(k, n):
     for cid in ("Dk", "Bk_e", "Ck_o", "Pdprime"):
         spec = ClassSpec(cid, k)
-        assert count_by_enumeration(spec, n) == count_by_series(spec, n, 16 + 1)
+        assert count_by_enumeration(spec, n) == gf(spec, 16 + 1).coefficient(n)

@@ -22,10 +22,10 @@ from qpart.partitions import (
     _dk_parts_above,
     _is_distinct,
     is_member,
-    smallest_part_profile,
 )
 
 import oracles
+from oracles import smallest_part_profile
 
 P = Partition.from_parts
 
