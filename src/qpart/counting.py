@@ -15,17 +15,22 @@ generators are loops over one mutable list of parts that step from one fill
 to the next, with residual-weight pruning, and yield fresh tuples.  ``_walk``
 runs the fill's row walk from each head's weight: one exhaustive descent
 that builds no members and counts those of the weights in a window [lo, hi]
-into a difference row.  It visits every prefix that has room for one more
-part once, and counts the run of its one-part extensions, one member at
-each of a stretch of consecutive weights, as one range update: +1 where the
-run starts and -1 one slot past its end.  One running sum per row then
-turns the differences into counts.  The distinct walk counts sets of even
-and odd size into two rows at once, so classes with the same shape and
-arguments share one walk: Dk, Dk_e and Dk_o, as do A, Pe_d and Po_d.
-:func:`count_row` reads rows, and :func:`count_by_enumeration` is its window
-[n, n].  Walked rows are kept in one bounded cache, and a kept row serves
-every shorter request.  No walk reads a generating function or memoises a
-subtree, and none uses a closed form beyond a run of consecutive last parts.
+into difference rows.  A run of members, one at each of a stretch of
+consecutive weights, is one range update: +1 where the run starts and -1
+one slot past its end.  The odd and core walks visit every prefix that has
+room for one more part and count the run of its one-part extensions.  The
+distinct walk builds each set from its smallest part a upwards: the pairs
+{a, b} of every a are runs whose starts step by 2 and whose ends step by 1,
+so all the pairs of one prefix are two updates, into a lag-2 and a
+second-order difference row, and the walk visits only the prefixes with
+room for two more parts.  Running sums fold the rows into counts.  The
+distinct walk counts sets of even and odd size into two parities at once,
+so classes with the same shape and arguments share one walk: Dk, Dk_e and
+Dk_o, as do A, Pe_d and Po_d.  :func:`count_row` reads rows, and
+:func:`count_by_enumeration` is its window [n, n].  Walked rows are kept in
+one bounded cache, and a kept row serves every shorter request.  No walk
+reads a generating function or memoises a subtree, and none uses a closed
+form beyond the runs of one-part and two-part completions.
 
 ``gf(k, order)`` builds the class generating function as a tuple of plain
 integers with the kernels of :mod:`qpart.series`; :func:`gf` and
@@ -224,13 +229,17 @@ def _c_core(total: int, v: int, l: int):
 
 # ---------------------------------------------------------------------------
 # fill walks: each counts weight w plus every fill of weight at most hi - w
-# into a difference row of hi+2 slots, a run of consecutive weights a..b as
-# +1 at slot a and -1 at slot b+1 (slot hi+1 takes the -1 of a run that ends
-# at hi).  A walk skips a subtree only when none of its members reaches the
-# window's low end lo, so the members of weights lo..hi are each counted
-# exactly once; entries below lo may hold partial counts and are dropped by
-# the caller.  The distinct walk counts a set of even size into one row and
-# one of odd size into the other; the odd and core walks use one row.
+# into the difference rows of one parity, three rows of hi+3 slots that
+# _walked folds into counts.  In the first-order row a run of consecutive
+# weights x..y is +1 at slot x and -1 at slot y+1.  The second-order row
+# holds runs of such -1s at consecutive slots, and the lag-2 row runs of +1s
+# at every other slot, each as two entries.  Slots past hi take the ends of
+# runs that reach hi and are dropped.  A walk skips a subtree only when none
+# of its members reaches the window's low end lo, so the members of weights
+# lo..hi are each counted exactly once; entries below lo may hold partial
+# counts and are dropped by the caller.  The distinct walk counts a set of
+# even size into one parity's rows and one of odd size into the other's;
+# the odd and core walks write the first-order row of one parity.
 # ---------------------------------------------------------------------------
 
 
@@ -242,23 +251,43 @@ def _walk_distinct(row, other, lo: int, hi: int, w: int, v: int, least: int) -> 
         top = v
     if top < least:
         return
-    other[w + least] += 1  # the one-part sets: weights w+least .. w+top
-    other[w + top + 1] -= 1
-    # Each child w+p with room for a second part counts the run of its
-    # one-part extensions: inline, or by the call that descends further when
-    # it also has room for a third part.
-    room = hi - w - least
-    for p in range(room if room < v else v, least, -1):
-        x = w + p
-        # The parts least..p-1 add at most (p-1+least)(p-least)/2, and less
-        # for every smaller p.
-        if lo and x + (p - 1 + least) * (p - least) // 2 < lo:
+    other[0][w + least] += 1  # the one-part sets: weights w+least .. w+top
+    other[0][w + top + 1] -= 1
+    _walk_pairs(row, other, lo, hi, w, v, least)
+
+
+def _walk_pairs(row, other, lo: int, hi: int, w: int, v: int, least: int) -> None:
+    """Count weight w plus each set of two or more distinct parts in
+    [least, v], by its smallest part a: a set of even size in row and one of
+    odd size in other."""
+    room = hi - w
+    top = (room - 1) // 2  # the largest a whose pair {a, a+1} fits
+    if top >= v:
+        top = v - 1
+    if top < least:
+        return
+    _, second, lag2 = row
+    # The pairs {a, b}, b = a+1 .. min(v, room-a), are the run of weights
+    # w+2a+1 .. min(w+a+v, hi) for each a in [least, top].  The runs start
+    # two slots apart.  Up to a = room-v they end at w+a+v, one slot apart,
+    # and past it at hi, whose end slot is dropped.
+    lag2[w + 2 * least + 1] += 1
+    lag2[w + 2 * top + 3] -= 1
+    ends = room - v
+    if ends >= least:
+        second[w + least + v + 1] -= 1
+        second[w + (ends if ends < top else top) + v + 2] += 1
+    # Sets of three or more parts: a and a set of two or more parts in
+    # [a+1, v], which the parts a+1 and a+2 start while 3a+3 <= room.
+    last = room // 3 - 1
+    if last > v - 2:
+        last = v - 2
+    for a in range(least, last + 1):
+        # The set a..v is the heaviest with smallest part a, and it gets
+        # lighter as a grows.
+        if lo and w + (a + v) * (v - a + 1) // 2 < lo:
             break
-        if p > least + 1 and x + 2 * least < hi:  # room for a third part
-            _walk_distinct(other, row, lo, hi, x, p - 1, least)
-        else:  # second parts least .. min(p-1, hi-x)
-            row[x + least] += 1
-            row[x + p if x + p <= hi else hi + 1] -= 1
+        _walk_pairs(other, row, lo, hi, w + a, v, a + 1)
 
 
 def _walk_odd(row, hi: int, w: int, v: int) -> None:
@@ -285,9 +314,9 @@ def _walk_odd(row, hi: int, w: int, v: int) -> None:
 
 def _walk_c_core(row, lo: int, hi: int, w: int, v: int, l: int) -> None:
     """Count weight w plus each multiset of parts <= v that is free in
-    (l, 2l] and distinct in [1, l]."""
-    row[w] += 1
-    row[w + 1] -= 1
+    (l, 2l] and distinct in [1, l], into one parity's rows."""
+    row[0][w] += 1
+    row[0][w + 1] -= 1
     if w + l * (l + 1) // 2 >= lo:  # the distinct parts can reach lo
         _walk_distinct(row, row, lo, hi, w, l, 1)
     top = hi - w
@@ -307,8 +336,8 @@ def _walk_c_core(row, lo: int, hi: int, w: int, v: int, l: int) -> None:
 
 
 def _walk_sets(rows, lo: int, hi: int, w: int, v: int, least: int) -> None:
-    rows[0][w] += 1  # the empty set; _walk_distinct counts the others
-    rows[0][w + 1] -= 1
+    rows[0][0][w] += 1  # the empty set; _walk_distinct counts the others
+    rows[0][0][w + 1] -= 1
     _walk_distinct(*rows, lo, hi, w, v, least)
 
 
@@ -317,7 +346,7 @@ def _walk_sets(rows, lo: int, hi: int, w: int, v: int, least: int) -> None:
 # (v,); core: parts <= v, distinct up to l and free above it, (v, l).
 FILLS = {
     "distinct": (_distinct, _walk_sets),
-    "odd": (_odd_multiset, lambda rows, lo, hi, w, v: _walk_odd(rows[0], hi, w, v)),
+    "odd": (_odd_multiset, lambda rows, lo, hi, w, v: _walk_odd(rows[0][0], hi, w, v)),
     "core": (_c_core, lambda rows, lo, hi, w, v, l: _walk_c_core(rows[0], lo, hi, w, v, l)),
 }
 
@@ -734,10 +763,10 @@ def enumerate_class(spec: ClassSpec, n: int) -> list:
 
 
 # Bound of the row cache.  An entry is the row pair of one walked structure:
-# under 5 KB at the weights report --all walks (up to 62), where it keeps 43
-# structures, and about 8 KB at weight 110, where walking Dk(1) already takes
-# about 10 s.  64 entries keep every structure of one report and stay under
-# 1 MB.
+# under 5 KB at the weights report --all walks (up to 62), where it keeps 49
+# structures, and about 8 KB at weight 110, where walking Dk(1) takes about
+# 0.25 s on a 2-core host.  64 entries keep every structure of one report
+# and stay under 1 MB.
 ROW_CACHE_SIZE = 64
 
 # (shape, its arguments) -> row pair walked from weight 0, least recently
@@ -745,24 +774,34 @@ ROW_CACHE_SIZE = 64
 _rows: OrderedDict = OrderedDict()
 
 
+def _fold(first: list, second: list, lag2: list, hi: int) -> list[int]:
+    """The counts of weights 0..hi from one parity's difference rows."""
+    lag2[0::2] = accumulate(lag2[0::2])
+    lag2[1::2] = accumulate(lag2[1::2])
+    return list(islice(accumulate(map(add, map(add, first, accumulate(second)), lag2)), hi + 1))
+
+
 def _walked(shape, args: tuple, lo: int, hi: int):
     """The row pair of the members of shape(n, *args) that covers weights
     lo..hi.
 
-    The walk fills a pair of difference rows of hi+2 slots, the last one
-    taking the -1 of every run that ends at hi; a running sum of each, cut
-    to hi+1 entries, gives the counts.  A cached pair covers every shorter
-    request; a walk from weight 0 is kept, and one that starts higher is
-    not, since it leaves the entries below lo incomplete.
+    The walk fills, for each parity, a first-order, a second-order and a
+    lag-2 difference row of hi+3 slots, the slots past hi taking the ends of
+    runs that reach hi.  A running sum of the second-order row and one per
+    residue mod 2 of the lag-2 row turn both into first-order rows; the sum
+    of the three, summed up and cut to hi+1 entries, gives the counts.  A
+    cached pair covers every shorter request; a walk from weight 0 is kept,
+    and one that starts higher is not, since it leaves the entries below lo
+    incomplete.
     """
     key = (shape, args)
     rows = _rows.get(key)
     if rows is not None and len(rows[0]) > hi:
         _rows.move_to_end(key)
         return rows
-    diffs = ([0] * (hi + 2), [0] * (hi + 2))
+    diffs = tuple(([0] * (hi + 3), [0] * (hi + 3), [0] * (hi + 3)) for _ in range(2))
     _walk(diffs, lo, hi, shape, args)
-    rows = tuple(list(islice(accumulate(d), hi + 1)) for d in diffs)
+    rows = tuple(_fold(*d, hi) for d in diffs)
     if lo == 0:
         _rows[key] = rows
         _rows.move_to_end(key)
@@ -775,9 +814,11 @@ def count_row(spec: ClassSpec, hi: int, lo: int = 0) -> tuple[int, ...]:
     """Numbers of class members of weights lo..hi, by one exhaustive walk
     of the class's shape that builds no members, memoises nothing and reads
     no generating function, so it stays an independent oracle for
-    :func:`gf`.  Classes with the same shape and arguments, such as Dk and
-    its halves, share its rows; rows walked from weight 0 are kept, and a
-    kept row serves every shorter request.
+    :func:`gf`.  The walk counts runs of members, each run with O(1)
+    updates: the one-part completions of a prefix, and in a distinct-part
+    fill all the two-part completions of one.  Classes with the same shape
+    and arguments, such as Dk and its halves, share its rows; rows walked
+    from weight 0 are kept, and a kept row serves every shorter request.
     """
     _require_natural("weight", lo, hi)
     shape, args, half, _ = _ENGINES[spec.class_id]

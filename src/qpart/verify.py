@@ -60,7 +60,6 @@ from .counting import (
     ClassSpec,
     ak_doubled_specs,
     c_family_ambiguity,
-    count_by_enumeration,
     count_row,
     derive_dk_relation,
     gf,
@@ -202,7 +201,7 @@ def _task_t1(nmax: int = 60):
         ("B(n)", lambda count, n: count(ClassSpec("B"), n)),
         ("C(n+1)", lambda count, n: count(ClassSpec("C"), n + 1)),
         ("D2(n+1)/2", lambda count, n: count(d2, n + 1) // 2),
-    ], nmax + 1, guard=odd_d2)
+    ], nmax + 2, guard=odd_d2)  # T6 reads A's row to nmax + 2: one walk serves both
 
 
 # T2 notes where anchored Ck counts first part from raw multiset counts: at
@@ -310,23 +309,31 @@ def _task_t6(nmax: int = 60):
     ], nmax + 2)
 
 
-def _t7_expected(k: int, n: int) -> int:
-    if n <= k - 1:
-        return pentagonal_indicator(n)
-    if n <= k * (k - 1) // 2:
-        return (count_by_enumeration(ClassSpec("Pe_bounded", k), n)
-                - count_by_enumeration(ClassSpec("Po_bounded", k), n))
-    return 0
+def _t7_expected(k: int):
+    """T7's piecewise value at k, as a function of n; the bounded pair is
+    read as one row up to k(k-1)/2."""
+    edge = k * (k - 1) // 2
+    if edge >= k:  # the middle branch k..edge is not empty
+        even, odd = (count_row(ClassSpec(f"{p}_bounded", k), edge) for p in ("Pe", "Po"))
+
+    def expected(n: int) -> int:
+        if n <= k - 1:
+            return pentagonal_indicator(n)
+        if n <= edge:
+            return even[n] - odd[n]
+        return 0
+    return expected
 
 
 def _task_t7(kmax: int = 8, nmax: int = 60, enum_nmax: int = 34):
     enum_hi = min(enum_nmax, nmax)
     for k in range(1, kmax + 1):
         diff = gf_parity_difference("Dk", k, nmax)
+        piecewise = _t7_expected(k)
         if enum_hi >= 1:
             even, odd = (count_row(ClassSpec(f"Dk_{p}", k), enum_hi) for p in ("e", "o"))
         for n in range(1, nmax + 1):
-            expected = _t7_expected(k, n)
+            expected = piecewise(n)
             chains = [[("Dk_e-Dk_o(n) [series]", diff.coefficient(n)),
                        ("piecewise value", expected)]]
             if n <= enum_hi:
@@ -335,8 +342,8 @@ def _task_t7(kmax: int = 8, nmax: int = 60, enum_nmax: int = 34):
             yield 1, _chain({"k": k, "n": n}, *chains)
         edge1, edge2 = k - 1, k * (k - 1) // 2
         if edge1 >= 1:
-            yield (f"k={k}: branch boundaries diff({edge1})={_t7_expected(k, edge1)}"
-                   f", diff({edge2})={_t7_expected(k, edge2)}")
+            yield (f"k={k}: branch boundaries diff({edge1})={piecewise(edge1)}"
+                   f", diff({edge2})={piecewise(edge2)}")
 
 
 def _task_t7c(kmax: int = 8, nmax: int = 60):

@@ -4,9 +4,10 @@ that compare the new code with it."""
 import itertools
 from bisect import bisect_left
 from functools import lru_cache
-from operator import ge, neg
+from itertools import accumulate, islice
+from operator import add, ge, neg
 
-from qpart import bijections
+from qpart import bijections, counting
 from qpart.bijections import (
     AKY_SKETCH,
     RANK,
@@ -25,8 +26,9 @@ from qpart.bijections import (
     glaisher_merge,
     glaisher_split,
 )
-from qpart.counting import _c_core, _distinct, _odd_multiset, enumerate_class
+from qpart.counting import _c_core, _distinct, _odd_multiset, count_row, enumerate_class
 from qpart.partitions import (
+    CLASS_INFO,
     AnchoredPartition,
     ClassSpec,
     Partition,
@@ -569,3 +571,99 @@ def tail_family_sums(sign: int, order: int, *term_lists) -> list[tuple[int, ...]
         for n, s in starts.get(m, ()):
             sums[n][s:] = [a + c for a, c in zip(sums[n][s:], tail)]
     return [tuple(acc) for acc in sums]
+
+
+# ---------------------------------------------------------------------------
+# distinct-part row walk from before the pair walk: the largest part first,
+# every prefix with room for one more part visited, one first-order
+# difference row per parity of hi+2 slots
+# ---------------------------------------------------------------------------
+
+
+def _walk_distinct(row, other, lo: int, hi: int, w: int, v: int, least: int) -> None:
+    """Count weight w plus each nonempty set of distinct parts in [least, v],
+    a set of odd size in other and one of even size in row."""
+    top = hi - w
+    if top > v:
+        top = v
+    if top < least:
+        return
+    other[w + least] += 1  # the one-part sets: weights w+least .. w+top
+    other[w + top + 1] -= 1
+    # Each child w+p with room for a second part counts the run of its
+    # one-part extensions: inline, or by the call that descends further when
+    # it also has room for a third part.
+    room = hi - w - least
+    for p in range(room if room < v else v, least, -1):
+        x = w + p
+        # The parts least..p-1 add at most (p-1+least)(p-least)/2, and less
+        # for every smaller p.
+        if lo and x + (p - 1 + least) * (p - least) // 2 < lo:
+            break
+        if p > least + 1 and x + 2 * least < hi:  # room for a third part
+            _walk_distinct(other, row, lo, hi, x, p - 1, least)
+        else:  # second parts least .. min(p-1, hi-x)
+            row[x + least] += 1
+            row[x + p if x + p <= hi else hi + 1] -= 1
+
+
+@lru_cache(maxsize=64)
+def _distinct_fill_rows(shape, args: tuple, hi: int) -> tuple[list[int], list[int]]:
+    """The rows of weights 0..hi of a walk over distinct-part fills, a set
+    of even size in the first and one of odd size in the second."""
+    diffs = ([0] * (hi + 2), [0] * (hi + 2))
+    for above, below, fill, fill_args in shape(hi, *args):
+        if fill != "distinct":
+            raise ValueError(f"{shape.__name__}{args} has a {fill} fill")
+        w = sum(above) + sum(below)
+        diffs[0][w] += 1  # the empty set; _walk_distinct counts the others
+        diffs[0][w + 1] -= 1
+        _walk_distinct(*diffs, 0, hi, w, *fill_args)
+    return tuple(list(islice(accumulate(d), hi + 1)) for d in diffs)
+
+
+def distinct_fill_row(spec: ClassSpec, hi: int) -> tuple[int, ...]:
+    """count_row(spec, hi) of a class whose fill is distinct parts, by the
+    walk above and the fold of the rows it wrote (a running sum, cut to hi+1
+    entries).  Raises ValueError for a class with another fill."""
+    shape, args, half, _ = counting._ENGINES[spec.class_id]
+    even, odd = _distinct_fill_rows(shape, args(spec.k), hi)
+    if half is None:
+        return tuple(map(add, even, odd))
+    return tuple((even, odd)[half])
+
+
+# The classes whose members are heads around a distinct-part fill.
+DISTINCT_FILL_CLASSES = ("A", "Pe_d", "Po_d", "Pe_bounded", "Po_bounded", "Dk", "Dk_e",
+                         "Dk_o", "SptKd", "P1", "P2", "Pprime", "Pdprime")
+
+
+def distinct_fill_specs(kmax: int) -> list[ClassSpec]:
+    """Every spec of DISTINCT_FILL_CLASSES, k = 1..kmax where the class
+    takes a k."""
+    return [ClassSpec(c, k) for c in DISTINCT_FILL_CLASSES
+            for k in (range(1, kmax + 1) if CLASS_INFO[c][0] else (None,))]
+
+
+def one_spec_per_walk(specs) -> list[ClassSpec]:
+    """The first of the specs that share each walk (shape and arguments)."""
+    first = {}
+    for spec in specs:
+        shape, args, _, _ = counting._ENGINES[spec.class_id]
+        first.setdefault((shape, args(spec.k)), spec)
+    return list(first.values())
+
+
+def distinct_walk_mismatches(specs, hi: int, windows) -> list[tuple[ClassSpec, int, int]]:
+    """The (spec, lo, top), for windows (lo, top) with top <= hi, where
+    count_row differs from the walk above at weight hi; each window's walk
+    starts from an empty row cache."""
+    bad = []
+    for spec in specs:
+        want = distinct_fill_row(spec, hi)
+        for lo, top in windows:
+            counting._rows.clear()
+            if count_row(spec, top, lo) != want[lo:top + 1]:
+                bad.append((spec, lo, top))
+    counting._rows.clear()
+    return bad

@@ -448,6 +448,27 @@ def test_report_all_covers_every_task_once(capsys):
         "033526072b0d7fa64d00aea8d537c69850542b9dc01b490b0ba5095e05a18b5c")
 
 
+def test_report_all_walks_each_structure_once_from_weight_0(capsys, monkeypatch):
+    # every task reads its rows whole, and a task that shares a structure
+    # with a later one reads it as far as the later one will, so one walk
+    # from weight 0 serves every read
+    walks = []
+    original = counting._walk
+
+    def recording(rows, lo, hi, shape, args):
+        walks.append((shape.__name__, args, lo))
+        return original(rows, lo, hi, shape, args)
+
+    monkeypatch.setattr(counting, "_walk", recording)
+    counting._rows.clear()
+    counting.count_by_enumeration.cache_clear()
+    code, _ = run_cli(capsys, "report", "--all", "--no-timestamp")
+    assert code == 0
+    structures = [(shape, args) for shape, args, _ in walks]
+    assert len(set(structures)) == len(structures) == 49
+    assert {lo for _, _, lo in walks} == {0}
+
+
 def test_count_raw_diagnostic(capsys):
     code, out = run_cli(capsys, "count", "--class", "Ck_e", "--k", "2",
                         "--n", "6", "--raw-diagnostic")

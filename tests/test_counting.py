@@ -163,6 +163,37 @@ def test_count_walk_matches_generators_in_every_window():
     _clear_enumeration_caches()
 
 
+def test_distinct_walks_match_the_pre_change_walk():
+    # every spec with a distinct-part fill against the walk kept in
+    # oracles.py: the row at weight 70 and the window [50, 70] for each spec,
+    # and single weights for each walk that specs share
+    specs = oracles.distinct_fill_specs(5)
+    assert len(specs) == 45
+    assert oracles.distinct_walk_mismatches(specs, 70, [(0, 70), (50, 70)]) == []
+    assert oracles.distinct_walk_mismatches(
+        oracles.one_spec_per_walk(specs), 70, [(n, n) for n in (60, 65, 70)]) == []
+    _clear_enumeration_caches()
+
+
+def test_pair_walk_visits_each_prefix_with_room_for_a_third_part(monkeypatch):
+    # one visit for the empty prefix, and one for each set P of smallest
+    # parts that the next two parts max(P)+1 and max(P)+2 still fit above
+    visits = []
+    original = counting._walk_pairs
+
+    def recording(*args):
+        visits.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(counting, "_walk_pairs", recording)
+    _clear_enumeration_caches()
+    count_row(ClassSpec("A"), 62)
+    prefixes = sum(1 for t in range(1, 63) for p in counting._distinct(t, 62)
+                   if t + 2 * p[0] + 3 <= 62)
+    assert len(visits) == 1 + prefixes == 2514
+    _clear_enumeration_caches()
+
+
 def test_kept_row_serves_shorter_requests(monkeypatch):
     walks = []
     original = counting._walk
