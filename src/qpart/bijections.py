@@ -2,7 +2,10 @@
 
 Every map ships with its inverse; round-trip identity and target-class
 membership are both machine-checked by the test suite over exhaustive
-weight ranges.  Outcomes carry a case-tag chain recording which branch of
+weight ranges.  Every call checks too: each map tests its input and its
+image with ``is_member`` and builds only validated values, on every call,
+however often that member has been seen; speed comes from cheaper checks,
+never from fewer.  Outcomes carry a case-tag chain recording which branch of
 the case analysis fired, which is what makes the piecewise inverses
 well-defined (several branches can produce the same raw multiset in
 different target classes).
@@ -54,6 +57,7 @@ from .partitions import (
     ClassSpec,
     Partition,
     PartitionError,
+    _all_odd,
     is_member,
 )
 
@@ -87,13 +91,25 @@ class SketchMembershipError(BijectionError):
         self.candidate = candidate
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BijectionOutcome:
     """Image of one map application plus its target class and case trace."""
 
     image: Partition | AnchoredPartition
     target_class: ClassSpec
     case_tag: tuple[str, ...]
+
+    def __init__(self, image: Partition | AnchoredPartition, target_class: ClassSpec,
+                 case_tag: tuple[str, ...]) -> None:
+        _set_image(self, image)
+        _set_target_class(self, target_class)
+        _set_case_tag(self, case_tag)
+
+
+# the slots' setters, past the frozen __setattr__
+_set_image = BijectionOutcome.image.__set__
+_set_target_class = BijectionOutcome.target_class.__set__
+_set_case_tag = BijectionOutcome.case_tag.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -104,32 +120,29 @@ class BijectionOutcome:
 def glaisher_merge(p: Partition) -> Partition:
     """Odd parts to distinct parts: an odd value a of multiplicity
     f = sum 2^e_i (binary digits) becomes the parts a * 2^e_i."""
-    if not all(v % 2 for v in p.parts):
+    parts = p.parts
+    if not _all_odd(parts):
         raise BijectionError("merge needs all parts odd")
     out = []
-    for a, f in p.multiplicities().items():
-        e = 0
+    for a in set(parts):
+        f = parts.count(a)
         while f:
-            if f & 1:
-                out.append(a << e)
-            f >>= 1
-            e += 1
+            digit = f & -f  # the lowest binary digit 2^e of f
+            out.append(a * digit)
+            f ^= digit
     return Partition.from_parts(out)
 
 
 def glaisher_split(p: Partition) -> Partition:
     """Distinct parts back to odd parts: m = 2^e * a (a odd) becomes 2^e
     copies of a.  Defined on any all-positive partition."""
-    if not all(v >= 1 for v in p.parts):
+    parts = p.parts
+    if parts and parts[-1] < 1:  # the smallest part is the last
         raise BijectionError("split needs positive parts")
     out = []
-    for m in p.parts:
-        a = m
-        copies = 1
-        while a % 2 == 0:
-            a //= 2
-            copies *= 2
-        out.extend([a] * copies)
+    for m in parts:
+        copies = m & -m  # 2^e, the largest power of 2 dividing m
+        out += [m // copies] * copies
     return Partition.from_parts(out)
 
 
@@ -208,6 +221,12 @@ def akdk_inverse(k: int, outcome: BijectionOutcome) -> Partition:
 SOURCE_DK = "Dk"
 SOURCE_DK_MINUS_1 = "Dk-1"
 
+# the case tags, built once: source -> tags of a zero-smallest input, and
+# (source, smallest part is 1) -> tags of a shifted one
+_ZEROS_TAGS = {source: (f"zeros,{source}",) for source in (SOURCE_DK, SOURCE_DK_MINUS_1)}
+_SHIFT_TAGS = {(source, one): (f"shift,{source},{'smallest=1' if one else 'smallest>1'}",)
+               for source in (SOURCE_DK, SOURCE_DK_MINUS_1) for one in (True, False)}
+
 
 def _dk_recurrence_domain(n: int, k: int) -> str | None:
     if k < 2:
@@ -234,18 +253,16 @@ def dk_recurrence_map(k: int, p: Partition, source: str) -> BijectionOutcome:
     parts = p.parts
     if parts[-1] == 0:
         image = Partition(parts[:-mult])
-        tag = f"zeros,{source}"
-        out = BijectionOutcome(image, _A, (tag,))
+        out = BijectionOutcome(image, _A, _ZEROS_TAGS[source])
         if not is_member(_A, image):
             raise BijectionError(f"{image} not distinct")
         return out
     s = parts[-1]
     image = Partition(parts[: len(parts) - (k - 1)] + (s - 1,) * (k - 1))
-    tag = f"shift,{source},{'smallest=1' if s == 1 else 'smallest>1'}"
     target = _spec("Dk", k - 1)
     if not is_member(target, image):
         raise BijectionError(f"image {image} is not in {target}")
-    return BijectionOutcome(image, target, (tag,))
+    return BijectionOutcome(image, target, _SHIFT_TAGS[source, s == 1])
 
 
 def dk_recurrence_subrange(k: int, image: Partition) -> str:

@@ -56,7 +56,8 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
-from operator import ge, gt, neg
+from math import prod
+from operator import neg
 from typing import NamedTuple
 
 
@@ -66,13 +67,16 @@ class PartitionError(ValueError):
 
 @dataclass(frozen=True, slots=True, init=False)
 class Partition:
-    """Weakly decreasing tuple of non-negative integer parts, checked in one
-    frame at C speed; only a faulty tuple pays the loop naming its fault."""
+    """Weakly decreasing tuple of non-negative integer parts.
+
+    Every construction checks its parts: the smallest is non-negative, and
+    the parts equal their own descending sort, which compares the ints in C.
+    Only a faulty tuple pays the loop that names its first fault."""
 
     parts: tuple[int, ...]
 
     def __init__(self, parts: tuple[int, ...]) -> None:
-        if parts and not (parts[-1] >= 0 and all(map(ge, parts, parts[1:]))):
+        if parts and not (parts[-1] >= 0 and sorted(parts, reverse=True) == [*parts]):
             _raise_first_fault(parts)
         _set_parts(self, parts)
 
@@ -114,19 +118,22 @@ def _raise_first_fault(parts) -> None:
         prev = p
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AnchoredPartition:
     """A partition together with the even anchor part 2l that fixes its
-    decomposition into core (parts <= 2l) and window extras (parts > 2l)."""
+    decomposition into core (parts <= 2l) and window extras (parts > 2l).
+    Every construction checks the anchor, then sets the slots directly."""
 
     anchor: int
     partition: Partition
 
-    def __post_init__(self) -> None:
-        if self.anchor <= 0 or self.anchor % 2:
-            raise PartitionError(f"anchor must be a positive even part, got {self.anchor}")
-        if self.anchor not in self.partition.parts:
-            raise PartitionError(f"anchor {self.anchor} is not a part of {self.partition}")
+    def __init__(self, anchor: int, partition: Partition) -> None:
+        if anchor <= 0 or anchor % 2:
+            raise PartitionError(f"anchor must be a positive even part, got {anchor}")
+        if anchor not in partition.parts:
+            raise PartitionError(f"anchor {anchor} is not a part of {partition}")
+        _set_anchor(self, anchor)
+        _set_partition(self, partition)
 
     @property
     def weight(self) -> int:
@@ -137,6 +144,10 @@ class AnchoredPartition:
 
     def __str__(self) -> str:
         return f"[{self.anchor}] {self.partition}"
+
+
+_set_anchor = AnchoredPartition.anchor.__set__
+_set_partition = AnchoredPartition.partition.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,8 +185,9 @@ def _all_positive(p: Partition) -> bool:
 
 
 def _is_distinct(parts: tuple[int, ...]) -> bool:
-    """Whether weakly decreasing parts are all distinct."""
-    return all(map(gt, parts, parts[1:]))
+    """Whether the parts are all distinct: they take as many values as
+    there are parts."""
+    return len({*parts}) == len(parts)
 
 
 def _parity_half(count_of, parity: int):
@@ -200,23 +212,26 @@ def _distinct_length(p: Partition, k: int | None) -> int | None:
     return len(p.parts)
 
 
-# v -> v % 2, for map: the odd-part scans run at C speed
-_odd = (2).__rmod__
+def _all_odd(parts) -> bool:
+    """Whether every part is odd: the product of the parts is odd exactly
+    when each part is.  One C call, however many parts."""
+    return prod(parts) & 1 == 1
 
 
 def _member_b(p: Partition, k: None) -> bool:
     # Counts partitions with at least one part; the empty partition is not
     # a B member even though the all-odd condition is vacuous on it.
-    return bool(p.parts) and p.parts[-1] >= 1 and all(map(_odd, p.parts))
+    return bool(p.parts) and p.parts[-1] >= 1 and _all_odd(p.parts)
 
 
 def _dk_parts_above(p: Partition, k: int) -> int | None:
     """Number of parts above the smallest of a Dk member."""
     parts = p.parts
     above = len(parts) - k
-    # The smallest fills exactly the last k places: parts[above] equals it,
-    # and parts[:above + 1] distinct puts parts[above - 1] above it.
-    if above < 0 or parts[above] != parts[-1] or not _is_distinct(parts[:above + 1]):
+    # The smallest fills the last k places when parts[above] equals it, and
+    # exactly those when the parts take above + 1 values: parts[:above] are
+    # then distinct and none equals the smallest.
+    if above < 0 or parts[above] != parts[-1] or len({*parts}) != above + 1:
         return None
     return above
 
@@ -246,7 +261,7 @@ def _bk_evens(p: Partition, k: int) -> int | None:
     if evens and (parts[0] > top + 2 * k - 1 or parts[evens - 1] < top + 3
                   or not _is_distinct(parts[:evens])):
         return None
-    return evens if all(map(_odd, parts[evens + 1:])) else None
+    return evens if _all_odd(parts[evens + 1:]) else None
 
 
 def _ck_extras(ap: AnchoredPartition, k: int) -> int | None:
@@ -280,7 +295,7 @@ def _member_c(ap: AnchoredPartition, k: None) -> bool:
 def _member_e(p: Partition, k: None) -> bool:
     if not p.parts or p.parts[-1] < 1:
         return False
-    if not all(map(_odd, p.parts)):
+    if not _all_odd(p.parts):
         return False
     return len(p.parts) == 1 or p.parts[0] > p.parts[1]
 
@@ -292,7 +307,7 @@ def _member_f(p: Partition, k: None) -> bool:
         return False
     if len(p.parts) > 1 and p.parts[1] == p.parts[0]:
         return False
-    return all(map(_odd, p.parts[1:]))
+    return _all_odd(p.parts[1:])
 
 
 def _member_p1(p: Partition, k: None) -> bool:
@@ -301,8 +316,9 @@ def _member_p1(p: Partition, k: None) -> bool:
 
 def _member_pprime(p: Partition, k: int) -> bool:
     # k = 1: distinct parts, none equal to 1
-    rest = tuple(v for v in p.parts if v > 1)
-    return _all_positive(p) and len(p.parts) - len(rest) == k - 1 and _is_distinct(rest)
+    parts = p.parts
+    rest = parts[:bisect_left(parts, -1, key=neg)]  # the prefix above 1
+    return _all_positive(p) and len(parts) - len(rest) == k - 1 and _is_distinct(rest)
 
 
 def _member_pdprime(p: Partition, k: int) -> bool:
@@ -312,7 +328,7 @@ def _member_pdprime(p: Partition, k: int) -> bool:
     s = p.parts[-1]
     if p.parts.count(s) != 1 or p.parts.count(s + 1) != k - 1:
         return False
-    rest = tuple(v for v in p.parts if v > s + 1)
+    rest = p.parts[:bisect_left(p.parts, -(s + 1), key=neg)]  # the prefix above s + 1
     return _is_distinct(rest) and len(rest) + k == len(p.parts)
 
 
@@ -364,13 +380,11 @@ def is_member(spec: ClassSpec, p: Partition | AnchoredPartition) -> bool:
     takes a plain :class:`Partition`.  Supplying the wrong representation
     raises :class:`PartitionError`.
     """
-    row = _CLASSES[spec.class_id]
-    if row.anchored:
-        if not isinstance(p, AnchoredPartition):
-            raise PartitionError(f"class {spec} is counted over anchored partitions")
-    elif isinstance(p, AnchoredPartition):
-        raise PartitionError(f"class {spec} takes a plain partition, not an anchored one")
-    return row.member(p, spec.k)
+    _, anchored, member = _CLASSES[spec.class_id]
+    if isinstance(p, AnchoredPartition) != anchored:
+        raise PartitionError(f"class {spec} is counted over anchored partitions" if anchored
+                             else f"class {spec} takes a plain partition, not an anchored one")
+    return member(p, spec.k)
 
 
 def anchor_decompositions(k: int, p: Partition) -> list[AnchoredPartition]:

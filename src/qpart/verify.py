@@ -175,18 +175,23 @@ def _check_terms(ns, terms, order: int, guard=None, **cell):
     `guard(tag, count, n)` returns a chain on each path, checked in the same
     order before any term is compared.  Yields one check per n, whose
     witness cell holds n followed by `cell`.
+
+    The series path is read first at each n, so a series that leaves the
+    coefficient bound raises before any walk to a weight near that bound.
     """
     def reader(row_of):
         row_of = cache(row_of)
         return lambda spec, m: row_of(spec)[m]
 
-    paths = (("enum", reader(lambda spec: count_row(spec, order))),
-             ("series", reader(lambda spec: gf(spec, order).coeffs)))
+    paths = (("series", reader(lambda spec: gf(spec, order).coeffs)),
+             ("enum", reader(lambda spec: count_row(spec, order))))
     for n in ns:
-        guards = [guard(tag, count, n) for tag, count in paths] if guard else []
-        yield 1, _chain({"n": n, **cell}, *guards,
-                        [(f"{label} [{tag}]", value(count, n))
-                         for tag, count in paths for label, value in terms])
+        (series_guard, series), (enum_guard, enum) = (
+            (guard(tag, count, n) if guard else None,
+             [(f"{label} [{tag}]", value(count, n)) for label, value in terms])
+            for tag, count in paths)
+        guards = [enum_guard, series_guard] if guard else []
+        yield 1, _chain({"n": n, **cell}, *guards, enum + series)
 
 
 def _task_t1(nmax: int = 60):

@@ -23,8 +23,6 @@ from qpart.bijections import (
     _parity_flip,
     _spec,
     dk_recurrence_subrange,
-    glaisher_merge,
-    glaisher_split,
 )
 from qpart.counting import _c_core, _distinct, _odd_multiset, count_row, enumerate_class
 from qpart.partitions import (
@@ -33,8 +31,9 @@ from qpart.partitions import (
     ClassSpec,
     Partition,
     PartitionError,
+    _all_positive,
     _is_distinct,
-    _odd,
+    _raise_first_fault,
     is_member,
 )
 from qpart.series import (
@@ -281,6 +280,10 @@ def bkck_inverse(k: int, parity: str, ap: AnchoredPartition,
 # partitions: validation and the predicates before their helpers were inlined
 # ---------------------------------------------------------------------------
 
+# v -> v % 2, for map: the odd-part scans run at C speed
+_odd = (2).__rmod__
+
+
 def partition_post_init(self) -> None:
     """``Partition.__post_init__``: validation after the generated
     ``__init__`` set ``self.parts``."""
@@ -367,6 +370,106 @@ def _ck_extras(ap: AnchoredPartition, k: int) -> int | None:
 
 
 # ---------------------------------------------------------------------------
+# partitions: the value checks and the predicates before the parts were
+# compared with their sort, the anchor checked in a hand-written __init__, the
+# odd-part scans became one product of the parts and the prefixes of larger
+# parts were found by bisection
+# ---------------------------------------------------------------------------
+
+def partition_init(parts) -> None:
+    """The check ``Partition.__init__`` made before it set ``parts``."""
+    if parts and not (parts[-1] >= 0 and all(map(ge, parts, parts[1:]))):
+        _raise_first_fault(parts)
+
+
+def anchored_post_init(self) -> None:
+    """``AnchoredPartition.__post_init__``: validation after the generated
+    ``__init__`` set ``self.anchor`` and ``self.partition``."""
+    if self.anchor <= 0 or self.anchor % 2:
+        raise PartitionError(f"anchor must be a positive even part, got {self.anchor}")
+    if self.anchor not in self.partition.parts:
+        raise PartitionError(f"anchor {self.anchor} is not a part of {self.partition}")
+
+
+def _member_b(p: Partition, k: None) -> bool:
+    # Counts partitions with at least one part; the empty partition is not
+    # a B member even though the all-odd condition is vacuous on it.
+    return bool(p.parts) and p.parts[-1] >= 1 and all(map(_odd, p.parts))
+
+
+def _member_e(p: Partition, k: None) -> bool:
+    if not p.parts or p.parts[-1] < 1:
+        return False
+    if not all(map(_odd, p.parts)):
+        return False
+    return len(p.parts) == 1 or p.parts[0] > p.parts[1]
+
+
+def _member_f(p: Partition, k: None) -> bool:
+    if not p.parts or p.parts[-1] < 1:
+        return False
+    if p.parts[0] % 2:
+        return False
+    if len(p.parts) > 1 and p.parts[1] == p.parts[0]:
+        return False
+    return all(map(_odd, p.parts[1:]))
+
+
+def _member_pprime(p: Partition, k: int) -> bool:
+    # k = 1: distinct parts, none equal to 1
+    rest = tuple(v for v in p.parts if v > 1)
+    return _all_positive(p) and len(p.parts) - len(rest) == k - 1 and _is_distinct(rest)
+
+
+def _member_pdprime(p: Partition, k: int) -> bool:
+    # k = 1: distinct parts, gap >= 2 between the two smallest (class P2)
+    if len(p.parts) < k or p.parts[-1] < 1:
+        return False
+    s = p.parts[-1]
+    if p.parts.count(s) != 1 or p.parts.count(s + 1) != k - 1:
+        return False
+    rest = tuple(v for v in p.parts if v > s + 1)
+    return _is_distinct(rest) and len(rest) + k == len(p.parts)
+
+
+# ---------------------------------------------------------------------------
+# bijections: Glaisher's maps before they counted with tuple.count and split
+# with m & -m
+# ---------------------------------------------------------------------------
+
+def glaisher_merge(p: Partition) -> Partition:
+    """Odd parts to distinct parts: an odd value a of multiplicity
+    f = sum 2^e_i (binary digits) becomes the parts a * 2^e_i."""
+    if not all(v % 2 for v in p.parts):
+        raise BijectionError("merge needs all parts odd")
+    out = []
+    for a, f in p.multiplicities().items():
+        e = 0
+        while f:
+            if f & 1:
+                out.append(a << e)
+            f >>= 1
+            e += 1
+    return Partition.from_parts(out)
+
+
+def glaisher_split(p: Partition) -> Partition:
+    """Distinct parts back to odd parts: m = 2^e * a (a odd) becomes 2^e
+    copies of a.  Defined on any all-positive partition."""
+    if not all(v >= 1 for v in p.parts):
+        raise BijectionError("split needs positive parts")
+    out = []
+    for m in p.parts:
+        a = m
+        copies = 1
+        while a % 2 == 0:
+            a //= 2
+            copies *= 2
+        out.extend([a] * copies)
+    return Partition.from_parts(out)
+
+
+# ---------------------------------------------------------------------------
 # the changed maps against the copies above
 # ---------------------------------------------------------------------------
 
@@ -383,7 +486,14 @@ def _changed_map_calls(n: int, k: int):
     """(name, new map, copy, args) for every call the comparison makes at
     weight n and parameter k: both parities and both strategies.  bkck at
     k = 1 and parity e is the base map on every all-odd member and its
-    inverse on every anchored one, so the base maps are compared through it."""
+    inverse on every anchored one, so the base maps are compared through it.
+    Glaisher's maps take no k and are compared at k = 1, on members of A, B
+    and Dk(1): even parts for the merge to refuse, a part 0 for the split."""
+    if k == 1:
+        for cid, k_of in (("B", None), ("A", None), ("Dk", 1)):
+            for p in enumerate_class(ClassSpec(cid, k_of), n):
+                yield "glaisher_merge", bijections.glaisher_merge, glaisher_merge, (p,)
+                yield "glaisher_split", bijections.glaisher_split, glaisher_split, (p,)
     for parity in "eo":
         sources = enumerate_class(ClassSpec(f"Bk_{parity}", k), n)
         images = enumerate_class(ClassSpec(f"Ck_{parity}", k), n)

@@ -591,21 +591,30 @@ def _check_sweeps(n: int) -> dict:
     }
 
 
-def test_every_map_keeps_its_checks(monkeypatch):
-    sweeps = _check_sweeps(16)
+def _count_checks(monkeypatch) -> Counter:
+    """Count the maps' is_member calls, through the module global the
+    benchmark tracer patches, and every Partition and AnchoredPartition
+    built; the counter is cleared between sweeps."""
     counts = Counter()
-    real_member, real_init = bijections.is_member, Partition.__init__
+    real_member = bijections.is_member
 
     def member(spec, value):
         counts["is_member"] += 1
         return real_member(spec, value)
 
-    def init(self, *args, **kwargs):
-        counts["Partition"] += 1
-        real_init(self, *args, **kwargs)
-
     monkeypatch.setattr(bijections, "is_member", member)
-    monkeypatch.setattr(Partition, "__init__", init)
+    for cls in (Partition, AnchoredPartition):
+        def init(self, *args, real=cls.__init__, name=cls.__name__, **kwargs):
+            counts[name] += 1
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    return counts
+
+
+def test_every_map_keeps_its_checks(monkeypatch):
+    sweeps = _check_sweeps(16)
+    counts = _count_checks(monkeypatch)
     got = {}
     for name, (call, calls) in sweeps.items():
         counts.clear()
@@ -616,6 +625,54 @@ def test_every_map_keeps_its_checks(monkeypatch):
                 pass
         got[name] = (counts["is_member"], counts["Partition"])
     assert got == CHECKS_AT_16
+
+
+# is_member calls, Partitions and AnchoredPartitions built by one round-trip
+# sweep of each bijections.MAPS row at weight 16 (members enumerated first,
+# a BijectionError counted as a finished call), measured before the checks
+# were made cheaper: each check is kept, not skipped or remembered.
+CHECKS_PER_ROW_AT_16 = {
+    "glaisher": (0, 64, 0),
+    "akdk(k=3)": (138, 92, 0),
+    "dk-recurrence(k=3)": (300, 200, 0),
+    "base-bc(strategy=rank)": (64, 64, 32),
+    "base-bc(strategy=aky-sketch)": (110, 165, 32),
+    "bkck(k=3,parity=e)": (206, 74, 37),
+    "bkck(k=3,parity=o)": (100, 60, 30),
+    "ef-shift": (128, 128, 0),
+}
+ROW_FLAGS = {
+    "glaisher": [{}],
+    "akdk": [{"k": 3}],
+    "dk-recurrence": [{"k": 3}],
+    "base-bc": [{"strategy": RANK}, {"strategy": AKY_SKETCH}],
+    "bkck": [{"k": 3, "parity": "e"}, {"k": 3, "parity": "o"}],
+    "ef-shift": [{}],
+}
+
+
+def test_every_map_row_keeps_its_checks(monkeypatch):
+    assert ROW_FLAGS.keys() == bijections.MAPS.keys()
+    sweeps = {}
+    for name, flag_sets in ROW_FLAGS.items():
+        for flags in flag_sets:
+            shown = ",".join(f"{f}={v}" for f, v in flags.items())
+            sweeps[f"{name}({shown})" if flags else name] = [
+                (enumerate_class(spec, 16), directions)
+                for spec, directions in bijections.MAPS[name].sweep(**flags)]
+    counts = _count_checks(monkeypatch)
+    got = {}
+    for name, sweep in sweeps.items():
+        counts.clear()
+        for members, directions in sweep:
+            for p in members:
+                for forward, inverse in directions:
+                    try:
+                        inverse(forward(p))
+                    except BijectionError:
+                        pass
+        got[name] = (counts["is_member"], counts["Partition"], counts["AnchoredPartition"])
+    assert got == CHECKS_PER_ROW_AT_16
 
 
 # ---------------------------------------------------------------------------

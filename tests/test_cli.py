@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import itertools
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,24 @@ def test_coefficient_overflow_is_usage_error(capsys, argv, largest):
     message = capsys.readouterr().err
     assert "exceeds 2**63" in message
     assert f"the largest order that builds for {largest}" in message
+
+
+@pytest.mark.parametrize("task, nmax, largest", [
+    ("T1", 748, "Dk(k=2) is 748"),  # T1 reads order nmax + 2
+    ("T2", 800, "Bk_e(k=1) is 769"),
+])
+def test_verify_overflow_exits_before_any_walk(capsys, monkeypatch, task, nmax, largest):
+    # the enumeration rows to weight ~nmax would take minutes; the series
+    # path is read first, so its overflow is the usage error
+    walks = []
+    monkeypatch.setattr(verify, "count_row", lambda spec, hi: walks.append((spec, hi)))
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--task", task, "--nmax", str(nmax)])
+    assert err.value.code == 2
+    assert f"the largest order that builds for {largest}" in capsys.readouterr().err
+    assert walks == []
+    assert time.perf_counter() - start < 5
 
 
 def test_coefficient_overflow_builds_the_class_series_once(capsys, monkeypatch):

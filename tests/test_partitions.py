@@ -21,6 +21,11 @@ from qpart.partitions import (
     _ck_extras,
     _dk_parts_above,
     _is_distinct,
+    _member_b,
+    _member_e,
+    _member_f,
+    _member_pdprime,
+    _member_pprime,
     is_member,
 )
 
@@ -363,22 +368,31 @@ def test_is_member_digest_over_every_class_and_anchor():
 # ---------------------------------------------------------------------------
 
 
-# predicate calls of the first comparison below, and faulty tuples of the
-# second
+# predicate calls of the first comparison below (the count predicates, and
+# the rewritten member predicates), and faulty tuples of the second
 PREDICATE_CALLS = 154260
+MEMBER_PREDICATE_CALLS = 124566
 PARTITION_FAULTS = 9205
 
 
 def test_predicates_match_pre_change_copies():
     # every partition of weight <= 18 with 0..5 zeros appended, k = 1..5,
     # and every anchor of each for the anchored classes
-    compared = 0
+    rewritten = ((_member_b, oracles._member_b, (None,)), (_member_e, oracles._member_e, (None,)),
+                 (_member_f, oracles._member_f, (None,)),
+                 (_member_pprime, oracles._member_pprime, range(1, 6)),
+                 (_member_pdprime, oracles._member_pdprime, range(1, 6)))
+    compared = members = 0
     for n in range(19):
         for positive in _every_partition(n):
             anchors = sorted({v for v in positive if v % 2 == 0})
             for zeros in range(6):
                 p = Partition(positive + (0,) * zeros)
                 anchored = [AnchoredPartition(a, p) for a in anchors]
+                for new, old, ks in rewritten:
+                    for k in ks:
+                        assert new(p, k) is old(p, k), (p, k, new.__name__)
+                        members += 1
                 for k in range(1, 6):
                     assert _dk_parts_above(p, k) == oracles._dk_parts_above(p, k), (p, k)
                     assert _bk_evens(p, k) == oracles._bk_evens(p, k), (p, k)
@@ -386,6 +400,7 @@ def test_predicates_match_pre_change_copies():
                         assert _ck_extras(ap, k) == oracles._ck_extras(ap, k), (ap, k)
                     compared += 2 + len(anchored)
     assert compared == PREDICATE_CALLS
+    assert members == MEMBER_PREDICATE_CALLS
 
 
 def test_partition_faults_match_pre_change_check():
@@ -399,6 +414,11 @@ def test_partition_faults_match_pre_change_check():
                 want = None
             except PartitionError as err:
                 want = str(err)
+            try:
+                oracles.partition_init(parts)
+                assert want is None, parts
+            except PartitionError as err:
+                assert str(err) == want, parts
             if want is None:
                 assert Partition(parts).parts == parts
                 continue
@@ -407,3 +427,33 @@ def test_partition_faults_match_pre_change_check():
                 Partition(parts)
             assert str(err.value) == want, parts
     assert faults == PARTITION_FAULTS
+
+
+# faulty (anchor, partition) pairs of the comparison below, by fault
+ANCHOR_FAULTS = {"not positive even": 2577, "not a part": 777}
+
+
+def test_anchored_faults_match_pre_change_check():
+    # every partition of weight <= 10 with 0..2 zeros appended, and every
+    # anchor from -2 to its largest part + 2: the same pairs are accepted,
+    # and each fault (anchor <= 0, odd, not a part) names the same text
+    faults = Counter()
+    for n in range(11):
+        for positive in _every_partition(n):
+            for zeros in range(3):
+                p = Partition(positive + (0,) * zeros)
+                for anchor in range(-2, (p.parts[0] if p.parts else 0) + 3):
+                    try:
+                        oracles.anchored_post_init(SimpleNamespace(anchor=anchor, partition=p))
+                        want = None
+                    except PartitionError as err:
+                        want = str(err)
+                    if want is None:
+                        ap = AnchoredPartition(anchor, p)
+                        assert (ap.anchor, ap.partition) == (anchor, p)
+                        continue
+                    faults["not positive even" if "positive even" in want else "not a part"] += 1
+                    with pytest.raises(PartitionError) as err:
+                        AnchoredPartition(anchor, p)
+                    assert str(err.value) == want, (anchor, p)
+    assert faults == ANCHOR_FAULTS
