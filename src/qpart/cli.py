@@ -5,9 +5,10 @@ Every command is deterministic; output is byte-identical across runs once
 Exit status: 0 on success or verification pass, 1 on a verification or
 round-trip mismatch (the witness is printed), 2 on usage errors, including
 a request past the 64-bit coefficient range of the series engine (the
-library's message names the largest order that builds), a round-trip sweep
-of a weight class that lies outside the map's domain or has no member, and
-a flag that the command or the map does not read.
+library's message names the largest order that builds), a ``--junit`` path
+that cannot be written (the message names it), a round-trip sweep of a
+weight class that lies outside the map's domain or has no member, and a
+flag that the command or the map does not read.
 
 The default truncation order for series output can be overridden with the
 ``QPART_DEFAULT_ORDER`` environment variable.
@@ -245,7 +246,7 @@ def _cmd_bijection(parser, args) -> int:
     return 0
 
 
-def _render_reports(reports, args) -> int:
+def _render_reports(parser, reports, args) -> int:
     include_timing = not args.no_timestamp
     if args.format == "json":
         payload = {"reports": [r.to_json_dict(include_timing) for r in reports]}
@@ -263,8 +264,11 @@ def _render_reports(reports, args) -> int:
         lines.append(f"## {verdict} ({len(reports)} task(s), {total} cells)\n")
         _emit("\n".join(lines))
     if args.junit:
-        with open(args.junit, "w", encoding="utf-8") as fh:
-            fh.write(reports_to_junit(reports))
+        try:
+            with open(args.junit, "w", encoding="utf-8") as fh:
+                fh.write(reports_to_junit(reports))
+        except OSError as err:
+            parser.error(f"cannot write the JUnit summary to {args.junit}: {err.strerror}")
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -282,14 +286,14 @@ def _cmd_verify(parser, args) -> int:
         if value < task.least[name]:
             parser.error(f"task {args.task} takes {flag} >= {task.least[name]}, not {value}")
     report = run_task(args.task, **overrides)
-    return _render_reports([report], args)
+    return _render_reports(parser, [report], args)
 
 
 def _cmd_report(parser, args) -> int:
     if not args.all:
         parser.error("report currently supports --all")
     reports = run_all()
-    return _render_reports(reports, args)
+    return _render_reports(parser, reports, args)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,11 @@ split class keeps the fills whose part count has its parity.  The fill
 generators are loops over one mutable list of parts that step from one fill
 to the next, with residual-weight pruning, and yield fresh tuples.  ``_walk``
 runs the fill's row walk from each head's weight: one exhaustive descent
-that builds no members and counts those of the weights in a window [lo, hi]
-into difference rows.  A run of members, one at each of a stretch of
-consecutive weights, is one range update: +1 where the run starts and -1
-one slot past its end.  The odd and core walks visit every prefix that has
-room for one more part and count the run of its one-part extensions.  The
+that builds no members and counts those of every weight up to hi into
+difference rows.  A run of members, one at each of a stretch of consecutive
+weights, is one range update: +1 where the run starts and -1 one slot past
+its end.  The odd and core walks visit every prefix that has room for one
+more part and count the run of its one-part extensions.  The
 distinct walk builds each set from its smallest part a upwards: the pairs
 {a, b} of every a are runs whose starts step by 2 and whose ends step by 1,
 so all the pairs of one prefix are two updates, into a lag-2 and a
@@ -26,11 +26,12 @@ second-order difference row, and the walk visits only the prefixes with
 room for two more parts.  Running sums fold the rows into counts.  The
 distinct walk counts sets of even and odd size into two parities at once,
 so classes with the same shape and arguments share one walk: Dk, Dk_e and
-Dk_o, as do A, Pe_d and Po_d.  :func:`count_row` reads rows, and
-:func:`count_by_enumeration` is its window [n, n].  Walked rows are kept in
-one bounded cache, and a kept row serves every shorter request.  No walk
-reads a generating function or memoises a subtree, and none uses a closed
-form beyond the runs of one-part and two-part completions.
+Dk_o, as do A, Pe_d and Po_d.  Every walk starts at weight 0, and its row
+is kept in one bounded cache that serves every request up to its weight:
+:func:`count_row` slices a window off it, and :func:`count_by_enumeration`
+reads one weight.  No walk reads a generating function or memoises a
+subtree, and none uses a closed form beyond the runs of one-part and
+two-part completions.
 
 ``gf(k, order)`` builds the class generating function as a tuple of plain
 integers with the kernels of :mod:`qpart.series`; :func:`gf` and
@@ -234,16 +235,15 @@ def _c_core(total: int, v: int, l: int):
 # weights x..y is +1 at slot x and -1 at slot y+1.  The second-order row
 # holds runs of such -1s at consecutive slots, and the lag-2 row runs of +1s
 # at every other slot, each as two entries.  Slots past hi take the ends of
-# runs that reach hi and are dropped.  A walk skips a subtree only when none
-# of its members reaches the window's low end lo, so the members of weights
-# lo..hi are each counted exactly once; entries below lo may hold partial
-# counts and are dropped by the caller.  The distinct walk counts a set of
-# even size into one parity's rows and one of odd size into the other's;
-# the odd and core walks write the first-order row of one parity.
+# runs that reach hi and are dropped.  Every walk starts at weight 0 and
+# counts each member of weight at most hi exactly once.  The distinct walk
+# counts a set of even size into one parity's rows and one of odd size into
+# the other's; the odd and core walks write the first-order row of one
+# parity.
 # ---------------------------------------------------------------------------
 
 
-def _walk_distinct(row, other, lo: int, hi: int, w: int, v: int, least: int) -> None:
+def _walk_distinct(row, other, hi: int, w: int, v: int, least: int) -> None:
     """Count weight w plus each nonempty set of distinct parts in [least, v],
     a set of odd size in other and one of even size in row."""
     top = hi - w
@@ -253,10 +253,10 @@ def _walk_distinct(row, other, lo: int, hi: int, w: int, v: int, least: int) -> 
         return
     other[0][w + least] += 1  # the one-part sets: weights w+least .. w+top
     other[0][w + top + 1] -= 1
-    _walk_pairs(row, other, lo, hi, w, v, least)
+    _walk_pairs(row, other, hi, w, v, least)
 
 
-def _walk_pairs(row, other, lo: int, hi: int, w: int, v: int, least: int) -> None:
+def _walk_pairs(row, other, hi: int, w: int, v: int, least: int) -> None:
     """Count weight w plus each set of two or more distinct parts in
     [least, v], by its smallest part a: a set of even size in row and one of
     odd size in other."""
@@ -283,18 +283,11 @@ def _walk_pairs(row, other, lo: int, hi: int, w: int, v: int, least: int) -> Non
     if last > v - 2:
         last = v - 2
     for a in range(least, last + 1):
-        # The set a..v is the heaviest with smallest part a, and it gets
-        # lighter as a grows.
-        if lo and w + (a + v) * (v - a + 1) // 2 < lo:
-            break
-        _walk_pairs(other, row, lo, hi, w + a, v, a + 1)
+        _walk_pairs(other, row, hi, w + a, v, a + 1)
 
 
 def _walk_odd(row, hi: int, w: int, v: int) -> None:
-    """Count weight w plus each multiset of odd parts <= v.
-
-    Parts 1 take every prefix on to hi, so no subtree misses the window and
-    the walk has no low end to prune at."""
+    """Count weight w plus each multiset of odd parts <= v."""
     if v < 1:
         row[w] += 1
         row[w + 1] -= 1
@@ -312,19 +305,18 @@ def _walk_odd(row, hi: int, w: int, v: int) -> None:
             _walk_odd(row, hi, x, u - 2)
 
 
-def _walk_c_core(row, lo: int, hi: int, w: int, v: int, l: int) -> None:
+def _walk_c_core(row, hi: int, w: int, v: int, l: int) -> None:
     """Count weight w plus each multiset of parts <= v that is free in
     (l, 2l] and distinct in [1, l], into one parity's rows."""
     row[0][w] += 1
     row[0][w + 1] -= 1
-    if w + l * (l + 1) // 2 >= lo:  # the distinct parts can reach lo
-        _walk_distinct(row, row, lo, hi, w, l, 1)
+    _walk_distinct(row, row, hi, w, l, 1)
     top = hi - w
     if top > v:
         top = v
     for u in range(top, l, -1):
         for x in range(w + u, hi + 1, u):
-            _walk_c_core(row, lo, hi, x, u - 1, l)
+            _walk_c_core(row, hi, x, u - 1, l)
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +327,10 @@ def _walk_c_core(row, lo: int, hi: int, w: int, v: int, l: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _walk_sets(rows, lo: int, hi: int, w: int, v: int, least: int) -> None:
+def _walk_sets(rows, hi: int, w: int, v: int, least: int) -> None:
     rows[0][0][w] += 1  # the empty set; _walk_distinct counts the others
     rows[0][0][w + 1] -= 1
-    _walk_distinct(*rows, lo, hi, w, v, least)
+    _walk_distinct(*rows, hi, w, v, least)
 
 
 # fill -> (generator of the fills of a total, row walk from a weight w).
@@ -346,8 +338,8 @@ def _walk_sets(rows, lo: int, hi: int, w: int, v: int, least: int) -> None:
 # (v,); core: parts <= v, distinct up to l and free above it, (v, l).
 FILLS = {
     "distinct": (_distinct, _walk_sets),
-    "odd": (_odd_multiset, lambda rows, lo, hi, w, v: _walk_odd(rows[0][0], hi, w, v)),
-    "core": (_c_core, lambda rows, lo, hi, w, v, l: _walk_c_core(rows[0], lo, hi, w, v, l)),
+    "odd": (_odd_multiset, lambda rows, hi, w, v: _walk_odd(rows[0][0], hi, w, v)),
+    "core": (_c_core, lambda rows, hi, w, v, l: _walk_c_core(rows[0], hi, w, v, l)),
 }
 
 
@@ -434,10 +426,10 @@ def _members(spec: ClassSpec, n: int):
                 yield (above[-1], parts) if anchored else parts
 
 
-def _walk(rows, lo: int, hi: int, shape, args: tuple) -> None:
+def _walk(rows, hi: int, shape, args: tuple) -> None:
     """Count the members of shape(hi, *args) into the row pair."""
     for above, below, fill, fill_args in shape(hi, *args):
-        FILLS[fill][1](rows, lo, hi, sum(above) + sum(below), *fill_args)
+        FILLS[fill][1](rows, hi, sum(above) + sum(below), *fill_args)
 
 
 # ---------------------------------------------------------------------------
@@ -781,18 +773,16 @@ def _fold(first: list, second: list, lag2: list, hi: int) -> list[int]:
     return list(islice(accumulate(map(add, map(add, first, accumulate(second)), lag2)), hi + 1))
 
 
-def _walked(shape, args: tuple, lo: int, hi: int):
-    """The row pair of the members of shape(n, *args) that covers weights
-    lo..hi.
+def _walked(shape, args: tuple, hi: int):
+    """The row pair of the members of shape(n, *args) of weights 0..hi or
+    more.
 
     The walk fills, for each parity, a first-order, a second-order and a
     lag-2 difference row of hi+3 slots, the slots past hi taking the ends of
     runs that reach hi.  A running sum of the second-order row and one per
     residue mod 2 of the lag-2 row turn both into first-order rows; the sum
-    of the three, summed up and cut to hi+1 entries, gives the counts.  A
-    cached pair covers every shorter request; a walk from weight 0 is kept,
-    and one that starts higher is not, since it leaves the entries below lo
-    incomplete.
+    of the three, summed up and cut to hi+1 entries, gives the counts.
+    Every walked pair is kept, and a kept pair serves every shorter request.
     """
     key = (shape, args)
     rows = _rows.get(key)
@@ -800,29 +790,28 @@ def _walked(shape, args: tuple, lo: int, hi: int):
         _rows.move_to_end(key)
         return rows
     diffs = tuple(([0] * (hi + 3), [0] * (hi + 3), [0] * (hi + 3)) for _ in range(2))
-    _walk(diffs, lo, hi, shape, args)
+    _walk(diffs, hi, shape, args)
     rows = tuple(_fold(*d, hi) for d in diffs)
-    if lo == 0:
-        _rows[key] = rows
-        _rows.move_to_end(key)
-        if len(_rows) > ROW_CACHE_SIZE:
-            _rows.popitem(last=False)
+    _rows[key] = rows
+    _rows.move_to_end(key)
+    if len(_rows) > ROW_CACHE_SIZE:
+        _rows.popitem(last=False)
     return rows
 
 
 def count_row(spec: ClassSpec, hi: int, lo: int = 0) -> tuple[int, ...]:
-    """Numbers of class members of weights lo..hi, by one exhaustive walk
-    of the class's shape that builds no members, memoises nothing and reads
-    no generating function, so it stays an independent oracle for
-    :func:`gf`.  The walk counts runs of members, each run with O(1)
-    updates: the one-part completions of a prefix, and in a distinct-part
-    fill all the two-part completions of one.  Classes with the same shape
-    and arguments, such as Dk and its halves, share its rows; rows walked
-    from weight 0 are kept, and a kept row serves every shorter request.
+    """Numbers of class members of weights lo..hi, sliced off the row that
+    one exhaustive walk of the class's shape counts from weight 0.  The walk
+    builds no members, memoises nothing and reads no generating function,
+    so it stays an independent oracle for :func:`gf`; it counts runs of
+    members, each with O(1) updates: the one-part completions of a prefix,
+    and in a distinct-part fill all the two-part completions of one.
+    Classes with the same shape and arguments, such as Dk and its halves,
+    share its rows, and every row is kept to serve each shorter request.
     """
     _require_natural("weight", lo, hi)
     shape, args, half, _ = _ENGINES[spec.class_id]
-    even, odd = _walked(shape, args(spec.k), lo, hi)
+    even, odd = _walked(shape, args(spec.k), hi)
     if half is None:
         return tuple(map(add, even[lo:hi + 1], odd[lo:hi + 1]))
     return tuple((even, odd)[half][lo:hi + 1])
@@ -830,8 +819,9 @@ def count_row(spec: ClassSpec, hi: int, lo: int = 0) -> tuple[int, ...]:
 
 @lru_cache(maxsize=65536, typed=True)
 def count_by_enumeration(spec: ClassSpec, n: int) -> int:
-    """Number of class members of weight n: :func:`count_row` on the
-    window [n, n], or read off a kept row that reaches n."""
+    """Number of class members of weight n: entry n of the row that
+    :func:`count_row` walks from weight 0 to n, or of a kept row that
+    reaches n."""
     return count_row(spec, n, n)[0]
 
 
@@ -1025,10 +1015,8 @@ def c_family_ambiguity(k: int, n: int) -> AmbiguityReport:
     """
     anchored_even = count_by_enumeration(ClassSpec("Ck_e", k), n)
     anchored_odd = count_by_enumeration(ClassSpec("Ck_o", k), n)
-    seen: dict[tuple[int, ...], list[AnchoredPartition]] = {}
-    for anchor, parts in itertools.chain(_members(ClassSpec("Ck_e", k), n),
-                                         _members(ClassSpec("Ck_o", k), n)):
-        seen.setdefault(parts, []).append(AnchoredPartition(anchor, Partition(parts)))
+    seen = {parts for _, parts in itertools.chain(_members(ClassSpec("Ck_e", k), n),
+                                                  _members(ClassSpec("Ck_o", k), n))}
     raw_even = raw_odd = 0
     ambiguous = []
     for parts in sorted(seen):

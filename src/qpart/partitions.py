@@ -53,7 +53,6 @@ SptKd           positive smallest part exactly k times, other parts distinct
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from math import prod
@@ -91,9 +90,6 @@ class Partition:
 
     def __len__(self) -> int:
         return len(self.parts)
-
-    def multiplicities(self) -> Counter:
-        return Counter(self.parts)
 
     def to_json(self) -> list[int]:
         return list(self.parts)

@@ -3,6 +3,7 @@ that compare the new code with it."""
 
 import itertools
 from bisect import bisect_left
+from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, islice
 from operator import add, ge, neg
@@ -443,7 +444,7 @@ def glaisher_merge(p: Partition) -> Partition:
     if not all(v % 2 for v in p.parts):
         raise BijectionError("merge needs all parts odd")
     out = []
-    for a, f in p.multiplicities().items():
+    for a, f in Counter(p.parts).items():
         e = 0
         while f:
             if f & 1:

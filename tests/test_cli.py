@@ -363,6 +363,18 @@ def test_verify_pass_and_exit_codes(capsys, tmp_path):
     assert junit.read_text().count("<testcase") == 1
 
 
+@pytest.mark.parametrize("argv", [("verify", "--task", "T6", "--nmax", "3"),
+                                  ("report", "--all")])
+def test_unwritable_junit_path_is_a_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "x.xml"
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--junit", str(path), "--no-timestamp"])
+    assert err.value.code == 2
+    assert f"cannot write the JUnit summary to {path}: No such file or directory" \
+        in capsys.readouterr().err
+    assert not path.parent.exists()
+
+
 def test_verify_unknown_task(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "--task", "T99"])
@@ -468,24 +480,22 @@ def test_report_all_covers_every_task_once(capsys):
 
 
 def test_report_all_walks_each_structure_once_from_weight_0(capsys, monkeypatch):
-    # every task reads its rows whole, and a task that shares a structure
-    # with a later one reads it as far as the later one will, so one walk
-    # from weight 0 serves every read
+    # every walk starts at weight 0; every task reads its rows whole, and a
+    # task that shares a structure with a later one reads it as far as the
+    # later one will, so one walk serves every read
     walks = []
     original = counting._walk
 
-    def recording(rows, lo, hi, shape, args):
-        walks.append((shape.__name__, args, lo))
-        return original(rows, lo, hi, shape, args)
+    def recording(rows, hi, shape, args):
+        walks.append((shape.__name__, args))
+        return original(rows, hi, shape, args)
 
     monkeypatch.setattr(counting, "_walk", recording)
     counting._rows.clear()
     counting.count_by_enumeration.cache_clear()
     code, _ = run_cli(capsys, "report", "--all", "--no-timestamp")
     assert code == 0
-    structures = [(shape, args) for shape, args, _ in walks]
-    assert len(set(structures)) == len(structures) == 49
-    assert {lo for _, _, lo in walks} == {0}
+    assert len(set(walks)) == len(walks) == 49
 
 
 def test_count_raw_diagnostic(capsys):

@@ -149,9 +149,9 @@ def test_count_walk_matches_materialised_members():
 
 
 def test_count_walk_matches_generators_in_every_window():
-    # every window up to weight 16, each walked on its own, covers the lo
-    # prune and the slot past hi that takes the ends of runs; then the whole
-    # row at weight 40
+    # every window up to weight 16, each walked on its own from weight 0 and
+    # sliced, covers the slot past hi that takes the ends of runs; then the
+    # whole row at weight 40
     for spec in _specs(5):
         want = tuple(sum(1 for _ in counting._members(spec, n)) for n in range(41))
         for hi in range(17):
@@ -195,12 +195,14 @@ def test_pair_walk_visits_each_prefix_with_room_for_a_third_part(monkeypatch):
 
 
 def test_kept_row_serves_shorter_requests(monkeypatch):
+    # every walk starts at weight 0 and is kept, a single weight's too, so
+    # the whole row to 22 after the window [22, 22] walks nothing
     walks = []
     original = counting._walk
 
-    def recording(rows, lo, hi, shape, args):
-        walks.append((lo, hi, shape, args))
-        return original(rows, lo, hi, shape, args)
+    def recording(rows, hi, shape, args):
+        walks.append((hi, shape, args))
+        return original(rows, hi, shape, args)
 
     monkeypatch.setattr(counting, "_walk", recording)
     _clear_enumeration_caches()
@@ -209,7 +211,7 @@ def test_kept_row_serves_shorter_requests(monkeypatch):
     assert count_by_enumeration(ClassSpec("Dk", 2), 20) == row[20]
     assert count_row(ClassSpec("Dk", 2), 22, 22) == (count_row(ClassSpec("Dk", 2), 22)[22],)
     dk2 = counting._smallest_repeated, (2, 0)
-    assert walks == [(0, 20, *dk2), (22, 22, *dk2), (0, 22, *dk2)]
+    assert walks == [(20, *dk2), (22, *dk2)]
     _clear_enumeration_caches()
 
 
