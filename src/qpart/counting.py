@@ -13,25 +13,32 @@ and yields the members of weight n in a fixed order, which
 split class keeps the fills whose part count has its parity.  The fill
 generators are loops over one mutable list of parts that step from one fill
 to the next, with residual-weight pruning, and yield fresh tuples.  ``_walk``
-runs the fill's row walk from each head's weight: one exhaustive descent
-that builds no members and counts those of every weight up to hi into
-difference rows.  A run of members, one at each of a stretch of consecutive
-weights, is one range update: +1 where the run starts and -1 one slot past
-its end.  The odd and core walks visit every prefix that has room for one
-more part and count the run of its one-part extensions.  The
-distinct walk builds each set from its smallest part a upwards: the pairs
-{a, b} of every a are runs whose starts step by 2 and whose ends step by 1,
-so all the pairs of one prefix are two updates, into a lag-2 and a
-second-order difference row, and the walk visits only the prefixes with
-room for two more parts.  Running sums fold the rows into counts.  The
-distinct walk counts sets of even and odd size into two parities at once,
-so classes with the same shape and arguments share one walk: Dk, Dk_e and
-Dk_o, as do A, Pe_d and Po_d.  Every walk starts at weight 0, and its row
-is kept in one bounded cache that serves every request up to its weight:
-:func:`count_row` slices a window off it, and :func:`count_by_enumeration`
-reads one weight.  No walk reads a generating function or memoises a
-subtree, and none uses a closed form beyond the runs of one-part and
-two-part completions.
+reads each fill its heads end in once, as far as the lightest of them needs,
+and adds the fill's row under every head, shifted by the head's weight.  A
+fill's row is one exhaustive descent from weight 0 that builds no members
+and counts those of every weight up to its reach into difference rows.  A
+run of members, one at each of a stretch of consecutive weights, is one
+range update: +1 where the run starts and -1 one slot past its end.  The
+odd and core walks visit every prefix that has room for one more part and
+count the run of its one-part extensions.  The distinct walk builds each
+set from its smallest part a upwards: the pairs {a, b} of every a are runs
+whose starts step by 2 and whose ends step by 1, so all the pairs of one
+prefix are two updates, into a lag-2 and a second-order difference row, and
+the walk visits only the prefixes with room for two more parts.  Running
+sums fold the rows into counts.  The distinct walk counts sets of even and
+odd size into two parities at once, so classes with the same shape and
+arguments share one row: Dk, Dk_e and Dk_o, as do A, Pe_d and Po_d.  Every
+fill walk starts at weight 0.  One bounded cache, ``_rows``, keeps the row
+of every structure (shape and arguments) and of every fill (fill and
+arguments), and each kept row serves every request up to its weight.  So
+the fills that several classes' heads end in are walked once for all of
+them: the C core under the anchor 2l for C and every Ck_e and Ck_o, the odd
+parts up to an odd bound for B, Bk_e, Bk_o, E and F, and the distinct parts
+above the smallest part for every Dk and SptKd.  :func:`count_row` slices a
+window off a structure's row, and :func:`count_by_enumeration` reads one
+weight.  No walk reads a generating function or memoises a subtree, and
+none uses a closed form beyond the runs of one-part and two-part
+completions.
 
 ``gf(k, order)`` builds the class generating function as a tuple of plain
 integers with the kernels of :mod:`qpart.series`; :func:`gf` and
@@ -231,7 +238,7 @@ def _c_core(total: int, v: int, l: int):
 # ---------------------------------------------------------------------------
 # fill walks: each counts weight w plus every fill of weight at most hi - w
 # into the difference rows of one parity, three rows of hi+3 slots that
-# _walked folds into counts.  In the first-order row a run of consecutive
+# _walk_fill folds into counts.  In the first-order row a run of consecutive
 # weights x..y is +1 at slot x and -1 at slot y+1.  The second-order row
 # holds runs of such -1s at consecutive slots, and the lag-2 row runs of +1s
 # at every other slot, each as two entries.  Slots past hi take the ends of
@@ -323,7 +330,7 @@ def _walk_c_core(row, hi: int, w: int, v: int, l: int) -> None:
 # shapes: a class is fixed head parts around one fill.  shape(n, *args)
 # yields the heads of its members up to weight n, in the class's order, as
 # (parts above the fill, parts below it, fill, fill arguments).  _members
-# runs the fill's generator under each head and _walk its row walk.
+# runs the fill's generator under each head, and _walk adds the fill's row.
 # ---------------------------------------------------------------------------
 
 
@@ -424,12 +431,6 @@ def _members(spec: ClassSpec, n: int):
             if half is None or len(parts) % 2 == half:
                 parts = above + parts + below
                 yield (above[-1], parts) if anchored else parts
-
-
-def _walk(rows, hi: int, shape, args: tuple) -> None:
-    """Count the members of shape(hi, *args) into the row pair."""
-    for above, below, fill, fill_args in shape(hi, *args):
-        FILLS[fill][1](rows, hi, sum(above) + sum(below), *fill_args)
 
 
 # ---------------------------------------------------------------------------
@@ -754,15 +755,26 @@ def enumerate_class(spec: ClassSpec, n: int) -> list:
     return [Partition(parts) for parts in members]
 
 
-# Bound of the row cache.  An entry is the row pair of one walked structure:
-# under 5 KB at the weights report --all walks (up to 62), where it keeps 49
-# structures, and about 8 KB at weight 110, where walking Dk(1) takes about
-# 0.25 s on a 2-core host.  64 entries keep every structure of one report
-# and stay under 1 MB.
-ROW_CACHE_SIZE = 64
+# Bound of the row cache, which keeps the row pair of each walked structure
+# and of each walked fill.  report --all keeps 278 pairs: 49 structures at
+# weights up to 62, 5,360 ints and 0.09 MB, and 229 fills, whose rows reach
+# only as far as their lightest head needs, 14,132 ints and 0.18 MB.  512
+# entries keep every row of one report, with room for a second set of
+# weights, and as a pair takes at most about 7 KB at WALK_WEIGHT_MAX, the
+# cache stays under 4 MB.
+ROW_CACHE_SIZE = 512
 
-# (shape, its arguments) -> row pair walked from weight 0, least recently
-# used first
+# Largest weight a row walk takes.  A walk visits every prefix with room
+# for one more part, so its time grows about as fast as the class counts:
+# the slowest cold rows, those over the C core (C, Ck_e(5)), took 0.46 s to
+# weight 100, 2.3 s to 120, 4.8 s to 130 and 11 s to 140 on a 2-core host
+# (Python 3.11).  count_row refuses a weight past it before any walk, where
+# the walk would run for minutes or more; no report reads past weight 62.
+WALK_WEIGHT_MAX = 120
+
+# (shape, its arguments) -> the row pair of a structure, and (fill, its
+# arguments) -> the row pair of a fill, each counted from weight 0; least
+# recently used first
 _rows: OrderedDict = OrderedDict()
 
 
@@ -773,45 +785,74 @@ def _fold(first: list, second: list, lag2: list, hi: int) -> list[int]:
     return list(islice(accumulate(map(add, map(add, first, accumulate(second)), lag2)), hi + 1))
 
 
-def _walked(shape, args: tuple, hi: int):
-    """The row pair of the members of shape(n, *args) of weights 0..hi or
-    more.
-
-    The walk fills, for each parity, a first-order, a second-order and a
-    lag-2 difference row of hi+3 slots, the slots past hi taking the ends of
-    runs that reach hi.  A running sum of the second-order row and one per
-    residue mod 2 of the lag-2 row turn both into first-order rows; the sum
-    of the three, summed up and cut to hi+1 entries, gives the counts.
-    Every walked pair is kept, and a kept pair serves every shorter request.
-    """
-    key = (shape, args)
+def _kept(walk, key: tuple, hi: int):
+    """The row pair kept under key if it reaches weight hi, else walk(hi,
+    *key), kept; a kept pair serves every shorter request."""
     rows = _rows.get(key)
-    if rows is not None and len(rows[0]) > hi:
-        _rows.move_to_end(key)
-        return rows
-    diffs = tuple(([0] * (hi + 3), [0] * (hi + 3), [0] * (hi + 3)) for _ in range(2))
-    _walk(diffs, hi, shape, args)
-    rows = tuple(_fold(*d, hi) for d in diffs)
-    _rows[key] = rows
+    if rows is None or len(rows[0]) <= hi:
+        rows = _rows[key] = walk(hi, *key)
     _rows.move_to_end(key)
     if len(_rows) > ROW_CACHE_SIZE:
         _rows.popitem(last=False)
     return rows
 
 
+def _walk_fill(hi: int, fill: str, fill_args: tuple):
+    """The row pair of the fills of weights 0..hi, by the fill's row walk
+    from weight 0.
+
+    The walk fills, for each parity, a first-order, a second-order and a
+    lag-2 difference row of hi+3 slots, the slots past hi taking the ends of
+    runs that reach hi.  A running sum of the second-order row and one per
+    residue mod 2 of the lag-2 row turn both into first-order rows; the sum
+    of the three, summed up and cut to hi+1 entries, gives the counts.
+    """
+    diffs = tuple(([0] * (hi + 3), [0] * (hi + 3), [0] * (hi + 3)) for _ in range(2))
+    FILLS[fill][1](diffs, hi, 0, *fill_args)
+    return tuple(_fold(*d, hi) for d in diffs)
+
+
+def _walk(hi: int, shape, args: tuple):
+    """The row pair of the members of shape(hi, *args) of weights 0..hi.
+
+    Each fill the heads end in is read once, kept or walked as far as the
+    lightest of them needs, and every head adds the fill's pair, shifted by
+    the head's weight.
+    """
+    heads = [(sum(above) + sum(below), (fill, fill_args))
+             for above, below, fill, fill_args in shape(hi, *args)]
+    reach = {}
+    for w, key in heads:
+        reach[key] = max(reach.get(key, 0), hi - w)
+    fills = {key: _kept(_walk_fill, key, top) for key, top in reach.items()}
+    rows = [0] * (hi + 1), [0] * (hi + 1)
+    for w, key in heads:
+        for row, fill_row in zip(rows, fills[key]):
+            row[w:] = map(add, row[w:], fill_row)
+    return rows
+
+
 def count_row(spec: ClassSpec, hi: int, lo: int = 0) -> tuple[int, ...]:
-    """Numbers of class members of weights lo..hi, sliced off the row that
-    one exhaustive walk of the class's shape counts from weight 0.  The walk
-    builds no members, memoises nothing and reads no generating function,
-    so it stays an independent oracle for :func:`gf`; it counts runs of
-    members, each with O(1) updates: the one-part completions of a prefix,
-    and in a distinct-part fill all the two-part completions of one.
-    Classes with the same shape and arguments, such as Dk and its halves,
-    share its rows, and every row is kept to serve each shorter request.
+    """Numbers of class members of weights lo..hi, sliced off the class's
+    row from weight 0.  The row adds, under each head of the class's shape,
+    the row of its fill, counted by one exhaustive walk from weight 0 that
+    builds no members, memoises no subtree and reads no generating
+    function, so it stays an independent oracle for :func:`gf`; the walk
+    counts runs of members, each with O(1) updates: the one-part
+    completions of a prefix, and in a distinct-part fill all the two-part
+    completions of one.  Every structure row and every fill row is kept in
+    one bounded cache and serves each shorter request: classes with the same
+    shape and arguments, such as Dk and its halves, share a structure row,
+    and classes whose heads end in the same fill, such as C and every Ck_e
+    and Ck_o, share its fill row.  A weight past ``WALK_WEIGHT_MAX`` is
+    refused before any walk.
     """
     _require_natural("weight", lo, hi)
+    if hi > WALK_WEIGHT_MAX:
+        raise PartitionError(f"weight {hi} is past {WALK_WEIGHT_MAX}, the largest "
+                             "weight a row walk takes")
     shape, args, half, _ = _ENGINES[spec.class_id]
-    even, odd = _walked(shape, args(spec.k), hi)
+    even, odd = _kept(_walk, (shape, args(spec.k)), hi)
     if half is None:
         return tuple(map(add, even[lo:hi + 1], odd[lo:hi + 1]))
     return tuple((even, odd)[half][lo:hi + 1])

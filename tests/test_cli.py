@@ -124,6 +124,25 @@ def test_verify_overflow_exits_before_any_walk(capsys, monkeypatch, task, nmax, 
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("argv, weight", [
+    (["count", "--class", "C", "--n", str(counting.WALK_WEIGHT_MAX + 1)],
+     counting.WALK_WEIGHT_MAX + 1),
+    (["count", "--class", "Dk", "--k", "2", "--nmax", str(counting.WALK_WEIGHT_MAX + 1)],
+     counting.WALK_WEIGHT_MAX + 1),
+    (["verify", "--task", "T1", "--nmax", "745"], 747),  # T1 reads row nmax + 2
+])
+def test_walk_past_the_walk_weight_limit_exits_2(capsys, argv, weight):
+    # every series still builds, so the walk limit is the usage error, and
+    # it comes before any walk
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert (f"weight {weight} is past {counting.WALK_WEIGHT_MAX}, the largest weight a "
+            "row walk takes") in capsys.readouterr().err
+    assert time.perf_counter() - start < 5
+
+
 def test_coefficient_overflow_builds_the_class_series_once(capsys, monkeypatch):
     # the library names the largest order, so the CLI searches for nothing
     engine = counting._ENGINES["Ck_e"]
@@ -486,16 +505,31 @@ def test_report_all_walks_each_structure_once_from_weight_0(capsys, monkeypatch)
     walks = []
     original = counting._walk
 
-    def recording(rows, hi, shape, args):
+    def recording(hi, shape, args):
         walks.append((shape.__name__, args))
-        return original(rows, hi, shape, args)
+        return original(hi, shape, args)
 
     monkeypatch.setattr(counting, "_walk", recording)
+    # every fill its structures' heads end in is walked from weight 0, as far
+    # as its lightest head needs; a fill is walked again only when a later
+    # structure needs it farther: P1's head 35 reads the distinct parts in
+    # [2, 34] to weight 26 of its row to 61, and Dk(6)'s head (1,)*6 reads
+    # them to 28 of its row to 34
+    fills = []
+    for fill, (generator, walk) in list(counting.FILLS.items()):
+        def recording_fill(rows, hi, w, *fill_args, fill=fill, walk=walk):
+            fills.append((fill, fill_args, hi, w))
+            return walk(rows, hi, w, *fill_args)
+        monkeypatch.setitem(counting.FILLS, fill, (generator, recording_fill))
     counting._rows.clear()
     counting.count_by_enumeration.cache_clear()
     code, _ = run_cli(capsys, "report", "--all", "--no-timestamp")
     assert code == 0
     assert len(set(walks)) == len(walks) == 49
+    assert {w for *_, w in fills} == {0}
+    assert len(fills) == 230
+    assert len({(fill, fill_args) for fill, fill_args, _, _ in fills}) == 229
+    assert [hi for *key, hi, _ in fills if key == ["distinct", (34, 2)]] == [26, 28]
 
 
 def test_count_raw_diagnostic(capsys):

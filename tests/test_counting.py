@@ -148,12 +148,18 @@ def test_count_walk_matches_materialised_members():
         assert count_row(spec, 30) == want, spec
 
 
+@lru_cache(maxsize=None)
+def _generator_counts(spec, hi):
+    """The numbers of members of weights 0..hi, counted off the generators."""
+    return tuple(sum(1 for _ in counting._members(spec, n)) for n in range(hi + 1))
+
+
 def test_count_walk_matches_generators_in_every_window():
     # every window up to weight 16, each walked on its own from weight 0 and
     # sliced, covers the slot past hi that takes the ends of runs; then the
     # whole row at weight 40
     for spec in _specs(5):
-        want = tuple(sum(1 for _ in counting._members(spec, n)) for n in range(41))
+        want = _generator_counts(spec, 40)
         for hi in range(17):
             for lo in range(hi + 1):
                 counting._rows.clear()
@@ -200,9 +206,9 @@ def test_kept_row_serves_shorter_requests(monkeypatch):
     walks = []
     original = counting._walk
 
-    def recording(rows, hi, shape, args):
+    def recording(hi, shape, args):
         walks.append((hi, shape, args))
-        return original(rows, hi, shape, args)
+        return original(hi, shape, args)
 
     monkeypatch.setattr(counting, "_walk", recording)
     _clear_enumeration_caches()
@@ -215,12 +221,97 @@ def test_kept_row_serves_shorter_requests(monkeypatch):
     _clear_enumeration_caches()
 
 
+def test_kept_rows_match_cold_walks_in_either_order():
+    # every spec with k <= 5 at weight 62, the most report --all reads, with
+    # the structure and fill rows kept from spec to spec, forward and in
+    # reverse: each row equals its walk from an empty cache, and that walk
+    # the generators (to weight 40 here, to 62 in CI)
+    specs = list(_specs(5))
+    cold = {}
+    for spec in specs:
+        counting._rows.clear()
+        cold[spec] = count_row(spec, 62)
+        assert cold[spec][:41] == _generator_counts(spec, 40), spec
+    for order in (specs, specs[::-1]):
+        counting._rows.clear()
+        assert {spec: count_row(spec, 62) for spec in order} == cold
+    _clear_enumeration_caches()
+
+
+@pytest.mark.parametrize("first, then, fill", [
+    (ClassSpec("C"), ClassSpec("Ck_o", 5), "core"),  # the C core under each anchor 2l
+    (ClassSpec("C"), ClassSpec("Ck_e", 3), "core"),
+    (ClassSpec("B"), ClassSpec("Bk_e", 5), "odd"),  # odd parts up to an odd bound
+    (ClassSpec("B"), ClassSpec("F"), "odd"),
+    (ClassSpec("Dk", 2), ClassSpec("SptKd", 3), "distinct"),  # distinct parts above s
+])
+def test_classes_share_the_fills_their_heads_end_in(monkeypatch, first, then, fill):
+    # the second class's heads end in fills the first one walked as far as
+    # they need, so its row walks no fill
+    walks = []
+    original = counting._walk_fill
+
+    def recording(hi, fill, fill_args):
+        walks.append(fill)
+        return original(hi, fill, fill_args)
+
+    monkeypatch.setattr(counting, "_walk_fill", recording)
+    _clear_enumeration_caches()
+    assert count_row(first, 40) == _generator_counts(first, 40)
+    assert set(walks) == {fill}
+    walks.clear()
+    assert count_row(then, 40) == _generator_counts(then, 40)
+    assert walks == []
+    _clear_enumeration_caches()
+
+
+def test_a_fill_is_walked_as_far_as_its_lightest_head_needs():
+    # the heavier head comes first, so the fill's reach is the lighter
+    # head's, whichever head a shape yields first: A's fill under the heads
+    # (3,) and ()
+    def shape(n):
+        yield (3,), (), "distinct", (n, 1)
+        yield (), (), "distinct", (n, 1)
+
+    _clear_enumeration_caches()
+    rows = counting._walk(20, shape, ())
+    for row, spec in zip(rows, (ClassSpec("Pe_d"), ClassSpec("Po_d"))):
+        half = _generator_counts(spec, 20)
+        assert row == [half[n] + (half[n - 3] if n >= 3 else 0) for n in range(21)], spec
+    _clear_enumeration_caches()
+
+
 def test_row_cache_is_bounded():
+    # structure rows and fill rows share the one bound: each Pe_bounded(k)
+    # keeps its structure and its fill, the distinct parts below k
     _clear_enumeration_caches()
     for k in range(1, counting.ROW_CACHE_SIZE + 6):
         count_row(ClassSpec("Pe_bounded", k), 3)
     assert len(counting._rows) == counting.ROW_CACHE_SIZE
     assert (counting._distinct_parts, (1,)) not in counting._rows
+    assert ("distinct", (0, 1)) not in counting._rows
+    assert {type(shape) for shape, _ in counting._rows} == {str, type(counting._distinct_parts)}
+    _clear_enumeration_caches()
+
+
+def test_no_row_walks_past_the_walk_weight_limit(monkeypatch):
+    # a weight past WALK_WEIGHT_MAX is refused before any walk, on every
+    # path that counts through count_row; the limit itself still walks
+    limit = counting.WALK_WEIGHT_MAX
+    assert limit >= 90  # the CI row walks reach weight 90
+    walks = []
+    monkeypatch.setattr(counting, "_walk", lambda *args: walks.append(args))
+    message = f"weight {limit + 1} is past {limit}, the largest weight a row walk takes"
+    for call in (lambda: count_row(ClassSpec("C"), limit + 1),
+                 lambda: count_row(ClassSpec("Dk", 2), limit + 1, limit + 1),
+                 lambda: count_by_enumeration(ClassSpec("A"), limit + 1),
+                 lambda: count_table(ClassSpec("B"), limit + 1)):
+        with pytest.raises(PartitionError, match=message):
+            call()
+    assert walks == []
+    monkeypatch.undo()
+    _clear_enumeration_caches()
+    assert count_row(ClassSpec("A"), limit, limit) == (count_by_series(ClassSpec("A"), limit),)
     _clear_enumeration_caches()
 
 
