@@ -5,10 +5,12 @@ Every command is deterministic; output is byte-identical across runs once
 Exit status: 0 on success or verification pass, 1 on a verification or
 round-trip mismatch (the witness is printed), 2 on usage errors, including
 a request past the 64-bit coefficient range of the series engine (the
-library's message names the largest order that builds), a ``--junit`` path
-that cannot be written (the message names it), a round-trip sweep of a
-weight class that lies outside the map's domain or has no member, and a
-flag that the command or the map does not read.
+library's message names the largest order that builds), a weight past the
+largest that a row walk takes or whose members are built (the message names
+the limit), a ``--junit`` path that cannot be written (the message names
+it), a round-trip sweep of a weight class that lies outside the map's
+domain or has no member, and a flag that the command or the map does not
+read.
 
 The default truncation order for series output can be overridden with the
 ``QPART_DEFAULT_ORDER`` environment variable.

@@ -12,33 +12,37 @@ and yields the members of weight n in a fixed order, which
 :func:`enumerate_class`, and through it the bijections, materialises; a
 split class keeps the fills whose part count has its parity.  The fill
 generators are loops over one mutable list of parts that step from one fill
-to the next, with residual-weight pruning, and yield fresh tuples.  ``_walk``
-reads each fill its heads end in once, as far as the lightest of them needs,
-and adds the fill's row under every head, shifted by the head's weight.  A
-fill's row is one exhaustive descent from weight 0 that builds no members
-and counts those of every weight up to its reach into difference rows.  A
-run of members, one at each of a stretch of consecutive weights, is one
-range update: +1 where the run starts and -1 one slot past its end.  The
-odd and core walks visit every prefix that has room for one more part and
-count the run of its one-part extensions.  The distinct walk builds each
-set from its smallest part a upwards: the pairs {a, b} of every a are runs
-whose starts step by 2 and whose ends step by 1, so all the pairs of one
-prefix are two updates, into a lag-2 and a second-order difference row, and
-the walk visits only the prefixes with room for two more parts.  Running
-sums fold the rows into counts.  The distinct walk counts sets of even and
-odd size into two parities at once, so classes with the same shape and
-arguments share one row: Dk, Dk_e and Dk_o, as do A, Pe_d and Po_d.  Every
-fill walk starts at weight 0.  One bounded cache, ``_rows``, keeps the row
-of every structure (shape and arguments) and of every fill (fill and
-arguments), and each kept row serves every request up to its weight.  So
-the fills that several classes' heads end in are walked once for all of
-them: the C core under the anchor 2l for C and every Ck_e and Ck_o, the odd
-parts up to an odd bound for B, Bk_e, Bk_o, E and F, and the distinct parts
-above the smallest part for every Dk and SptKd.  :func:`count_row` slices a
-window off a structure's row, and :func:`count_by_enumeration` reads one
-weight.  No walk reads a generating function or memoises a subtree, and
-none uses a closed form beyond the runs of one-part and two-part
-completions.
+to the next, with residual-weight pruning, and yield fresh tuples.  The C
+core is the distinct fill up to l under each multiset of its free parts,
+those in (l, 2l], as (-q; q)_l / (q^(l+1); q)_l says (Andrews, *The Theory
+of Partitions*, ch. 1-2); ``_free_parts`` yields them to both drivers.
+``_walk`` reads each fill its heads end in once, as far as the lightest of
+them needs, and adds the fill's row once per head weight, shifted by it and
+scaled by the number of heads of that weight; the core's row is such a sum
+over its free multisets.  The distinct and odd fills each have a walk, one
+exhaustive descent from weight 0 that builds no members and counts those of
+every weight up to its reach into difference rows.  A run of members, one at
+each of a stretch of consecutive weights, is one range update: +1 where the
+run starts and -1 one slot past its end.  The odd walk visits every prefix
+that has room for one more part and counts the run of its one-part
+extensions.  The distinct walk builds each set from its smallest part a
+upwards: the pairs {a, b} of every a are runs whose starts step by 2 and
+whose ends step by 1, so all the pairs of one prefix are two updates, into a
+lag-2 and a second-order difference row, and the walk visits only the
+prefixes with room for two more parts.  Running sums fold the rows into
+counts.  The distinct walk counts sets of even and odd size into two
+parities at once, so classes with the same shape and arguments share one
+row: Dk, Dk_e and Dk_o, as do A, Pe_d and Po_d.  One bounded cache,
+``_rows``, keeps the row of every structure (shape and arguments) and of
+every fill (fill and arguments), and each kept row serves every request up
+to its weight.  So the fills that several classes' heads end in are walked
+once for all of them: the C core under the anchor 2l for C and every Ck_e
+and Ck_o, the odd parts up to an odd bound for B, Bk_e, Bk_o, E and F, and
+the distinct parts above the smallest part for every Dk and SptKd.
+:func:`count_row` slices a window off a structure's row, and
+:func:`count_by_enumeration` reads one weight.  No walk reads a generating
+function or memoises a subtree, and none uses a closed form beyond the runs
+of one-part and two-part completions.
 
 ``gf(k, order)`` builds the class generating function as a tuple of plain
 integers with the kernels of :mod:`qpart.series`; :func:`gf` and
@@ -91,12 +95,11 @@ bound, ``EULER_CACHE_SIZE``, is set beside it.
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, islice, repeat
-from math import isqrt
 from operator import add, mul, sub
 from typing import NamedTuple
 
@@ -188,17 +191,14 @@ def _odd_multiset(total: int, hi: int):
         top -= 2
 
 
-def _c_core(total: int, v: int, l: int):
-    """Parts <= v summing to `total`, distinct below l+1, free in (l, 2l].
-
-    The free parts come in decreasing lexicographic order and, under each
-    choice of them, the distinct parts in increasing lexicographic order.
-    """
-    free = []  # the parts above l, descending
-    rest, top = total, v  # the weight left, and the largest free part that may come next
-    cap = min(v, l)  # the largest distinct part
+def _free_parts(total: int, v: int, l: int):
+    """Multisets of parts in (l, v] of weight at most `total`, in decreasing
+    lexicographic order, each as (parts, weight left).  The parts, descending,
+    are one list that the next step changes in place."""
+    free = []  # the parts, descending
+    rest, top = total, v  # the weight left, and the largest part that may come next
     while True:
-        # The lexicographically largest free parts: as many of each as fit.
+        # The lexicographically largest parts: as many of each as fit.
         while True:
             if top > rest:
                 top = rest
@@ -208,26 +208,8 @@ def _c_core(total: int, v: int, l: int):
             free += (top,) * c
             rest -= c * top
             top -= 1
-        if rest <= cap * (cap + 1) // 2:
-            small, r = [], rest  # the distinct parts, descending, and the weight they lack
-            while True:
-                # The lexicographically smallest completion: each part is the
-                # least p with p(p+1)/2 >= the weight left.
-                while r:
-                    p = (isqrt(8 * r - 7) + 1) // 2
-                    small.append(p)
-                    r -= p
-                yield (*free, *small)
-                # The next member raises the last part that has a part after
-                # it and room below the part before it, then completes.
-                r = small.pop() if small else 0
-                while small and small[-1] + 1 == (small[-2] if len(small) > 1 else cap + 1):
-                    r += small.pop()
-                if not small:
-                    break
-                small[-1] += 1
-                r -= 1
-        # The next choice of free parts has one fewer copy of the last one.
+        yield free, rest
+        # The next multiset has one fewer copy of the last part.
         if not free:
             return
         top = free.pop()
@@ -235,32 +217,41 @@ def _c_core(total: int, v: int, l: int):
         top -= 1
 
 
+def _c_core(total: int, v: int, l: int):
+    """Parts <= v summing to `total`, distinct below l+1 and free above l:
+    the free parts in decreasing lexicographic order and, under each choice
+    of them, the distinct parts in increasing lexicographic order."""
+    for free, rest in _free_parts(total, v, l):
+        for small in reversed([*_distinct(rest, min(v, l))]):
+            yield (*free, *small)
+
+
 # ---------------------------------------------------------------------------
-# fill walks: each counts weight w plus every fill of weight at most hi - w
-# into the difference rows of one parity, three rows of hi+3 slots that
-# _walk_fill folds into counts.  In the first-order row a run of consecutive
-# weights x..y is +1 at slot x and -1 at slot y+1.  The second-order row
-# holds runs of such -1s at consecutive slots, and the lag-2 row runs of +1s
-# at every other slot, each as two entries.  Slots past hi take the ends of
-# runs that reach hi and are dropped.  Every walk starts at weight 0 and
-# counts each member of weight at most hi exactly once.  The distinct walk
-# counts a set of even size into one parity's rows and one of odd size into
-# the other's; the odd and core walks write the first-order row of one
-# parity.
+# fill walks: each counts every fill of weight at most hi into the
+# difference rows of one parity, three rows of hi+3 slots that _folded folds
+# into counts.  In the first-order row a run of consecutive weights x..y is
+# +1 at slot x and -1 at slot y+1.  The second-order row holds runs of such
+# -1s at consecutive slots, and the lag-2 row runs of +1s at every other
+# slot, each as two entries.  Slots past hi take the ends of runs that reach
+# hi and are dropped.  Every walk starts at weight 0 and counts each fill of
+# weight at most hi exactly once.  The distinct walk counts a set of even
+# size into one parity's rows and one of odd size into the other's; the odd
+# walk writes the first-order row of one parity.
 # ---------------------------------------------------------------------------
 
 
-def _walk_distinct(row, other, hi: int, w: int, v: int, least: int) -> None:
-    """Count weight w plus each nonempty set of distinct parts in [least, v],
-    a set of odd size in other and one of even size in row."""
-    top = hi - w
-    if top > v:
-        top = v
+def _walk_sets(rows, hi: int, v: int, least: int) -> None:
+    """Count each set of distinct parts in [least, v], a set of even size in
+    the first parity's rows and one of odd size in the second's."""
+    even, odd = rows
+    even[0][0] += 1  # the empty set
+    even[0][1] -= 1
+    top = hi if hi < v else v
     if top < least:
         return
-    other[0][w + least] += 1  # the one-part sets: weights w+least .. w+top
-    other[0][w + top + 1] -= 1
-    _walk_pairs(row, other, hi, w, v, least)
+    odd[0][least] += 1  # the one-part sets: weights least .. top
+    odd[0][top + 1] -= 1
+    _walk_pairs(even, odd, hi, 0, v, least)
 
 
 def _walk_pairs(row, other, hi: int, w: int, v: int, least: int) -> None:
@@ -312,18 +303,17 @@ def _walk_odd(row, hi: int, w: int, v: int) -> None:
             _walk_odd(row, hi, x, u - 2)
 
 
-def _walk_c_core(row, hi: int, w: int, v: int, l: int) -> None:
-    """Count weight w plus each multiset of parts <= v that is free in
-    (l, 2l] and distinct in [1, l], into one parity's rows."""
-    row[0][w] += 1
-    row[0][w + 1] -= 1
-    _walk_distinct(row, row, hi, w, l, 1)
-    top = hi - w
-    if top > v:
-        top = v
-    for u in range(top, l, -1):
-        for x in range(w + u, hi + 1, u):
-            _walk_c_core(row, hi, x, u - 1, l)
+def _folded(walk):
+    """The row walk (hi, *args) -> row pair of a fill whose walk(diffs, hi,
+    *args) writes its difference rows.  A running sum of the second-order
+    row and one per residue mod 2 of the lag-2 row turn both into
+    first-order rows; the sum of the three, summed up and cut to hi+1
+    entries, gives the counts."""
+    def rows(hi: int, *args):
+        diffs = tuple(([0] * (hi + 3), [0] * (hi + 3), [0] * (hi + 3)) for _ in range(2))
+        walk(diffs, hi, *args)
+        return tuple(_fold(*d, hi) for d in diffs)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -334,19 +324,14 @@ def _walk_c_core(row, hi: int, w: int, v: int, l: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _walk_sets(rows, hi: int, w: int, v: int, least: int) -> None:
-    rows[0][0][w] += 1  # the empty set; _walk_distinct counts the others
-    rows[0][0][w + 1] -= 1
-    _walk_distinct(*rows, hi, w, v, least)
-
-
-# fill -> (generator of the fills of a total, row walk from a weight w).
-# distinct: parts in [least, v], arguments (v, least); odd: odd parts <= v,
-# (v,); core: parts <= v, distinct up to l and free above it, (v, l).
+# fill -> (generator of the fills of a total, row walk (hi, *args) -> the
+# row pair of weights 0..hi).  distinct: parts in [least, v], arguments
+# (v, least); odd: odd parts <= v, (v,); core: parts <= v, distinct up to l
+# and free above it, (v, l), whose free multisets are heads over the rest.
 FILLS = {
-    "distinct": (_distinct, _walk_sets),
-    "odd": (_odd_multiset, lambda rows, hi, w, v: _walk_odd(rows[0][0], hi, w, v)),
-    "core": (_c_core, lambda rows, hi, w, v, l: _walk_c_core(rows[0], hi, w, v, l)),
+    "distinct": (_distinct, _folded(_walk_sets)),
+    "odd": (_odd_multiset, _folded(lambda rows, hi, v: _walk_odd(rows[0][0], hi, 0, v))),
+    "core": (_c_core, lambda hi, v, l: _walk(hi, _core_heads, (v, l))),
 }
 
 
@@ -390,6 +375,12 @@ def _anchor_window(n: int, k: int, odd: int):
             yield extras + (2 * l,), (), "core", (2 * l, l)
 
 
+def _core_heads(n: int, v: int, l: int):
+    # the C core: each multiset of free parts in (l, v], copied, over distinct parts
+    for free, _ in _free_parts(n, v, l):
+        yield (*free,), (), "distinct", (min(v, l), 1)
+
+
 def _smallest_repeated(n: int, k: int, first: int):
     # Dk (SptKd: first = 1): distinct parts above s, then the smallest part s k times
     for s in range(first, n // k + 1):
@@ -423,7 +414,11 @@ def _gap_above_smallest(n: int, k: int):
 def _members(spec: ClassSpec, n: int):
     """The members of weight n, heads in shape order and, under each head,
     fills in generator order.  A split class keeps the fills whose part
-    count has its parity; an anchored one yields (anchor, parts)."""
+    count has its parity; an anchored one yields (anchor, parts).  A weight
+    past ``MEMBER_WEIGHT_MAX`` is refused before any member is built."""
+    if n > MEMBER_WEIGHT_MAX:
+        raise PartitionError(f"weight {n} is past {MEMBER_WEIGHT_MAX}, the largest "
+                             "weight whose members are built")
     shape, args, half, _ = _ENGINES[spec.class_id]
     anchored = spec.anchored
     for above, below, fill, fill_args in shape(n, *args(spec.k)):
@@ -756,21 +751,28 @@ def enumerate_class(spec: ClassSpec, n: int) -> list:
 
 
 # Bound of the row cache, which keeps the row pair of each walked structure
-# and of each walked fill.  report --all keeps 278 pairs: 49 structures at
-# weights up to 62, 5,360 ints and 0.09 MB, and 229 fills, whose rows reach
-# only as far as their lightest head needs, 14,132 ints and 0.18 MB.  512
-# entries keep every row of one report, with room for a second set of
-# weights, and as a pair takes at most about 7 KB at WALK_WEIGHT_MAX, the
-# cache stays under 4 MB.
+# and of each walked fill.  report --all keeps 303 pairs: 49 structures at
+# weights up to 62, 5,360 ints and 0.09 MB, and 254 fills, whose rows reach
+# only as far as their lightest head needs, 15,876 ints and 0.19 MB, 31 C
+# cores among them.  512 entries keep every row of one report, with room for
+# a second set of weights, and as a pair takes at most about 7 KB at
+# WALK_WEIGHT_MAX, the cache stays under 4 MB.
 ROW_CACHE_SIZE = 512
 
 # Largest weight a row walk takes.  A walk visits every prefix with room
 # for one more part, so its time grows about as fast as the class counts:
-# the slowest cold rows, those over the C core (C, Ck_e(5)), took 0.46 s to
-# weight 100, 2.3 s to 120, 4.8 s to 130 and 11 s to 140 on a 2-core host
-# (Python 3.11).  count_row refuses a weight past it before any walk, where
-# the walk would run for minutes or more; no report reads past weight 62.
+# the slowest cold rows, over odd parts (B, E, F), took 0.8 s to weight
+# 120 and 1.8-2.9 s to 140, and those over the C core (C, Ck_e(5)) 0.46 s
+# and 0.9-1.4 s, on a 2-core host (Python 3.11).  count_row refuses a weight
+# past it before any walk; no report reads past weight 62.
 WALK_WEIGHT_MAX = 120
+
+# Largest weight whose members are built; each is held in memory, so time
+# and memory grow with the class counts.  The largest class, Dk(1), took
+# 2.3 s and 164 MiB at peak for `qpart enumerate --format json` at weight 80
+# and 6.2 s and 391 MiB at 90, on the same host.  The bijection benchmark
+# sweeps weight 60, and CI reads the generators to 62.
+MEMBER_WEIGHT_MAX = 80
 
 # (shape, its arguments) -> the row pair of a structure, and (fill, its
 # arguments) -> the row pair of a fill, each counted from weight 0; least
@@ -799,53 +801,45 @@ def _kept(walk, key: tuple, hi: int):
 
 def _walk_fill(hi: int, fill: str, fill_args: tuple):
     """The row pair of the fills of weights 0..hi, by the fill's row walk
-    from weight 0.
-
-    The walk fills, for each parity, a first-order, a second-order and a
-    lag-2 difference row of hi+3 slots, the slots past hi taking the ends of
-    runs that reach hi.  A running sum of the second-order row and one per
-    residue mod 2 of the lag-2 row turn both into first-order rows; the sum
-    of the three, summed up and cut to hi+1 entries, gives the counts.
-    """
-    diffs = tuple(([0] * (hi + 3), [0] * (hi + 3), [0] * (hi + 3)) for _ in range(2))
-    FILLS[fill][1](diffs, hi, 0, *fill_args)
-    return tuple(_fold(*d, hi) for d in diffs)
+    from weight 0."""
+    return FILLS[fill][1](hi, *fill_args)
 
 
 def _walk(hi: int, shape, args: tuple):
     """The row pair of the members of shape(hi, *args) of weights 0..hi.
 
     Each fill the heads end in is read once, kept or walked as far as the
-    lightest of them needs, and every head adds the fill's pair, shifted by
-    the head's weight.
+    lightest of them needs, and added once per head weight over it, shifted
+    by that weight and scaled by the number of heads of that weight.
     """
-    heads = [(sum(above) + sum(below), (fill, fill_args))
-             for above, below, fill, fill_args in shape(hi, *args)]
+    heads = Counter((sum(above) + sum(below), (fill, fill_args))
+                    for above, below, fill, fill_args in shape(hi, *args))
     reach = {}
     for w, key in heads:
         reach[key] = max(reach.get(key, 0), hi - w)
     fills = {key: _kept(_walk_fill, key, top) for key, top in reach.items()}
     rows = [0] * (hi + 1), [0] * (hi + 1)
-    for w, key in heads:
+    for (w, key), c in heads.items():
         for row, fill_row in zip(rows, fills[key]):
-            row[w:] = map(add, row[w:], fill_row)
+            row[w:] = map(add, row[w:], map(mul, fill_row, repeat(c)))
     return rows
 
 
 def count_row(spec: ClassSpec, hi: int, lo: int = 0) -> tuple[int, ...]:
     """Numbers of class members of weights lo..hi, sliced off the class's
     row from weight 0.  The row adds, under each head of the class's shape,
-    the row of its fill, counted by one exhaustive walk from weight 0 that
-    builds no members, memoises no subtree and reads no generating
-    function, so it stays an independent oracle for :func:`gf`; the walk
-    counts runs of members, each with O(1) updates: the one-part
-    completions of a prefix, and in a distinct-part fill all the two-part
-    completions of one.  Every structure row and every fill row is kept in
-    one bounded cache and serves each shorter request: classes with the same
-    shape and arguments, such as Dk and its halves, share a structure row,
-    and classes whose heads end in the same fill, such as C and every Ck_e
-    and Ck_o, share its fill row.  A weight past ``WALK_WEIGHT_MAX`` is
-    refused before any walk.
+    the row of its fill.  A distinct or odd fill is counted by one
+    exhaustive walk from weight 0, and a C core adds the distinct fill's row
+    under each multiset of its free parts.  No walk builds members,
+    memoises a subtree or reads a generating function, so the row stays an
+    independent oracle for :func:`gf`; a walk counts runs of members, each
+    with O(1) updates: the one-part completions of a prefix, and in a
+    distinct-part fill all the two-part completions of one.  Every
+    structure row and every fill row is kept in one bounded cache and
+    serves each shorter request: classes with the same shape and arguments,
+    such as Dk and its halves, share a structure row, and classes whose
+    heads end in the same fill, such as C and every Ck_e and Ck_o, share its
+    fill row.  A weight past ``WALK_WEIGHT_MAX`` is refused before any walk.
     """
     _require_natural("weight", lo, hi)
     if hi > WALK_WEIGHT_MAX:

@@ -778,3 +778,130 @@ def distinct_walk_mismatches(specs, hi: int, windows) -> list[tuple[ClassSpec, i
                 bad.append((spec, lo, top))
     counting._rows.clear()
     return bad
+
+
+# ---------------------------------------------------------------------------
+# C core row walk from before the core became the distinct fill under its
+# free parts: every multiset of free parts walks the distinct parts below
+# the anchor again.  The three walks and the fold are verbatim; the two
+# distinct walks are renamed to sit beside the older one above.
+# ---------------------------------------------------------------------------
+
+
+def _walk_core_distinct(row, other, hi: int, w: int, v: int, least: int) -> None:
+    """Count weight w plus each nonempty set of distinct parts in [least, v],
+    a set of odd size in other and one of even size in row."""
+    top = hi - w
+    if top > v:
+        top = v
+    if top < least:
+        return
+    other[0][w + least] += 1  # the one-part sets: weights w+least .. w+top
+    other[0][w + top + 1] -= 1
+    _walk_core_pairs(row, other, hi, w, v, least)
+
+
+def _walk_core_pairs(row, other, hi: int, w: int, v: int, least: int) -> None:
+    """Count weight w plus each set of two or more distinct parts in
+    [least, v], by its smallest part a: a set of even size in row and one of
+    odd size in other."""
+    room = hi - w
+    top = (room - 1) // 2  # the largest a whose pair {a, a+1} fits
+    if top >= v:
+        top = v - 1
+    if top < least:
+        return
+    _, second, lag2 = row
+    # The pairs {a, b}, b = a+1 .. min(v, room-a), are the run of weights
+    # w+2a+1 .. min(w+a+v, hi) for each a in [least, top].  The runs start
+    # two slots apart.  Up to a = room-v they end at w+a+v, one slot apart,
+    # and past it at hi, whose end slot is dropped.
+    lag2[w + 2 * least + 1] += 1
+    lag2[w + 2 * top + 3] -= 1
+    ends = room - v
+    if ends >= least:
+        second[w + least + v + 1] -= 1
+        second[w + (ends if ends < top else top) + v + 2] += 1
+    # Sets of three or more parts: a and a set of two or more parts in
+    # [a+1, v], which the parts a+1 and a+2 start while 3a+3 <= room.
+    last = room // 3 - 1
+    if last > v - 2:
+        last = v - 2
+    for a in range(least, last + 1):
+        _walk_core_pairs(other, row, hi, w + a, v, a + 1)
+
+
+def _walk_c_core(row, hi: int, w: int, v: int, l: int) -> None:
+    """Count weight w plus each multiset of parts <= v that is free in
+    (l, 2l] and distinct in [1, l], into one parity's rows."""
+    row[0][w] += 1
+    row[0][w + 1] -= 1
+    _walk_core_distinct(row, row, hi, w, l, 1)
+    top = hi - w
+    if top > v:
+        top = v
+    for u in range(top, l, -1):
+        for x in range(w + u, hi + 1, u):
+            _walk_c_core(row, hi, x, u - 1, l)
+
+
+def _fold(first: list, second: list, lag2: list, hi: int) -> list[int]:
+    """The counts of weights 0..hi from one parity's difference rows."""
+    lag2[0::2] = accumulate(lag2[0::2])
+    lag2[1::2] = accumulate(lag2[1::2])
+    return list(islice(accumulate(map(add, map(add, first, accumulate(second)), lag2)), hi + 1))
+
+
+@lru_cache(maxsize=None)
+def core_fill_row(v: int, l: int, hi: int) -> tuple[int, ...]:
+    """The numbers of C cores of weights 0..hi under (v, l), parts <= v,
+    distinct up to l and free above it, by the walk above, folded."""
+    diffs = ([0] * (hi + 3), [0] * (hi + 3), [0] * (hi + 3))
+    _walk_c_core(diffs, hi, 0, v, l)
+    return tuple(_fold(*diffs, hi))
+
+
+def anchored_class_row(spec: ClassSpec, hi: int) -> tuple[int, ...]:
+    """count_row(spec, hi) of a C-family class: under each head, the row of
+    its core by the walk above, shifted by the head's weight."""
+    shape, args, _, _ = counting._ENGINES[spec.class_id]
+    row = [0] * (hi + 1)
+    for above, below, _, (v, l) in shape(hi, *args(spec.k)):
+        w = sum(above) + sum(below)  # at least the anchor v
+        row[w:] = map(add, row[w:], core_fill_row(v, l, hi - v))
+    return tuple(row)
+
+
+def core_walk_mismatches(hi: int, kmax: int) -> list:
+    """The cores (2l, l), 2l <= hi, and the specs C, Ck_e(k) and Ck_o(k),
+    k = 1..kmax, whose rows differ from the walk above, each with how it
+    was read: a spec's row at weight hi, and the row of the core under the
+    anchor 2l to weight hi - 2l, as far as the specs read it.  Each core is
+    read once from an empty row cache; then the specs and the cores are
+    read with every row kept, in both orders."""
+    cores = [(2 * l, l) for l in range(1, hi // 2 + 1)]
+    specs = [ClassSpec("C")] + [ClassSpec(f"Ck_{p}", k) for k in range(1, kmax + 1)
+                                for p in "eo"]
+
+    def core_differs(core):
+        rows = counting._kept(counting._walk_fill, ("core", core), hi - core[0])
+        return tuple(map(add, *rows))[:hi - core[0] + 1] != core_fill_row(*core, hi - core[0])
+
+    def read_cores():
+        return [(core, "kept") for core in cores if core_differs(core)]
+
+    def read_specs():
+        return [(spec, "kept") for spec in specs
+                if count_row(spec, hi) != anchored_class_row(spec, hi)]
+
+    bad = []
+    for core in cores:
+        counting._rows.clear()
+        if core_differs(core):
+            bad.append((core, "cold"))
+    for reads in ((read_specs, read_cores), (read_cores, read_specs)):
+        counting._rows.clear()
+        for read in reads:
+            bad += read()
+    counting._rows.clear()
+    return bad

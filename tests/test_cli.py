@@ -143,6 +143,28 @@ def test_walk_past_the_walk_weight_limit_exits_2(capsys, argv, weight):
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--class", "Dk", "--k", "1"],
+    ["bijection", "--name", "glaisher", "--roundtrip"],
+    ["count", "--class", "Ck_e", "--k", "2", "--raw-diagnostic"],
+])
+def test_member_paths_past_the_member_weight_limit_exit_2(capsys, argv):
+    # the member limit is the usage error, and it comes before any member
+    # is built; the limit itself is still accepted
+    limit = counting.MEMBER_WEIGHT_MAX
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--n", str(limit + 1)])
+    assert err.value.code == 2
+    assert (f"weight {limit + 1} is past {limit}, the largest weight whose members are "
+            "built") in capsys.readouterr().err
+    assert time.perf_counter() - start < 5
+    code, out = run_cli(capsys, "enumerate", "--class", "Pe_bounded", "--k", "3",
+                        "--n", str(limit))
+    assert code == 0
+    assert out.endswith("0 member(s)\n")
+
+
 def test_coefficient_overflow_builds_the_class_series_once(capsys, monkeypatch):
     # the library names the largest order, so the CLI searches for nothing
     engine = counting._ENGINES["Ck_e"]
@@ -501,7 +523,8 @@ def test_report_all_covers_every_task_once(capsys):
 def test_report_all_walks_each_structure_once_from_weight_0(capsys, monkeypatch):
     # every walk starts at weight 0; every task reads its rows whole, and a
     # task that shares a structure with a later one reads it as far as the
-    # later one will, so one walk serves every read
+    # later one will, so one walk serves every read: the 49 structures, and
+    # the heads of the 31 C cores, under the anchors 2..62
     walks = []
     original = counting._walk
 
@@ -510,25 +533,27 @@ def test_report_all_walks_each_structure_once_from_weight_0(capsys, monkeypatch)
         return original(hi, shape, args)
 
     monkeypatch.setattr(counting, "_walk", recording)
-    # every fill its structures' heads end in is walked from weight 0, as far
-    # as its lightest head needs; a fill is walked again only when a later
-    # structure needs it farther: P1's head 35 reads the distinct parts in
-    # [2, 34] to weight 26 of its row to 61, and Dk(6)'s head (1,)*6 reads
-    # them to 28 of its row to 34
+    # every fill its structures' heads end in is walked from weight 0, where
+    # its row counts the empty fill, as far as its lightest head needs; a
+    # fill is walked again only when a later structure needs it farther:
+    # P1's head 35 reads the distinct parts in [2, 34] to weight 26 of its
+    # row to 61, and Dk(6)'s head (1,)*6 reads them to 28 of its row to 34
     fills = []
     for fill, (generator, walk) in list(counting.FILLS.items()):
-        def recording_fill(rows, hi, w, *fill_args, fill=fill, walk=walk):
-            fills.append((fill, fill_args, hi, w))
-            return walk(rows, hi, w, *fill_args)
+        def recording_fill(hi, *fill_args, fill=fill, walk=walk):
+            rows = walk(hi, *fill_args)
+            fills.append((fill, fill_args, hi, rows[0][0] + rows[1][0]))
+            return rows
         monkeypatch.setitem(counting.FILLS, fill, (generator, recording_fill))
     counting._rows.clear()
     counting.count_by_enumeration.cache_clear()
     code, _ = run_cli(capsys, "report", "--all", "--no-timestamp")
     assert code == 0
-    assert len(set(walks)) == len(walks) == 49
-    assert {w for *_, w in fills} == {0}
-    assert len(fills) == 230
-    assert len({(fill, fill_args) for fill, fill_args, _, _ in fills}) == 229
+    assert len(set(walks)) == len(walks) == 80
+    assert sum(shape == "_core_heads" for shape, _ in walks) == 31
+    assert {empty for *_, empty in fills} == {1}
+    assert len(fills) == 255
+    assert len({(fill, fill_args) for fill, fill_args, _, _ in fills}) == 254
     assert [hi for *key, hi, _ in fills if key == ["distinct", (34, 2)]] == [26, 28]
 
 

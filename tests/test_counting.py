@@ -181,6 +181,14 @@ def test_distinct_walks_match_the_pre_change_walk():
     _clear_enumeration_caches()
 
 
+def test_core_walks_match_the_pre_change_walk():
+    # the C core under every anchor 2l <= 100, and C, Ck_e(k) and Ck_o(k),
+    # k = 1..5, against the core walk kept in oracles.py at weight 100 (120
+    # in CI), cold and with rows kept
+    assert oracles.core_walk_mismatches(100, 5) == []
+    _clear_enumeration_caches()
+
+
 def test_pair_walk_visits_each_prefix_with_room_for_a_third_part(monkeypatch):
     # one visit for the empty prefix, and one for each set P of smallest
     # parts that the next two parts max(P)+1 and max(P)+2 still fit above
@@ -258,7 +266,8 @@ def test_classes_share_the_fills_their_heads_end_in(monkeypatch, first, then, fi
     monkeypatch.setattr(counting, "_walk_fill", recording)
     _clear_enumeration_caches()
     assert count_row(first, 40) == _generator_counts(first, 40)
-    assert set(walks) == {fill}
+    # a core's free parts are heads over the distinct parts up to l
+    assert set(walks) == ({fill, "distinct"} if fill == "core" else {fill})
     walks.clear()
     assert count_row(then, 40) == _generator_counts(then, 40)
     assert walks == []
@@ -312,6 +321,29 @@ def test_no_row_walks_past_the_walk_weight_limit(monkeypatch):
     monkeypatch.undo()
     _clear_enumeration_caches()
     assert count_row(ClassSpec("A"), limit, limit) == (count_by_series(ClassSpec("A"), limit),)
+    _clear_enumeration_caches()
+
+
+def test_no_member_is_built_past_the_member_weight_limit(monkeypatch):
+    # a weight past MEMBER_WEIGHT_MAX is refused before any fill generator
+    # runs, on both library paths that build members; the limit itself is
+    # still accepted
+    limit = counting.MEMBER_WEIGHT_MAX
+    assert limit >= 62  # CI reads the generators to weight 62
+    runs = []
+    for fill, (generator, walk) in list(counting.FILLS.items()):
+        def recording(*args, generator=generator):
+            runs.append(args)
+            return generator(*args)
+        monkeypatch.setitem(counting.FILLS, fill, (recording, walk))
+    message = f"weight {limit + 1} is past {limit}, the largest weight whose members are built"
+    for call in (lambda: enumerate_class(ClassSpec("Dk", 1), limit + 1),
+                 lambda: c_family_ambiguity(2, limit + 1)):
+        with pytest.raises(PartitionError, match=message):
+            call()
+    assert runs == []
+    assert enumerate_class(ClassSpec("Pe_bounded", 3), limit) == []
+    assert len(runs) == 1
     _clear_enumeration_caches()
 
 
