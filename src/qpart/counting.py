@@ -14,35 +14,39 @@ split class keeps the fills whose part count has its parity.  The fill
 generators are loops over one mutable list of parts that step from one fill
 to the next, with residual-weight pruning, and yield fresh tuples.  The C
 core is the distinct fill up to l under each multiset of its free parts,
-those in (l, 2l], as (-q; q)_l / (q^(l+1); q)_l says (Andrews, *The Theory
-of Partitions*, ch. 1-2); ``_free_parts`` yields them to both drivers.
-``_walk`` reads each fill its heads end in once, as far as the lightest of
-them needs, and adds the fill's row once per head weight, shifted by it and
-scaled by the number of heads of that weight; the core's row is such a sum
-over its free multisets.  The distinct and odd fills each have a walk, one
-exhaustive descent from weight 0 that builds no members and counts those of
-every weight up to its reach into difference rows.  A run of members, one at
-each of a stretch of consecutive weights, is one range update: +1 where the
-run starts and -1 one slot past its end.  The odd walk visits every prefix
-that has room for one more part and counts the run of its one-part
-extensions.  The distinct walk builds each set from its smallest part a
-upwards: the pairs {a, b} of every a are runs whose starts step by 2 and
-whose ends step by 1, so all the pairs of one prefix are two updates, into a
-lag-2 and a second-order difference row, and the walk visits only the
-prefixes with room for two more parts.  Running sums fold the rows into
-counts.  The distinct walk counts sets of even and odd size into two
-parities at once, so classes with the same shape and arguments share one
-row: Dk, Dk_e and Dk_o, as do A, Pe_d and Po_d.  One bounded cache,
-``_rows``, keeps the row of every structure (shape and arguments) and of
-every fill (fill and arguments), and each kept row serves every request up
-to its weight.  So the fills that several classes' heads end in are walked
-once for all of them: the C core under the anchor 2l for C and every Ck_e
-and Ck_o, the odd parts up to an odd bound for B, Bk_e, Bk_o, E and F, and
-the distinct parts above the smallest part for every Dk and SptKd.
-:func:`count_row` slices a window off a structure's row, and
-:func:`count_by_enumeration` reads one weight.  No walk reads a generating
-function or memoises a subtree, and none uses a closed form beyond the runs
-of one-part and two-part completions.
+those in (l, 2l], as (-q; q)_l / (q^(l+1); q)_l says, and the odd fill is
+the 1s under each multiset of its free parts, the odd parts above 1, as
+1/(q; q^2)_inf is 1/(1 - q) times 1/(q^3; q^2)_inf (Andrews, *The Theory of
+Partitions*, ch. 1-2); ``_free_parts`` yields both kinds of free multiset
+to the generators and the walks.  ``_walk`` reads each fill its heads end
+in once, as far as the lightest of them needs, and adds the fill's row
+once per head weight, shifted by it and scaled by the number of heads of
+that weight; the core's row is such a sum over its free multisets.  The
+distinct and odd fills each have a walk from weight 0 that builds no
+members and counts those of every weight up to its reach, exhaustively,
+into difference rows.
+A run of members, one at each of a stretch of consecutive weights, is one
+range update: +1 where the run starts and -1 one slot past its end.  The
+odd walk reads the free multisets of parts 5 and above, and under each one
+counts one run per count of 3s, which the 1s complete up to its reach.  The
+distinct walk builds each set from its smallest part a upwards: the pairs
+{a, b} of every a are runs whose starts step by 2 and whose ends step by 1,
+so all the pairs of one prefix are two updates, into a lag-2 and a
+second-order difference row, and the walk visits only the prefixes with
+room for two more parts.  Running sums fold the rows into counts.  The
+distinct walk counts sets of even and odd size into two parities at once,
+so classes with the same shape and arguments share one row: Dk, Dk_e and
+Dk_o, as do A, Pe_d and Po_d.  One bounded cache, ``_rows``, keeps the row
+of every structure (shape and arguments) and of every fill (fill and
+arguments), and each kept row serves every request up to its weight.  So the
+fills that several classes' heads end in are walked once for all of them:
+the C core under the anchor 2l for C and every Ck_e and Ck_o, the odd parts
+up to an odd bound for B, Bk_e, Bk_o, E and F, and the distinct parts above
+the smallest part for every Dk and SptKd.  :func:`count_row` slices a window
+off a structure's row, and :func:`count_by_enumeration` reads one weight.
+No walk reads a generating function or memoises a subtree, and none uses a
+closed form beyond the runs of 1s that complete an odd fill and of the
+one-part and two-part completions of a distinct set.
 
 ``gf(k, order)`` builds the class generating function as a tuple of plain
 integers with the kernels of :mod:`qpart.series`; :func:`gf` and
@@ -161,60 +165,44 @@ def _distinct(total: int, hi: int, lo: int = 1):
         v -= 1
 
 
-def _odd_multiset(total: int, hi: int):
-    """Odd parts <= hi with unrestricted multiplicity, in decreasing
-    lexicographic order."""
-    if total == 0:
-        yield ()
-        return
-    if hi < 1:
-        return
-    parts = []  # the parts above 1, descending; rest 1s follow them
-    rest, top = total, hi - 1 + hi % 2  # the largest odd part that may come next
-    while True:
-        # The lexicographically largest completion: as many of each odd part
-        # as fit, largest first.
-        while rest >= 3 and top >= 3:
-            if top > rest:
-                top = rest - 1 + rest % 2
-            c = rest // top
-            parts += (top,) * c
-            rest -= c * top
-            top -= 2
-        yield tuple(parts) + (1,) * rest
-        # The next member drops one copy of the last part above 1 and
-        # completes with parts at least 2 below it.
-        if not parts:
-            return
-        top = parts.pop()
-        rest += top
-        top -= 2
-
-
-def _free_parts(total: int, v: int, l: int):
-    """Multisets of parts in (l, v] of weight at most `total`, in decreasing
-    lexicographic order, each as (parts, weight left).  The parts, descending,
-    are one list that the next step changes in place."""
+def _free_parts(total: int, v: int, l: int, step: int = 1):
+    """Multisets of parts in (l, v] that are congruent to v mod step, of
+    weight at most `total`, in decreasing lexicographic order, each as
+    (parts, weight left).  The parts, descending, are one list that is
+    changed in place for the next multiset.  A C core is the distinct parts
+    up to l under each multiset of its free parts, those in (l, 2l], and an
+    odd fill the 1s under each multiset of its free parts, the odd parts
+    above 1 (step 2)."""
     free = []  # the parts, descending
     rest, top = total, v  # the weight left, and the largest part that may come next
     while True:
         # The lexicographically largest parts: as many of each as fit.
         while True:
-            if top > rest:
-                top = rest
+            if top > rest:  # the largest part of top's residue that fits
+                top = rest - (rest - top) % step
             if top <= l:
                 break
             c = rest // top
             free += (top,) * c
             rest -= c * top
-            top -= 1
+            top -= step
         yield free, rest
         # The next multiset has one fewer copy of the last part.
         if not free:
             return
         top = free.pop()
         rest += top
-        top -= 1
+        top -= step
+
+
+def _odd_multiset(total: int, hi: int):
+    """Odd parts <= hi with unrestricted multiplicity, in decreasing
+    lexicographic order: the 1s under each multiset of the free parts, the
+    odd parts in (1, hi]."""
+    if total and hi < 1:
+        return
+    for free, rest in _free_parts(total, hi - 1 + hi % 2, 1, 2):
+        yield tuple(free) + (1,) * rest
 
 
 def _c_core(total: int, v: int, l: int):
@@ -227,31 +215,34 @@ def _c_core(total: int, v: int, l: int):
 
 
 # ---------------------------------------------------------------------------
-# fill walks: each counts every fill of weight at most hi into the
-# difference rows of one parity, three rows of hi+3 slots that _folded folds
-# into counts.  In the first-order row a run of consecutive weights x..y is
-# +1 at slot x and -1 at slot y+1.  The second-order row holds runs of such
-# -1s at consecutive slots, and the lag-2 row runs of +1s at every other
-# slot, each as two entries.  Slots past hi take the ends of runs that reach
-# hi and are dropped.  Every walk starts at weight 0 and counts each fill of
-# weight at most hi exactly once.  The distinct walk counts a set of even
-# size into one parity's rows and one of odd size into the other's; the odd
-# walk writes the first-order row of one parity.
+# fill walks: each returns the row pair of the fills of weights 0..hi,
+# walked from weight 0, that counts each fill exactly once, a run of fills
+# at consecutive weights at a time.  The distinct walk counts a set of even
+# size into the first row and one of odd size into the second, through three
+# difference rows per parity of hi+3 slots that _fold folds into counts.  In
+# the first-order row a run of weights x..y is +1 at slot x and -1 at slot
+# y+1.  The second-order row holds runs of such -1s at consecutive slots, and
+# the lag-2 row runs of +1s at every other slot, each as two entries.  Slots
+# past hi take the ends of runs that reach hi and are dropped.  The odd fill
+# is the 1s under its free parts, the odd parts above 1, so each of its runs
+# ends at hi and is one +1 in a first-order row; no class reads an odd
+# fill's parity, so its second row is zero.
 # ---------------------------------------------------------------------------
 
 
-def _walk_sets(rows, hi: int, v: int, least: int) -> None:
-    """Count each set of distinct parts in [least, v], a set of even size in
-    the first parity's rows and one of odd size in the second's."""
+def _walk_sets(hi: int, v: int, least: int):
+    """The row pair of the sets of distinct parts in [least, v]: a set of
+    even size in the first row and one of odd size in the second."""
+    rows = tuple(([0] * (hi + 3), [0] * (hi + 3), [0] * (hi + 3)) for _ in range(2))
     even, odd = rows
     even[0][0] += 1  # the empty set
     even[0][1] -= 1
     top = hi if hi < v else v
-    if top < least:
-        return
-    odd[0][least] += 1  # the one-part sets: weights least .. top
-    odd[0][top + 1] -= 1
-    _walk_pairs(even, odd, hi, 0, v, least)
+    if top >= least:
+        odd[0][least] += 1  # the one-part sets: weights least .. top
+        odd[0][top + 1] -= 1
+        _walk_pairs(even, odd, hi, 0, v, least)
+    return tuple(_fold(*diffs, hi) for diffs in rows)
 
 
 def _walk_pairs(row, other, hi: int, w: int, v: int, least: int) -> None:
@@ -284,36 +275,19 @@ def _walk_pairs(row, other, hi: int, w: int, v: int, least: int) -> None:
         _walk_pairs(other, row, hi, w + a, v, a + 1)
 
 
-def _walk_odd(row, hi: int, w: int, v: int) -> None:
-    """Count weight w plus each multiset of odd parts <= v."""
-    if v < 1:
-        row[w] += 1
-        row[w + 1] -= 1
-        return
-    # Parts 3 and 1 in a loop: from each weight x = w + 3c the 1s make one
-    # member at every weight x..hi, one run.
-    for x in range(w, hi + 1, 3) if v >= 3 else (w,):
-        row[x] += 1
-        row[hi + 1] -= 1
-    top = hi - w
-    if top > v:
-        top = v
-    for u in range(5, top + 1, 2):
-        for x in range(w + u, hi + 1, u):
-            _walk_odd(row, hi, x, u - 2)
-
-
-def _folded(walk):
-    """The row walk (hi, *args) -> row pair of a fill whose walk(diffs, hi,
-    *args) writes its difference rows.  A running sum of the second-order
-    row and one per residue mod 2 of the lag-2 row turn both into
-    first-order rows; the sum of the three, summed up and cut to hi+1
-    entries, gives the counts."""
-    def rows(hi: int, *args):
-        diffs = tuple(([0] * (hi + 3), [0] * (hi + 3), [0] * (hi + 3)) for _ in range(2))
-        walk(diffs, hi, *args)
-        return tuple(_fold(*d, hi) for d in diffs)
-    return rows
+def _walk_odd(hi: int, v: int):
+    """The row pair of the multisets of odd parts <= v, for an odd v: the 1s
+    under each multiset of its free parts, the odd parts in (1, v].  Under
+    each multiset of parts >= 5, of weight w, every count c of 3s starts the
+    run of weights w+3c .. hi that the 1s complete."""
+    if v < 1:  # the empty fill alone: E's head m = 1
+        return [1] + [0] * hi, [0] * (hi + 1)
+    starts = [0] * (hi + 1)
+    for _, rest in _free_parts(hi, v, 3, 2):
+        w = hi - rest
+        for x in range(w, hi + 1, 3) if v >= 3 else (w,):
+            starts[x] += 1
+    return list(accumulate(starts)), [0] * (hi + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +300,13 @@ def _folded(walk):
 
 # fill -> (generator of the fills of a total, row walk (hi, *args) -> the
 # row pair of weights 0..hi).  distinct: parts in [least, v], arguments
-# (v, least); odd: odd parts <= v, (v,); core: parts <= v, distinct up to l
-# and free above it, (v, l), whose free multisets are heads over the rest.
+# (v, least); odd: odd parts <= v, (v,) with v odd, the 1s under each
+# multiset of its free parts, the odd parts above 1; core: parts <= v,
+# distinct up to l and free above it, (v, l), the distinct parts up to l
+# under each multiset of its free parts, which are heads over them.
 FILLS = {
-    "distinct": (_distinct, _folded(_walk_sets)),
-    "odd": (_odd_multiset, _folded(lambda rows, hi, v: _walk_odd(rows[0][0], hi, 0, v))),
+    "distinct": (_distinct, _walk_sets),
+    "odd": (_odd_multiset, _walk_odd),
     "core": (_c_core, lambda hi, v, l: _walk(hi, _core_heads, (v, l))),
 }
 
@@ -755,17 +731,19 @@ def enumerate_class(spec: ClassSpec, n: int) -> list:
 # weights up to 62, 5,360 ints and 0.09 MB, and 254 fills, whose rows reach
 # only as far as their lightest head needs, 15,876 ints and 0.19 MB, 31 C
 # cores among them.  512 entries keep every row of one report, with room for
-# a second set of weights, and as a pair takes at most about 7 KB at
-# WALK_WEIGHT_MAX, the cache stays under 4 MB.
+# a second set of weights, and as a pair takes at most about 8.6 KB at
+# WALK_WEIGHT_MAX (Dk(1)'s, whose counts have 24 bits), the cache stays
+# under 4.5 MB.
 ROW_CACHE_SIZE = 512
 
-# Largest weight a row walk takes.  A walk visits every prefix with room
-# for one more part, so its time grows about as fast as the class counts:
-# the slowest cold rows, over odd parts (B, E, F), took 0.8 s to weight
-# 120 and 1.8-2.9 s to 140, and those over the C core (C, Ck_e(5)) 0.46 s
-# and 0.9-1.4 s, on a 2-core host (Python 3.11).  count_row refuses a weight
-# past it before any walk; no report reads past weight 62.
-WALK_WEIGHT_MAX = 120
+# Largest weight a row walk takes.  A walk's time grows about as fast as the
+# class counts.  Cold rows, median of 5 fresh processes each on a 2-core
+# host (Python 3.11), in seconds to weight 120 / 140: B 0.40 / 1.54, E
+# 0.40 / 1.27, F 0.31 / 1.30, Bk_e(5) 0.33 / 1.42, A 0.14 / 1.02, Dk(2)
+# 0.50 / 1.56, C 0.29 / 0.81 and Ck_e(5) 0.23 / 0.71, so every row at the
+# limit takes under 3 s.  count_row refuses a heavier weight before any
+# walk; no report reads past weight 62.
+WALK_WEIGHT_MAX = 140
 
 # Largest weight whose members are built; each is held in memory, so time
 # and memory grow with the class counts.  The largest class, Dk(1), took
@@ -833,8 +811,9 @@ def count_row(spec: ClassSpec, hi: int, lo: int = 0) -> tuple[int, ...]:
     under each multiset of its free parts.  No walk builds members,
     memoises a subtree or reads a generating function, so the row stays an
     independent oracle for :func:`gf`; a walk counts runs of members, each
-    with O(1) updates: the one-part completions of a prefix, and in a
-    distinct-part fill all the two-part completions of one.  Every
+    with O(1) updates: the 1s that complete an odd fill under its free
+    parts and 3s, and the one-part and all the two-part completions of a
+    distinct-part prefix.  Every
     structure row and every fill row is kept in one bounded cache and
     serves each shorter request: classes with the same shape and arguments,
     such as Dk and its halves, share a structure row, and classes whose

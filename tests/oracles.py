@@ -905,3 +905,100 @@ def core_walk_mismatches(hi: int, kmax: int) -> list:
             bad += read()
     counting._rows.clear()
     return bad
+
+
+# ---------------------------------------------------------------------------
+# odd-part row walk from before the odd fill became the 1s under its free
+# parts: one recursive call per prefix of parts 5 and above.  The walk, the
+# fold and the odd fill's row walk are verbatim.
+# ---------------------------------------------------------------------------
+
+
+def _walk_odd(row, hi: int, w: int, v: int) -> None:
+    """Count weight w plus each multiset of odd parts <= v."""
+    if v < 1:
+        row[w] += 1
+        row[w + 1] -= 1
+        return
+    # Parts 3 and 1 in a loop: from each weight x = w + 3c the 1s make one
+    # member at every weight x..hi, one run.
+    for x in range(w, hi + 1, 3) if v >= 3 else (w,):
+        row[x] += 1
+        row[hi + 1] -= 1
+    top = hi - w
+    if top > v:
+        top = v
+    for u in range(5, top + 1, 2):
+        for x in range(w + u, hi + 1, u):
+            _walk_odd(row, hi, x, u - 2)
+
+
+def _folded(walk):
+    """The row walk (hi, *args) -> row pair of a fill whose walk(diffs, hi,
+    *args) writes its difference rows.  A running sum of the second-order
+    row and one per residue mod 2 of the lag-2 row turn both into
+    first-order rows; the sum of the three, summed up and cut to hi+1
+    entries, gives the counts."""
+    def rows(hi: int, *args):
+        diffs = tuple(([0] * (hi + 3), [0] * (hi + 3), [0] * (hi + 3)) for _ in range(2))
+        walk(diffs, hi, *args)
+        return tuple(_fold(*d, hi) for d in diffs)
+    return rows
+
+
+_walk_odd_rows = _folded(lambda rows, hi, v: _walk_odd(rows[0][0], hi, 0, v))
+
+
+@lru_cache(maxsize=None)
+def odd_fill_rows(v: int, hi: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The row pair of the multisets of odd parts <= v of weights 0..hi, by
+    the walk above: every multiset in the first row, none in the second."""
+    return tuple(map(tuple, _walk_odd_rows(hi, v)))
+
+
+def odd_class_row(spec: ClassSpec, hi: int) -> tuple[int, ...]:
+    """count_row(spec, hi) of a class over the odd fill (B, E, F, Bk_e and
+    Bk_o): under each head, the row of its fill by the walk above, shifted
+    by the head's weight."""
+    shape, args, _, _ = counting._ENGINES[spec.class_id]
+    row = [0] * (hi + 1)
+    for above, below, _, (v,) in shape(hi, *args(spec.k)):
+        w = sum(above) + sum(below)
+        row[w:] = map(add, row[w:], map(add, *odd_fill_rows(v, hi - w)))
+    return tuple(row)
+
+
+def odd_walk_mismatches(hi: int, kmax: int) -> list:
+    """The odd fills under v = -1 (E's head m = 1) and every odd v <= hi,
+    and the specs B, E, F, Bk_e(k) and Bk_o(k), k = 1..kmax, whose rows
+    differ from the walk above, each with how it was read: a spec's row at
+    weight hi, and the row pair of the fill under v to weight hi - v, as far
+    as the specs read it (B's head v reads it that far).  Each fill is read
+    once from an empty row cache; then the specs and the fills are read with
+    every row kept, in both orders."""
+    bounds = [-1, *range(1, hi + 1, 2)]
+    specs = [ClassSpec("B"), ClassSpec("E"), ClassSpec("F")] + [
+        ClassSpec(f"Bk_{p}", k) for k in range(1, kmax + 1) for p in "eo"]
+
+    def fill_differs(v):
+        reach = hi - max(v, 0)
+        rows = counting._kept(counting._walk_fill, ("odd", (v,)), reach)
+        return tuple(tuple(row[:reach + 1]) for row in rows) != odd_fill_rows(v, reach)
+
+    def read_fills():
+        return [(v, "kept") for v in bounds if fill_differs(v)]
+
+    def read_specs():
+        return [(spec, "kept") for spec in specs if count_row(spec, hi) != odd_class_row(spec, hi)]
+
+    bad = []
+    for v in bounds:
+        counting._rows.clear()
+        if fill_differs(v):
+            bad.append((v, "cold"))
+    for reads in ((read_specs, read_fills), (read_fills, read_specs)):
+        counting._rows.clear()
+        for read in reads:
+            bad += read()
+    counting._rows.clear()
+    return bad

@@ -189,6 +189,15 @@ def test_core_walks_match_the_pre_change_walk():
     _clear_enumeration_caches()
 
 
+def test_odd_walks_match_the_pre_change_walk():
+    # the odd fill under v = -1 (E's head m = 1) and every odd v <= 100, to
+    # weight 100 - v, and B, E, F, Bk_e(k) and Bk_o(k), k = 1..5, to weight
+    # 100 (the walk limit in CI), against the odd walk kept in oracles.py,
+    # cold and with rows kept
+    assert oracles.odd_walk_mismatches(100, 5) == []
+    _clear_enumeration_caches()
+
+
 def test_pair_walk_visits_each_prefix_with_room_for_a_third_part(monkeypatch):
     # one visit for the empty prefix, and one for each set P of smallest
     # parts that the next two parts max(P)+1 and max(P)+2 still fit above

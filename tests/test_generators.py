@@ -102,7 +102,7 @@ def test_distinct_matches_reference_order():
 
 def test_odd_multiset_matches_reference_order():
     for total in range(TOTAL + 1):
-        for hi in range(total + 2):
+        for hi in range(-1, total + 2):
             assert list(counting._odd_multiset(total, hi)) == \
                 list(_odd_multiset(total, hi)), (total, hi)
 
