@@ -2,32 +2,29 @@
 
 Every map ships with its inverse; round-trip identity and target-class
 membership are both machine-checked by the test suite over exhaustive
-weight ranges.  Every call checks too: each map tests its input and its
-image with ``is_member`` and builds only validated values, on every call,
-however often that member has been seen; speed comes from cheaper checks,
-never from fewer.  Outcomes carry a case-tag chain recording which branch of
-the case analysis fired, which is what makes the piecewise inverses
-well-defined (several branches can produce the same raw multiset in
-different target classes).
+weight ranges.  Every call checks too, however often that member has been
+seen: each map but Glaisher's tests its input with ``is_member``, and the
+akdk, dk-recurrence, bkck and sketch maps, both ways, test their image too.
+Speed comes from cheaper checks, never from fewer.  Outcomes carry a
+case-tag chain recording which branch of the case analysis fired, which is
+what makes the piecewise inverses well-defined (several branches can
+produce the same raw multiset in different target classes).
 
 The base map between all-odd partitions of n and anchored even-largest
 partitions of n+1 comes in two strategies:
 
 ``rank``
-    Pair the i-th member of each side in canonical order.  Partitions with
-    largest odd part 2l-1 are paired with partitions anchored at 2l; the
-    per-anchor counts agree (both sides reduce to the same odd-part product
-    per anchor), so the pairing is total and, crucially, anchor-compatible,
-    which the windowed recursion below relies on when re-attaching stripped
-    window parts.  Default.  The two blocks of one anchor and weight are
-    built together once, straight from the loop-based member generators of
-    :mod:`qpart.counting`, sorted, and cached each with a dict from member
-    to rank, so both directions find a member's rank in O(1).  The cache is
-    bounded at ``RANK_CACHE_SIZE`` block pairs.  A block holds every member
-    of its weight and anchor.  Ranking by counting recurrences would hold
-    tables polynomial in the weight instead, but would pay an unranking walk
-    on every call where a block pays one dict lookup, so it is left for when
-    memory, not time, is the limit.
+    Glaisher's merge capped at the anchor; default.  A member with largest
+    part 2l-1 keeps the anchor 2l.  In the rest, an odd value a of
+    multiplicity f = q*2^E + r, with a*2^E the largest a*2^e <= 2l, becomes
+    q parts a*2^E and a part a*2^e for each binary digit 2^e of r.  This is
+    a bijection onto the anchored members at 2l: a core part with odd part a
+    is a*2^E, in (l, 2l] and free to repeat, or a*2^e with e < E, at most l
+    and distinct, so division by 2^E recovers f.  Both sides have the
+    generating function 1/(q; q^2)_l (Andrews, *The Theory of Partitions*,
+    ch. 1-2).  The map keeps the anchor, which the windowed recursion below
+    needs when it re-attaches stripped window parts.  The benchmark's case
+    names read the name ``rank``, so it changes with the benchmark.
 
 ``aky-sketch``
     The sketched construction: add 1 to the largest odd part to create the
@@ -51,7 +48,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
 
-from .counting import _c_core, _odd_multiset, enumerate_class
+from .counting import enumerate_class
 from .partitions import (
     AnchoredPartition,
     ClassSpec,
@@ -117,20 +114,47 @@ _set_case_tag = BijectionOutcome.case_tag.__set__
 # ---------------------------------------------------------------------------
 
 
+def _merge(parts, cap: int) -> list[int]:
+    """Odd parts, each at most cap, merged as ``rank`` merges them under 2l
+    (module docstring), largest first.  A cap of at least the weight caps
+    nothing: that is Glaisher's merge."""
+    out = []
+    for a in set(parts):
+        f = parts.count(a)
+        if f == 1:  # a itself, under any cap
+            out.append(a)
+            continue
+        e = (cap // a).bit_length() - 1  # a << e is the largest a * 2^e <= cap
+        out += [a << e] * (f >> e)
+        r = f & ((1 << e) - 1)
+        while r:
+            digit = r & -r  # the lowest binary digit 2^e of r
+            out.append(a * digit)
+            r ^= digit
+    out.sort(reverse=True)
+    return out
+
+
+def _split(parts) -> list[int]:
+    """Each part m = 2^e * a (a odd) as 2^e copies of a, largest first."""
+    out = []
+    for m in parts:
+        if m & 1:
+            out.append(m)
+        else:
+            copies = m & -m  # 2^e, the largest power of 2 dividing m
+            out += [m // copies] * copies
+    out.sort(reverse=True)
+    return out
+
+
 def glaisher_merge(p: Partition) -> Partition:
     """Odd parts to distinct parts: an odd value a of multiplicity
     f = sum 2^e_i (binary digits) becomes the parts a * 2^e_i."""
     parts = p.parts
     if not _all_odd(parts):
         raise BijectionError("merge needs all parts odd")
-    out = []
-    for a in set(parts):
-        f = parts.count(a)
-        while f:
-            digit = f & -f  # the lowest binary digit 2^e of f
-            out.append(a * digit)
-            f ^= digit
-    return Partition.from_parts(out)
+    return Partition(tuple(_merge(parts, sum(parts))))
 
 
 def glaisher_split(p: Partition) -> Partition:
@@ -139,11 +163,7 @@ def glaisher_split(p: Partition) -> Partition:
     parts = p.parts
     if parts and parts[-1] < 1:  # the smallest part is the last
         raise BijectionError("split needs positive parts")
-    out = []
-    for m in parts:
-        copies = m & -m  # 2^e, the largest power of 2 dividing m
-        out += [m // copies] * copies
-    return Partition.from_parts(out)
+    return Partition(tuple(_split(parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -311,39 +331,14 @@ def dk_recurrence_inverse(k: int, outcome: BijectionOutcome) -> tuple[Partition,
 # ---------------------------------------------------------------------------
 
 
-# Block pairs kept.  Every member of one weight through base-bc and bkck
-# (k = 2, 3, 4), as the bijection_roundtrip benchmark runs them, needs 83
-# pairs at weight 60 and 113 at weight 80, so such a sweep never rebuilds a
-# pair; the bound stops the cache growing across sweeps of many weights in
-# one process.
-RANK_CACHE_SIZE = 128
-
-
-@lru_cache(maxsize=RANK_CACHE_SIZE)
-def _rank_blocks(l: int, weight: int) -> tuple:
-    """The blocks that base-bc pairs at largest odd part 2l-1: the all-odd
-    partitions of `weight` with that largest part, and the extras-free
-    anchored partitions of weight+1 with anchor 2l.  Each block comes as
-    its members in canonical (lexicographic) order and the rank of each
-    member: (odd, odd ranks, anchored, anchored ranks).  The pair is shared
-    by every caller and never mutated."""
-    base = 2 * l - 1
-    odd = tuple(sorted((base,) + fill for fill in _odd_multiset(weight - base, base)))
-    anchored = tuple(sorted((base + 1,) + core for core in _c_core(weight - base, base + 1, l)))
-    if len(odd) != len(anchored):
-        raise BijectionError(f"block size mismatch at l={l}, weight={weight}")
-    return (odd, {parts: i for i, parts in enumerate(odd)},
-            anchored, {parts: i for i, parts in enumerate(anchored)})
-
-
 def base_bc_map(p: Partition, strategy: str = RANK) -> AnchoredPartition:
     """Map an all-odd partition of n to an anchored partition of n+1."""
     if not is_member(_B, p):
         raise BijectionError(f"{p} is not an all-odd partition")
     l = (p.parts[0] + 1) // 2  # an all-odd member's largest part is 2l-1
     if strategy == RANK:
-        _, rank, anchored, _ = _rank_blocks(l, p.weight)
-        return AnchoredPartition(2 * l, Partition(anchored[rank[p.parts]]))
+        anchor = 2 * l
+        return AnchoredPartition(anchor, Partition((anchor, *_merge(p.parts[1:], anchor))))
     if strategy == AKY_SKETCH:
         merged = glaisher_merge(Partition(p.parts[1:]))
         candidate = AnchoredPartition(2 * l, Partition.from_parts(merged.parts + (2 * l,)))
@@ -357,10 +352,10 @@ def base_bc_inverse(ap: AnchoredPartition, strategy: str = RANK) -> Partition:
     """Map an anchored partition of n+1 back to an all-odd partition of n."""
     if not is_member(_C, ap):
         raise BijectionError(f"{ap} is not an anchored member")
-    l = ap.anchor // 2
     if strategy == RANK:
-        odd, _, _, rank = _rank_blocks(l, ap.weight - 1)
-        return Partition(odd[rank[ap.partition.parts]])
+        # a C member's largest part is its anchor; the other parts are at
+        # most 2l, so their odd parts at most 2l-1
+        return Partition((ap.anchor - 1, *_split(ap.partition.parts[1:])))
     if strategy == AKY_SKETCH:
         rest = list(ap.partition.parts)
         rest.remove(ap.anchor)
