@@ -103,7 +103,7 @@ from collections import Counter, OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, combinations, islice, repeat
 from operator import add, mul, sub
 from typing import NamedTuple
 
@@ -316,14 +316,19 @@ def _window_values(l: int, k: int) -> list[int]:
 
 
 def _window_subsets(l: int, k: int, budget: int, want_even: bool):
-    """Distinct even window extras of the requested count parity, descending."""
-    values = [v for v in _window_values(l, k) if v <= budget]
-    for r in range(len(values) + 1):
-        if (r % 2 == 0) != want_even:
-            continue
-        for combo in itertools.combinations(values, r):
+    """Distinct even window extras of the requested count parity with sum at
+    most the budget, descending, in the combinations order of the window: a
+    value joins an r-subset only if the r-1 smallest values leave room for
+    it, and the values that do are a prefix of the ascending window."""
+    values = _window_values(l, k)
+    for r in range(0 if want_even else 1, len(values) + 1, 2):
+        room = budget - sum(values[:r - 1]) if r else budget
+        fit = [v for v in values if v <= room]
+        if len(fit) < r:
+            return
+        for combo in combinations(fit, r):
             if sum(combo) <= budget:
-                yield tuple(sorted(combo, reverse=True))
+                yield combo[::-1]
 
 
 def _distinct_parts(n: int, k: int | None):

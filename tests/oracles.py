@@ -1,11 +1,11 @@
 """Reference code that the package replaced, kept verbatim for the tests
-that compare the new code with it."""
+that compare the new code with it, and one definition-level reference: the
+knapsack rows, which every row walk is compared with."""
 
 import itertools
 from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate, islice
 from operator import add, ge, neg
 
 from qpart import bijections, counting
@@ -26,7 +26,6 @@ from qpart.bijections import (
 )
 from qpart.counting import _c_core, _distinct, _odd_multiset, count_row, enumerate_class
 from qpart.partitions import (
-    CLASS_INFO,
     AnchoredPartition,
     ClassSpec,
     Partition,
@@ -709,320 +708,81 @@ def tail_family_sums(sign: int, order: int, *term_lists) -> list[tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# distinct-part row walk from before the pair walk: the largest part first,
-# every prefix with room for one more part visited, one first-order
-# difference row per parity of hi+2 slots
+# knapsack rows, the definition-level reference for every row walk: each
+# fill's table one part size at a time (Nijenhuis & Wilf, 1978; Andrews, ch. 1)
 # ---------------------------------------------------------------------------
 
-
-def _walk_distinct(row, other, lo: int, hi: int, w: int, v: int, least: int) -> None:
-    """Count weight w plus each nonempty set of distinct parts in [least, v],
-    a set of odd size in other and one of even size in row."""
-    top = hi - w
-    if top > v:
-        top = v
-    if top < least:
-        return
-    other[w + least] += 1  # the one-part sets: weights w+least .. w+top
-    other[w + top + 1] -= 1
-    # Each child w+p with room for a second part counts the run of its
-    # one-part extensions: inline, or by the call that descends further when
-    # it also has room for a third part.
-    room = hi - w - least
-    for p in range(room if room < v else v, least, -1):
-        x = w + p
-        # The parts least..p-1 add at most (p-1+least)(p-least)/2, and less
-        # for every smaller p.
-        if lo and x + (p - 1 + least) * (p - least) // 2 < lo:
-            break
-        if p > least + 1 and x + 2 * least < hi:  # room for a third part
-            _walk_distinct(other, row, lo, hi, x, p - 1, least)
-        else:  # second parts least .. min(p-1, hi-x)
-            row[x + least] += 1
-            row[x + p if x + p <= hi else hi + 1] -= 1
+# fill -> its arguments -> (distinct part sizes, free part sizes): a distinct
+# part p multiplies by 1 + q^p and swaps parity, a free part by 1/(1 - q^p)
+_FILL_PARTS = {
+    "distinct": lambda v, least: (range(least, v + 1), ()),
+    "odd": lambda v: ((), range(1, v + 1, 2)),
+    "core": lambda v, l: (range(1, min(v, l) + 1), range(l + 1, v + 1)),
+}
 
 
-@lru_cache(maxsize=64)
-def _distinct_fill_rows(shape, args: tuple, hi: int) -> tuple[list[int], list[int]]:
-    """The rows of weights 0..hi of a walk over distinct-part fills, a set
-    of even size in the first and one of odd size in the second."""
-    diffs = ([0] * (hi + 2), [0] * (hi + 2))
-    for above, below, fill, fill_args in shape(hi, *args):
-        if fill != "distinct":
-            raise ValueError(f"{shape.__name__}{args} has a {fill} fill")
-        w = sum(above) + sum(below)
-        diffs[0][w] += 1  # the empty set; _walk_distinct counts the others
-        diffs[0][w + 1] -= 1
-        _walk_distinct(*diffs, 0, hi, w, *fill_args)
-    return tuple(list(islice(accumulate(d), hi + 1)) for d in diffs)
+@lru_cache(maxsize=None)
+def fill_rows(fill: str, args: tuple, hi: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The row pair of weights 0..hi of a fill of counting.FILLS on plain ints:
+    an even number of distinct parts in the first row, an odd one in the second."""
+    distinct, free = _FILL_PARTS[fill](*args)
+    even, odd = rows = [1] + [0] * hi, [0] * (hi + 1)
+    for p in distinct:
+        for n in range(hi, p - 1, -1):
+            even[n], odd[n] = even[n] + odd[n - p], odd[n] + even[n - p]
+    for p in free:
+        for row in rows:
+            for n in range(p, hi + 1):
+                row[n] += row[n - p]
+    return tuple(map(tuple, rows))
 
 
-def distinct_fill_row(spec: ClassSpec, hi: int) -> tuple[int, ...]:
-    """count_row(spec, hi) of a class whose fill is distinct parts, by the
-    walk above and the fold of the rows it wrote (a running sum, cut to hi+1
-    entries).  Raises ValueError for a class with another fill."""
+@lru_cache(maxsize=None)
+def class_row(spec: ClassSpec, hi: int) -> tuple[int, ...]:
+    """count_row(spec, hi) by the knapsack rows: under each head of the
+    class's shape, its fill's row pair shifted by the head's weight."""
     shape, args, half, _ = counting._ENGINES[spec.class_id]
-    even, odd = _distinct_fill_rows(shape, args(spec.k), hi)
-    if half is None:
-        return tuple(map(add, even, odd))
-    return tuple((even, odd)[half])
+    rows = [0] * (hi + 1), [0] * (hi + 1)
+    for above, below, fill, fill_args in shape(hi, *args(spec.k)):
+        w = sum(above) + sum(below)
+        for row, fill_row in zip(rows, fill_rows(fill, fill_args, hi)):
+            row[w:] = map(add, row[w:], fill_row)
+    return tuple(map(add, *rows)) if half is None else tuple(rows[half])
 
 
-# The classes whose members are heads around a distinct-part fill.
-DISTINCT_FILL_CLASSES = ("A", "Pe_d", "Po_d", "Pe_bounded", "Po_bounded", "Dk", "Dk_e",
-                         "Dk_o", "SptKd", "P1", "P2", "Pprime", "Pdprime")
-
-
-def distinct_fill_specs(kmax: int) -> list[ClassSpec]:
-    """Every spec of DISTINCT_FILL_CLASSES, k = 1..kmax where the class
-    takes a k."""
-    return [ClassSpec(c, k) for c in DISTINCT_FILL_CLASSES
-            for k in (range(1, kmax + 1) if CLASS_INFO[c][0] else (None,))]
-
-
-def one_spec_per_walk(specs) -> list[ClassSpec]:
-    """The first of the specs that share each walk (shape and arguments)."""
-    first = {}
+def walk_mismatches(specs, hi: int, cold_windows) -> list:
+    """Where the row walks differ from the knapsack rows at weight hi, each
+    with how it was read: every fill the specs' heads end in, from an empty
+    row cache, as far as its lightest head reads it; every spec's row with
+    every row kept, specs first and then fills, then the other way round;
+    and every spec's window (lo, top) from an empty row cache, one walk for
+    the specs that share a structure (shape and arguments)."""
+    reach, structures = {}, {}
     for spec in specs:
         shape, args, _, _ = counting._ENGINES[spec.class_id]
-        first.setdefault((shape, args(spec.k)), spec)
-    return list(first.values())
+        structures.setdefault((shape, args(spec.k)), []).append(spec)
+        for above, below, fill, fill_args in shape(hi, *args(spec.k)):
+            key = fill, fill_args
+            reach[key] = max(reach.get(key, 0), hi - sum(above) - sum(below))
 
+    def fill_differs(key):
+        rows, cut = counting._kept(counting._walk_fill, key, reach[key]), reach[key] + 1
+        return [tuple(row[:cut]) for row in rows] != [want[:cut] for want in fill_rows(*key, hi)]
 
-def distinct_walk_mismatches(specs, hi: int, windows) -> list[tuple[ClassSpec, int, int]]:
-    """The (spec, lo, top), for windows (lo, top) with top <= hi, where
-    count_row differs from the walk above at weight hi; each window's walk
-    starts from an empty row cache."""
+    kept = (lambda: [(key, "kept") for key in reach if fill_differs(key)],
+            lambda: [(s, "kept") for s in specs if count_row(s, hi) != class_row(s, hi)])
     bad = []
-    for spec in specs:
-        want = distinct_fill_row(spec, hi)
-        for lo, top in windows:
+    for key in reach:
+        counting._rows.clear()
+        if fill_differs(key):
+            bad.append((key, "cold"))
+    for first, then in (kept[::-1], kept):  # specs first, then fills first
+        counting._rows.clear()
+        bad += first() + then()
+    for group in structures.values():
+        for lo, top in cold_windows:
             counting._rows.clear()
-            if count_row(spec, top, lo) != want[lo:top + 1]:
-                bad.append((spec, lo, top))
-    counting._rows.clear()
-    return bad
-
-
-# ---------------------------------------------------------------------------
-# C core row walk from before the core became the distinct fill under its
-# free parts: every multiset of free parts walks the distinct parts below
-# the anchor again.  The three walks and the fold are verbatim; the two
-# distinct walks are renamed to sit beside the older one above.
-# ---------------------------------------------------------------------------
-
-
-def _walk_core_distinct(row, other, hi: int, w: int, v: int, least: int) -> None:
-    """Count weight w plus each nonempty set of distinct parts in [least, v],
-    a set of odd size in other and one of even size in row."""
-    top = hi - w
-    if top > v:
-        top = v
-    if top < least:
-        return
-    other[0][w + least] += 1  # the one-part sets: weights w+least .. w+top
-    other[0][w + top + 1] -= 1
-    _walk_core_pairs(row, other, hi, w, v, least)
-
-
-def _walk_core_pairs(row, other, hi: int, w: int, v: int, least: int) -> None:
-    """Count weight w plus each set of two or more distinct parts in
-    [least, v], by its smallest part a: a set of even size in row and one of
-    odd size in other."""
-    room = hi - w
-    top = (room - 1) // 2  # the largest a whose pair {a, a+1} fits
-    if top >= v:
-        top = v - 1
-    if top < least:
-        return
-    _, second, lag2 = row
-    # The pairs {a, b}, b = a+1 .. min(v, room-a), are the run of weights
-    # w+2a+1 .. min(w+a+v, hi) for each a in [least, top].  The runs start
-    # two slots apart.  Up to a = room-v they end at w+a+v, one slot apart,
-    # and past it at hi, whose end slot is dropped.
-    lag2[w + 2 * least + 1] += 1
-    lag2[w + 2 * top + 3] -= 1
-    ends = room - v
-    if ends >= least:
-        second[w + least + v + 1] -= 1
-        second[w + (ends if ends < top else top) + v + 2] += 1
-    # Sets of three or more parts: a and a set of two or more parts in
-    # [a+1, v], which the parts a+1 and a+2 start while 3a+3 <= room.
-    last = room // 3 - 1
-    if last > v - 2:
-        last = v - 2
-    for a in range(least, last + 1):
-        _walk_core_pairs(other, row, hi, w + a, v, a + 1)
-
-
-def _walk_c_core(row, hi: int, w: int, v: int, l: int) -> None:
-    """Count weight w plus each multiset of parts <= v that is free in
-    (l, 2l] and distinct in [1, l], into one parity's rows."""
-    row[0][w] += 1
-    row[0][w + 1] -= 1
-    _walk_core_distinct(row, row, hi, w, l, 1)
-    top = hi - w
-    if top > v:
-        top = v
-    for u in range(top, l, -1):
-        for x in range(w + u, hi + 1, u):
-            _walk_c_core(row, hi, x, u - 1, l)
-
-
-def _fold(first: list, second: list, lag2: list, hi: int) -> list[int]:
-    """The counts of weights 0..hi from one parity's difference rows."""
-    lag2[0::2] = accumulate(lag2[0::2])
-    lag2[1::2] = accumulate(lag2[1::2])
-    return list(islice(accumulate(map(add, map(add, first, accumulate(second)), lag2)), hi + 1))
-
-
-@lru_cache(maxsize=None)
-def core_fill_row(v: int, l: int, hi: int) -> tuple[int, ...]:
-    """The numbers of C cores of weights 0..hi under (v, l), parts <= v,
-    distinct up to l and free above it, by the walk above, folded."""
-    diffs = ([0] * (hi + 3), [0] * (hi + 3), [0] * (hi + 3))
-    _walk_c_core(diffs, hi, 0, v, l)
-    return tuple(_fold(*diffs, hi))
-
-
-def anchored_class_row(spec: ClassSpec, hi: int) -> tuple[int, ...]:
-    """count_row(spec, hi) of a C-family class: under each head, the row of
-    its core by the walk above, shifted by the head's weight."""
-    shape, args, _, _ = counting._ENGINES[spec.class_id]
-    row = [0] * (hi + 1)
-    for above, below, _, (v, l) in shape(hi, *args(spec.k)):
-        w = sum(above) + sum(below)  # at least the anchor v
-        row[w:] = map(add, row[w:], core_fill_row(v, l, hi - v))
-    return tuple(row)
-
-
-def core_walk_mismatches(hi: int, kmax: int) -> list:
-    """The cores (2l, l), 2l <= hi, and the specs C, Ck_e(k) and Ck_o(k),
-    k = 1..kmax, whose rows differ from the walk above, each with how it
-    was read: a spec's row at weight hi, and the row of the core under the
-    anchor 2l to weight hi - 2l, as far as the specs read it.  Each core is
-    read once from an empty row cache; then the specs and the cores are
-    read with every row kept, in both orders."""
-    cores = [(2 * l, l) for l in range(1, hi // 2 + 1)]
-    specs = [ClassSpec("C")] + [ClassSpec(f"Ck_{p}", k) for k in range(1, kmax + 1)
-                                for p in "eo"]
-
-    def core_differs(core):
-        rows = counting._kept(counting._walk_fill, ("core", core), hi - core[0])
-        return tuple(map(add, *rows))[:hi - core[0] + 1] != core_fill_row(*core, hi - core[0])
-
-    def read_cores():
-        return [(core, "kept") for core in cores if core_differs(core)]
-
-    def read_specs():
-        return [(spec, "kept") for spec in specs
-                if count_row(spec, hi) != anchored_class_row(spec, hi)]
-
-    bad = []
-    for core in cores:
-        counting._rows.clear()
-        if core_differs(core):
-            bad.append((core, "cold"))
-    for reads in ((read_specs, read_cores), (read_cores, read_specs)):
-        counting._rows.clear()
-        for read in reads:
-            bad += read()
-    counting._rows.clear()
-    return bad
-
-
-# ---------------------------------------------------------------------------
-# odd-part row walk from before the odd fill became the 1s under its free
-# parts: one recursive call per prefix of parts 5 and above.  The walk, the
-# fold and the odd fill's row walk are verbatim.
-# ---------------------------------------------------------------------------
-
-
-def _walk_odd(row, hi: int, w: int, v: int) -> None:
-    """Count weight w plus each multiset of odd parts <= v."""
-    if v < 1:
-        row[w] += 1
-        row[w + 1] -= 1
-        return
-    # Parts 3 and 1 in a loop: from each weight x = w + 3c the 1s make one
-    # member at every weight x..hi, one run.
-    for x in range(w, hi + 1, 3) if v >= 3 else (w,):
-        row[x] += 1
-        row[hi + 1] -= 1
-    top = hi - w
-    if top > v:
-        top = v
-    for u in range(5, top + 1, 2):
-        for x in range(w + u, hi + 1, u):
-            _walk_odd(row, hi, x, u - 2)
-
-
-def _folded(walk):
-    """The row walk (hi, *args) -> row pair of a fill whose walk(diffs, hi,
-    *args) writes its difference rows.  A running sum of the second-order
-    row and one per residue mod 2 of the lag-2 row turn both into
-    first-order rows; the sum of the three, summed up and cut to hi+1
-    entries, gives the counts."""
-    def rows(hi: int, *args):
-        diffs = tuple(([0] * (hi + 3), [0] * (hi + 3), [0] * (hi + 3)) for _ in range(2))
-        walk(diffs, hi, *args)
-        return tuple(_fold(*d, hi) for d in diffs)
-    return rows
-
-
-_walk_odd_rows = _folded(lambda rows, hi, v: _walk_odd(rows[0][0], hi, 0, v))
-
-
-@lru_cache(maxsize=None)
-def odd_fill_rows(v: int, hi: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The row pair of the multisets of odd parts <= v of weights 0..hi, by
-    the walk above: every multiset in the first row, none in the second."""
-    return tuple(map(tuple, _walk_odd_rows(hi, v)))
-
-
-def odd_class_row(spec: ClassSpec, hi: int) -> tuple[int, ...]:
-    """count_row(spec, hi) of a class over the odd fill (B, E, F, Bk_e and
-    Bk_o): under each head, the row of its fill by the walk above, shifted
-    by the head's weight."""
-    shape, args, _, _ = counting._ENGINES[spec.class_id]
-    row = [0] * (hi + 1)
-    for above, below, _, (v,) in shape(hi, *args(spec.k)):
-        w = sum(above) + sum(below)
-        row[w:] = map(add, row[w:], map(add, *odd_fill_rows(v, hi - w)))
-    return tuple(row)
-
-
-def odd_walk_mismatches(hi: int, kmax: int) -> list:
-    """The odd fills under v = -1 (E's head m = 1) and every odd v <= hi,
-    and the specs B, E, F, Bk_e(k) and Bk_o(k), k = 1..kmax, whose rows
-    differ from the walk above, each with how it was read: a spec's row at
-    weight hi, and the row pair of the fill under v to weight hi - v, as far
-    as the specs read it (B's head v reads it that far).  Each fill is read
-    once from an empty row cache; then the specs and the fills are read with
-    every row kept, in both orders."""
-    bounds = [-1, *range(1, hi + 1, 2)]
-    specs = [ClassSpec("B"), ClassSpec("E"), ClassSpec("F")] + [
-        ClassSpec(f"Bk_{p}", k) for k in range(1, kmax + 1) for p in "eo"]
-
-    def fill_differs(v):
-        reach = hi - max(v, 0)
-        rows = counting._kept(counting._walk_fill, ("odd", (v,)), reach)
-        return tuple(tuple(row[:reach + 1]) for row in rows) != odd_fill_rows(v, reach)
-
-    def read_fills():
-        return [(v, "kept") for v in bounds if fill_differs(v)]
-
-    def read_specs():
-        return [(spec, "kept") for spec in specs if count_row(spec, hi) != odd_class_row(spec, hi)]
-
-    bad = []
-    for v in bounds:
-        counting._rows.clear()
-        if fill_differs(v):
-            bad.append((v, "cold"))
-    for reads in ((read_specs, read_fills), (read_fills, read_specs)):
-        counting._rows.clear()
-        for read in reads:
-            bad += read()
+            bad += [(spec, (lo, top), "cold") for spec in group
+                    if count_row(spec, top, lo) != class_row(spec, hi)[lo:top + 1]]
     counting._rows.clear()
     return bad

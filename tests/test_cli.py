@@ -28,6 +28,13 @@ def test_count_single_value(capsys):
     assert out.strip() == "8"
 
 
+def test_count_at_a_large_k_reads_only_the_window_values_that_fit(capsys):
+    # past k = 28 no more window values fit under weight 60
+    for cls, want in (("Bk_e", "16048"), ("Ck_o", "9006")):
+        code, out = run_cli(capsys, "count", "--class", cls, "--k", "40", "--n", "60")
+        assert (code, out.strip()) == (0, want), cls
+
+
 def test_count_both_methods_json(capsys):
     code, out = run_cli(capsys, "count", "--class", "Bk_e", "--k", "2", "--n", "8",
                         "--method", "both", "--format", "json")

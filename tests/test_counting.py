@@ -2,7 +2,7 @@
 quantities, and the anchored-vs-raw diagnostic for the C family."""
 
 import tracemalloc
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import add, sub
 
 import pytest
@@ -169,33 +169,40 @@ def test_count_walk_matches_generators_in_every_window():
     _clear_enumeration_caches()
 
 
-def test_distinct_walks_match_the_pre_change_walk():
-    # every spec with a distinct-part fill against the walk kept in
-    # oracles.py: the row at weight 70 and the window [50, 70] for each spec,
-    # and single weights for each walk that specs share
-    specs = oracles.distinct_fill_specs(5)
-    assert len(specs) == 45
-    assert oracles.distinct_walk_mismatches(specs, 70, [(0, 70), (50, 70)]) == []
-    assert oracles.distinct_walk_mismatches(
-        oracles.one_spec_per_walk(specs), 70, [(n, n) for n in (60, 65, 70)]) == []
+def test_row_walks_match_the_knapsack_rows():
+    # every spec with k = 1..5 at weight 100 (the walk limit in CI) against
+    # the knapsack rows of oracles.py: each fill its heads end in, from an
+    # empty row cache; every row with rows kept, in both orders; and each
+    # spec walked from an empty row cache to 70, whole, and to 60 and 65,
+    # where runs end at a lower weight than in the walk to 100
+    specs = list(_specs(5))
+    assert len(specs) == 69
+    assert oracles.walk_mismatches(specs, 100, [(0, 70), (60, 60), (65, 65)]) == []
     _clear_enumeration_caches()
 
 
-def test_core_walks_match_the_pre_change_walk():
-    # the C core under every anchor 2l <= 100, and C, Ck_e(k) and Ck_o(k),
-    # k = 1..5, against the core walk kept in oracles.py at weight 100 (120
-    # in CI), cold and with rows kept
-    assert oracles.core_walk_mismatches(100, 5) == []
-    _clear_enumeration_caches()
+def _partitions(n, top):
+    """The partitions of n into parts <= top, a plain recursion."""
+    if n == 0:
+        yield ()
+    for p in range(min(n, top), 0, -1):
+        for rest in _partitions(n - p, p):
+            yield (p,) + rest
 
 
-def test_odd_walks_match_the_pre_change_walk():
-    # the odd fill under v = -1 (E's head m = 1) and every odd v <= 100, to
-    # weight 100 - v, and B, E, F, Bk_e(k) and Bk_o(k), k = 1..5, to weight
-    # 100 (the walk limit in CI), against the odd walk kept in oracles.py,
-    # cold and with rows kept
-    assert oracles.odd_walk_mismatches(100, 5) == []
-    _clear_enumeration_caches()
+def test_knapsack_rows_count_the_members_is_member_accepts():
+    # the reference rests on the class definitions: for weights up to 20,
+    # every partition with up to 5 zeros appended (a Dk member with smallest
+    # part 0 carries k zeros) and, for anchored classes, every partition
+    # with each of its even parts as anchor, counted if is_member accepts it
+    plain = [[Partition(p + (0,) * z) for p in _partitions(n, n) for z in range(6)]
+             for n in range(21)]
+    anchored = [[AnchoredPartition(a, Partition(p)) for p in _partitions(n, n)
+                 for a in sorted(set(p)) if a % 2 == 0] for n in range(21)]
+    for spec in _specs(5):
+        values = anchored if spec.anchored else plain
+        want = tuple(sum(map(partial(is_member, spec), values[n])) for n in range(21))
+        assert oracles.class_row(spec, 20) == want, spec
 
 
 def test_pair_walk_visits_each_prefix_with_room_for_a_third_part(monkeypatch):
@@ -214,6 +221,45 @@ def test_pair_walk_visits_each_prefix_with_room_for_a_third_part(monkeypatch):
     prefixes = sum(1 for t in range(1, 63) for p in counting._distinct(t, 62)
                    if t + 2 * p[0] + 3 <= 62)
     assert len(visits) == 1 + prefixes == 2514
+    _clear_enumeration_caches()
+
+
+def test_window_subsets_keep_their_order():
+    # the window heads that visit only the subsets that fit, against the
+    # combinations of the whole window filtered by sum (oracles.py), which
+    # fixes the order of the Bk and Ck members
+    for l in range(1, 8):
+        for k in range(1, 12):
+            for budget in range(80):
+                for want_even in (True, False):
+                    args = l, k, budget, want_even
+                    want = [*oracles._window_subsets(*args)]
+                    assert [*counting._window_subsets(*args)] == want, args
+
+
+def test_window_heads_visit_only_the_subsets_that_fit(monkeypatch):
+    # past k = 28 no more window values fit under weight 60, so Bk_e's
+    # heads visit as many candidate subsets at k = 60 as at k = 40; an
+    # unpruned window would visit 2**29 of them, so the count stops early
+    visits = 0
+    original = counting.combinations
+
+    def recording(values, r):
+        nonlocal visits
+        for combo in original(values, r):
+            visits += 1
+            assert visits <= 10_000, "the window heads visit subsets that cannot fit"
+            yield combo
+
+    monkeypatch.setattr(counting, "combinations", recording)
+    counts = {}
+    for k in (40, 60):
+        spec = ClassSpec("Bk_e", k)
+        visits = 0
+        _clear_enumeration_caches()
+        assert count_row(spec, 60, 60) == (count_by_series(spec, 60),)
+        counts[k] = visits
+    assert counts == {40: 6151, 60: 6151}
     _clear_enumeration_caches()
 
 

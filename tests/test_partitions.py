@@ -2,7 +2,9 @@
 
 import dataclasses
 import hashlib
+import timeit
 from collections import Counter
+from functools import partial
 from itertools import product
 from types import SimpleNamespace
 
@@ -12,11 +14,13 @@ from hypothesis import strategies as st
 
 from qpart.partitions import (
     CLASS_INFO,
+    ODD_PRODUCT_PARTS_MAX,
     AnchoredPartition,
     ClassSpec,
     Partition,
     PartitionError,
     anchor_decompositions,
+    _all_odd,
     _bk_evens,
     _ck_extras,
     _dk_parts_above,
@@ -321,6 +325,20 @@ def test_partition_check_matches_loop_on_small_tuples():
             with pytest.raises(PartitionError) as err:
                 Partition(parts)
             assert str(err.value) == expected, parts
+
+
+def test_all_odd_is_linear_in_the_part_count():
+    # a product of the parts grows by their bits at each factor, so past
+    # ODD_PRODUCT_PARTS_MAX parts oddness is scanned: ten times the parts
+    # take about ten times as long, where one product took a hundred
+    for n in (0, 1, ODD_PRODUCT_PARTS_MAX, ODD_PRODUCT_PARTS_MAX + 1, 20_000):
+        assert _all_odd((3,) * n)
+        assert not _all_odd((3,) * n + (2,)) and not _all_odd((4,) + (3,) * n)
+
+    def best(parts):
+        return min(timeit.repeat(partial(_all_odd, parts), number=1, repeat=5))
+
+    assert best((3,) * 200_000) < 40 * best((3,) * 20_000)
 
 
 def test_distinct_and_profile_match_counter_definition():
