@@ -169,16 +169,57 @@ def test_count_walk_matches_generators_in_every_window():
     _clear_enumeration_caches()
 
 
-def test_row_walks_match_the_knapsack_rows():
-    # every spec with k = 1..5 at weight 100 (the walk limit in CI) against
-    # the knapsack rows of oracles.py: each fill its heads end in, from an
-    # empty row cache; every row with rows kept, in both orders; and each
-    # spec walked from an empty row cache to 70, whole, and to 60 and 65,
-    # where runs end at a lower weight than in the walk to 100
-    specs = list(_specs(5))
-    assert len(specs) == 69
+# the classes whose heads end in the C core and in the odd fill; every other
+# class ends in the distinct fill
+_CORE_FILL_CLASSES = frozenset({"C", "Ck_e", "Ck_o"})
+_ODD_FILL_CLASSES = frozenset({"B", "E", "F", "Bk_e", "Bk_o"})
+
+
+def _walk_specs(family):
+    """The specs with k = 1..5 whose heads end in the given fill."""
+    def fill(spec):
+        if spec.class_id in _CORE_FILL_CLASSES:
+            return "core"
+        return "odd" if spec.class_id in _ODD_FILL_CLASSES else "distinct"
+    return [spec for spec in _specs(5) if fill(spec) == family]
+
+
+def _assert_walks_match_the_knapsack_rows(specs):
+    # the specs at weight 100 (the walk limit in CI) against the knapsack
+    # rows of oracles.py, which equalled the pre-change walks at weights 90,
+    # 120 and 140 before those copies were retired: each fill the heads end
+    # in, from an empty row cache; every row with rows kept, in both orders;
+    # and each spec walked from an empty row cache to 70, whole, and to 60
+    # and 65, where runs end at a lower weight than in the walk to 100
     assert oracles.walk_mismatches(specs, 100, [(0, 70), (60, 60), (65, 65)]) == []
     _clear_enumeration_caches()
+
+
+def test_distinct_walks_match_the_pre_change_walk():
+    specs = _walk_specs("distinct")
+    assert len(specs) == 45
+    _assert_walks_match_the_knapsack_rows(specs)
+
+
+def test_core_walks_match_the_pre_change_walk():
+    # C, Ck_e(k) and Ck_o(k), k = 1..5, with every core (v, l) their heads
+    # end in
+    specs = _walk_specs("core")
+    assert len(specs) == 11
+    _assert_walks_match_the_knapsack_rows(specs)
+
+
+def test_odd_walks_match_the_pre_change_walk():
+    # B, E, F, Bk_e(k) and Bk_o(k), k = 1..5, with every odd fill their
+    # heads end in
+    specs = _walk_specs("odd")
+    assert len(specs) == 13
+    _assert_walks_match_the_knapsack_rows(specs)
+
+
+def test_walk_families_cover_every_spec():
+    # the three walk comparisons above read all 69 specs with k = 1..5
+    assert sum(len(_walk_specs(f)) for f in ("distinct", "core", "odd")) == 69
 
 
 def _partitions(n, top):
