@@ -1,5 +1,14 @@
 """Exact q-series arithmetic, partition-class enumeration, verified
-bijections, and a machine-checked suite of partition identities."""
+bijections, and a machine-checked suite of partition identities.
+
+The value types (``Partition``, ``ClassSpec``, ``TruncatedSeries``, the
+reports and tables) are plain ``__slots__`` classes on one base,
+:class:`qpart._record.Record`, not dataclasses: they compare, hash and print
+as frozen dataclasses would, but ``dataclasses.fields``, ``replace`` and
+``asdict`` do not apply to them.  Importing the package loads no
+``dataclasses``, ``inspect``, ``argparse``, ``json``, ``xml`` or
+``datetime``.
+"""
 
 from .counting import (
     AmbiguityReport,

@@ -44,10 +44,10 @@ signatures; one without a default is required.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import NamedTuple
 
+from ._record import Record
 from .counting import enumerate_class
 from .partitions import (
     AnchoredPartition,
@@ -88,13 +88,10 @@ class SketchMembershipError(BijectionError):
         self.candidate = candidate
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class BijectionOutcome:
+class BijectionOutcome(Record):
     """Image of one map application plus its target class and case trace."""
 
-    image: Partition | AnchoredPartition
-    target_class: ClassSpec
-    case_tag: tuple[str, ...]
+    __slots__ = ("image", "target_class", "case_tag")
 
     def __init__(self, image: Partition | AnchoredPartition, target_class: ClassSpec,
                  case_tag: tuple[str, ...]) -> None:
@@ -103,7 +100,7 @@ class BijectionOutcome:
         _set_case_tag(self, case_tag)
 
 
-# the slots' setters, past the frozen __setattr__
+# the slots' setters, past the refusing __setattr__
 _set_image = BijectionOutcome.image.__set__
 _set_target_class = BijectionOutcome.target_class.__set__
 _set_case_tag = BijectionOutcome.case_tag.__set__
@@ -368,14 +365,14 @@ def base_bc_inverse(ap: AnchoredPartition, strategy: str = RANK) -> Partition:
     raise BijectionError(f"unknown strategy {strategy!r}")
 
 
-@dataclass(frozen=True)
-class SketchReport:
+class SketchReport(Record):
     """Outcome of running the sketched base map over one weight class."""
 
-    weight: int
-    attempted: int
-    succeeded: int
-    failures: tuple[tuple[Partition, AnchoredPartition], ...]
+    __slots__ = ("weight", "attempted", "succeeded", "failures")
+
+    def __init__(self, weight: int, attempted: int, succeeded: int,
+                 failures: tuple[tuple[Partition, AnchoredPartition], ...]) -> None:
+        self._set(weight, attempted, succeeded, failures)
 
     @property
     def all_ok(self) -> bool:

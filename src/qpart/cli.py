@@ -23,7 +23,6 @@ import inspect
 import json
 import os
 import sys
-from datetime import datetime, timezone
 
 from . import bijections
 from .counting import (
@@ -54,6 +53,8 @@ def _default_order(parser: argparse.ArgumentParser) -> int:
 
 
 def _timestamp() -> str:
+    from datetime import datetime, timezone  # here, so that start-up does not load it
+
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 

@@ -101,12 +101,12 @@ from __future__ import annotations
 import itertools
 from collections import Counter, OrderedDict
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations, islice, repeat
 from operator import add, mul, sub
 from typing import NamedTuple
 
+from ._record import Record
 from .partitions import (
     AnchoredPartition,
     ClassSpec,
@@ -311,8 +311,9 @@ FILLS = {
 }
 
 
-def _window_values(l: int, k: int) -> list[int]:
-    return [2 * l + 2 * i for i in range(1, k)]
+def _window_values(l: int, k: int, budget: int) -> list[int]:
+    """The window values 2l+2 .. 2l+2k-2, ascending, that fit the budget."""
+    return [*range(2 * l + 2, min(2 * l + 2 * k - 2, budget) + 1, 2)]
 
 
 def _window_subsets(l: int, k: int, budget: int, want_even: bool):
@@ -320,7 +321,7 @@ def _window_subsets(l: int, k: int, budget: int, want_even: bool):
     most the budget, descending, in the combinations order of the window: a
     value joins an r-subset only if the r-1 smallest values leave room for
     it, and the values that do are a prefix of the ascending window."""
-    values = _window_values(l, k)
+    values = _window_values(l, k, budget)
     for r in range(0 if want_even else 1, len(values) + 1, 2):
         room = budget - sum(values[:r - 1]) if r else budget
         fit = [v for v in values if v <= room]
@@ -558,10 +559,12 @@ def _window_rows(k: int, order: int) -> list[list[int]]:
     q^(2k-2), which are q^(j(j+1)) * [k-1 choose j]_(q^2), truncated at order.
 
     One factor (1 + t*q^v) at a time: e_j <- e_j + q^v * e_(j-1), from the
-    top j down so each step reads the e_(j-1) before this factor.
+    top j down so each step reads the e_(j-1) before this factor.  A factor
+    with v past the order adds nothing below it, so the factors stop there,
+    and a large k costs no more than k = order/2 + 1.
     """
     rows = [[1]]
-    for v in range(2, 2 * k - 1, 2):
+    for v in range(2, min(2 * k - 1, order + 1), 2):
         rows.append([])
         for j in range(len(rows) - 1, 0, -1):
             row, lower = rows[j], rows[j - 1]
@@ -898,13 +901,13 @@ def count_ak_doubled(k: int, n: int, method: str = "enumeration") -> int:
     raise PartitionError(f"unknown counting method {method!r}")
 
 
-@dataclass(frozen=True)
-class DkRelation:
+class DkRelation(Record):
     """D_k(n) = 2 * sum_m coefficients[m] * A(n - m) for all n > threshold."""
 
-    k: int
-    coefficients: tuple[int, ...]
-    threshold: int
+    __slots__ = ("k", "coefficients", "threshold")
+
+    def __init__(self, k: int, coefficients: tuple[int, ...], threshold: int) -> None:
+        self._set(k, coefficients, threshold)
 
 
 def derive_dk_relation(k: int) -> DkRelation:
@@ -947,13 +950,13 @@ def pentagonal_indicator(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CountTable:
+class CountTable(Record, mutable=True):
     """Counts of one class over 0..nmax, by one counting method."""
 
-    spec: ClassSpec
-    method: str
-    values: dict[int, int]
+    __slots__ = ("spec", "method", "values")
+
+    def __init__(self, spec: ClassSpec, method: str, values: dict[int, int]) -> None:
+        self._set(spec, method, values)
 
     def to_json_dict(self) -> dict:
         return {
@@ -989,18 +992,17 @@ def count_table(spec: ClassSpec, nmax: int, method: str = "enumeration") -> Coun
     return CountTable(spec, method, values)
 
 
-@dataclass(frozen=True)
-class AmbiguityReport:
+class AmbiguityReport(Record):
     """Anchored versus raw-multiset counts for the C family at one weight."""
 
-    k: int
-    n: int
-    anchored_even: int
-    anchored_odd: int
-    raw_even: int
-    raw_odd: int
-    raw_distinct_multisets: int
-    ambiguous: tuple[tuple[Partition, tuple[AnchoredPartition, ...]], ...]
+    __slots__ = ("k", "n", "anchored_even", "anchored_odd", "raw_even", "raw_odd",
+                 "raw_distinct_multisets", "ambiguous")
+
+    def __init__(self, k: int, n: int, anchored_even: int, anchored_odd: int,
+                 raw_even: int, raw_odd: int, raw_distinct_multisets: int,
+                 ambiguous: tuple[tuple[Partition, tuple[AnchoredPartition, ...]], ...]) -> None:
+        self._set(k, n, anchored_even, anchored_odd, raw_even, raw_odd,
+                  raw_distinct_multisets, ambiguous)
 
     @property
     def diverges(self) -> bool:

@@ -54,30 +54,39 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Callable
-from dataclasses import dataclass
 from math import prod
 from operator import neg
 from typing import NamedTuple
+
+from ._record import Record
 
 
 class PartitionError(ValueError):
     """Malformed partition input (ordering, sign, or representation kind)."""
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Partition:
-    """Weakly decreasing tuple of non-negative integer parts.
+class Partition(Record):
+    """Weakly decreasing tuple of non-negative integer parts; a frozen
+    value (:mod:`qpart._record`).
 
     Every construction checks its parts: the smallest is non-negative, and
     the parts equal their own descending sort, which compares the ints in C.
     Only a faulty tuple pays the loop that names its first fault."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[int, ...]) -> None:
         if parts and not (parts[-1] >= 0 and sorted(parts, reverse=True) == [*parts]):
             _raise_first_fault(parts)
         _set_parts(self, parts)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     @classmethod
     def from_parts(cls, parts) -> "Partition":
@@ -100,7 +109,7 @@ class Partition:
         return "+".join(str(p) for p in self.parts)
 
 
-_set_parts = Partition.parts.__set__  # the slot's setter, past the frozen __setattr__
+_set_parts = Partition.parts.__set__  # the slot's setter, past the refusing __setattr__
 
 
 def _raise_first_fault(parts) -> None:
@@ -114,14 +123,12 @@ def _raise_first_fault(parts) -> None:
         prev = p
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class AnchoredPartition:
+class AnchoredPartition(Record):
     """A partition together with the even anchor part 2l that fixes its
     decomposition into core (parts <= 2l) and window extras (parts > 2l).
     Every construction checks the anchor, then sets the slots directly."""
 
-    anchor: int
-    partition: Partition
+    __slots__ = ("anchor", "partition")
 
     def __init__(self, anchor: int, partition: Partition) -> None:
         if anchor <= 0 or anchor % 2:
@@ -130,6 +137,14 @@ class AnchoredPartition:
             raise PartitionError(f"anchor {anchor} is not a part of {partition}")
         _set_anchor(self, anchor)
         _set_partition(self, partition)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.anchor == other.anchor and self.partition == other.partition
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.anchor, self.partition))
 
     @property
     def weight(self) -> int:
@@ -146,21 +161,29 @@ _set_anchor = AnchoredPartition.anchor.__set__
 _set_partition = AnchoredPartition.partition.__set__
 
 
-@dataclass(frozen=True, slots=True)
-class ClassSpec:
+class ClassSpec(Record):
     """A partition class identifier plus its k parameter where required."""
 
-    class_id: str
-    k: int | None = None
+    __slots__ = ("class_id", "k")
 
-    def __post_init__(self) -> None:
-        if self.class_id not in _CLASSES:
-            raise PartitionError(f"unknown class id {self.class_id!r}")
-        if _CLASSES[self.class_id].requires_k:
-            if type(self.k) is not int or self.k < 1:
-                raise PartitionError(f"class {self.class_id} needs a positive k")
-        elif self.k is not None:
-            raise PartitionError(f"class {self.class_id} takes no k parameter")
+    def __init__(self, class_id: str, k: int | None = None) -> None:
+        if class_id not in _CLASSES:
+            raise PartitionError(f"unknown class id {class_id!r}")
+        if _CLASSES[class_id].requires_k:
+            if type(k) is not int or k < 1:
+                raise PartitionError(f"class {class_id} needs a positive k")
+        elif k is not None:
+            raise PartitionError(f"class {class_id} takes no k parameter")
+        _set_class_id(self, class_id)
+        _set_k(self, k)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.class_id == other.class_id and self.k == other.k
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.class_id, self.k))
 
     @property
     def anchored(self) -> bool:
@@ -168,6 +191,10 @@ class ClassSpec:
 
     def __str__(self) -> str:
         return self.class_id if self.k is None else f"{self.class_id}(k={self.k})"
+
+
+_set_class_id = ClassSpec.class_id.__set__
+_set_k = ClassSpec.k.__set__
 
 
 # ---------------------------------------------------------------------------

@@ -41,9 +41,10 @@ interpreted loops, with the same exact integer results:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add, floordiv, mul, neg, sub
+
+from ._record import Record
 
 COEFF_LIMIT = 1 << 63
 
@@ -177,30 +178,32 @@ def _kronecker_product(a, b, n: int) -> list:
     return list(map(half.__rsub__, digits))
 
 
-@dataclass(frozen=True)
-class EqualityReport:
+class EqualityReport(Record):
     """Verdict of a coefficientwise comparison over a window of indices.
 
     On failure, ``index`` is the smallest mismatching exponent and ``left``
     / ``right`` are the two coefficients found there.
     """
 
-    equal: bool
-    index: int | None = None
-    left: int | None = None
-    right: int | None = None
+    __slots__ = ("equal", "index", "left", "right")
+
+    def __init__(self, equal: bool, index: int | None = None, left: int | None = None,
+                 right: int | None = None) -> None:
+        self._set(equal, index, left, right)
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Integer coefficient vector c[0..N] of a series known modulo q^(N+1)."""
+class TruncatedSeries(Record):
+    """Integer coefficient vector c[0..N] of a series known modulo q^(N+1);
+    a frozen value (:mod:`qpart._record`), checked against the coefficient
+    bound when it is built."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) == 0:
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        if len(coeffs) == 0:
             raise SeriesError("a truncated series needs at least the q^0 term")
-        _check_bounds(self.coeffs)
+        _check_bounds(coeffs)
+        _set_coeffs(self, coeffs)
 
     # -- construction -----------------------------------------------------
 
@@ -331,6 +334,9 @@ class TruncatedSeries:
         return f"{body} + O(q^{self.order + 1})"
 
 
+_set_coeffs = TruncatedSeries.coeffs.__set__  # the slot's setter, past the refusing __setattr__
+
+
 def series_sum(terms, order: int) -> TruncatedSeries:
     """Sum an iterable of equal-order series; empty sum is the zero series."""
     acc = [0] * (order + 1)
@@ -401,10 +407,14 @@ def pochhammer_infinite_starts(sign: int, order: int) -> list[TruncatedSeries]:
 
 def compare_series(a: TruncatedSeries, b: TruncatedSeries,
                    start: int = 0) -> EqualityReport:
-    """Coefficientwise equality over exponents [start, order]."""
+    """Coefficientwise equality over exponents [start, order]: one slice
+    comparison in C, and only a window that differs is scanned again to
+    name its first mismatch."""
     if a.order != b.order:
         raise OrderMismatchError(f"order mismatch: {a.order} vs {b.order}")
-    for i in range(max(start, 0), a.order + 1):
+    start = max(start, 0)
+    if a.coeffs[start:] == b.coeffs[start:]:
+        return EqualityReport(True)
+    for i in range(start, a.order + 1):
         if a.coeffs[i] != b.coeffs[i]:
             return EqualityReport(False, i, a.coeffs[i], b.coeffs[i])
-    return EqualityReport(True)

@@ -52,10 +52,9 @@ from __future__ import annotations
 
 import inspect
 import time
-from dataclasses import dataclass, field
 from functools import cache
-from xml.etree import ElementTree
 
+from ._record import Record
 from .counting import (
     ClassSpec,
     ak_doubled_specs,
@@ -84,18 +83,19 @@ def stated_bound(k: int) -> int:
     return (1 << (k - 1)) * k * (2 * k - 1)
 
 
-@dataclass
-class VerificationReport:
-    """Outcome of one task run over its parameter grid."""
+class VerificationReport(Record, mutable=True):
+    """Outcome of one task run over its parameter grid.  Notes and
+    parameters left out (None) start as a new empty list and dict."""
 
-    task_id: str
-    summary: str
-    status: str
-    checked_cells: int
-    witness: dict | None
-    notes: list[str] = field(default_factory=list)
-    parameters: dict = field(default_factory=dict)
-    wall_time: float = 0.0
+    __slots__ = ("task_id", "summary", "status", "checked_cells", "witness", "notes",
+                 "parameters", "wall_time")
+
+    def __init__(self, task_id: str, summary: str, status: str, checked_cells: int,
+                 witness: dict | None, notes: list[str] | None = None,
+                 parameters: dict | None = None, wall_time: float = 0.0) -> None:
+        self._set(task_id, summary, status, checked_cells, witness,
+                  [] if notes is None else notes, {} if parameters is None else parameters,
+                  wall_time)
 
     @property
     def passed(self) -> bool:
@@ -499,17 +499,18 @@ def _task_t12(order: int = 40, collapse_order: int = 60):
             "alternating finite product", pochhammer_finite(MINUS, 1, 1, k - 1, collapse_order))
 
 
-@dataclass(frozen=True)
-class TaskDef:
-    task_id: str
-    summary: str
-    fn: object
-    # each grid parameter -> its least legal value: at that value the grid
-    # still checks at least one cell, and below it a run would check none of
-    # what the parameter counts
-    least: dict
-    # the name a report gives a parameter, where it is not the parameter's own
-    labels: dict = field(default_factory=dict)
+class TaskDef(Record):
+    """One registered task.  ``least`` maps each grid parameter to its least
+    legal value: at that value the grid still checks at least one cell, and
+    below it a run would check none of what the parameter counts.
+    ``labels`` maps a parameter to the name a report gives it, where that is
+    not the parameter's own (None: no labels)."""
+
+    __slots__ = ("task_id", "summary", "fn", "least", "labels")
+
+    def __init__(self, task_id: str, summary: str, fn: object, least: dict,
+                 labels: dict | None = None) -> None:
+        self._set(task_id, summary, fn, least, {} if labels is None else labels)
 
     @property
     def parameters(self) -> tuple[str, ...]:
@@ -617,6 +618,8 @@ def run_all() -> list[VerificationReport]:
 
 
 def reports_to_junit(reports: list[VerificationReport]) -> str:
+    from xml.etree import ElementTree  # here, so that start-up does not load it
+
     suite = ElementTree.Element("testsuite", {
         "name": "qpart-verify",
         "tests": str(len(reports)),

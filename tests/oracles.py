@@ -707,6 +707,19 @@ def tail_family_sums(sign: int, order: int, *term_lists) -> list[tuple[int, ...]
     return [tuple(acc) for acc in sums]
 
 
+def window_rows_uncapped(k: int, order: int) -> list[list[int]]:
+    """``counting._window_rows`` before its factors stopped at the order:
+    one factor (1 + t*q^v) for every window value v up to 2k - 2."""
+    rows = [[1]]
+    for v in range(2, 2 * k - 1, 2):
+        rows.append([])
+        for j in range(len(rows) - 1, 0, -1):
+            row, lower = rows[j], rows[j - 1]
+            row += [0] * (min(len(lower) + v, order + 1) - len(row))
+            row[v:] = map(add, row[v:], lower)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # knapsack rows, the definition-level reference for every row walk: each
 # fill's table one part size at a time (Nijenhuis & Wilf, 1978; Andrews, ch. 1)

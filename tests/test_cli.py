@@ -5,11 +5,15 @@ import hashlib
 import inspect
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import qpart
 from qpart import bijections, cli, counting, verify
 from qpart.cli import BIJECTION_FLAGS, main
 from qpart.counting import count_row
@@ -29,10 +33,35 @@ def test_count_single_value(capsys):
 
 
 def test_count_at_a_large_k_reads_only_the_window_values_that_fit(capsys):
-    # past k = 28 no more window values fit under weight 60
-    for cls, want in (("Bk_e", "16048"), ("Ck_o", "9006")):
-        code, out = run_cli(capsys, "count", "--class", cls, "--k", "40", "--n", "60")
-        assert (code, out.strip()) == (0, want), cls
+    # past k = 28 no more window values fit under weight 60, and the series
+    # path takes no window factor past the order, so k = 3000 builds as fast
+    for cls, k, method, want in (("Bk_e", "40", "enumeration", "16048"),
+                                 ("Ck_o", "40", "enumeration", "9006"),
+                                 ("Bk_e", "3000", "series", "16048")):
+        code, out = run_cli(capsys, "count", "--class", cls, "--k", k, "--n", "60",
+                            "--method", method)
+        assert (code, out.strip()) == (0, want), (cls, k, method)
+
+
+@pytest.mark.parametrize("module, qpart_modules, absent", [
+    ("qpart", ["qpart", "qpart._record", "qpart.counting", "qpart.partitions", "qpart.series"],
+     ["argparse", "dataclasses", "datetime", "inspect", "json", "xml"]),
+    ("qpart.cli", ["qpart", "qpart._record", "qpart.bijections", "qpart.cli",
+                   "qpart.counting", "qpart.partitions", "qpart.series", "qpart.verify"],
+     ["dataclasses", "datetime", "xml"]),
+])
+def test_import_loads_only_the_modules_it_uses(module, qpart_modules, absent):
+    # which modules a fresh interpreter without site loads on the import,
+    # not how long it takes: none of the value types is generated by
+    # dataclasses, and the JUnit writer and the timestamp import their
+    # modules where they run
+    env = {**os.environ, "PYTHONPATH": str(Path(qpart.__file__).resolve().parents[1])}
+    code = f"import sys\nimport {module}\nprint(*sorted(sys.modules))"
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = done.stdout.split()
+    assert [m for m in loaded if m.split(".")[0] == "qpart"] == qpart_modules
+    assert sorted({m.split(".")[0] for m in loaded} & set(absent)) == []
 
 
 def test_count_both_methods_json(capsys):

@@ -740,7 +740,7 @@ def _running_sum(order, shift, update, k=1, sign=PLUS):
         del core[order - s + 1:]
         update(core, l)
         term = core
-        window = counting._window_values(l, k)
+        window = oracles._window_values(l, k)
         if window:
             term = core.copy()
             for v in window:
@@ -748,6 +748,25 @@ def _running_sum(order, shift, update, k=1, sign=PLUS):
         acc[s:] = map(add, acc[s:], term)
         l += 1
     return tuple(acc)
+
+
+def test_window_rows_stop_at_the_order():
+    # e_j for j < k, each padded with zeros to the order, against one factor
+    # for every window value; a row the capped sweep does not build is zero
+    # below the order, as e_j starts at q^(j(j+1))
+    def padded(rows, k, order):
+        full = [row + [0] * (order + 1 - len(row)) for row in rows]
+        return full + [[0] * (order + 1)] * (k - len(rows))
+
+    cases = [(k, 740) for k in range(1, 6)]
+    cases += [(k, order) for order in (0, 1, 2, 3, 7, 20, 61)
+              for k in (*range(1, 13), 30, 31, 32, 33, 79)]
+    cases += [(k, 250) for k in (125, 126, 127, 130)]
+    for k, order in cases:
+        got = counting._window_rows(k, order)
+        assert len(got) <= k and all(len(row) <= order + 1 for row in got), (k, order)
+        want = oracles.window_rows_uncapped(k, order)
+        assert padded(got, k, order) == padded(want, k, order), (k, order)
 
 
 def test_window_builders_match_per_window_sweep():

@@ -98,6 +98,11 @@ def test_class_spec_needs_a_positive_int_k(k):
         ClassSpec("Dk", k)
 
 
+def _field_values(value):
+    """The values of the fields a value type lists, in order."""
+    return tuple(getattr(value, name) for name in type(value).__slots__)
+
+
 def test_value_types_keep_no_instance_dict():
     # Slotted values: no per-instance __dict__, and still frozen.
     from qpart.bijections import BijectionOutcome
@@ -106,12 +111,11 @@ def test_value_types_keep_no_instance_dict():
               BijectionOutcome(Partition((3, 1)), ClassSpec("A"), ("zeros,Dk",)))
     for value in values:
         assert not hasattr(value, "__dict__"), type(value).__name__
-        field = dataclasses.fields(value)[0].name
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        field = type(value).__slots__[0]
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
             setattr(value, field, getattr(value, field))
-        # A name that is no field is refused too; CPython 3.10 to 3.13 raise
-        # TypeError there, from the frozen __setattr__ of a slotted class.
-        with pytest.raises((AttributeError, TypeError)):
+        # A name that is no field is refused too.
+        with pytest.raises(AttributeError, match="^cannot assign to field 'extra'$"):
             value.extra = 1
 
 
@@ -140,13 +144,60 @@ def test_value_types_equality_hash_and_text():
         assert value == same and value is not same
         assert value != other
         assert hash(value) == hash(same)
-        # A frozen dataclass hashes as the tuple of its fields.
-        assert hash(value) == hash(tuple(getattr(value, f.name)
-                                         for f in dataclasses.fields(value)))
+        # A frozen value hashes as the tuple of its fields.
+        assert hash(value) == hash(_field_values(value))
         assert str(value) == text
         assert repr(value) == rep
     assert Partition((3, 1)) != (3, 1)
     assert len({Partition((3, 1)), Partition((3, 1)), Partition((1, 1, 1, 1))}) == 2
+
+
+def test_every_value_type_is_a_plain_slots_class():
+    # The twelve value types are __slots__ classes, not dataclasses: frozen
+    # ones refuse assignment and deletion and hash as their field tuple,
+    # the two tables stay assignable and unhashable, and every one equals
+    # its copy and its pickled round trip, and nothing of another type.
+    import copy
+    import pickle
+
+    from qpart.bijections import BijectionOutcome, sketch_harness
+    from qpart.counting import c_family_ambiguity, count_table, derive_dk_relation
+    from qpart.series import TruncatedSeries, compare_series
+    from qpart.verify import TASKS, run_task
+
+    series = TruncatedSeries((1, 2, 3))
+    frozen = [Partition((3, 1)), AnchoredPartition(4, P([4, 1])), ClassSpec("Dk", 2),
+              series, compare_series(series, TruncatedSeries((1, 2, 4))),
+              derive_dk_relation(3), c_family_ambiguity(2, 8),
+              BijectionOutcome(Partition((3, 1)), ClassSpec("A"), ("zeros,Dk",)),
+              sketch_harness(5), TASKS["T1"]]
+    mutable = [count_table(ClassSpec("A"), 4), run_task("T12", order=4, collapse_order=4)]
+    assert len({type(v) for v in frozen + mutable}) == 12
+    for value in frozen + mutable:
+        name = type(value).__name__
+        assert not dataclasses.is_dataclass(value) and not hasattr(value, "__dict__"), name
+        assert value == copy.copy(value) == pickle.loads(pickle.dumps(value)), name
+        assert value != _field_values(value), name
+    for value in frozen:
+        field = type(value).__slots__[-1]
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
+            delattr(value, field)
+        try:
+            want = hash(_field_values(value))
+        except TypeError:  # a TaskDef holds dicts, so neither hashes
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(value)
+        else:
+            assert hash(value) == want
+    for value in mutable:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+        field = type(value).__slots__[0]
+        other = copy.copy(value)
+        setattr(other, field, "changed")
+        assert getattr(other, field) == "changed" and other != value
 
 
 def test_smallest_part_profile_cases():

@@ -20,6 +20,7 @@ from qpart.series import (
     PLUS,
     SPARSE_MUL_TERMS,
     CoefficientOverflowError,
+    EqualityReport,
     NonUnitConstantError,
     OrderMismatchError,
     SeriesError,
@@ -290,6 +291,19 @@ def test_compare_window_excludes_mismatch():
     full = compare_series(a, b)
     assert not full.equal and (full.index, full.left, full.right) == (3, 5, 7)
     assert compare_series(a, b, start=4).equal
+
+
+def test_compare_window_names_its_first_mismatch_past_start():
+    # an earlier mismatch below start is not named; the first in the window is
+    a = S([1, 0, 0, 5, 9, 9, 2])
+    b = S([2, 0, 0, 5, 8, 7, 2])
+    assert compare_series(a, b) == EqualityReport(False, 0, 1, 2)
+    assert compare_series(a, b, start=1) == EqualityReport(False, 4, 9, 8)
+    assert compare_series(a, b, start=4) == EqualityReport(False, 4, 9, 8)
+    assert compare_series(a, b, start=5) == EqualityReport(False, 5, 9, 7)
+    assert compare_series(a, b, start=6) == EqualityReport(True)
+    assert compare_series(a, b, start=9) == EqualityReport(True)
+    assert compare_series(a, b, start=-3) == EqualityReport(False, 0, 1, 2)
 
 
 def _signed_smallest_part_sides(k, big_n, order):
