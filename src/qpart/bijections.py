@@ -374,10 +374,6 @@ class SketchReport(Record):
                  failures: tuple[tuple[Partition, AnchoredPartition], ...]) -> None:
         self._set(weight, attempted, succeeded, failures)
 
-    @property
-    def all_ok(self) -> bool:
-        return not self.failures
-
     def to_json_dict(self) -> dict:
         return {
             "weight": self.weight,

@@ -11,45 +11,23 @@ the limit), a ``--junit`` path that cannot be written (the message names
 it), a round-trip sweep of a weight class that lies outside the map's
 domain or has no member, and a flag that the command or the map does not
 read.
-
-The default truncation order for series output can be overridden with the
-``QPART_DEFAULT_ORDER`` environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
-import os
 import sys
 
 from . import bijections
-from .counting import (
-    c_family_ambiguity,
-    count_by_enumeration,
-    count_by_series,
-    count_table,
-    enumerate_class,
-    gf,
-)
+from .counting import PATHS, c_family_ambiguity, count_table, enumerate_class, gf
 from .partitions import AnchoredPartition, ClassSpec, Partition, PartitionError
 from .series import CoefficientOverflowError
-from .verify import TASKS, run_all, run_task, reports_to_junit
-
-DEFAULT_ORDER_ENV = "QPART_DEFAULT_ORDER"
+from .verify import TASKS, reports_to_junit, run_all, run_task, task_grid
 
 # every grid parameter some task takes, in registry order -> its `verify` flag
 VERIFY_GRID_FLAGS = {p: "--" + p.replace("_", "-")
                      for t in TASKS.values() for p in t.parameters}
-
-
-def _default_order(parser: argparse.ArgumentParser) -> int:
-    value = os.environ.get(DEFAULT_ORDER_ENV, "200")
-    try:
-        return int(value)
-    except ValueError:
-        parser.error(f"{DEFAULT_ORDER_ENV} must be an integer, got {value!r}")
 
 
 def _timestamp() -> str:
@@ -91,37 +69,25 @@ def _cmd_count(parser, args) -> int:
         _emit(json.dumps(report.to_json_dict(), indent=2))
         return 0
     method, fmt = args.method or "enumeration", args.format or "markdown"
-    methods = ("enumeration", "series") if method == "both" else (method,)
-    if "series" in methods:
-        # the series count_by_series and count_table read, built before any
-        # walk; a negative weight is left for the count to refuse
-        gf(spec, max(args.n if args.n is not None else args.nmax, 0))
-    if args.n is not None:
-        values = {}
-        for method in methods:
-            if method == "enumeration":
-                values[method] = count_by_enumeration(spec, args.n)
-            else:
-                values[method] = count_by_series(spec, args.n)
-        if len(set(values.values())) > 1:
-            _emit(f"path disagreement for {spec} at n={args.n}: {values}")
-            return 1
-        value = next(iter(values.values()))
-        if fmt == "json":
-            _emit(json.dumps({"class": spec.class_id, "k": spec.k,
-                              "n": args.n, "count": value,
-                              "methods": sorted(values)}))
-        else:
-            _emit(str(value))
-        return 0
-    tables = [count_table(spec, args.nmax, m) for m in methods]
-    if len(tables) == 2 and tables[0].values != tables[1].values:
-        diff = {n for n in tables[0].values
-                if tables[0].values[n] != tables[1].values[n]}
-        _emit(f"path disagreement for {spec} at n in {sorted(diff)}")
+    hi = args.n if args.n is not None else args.nmax
+    # both paths in PATHS order, which builds the series before any walk
+    methods = tuple(PATHS) if method == "both" else (method,)
+    tables = {m: count_table(spec, hi, m) for m in methods}
+    # the paths compare at the weights printed, and print as the first by name
+    table, *rest = (tables[m] for m in sorted(tables))
+    shown = [hi] if args.n is not None else range(hi + 1)
+    diff = [n for n in shown if any(t.values[n] != table.values[n] for t in rest)]
+    if diff:
+        values = {m: tables[m].values[hi] for m in sorted(tables)}
+        _emit(f"path disagreement for {spec} at n={hi}: {values}" if args.n is not None
+              else f"path disagreement for {spec} at n in {diff}")
         return 1
-    table = tables[0]
-    if fmt == "json":
+    if args.n is not None and fmt == "json":
+        _emit(json.dumps({"class": spec.class_id, "k": spec.k, "n": hi,
+                          "count": table.values[hi], "methods": sorted(tables)}))
+    elif args.n is not None:
+        _emit(str(table.values[hi]))
+    elif fmt == "json":
         _emit(json.dumps(table.to_json_dict(), indent=2))
     elif fmt == "csv":
         _emit(table.to_csv())
@@ -147,24 +113,26 @@ def _cmd_enumerate(parser, args) -> int:
 
 def _cmd_series(parser, args) -> int:
     spec = ClassSpec(args.klass, args.k)
-    order = args.order if args.order is not None else _default_order(parser)
-    series = gf(spec, order)
+    series = gf(spec, args.order)
     if args.format == "csv":
         lines = ["n,coefficient"]
         lines.extend(f"{i},{c}" for i, c in enumerate(series.coeffs))
         _emit("\n".join(lines))
     elif args.format == "markdown":
-        _emit(f"generating function of {spec} up to q^{order}:\n\n{series}")
+        _emit(f"generating function of {spec} up to q^{args.order}:\n\n{series}")
     else:
         _emit(json.dumps(series.to_json_dict()))
     return 0
 
 
-def _flags(function) -> dict[str, inspect.Parameter]:
-    """The flags a ``bijections.MAPS`` function reads: its parameters besides
-    its input (``value`` of apply, ``n`` of domain)."""
-    return {name: param for name, param in inspect.signature(function).parameters.items()
-            if name not in ("value", "n")}
+def _flags(function) -> dict[str, bool]:
+    """The flags a ``bijections.MAPS`` function reads, each mapped to
+    whether it has a default: its parameters besides its input (``value`` of
+    apply, ``n`` of domain), read off its code object."""
+    code = function.__code__
+    names = code.co_varnames[:code.co_argcount]
+    required = len(names) - len(function.__defaults__ or ())
+    return {name: i >= required for i, name in enumerate(names) if name not in ("value", "n")}
 
 
 def _call(function, flags: dict, *inputs):
@@ -185,7 +153,7 @@ def _cmd_bijection(parser, args) -> int:
         if given and flag not in reads:
             parser.error(f"bijection {args.name} takes no --{flag}"
                          + (" without --parts" if flag in _flags(row.apply) else ""))
-        if not given and flag in reads and reads[flag].default is inspect.Parameter.empty:
+        if not given and flag in reads and not reads[flag]:
             parser.error(f"bijection {args.name} needs --{flag}")
     flags = {flag: getattr(args, flag) for flag in reads if getattr(args, flag) is not None}
 
@@ -276,19 +244,12 @@ def _render_reports(parser, reports, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
-    if args.task not in TASKS:
-        parser.error(f"unknown task {args.task!r}; known: {', '.join(TASKS)}")
-    task = TASKS[args.task]
     overrides = {name: getattr(args, name) for name in VERIFY_GRID_FLAGS}
-    for name, value in overrides.items():
-        if value is None:
-            continue
-        flag = VERIFY_GRID_FLAGS[name]
-        if name not in task.parameters:
-            parser.error(f"task {args.task} takes no {flag}")
-        if value < task.least[name]:
-            parser.error(f"task {args.task} takes {flag} >= {task.least[name]}, not {value}")
-    report = run_task(args.task, **overrides)
+    try:
+        grid = task_grid(args.task, overrides, VERIFY_GRID_FLAGS.__getitem__)
+    except (KeyError, TypeError, ValueError) as err:
+        parser.error(err.args[0])
+    report = run_task(args.task, **grid)
     return _render_reports(parser, [report], args)
 
 
@@ -342,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_series = sub.add_parser("series", help="print a class generating function")
     p_series.add_argument("--class", dest="klass", required=True)
     p_series.add_argument("--k", type=int)
-    p_series.add_argument("--order", type=int,
-                          help=f"truncation order (default {DEFAULT_ORDER_ENV} or 200)")
+    p_series.add_argument("--order", type=int, default=200,
+                          help="truncation order (default 200)")
     _add_format(p_series, default="json")
     p_series.set_defaults(handler=_cmd_series)
 

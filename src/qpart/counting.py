@@ -1,5 +1,8 @@
 """Dual-path counting: exhaustive enumeration and generating-function
 coefficients for every partition class, each path an oracle for the other.
+``PATHS`` names the two paths, ``"enumeration"`` and ``"series"``, each as a
+reader of a class's counts at weights 0..hi; every caller that takes a
+method name reads it there.
 
 Every class of the paper is fixed head parts around one fill: distinct
 parts, odd parts, or a C core (parts distinct up to l, free above it).  One
@@ -881,6 +884,25 @@ def count_by_series(spec: ClassSpec, n: int) -> int:
     return gf(spec, n).coefficient(n)
 
 
+# The two counting paths, each an oracle for the other: method name -> a
+# reader (spec, hi) -> the class counts at weights 0..hi.  Each reader looks
+# its function up in this module when it is called, so a function patched
+# here is the one it calls.  A reader of both paths reads them in this
+# order: the series first, so that a series past the coefficient bound is
+# refused before any walk to a weight near that bound.
+PATHS: dict[str, Callable[[ClassSpec, int], tuple[int, ...]]] = {
+    "series": lambda spec, hi: gf(spec, hi).coeffs,
+    "enumeration": lambda spec, hi: count_row(spec, hi),
+}
+
+
+def _path(method: str) -> Callable[[ClassSpec, int], tuple[int, ...]]:
+    """The reader of a counting path, by its method name."""
+    if method not in PATHS:
+        raise PartitionError(f"unknown counting method {method!r}")
+    return PATHS[method]
+
+
 # ---------------------------------------------------------------------------
 # derived quantities
 # ---------------------------------------------------------------------------
@@ -893,12 +915,9 @@ def ak_doubled_specs(k: int) -> tuple[ClassSpec, ...]:
 
 def count_ak_doubled(k: int, n: int, method: str = "enumeration") -> int:
     """2*A_k(n) = P1 + Pprime + P2 + Pdprime counts at weight n."""
-    specs = ak_doubled_specs(k)
-    if method == "enumeration":
-        return sum(count_by_enumeration(s, n) for s in specs)
-    if method == "series":
-        return sum(count_by_series(s, n) for s in specs)
-    raise PartitionError(f"unknown counting method {method!r}")
+    _require_natural("weight", n)
+    row = _path(method)
+    return sum(row(spec, n)[n] for spec in ak_doubled_specs(k))
 
 
 class DkRelation(Record):
@@ -978,18 +997,12 @@ class CountTable(Record, mutable=True):
 
 
 def count_table(spec: ClassSpec, nmax: int, method: str = "enumeration") -> CountTable:
-    """Counts of the class at weights 0..nmax on one path: one enumeration
-    row (:func:`count_row`), or the coefficients of one generating function
-    built to order nmax."""
+    """Counts of the class at weights 0..nmax on one path of ``PATHS``: one
+    enumeration row (:func:`count_row`), or the coefficients of one
+    generating function built to order nmax."""
     _require_natural("weight", nmax)
-    if method == "enumeration":
-        values = dict(enumerate(count_row(spec, nmax)))
-    elif method == "series":
-        series = gf(spec, nmax)
-        values = {n: series.coefficient(n) for n in range(nmax + 1)}
-    else:
-        raise PartitionError(f"unknown counting method {method!r}")
-    return CountTable(spec, method, values)
+    row = _path(method)
+    return CountTable(spec, method, dict(enumerate(row(spec, nmax))))
 
 
 class AmbiguityReport(Record):

@@ -225,13 +225,6 @@ class TruncatedSeries(Record):
     def one(cls, order: int) -> "TruncatedSeries":
         return cls((1,) + (0,) * order)
 
-    @classmethod
-    def monomial(cls, coefficient: int, exponent: int, order: int) -> "TruncatedSeries":
-        cs = [0] * (order + 1)
-        if 0 <= exponent <= order:
-            cs[exponent] = coefficient
-        return cls(tuple(cs))
-
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -242,9 +235,6 @@ class TruncatedSeries(Record):
         if not 0 <= i <= self.order:
             raise IndexError(f"exponent {i} outside [0, {self.order}]")
         return self.coeffs[i]
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def _require_same_order(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
@@ -317,13 +307,6 @@ class TruncatedSeries(Record):
 
     def to_json_dict(self) -> dict:
         return {"order": self.order, "coeffs": list(self.coeffs)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TruncatedSeries":
-        series = cls(tuple(int(c) for c in data["coeffs"]))
-        if series.order != int(data["order"]):
-            raise SeriesError("coefficient count disagrees with declared order")
-        return series
 
     def __str__(self) -> str:
         terms = []

@@ -11,19 +11,20 @@ ROADMAP item 1 replaces the window with the stated bound.  Behaviour below a
 threshold is recorded as an informational note, never asserted.
 
 A task is a generator over its grid, whose parameters and defaults are its
-signature; its registry entry declares the least legal value of each
-parameter, and a grid below it, or a run that checks no cell, is an error,
-never a pass.  It yields each check as (cells, witness or None) and each
-note as a string, in the order it runs them; one runner adds up the cells,
-keeps the notes and stops at the first witness.  A check is one of three
-kinds: a chain at one cell (named values that must all equal the first; the
-first that differs names the witness), an evenness chain (a value against
-itself rounded up to even), or a series comparison worth one cell per
-coefficient, whose witness cell leads with the first differing exponent.  The dual-path
-tasks (T1, T2, T4, T6, T10) are lists of named terms that one loop evaluates
-by enumeration and then by series: each path reads one row per class, the
-class's exhaustive enumeration counts or its generating-function
-coefficients up to the task's order.
+keyword-only parameters; its registry entry declares the least legal value
+of each parameter, and a grid below it, or a run that checks no cell, is an
+error, never a pass.  :func:`task_grid` fills in and checks a grid, for
+:func:`run_task` and the CLI alike.  A task yields each check as (cells,
+witness or None) and each note as a string, in the order it runs them; one
+runner adds up the cells, keeps the notes and stops at the first witness.  A
+check is one of three kinds: a chain at one cell (named values that must all
+equal the first; the first that differs names the witness), an evenness
+chain (a value against itself rounded up to even), or a series comparison
+worth one cell per coefficient, whose witness cell leads with the first
+differing exponent.  The dual-path tasks (T1, T2, T4, T6, T10) are lists of
+named terms that one loop evaluates by enumeration and then by series: each
+path reads one row per class, the class's exhaustive enumeration counts or
+its generating-function coefficients up to the task's order.
 
 Registered tasks
 ----------------
@@ -50,12 +51,12 @@ T12  engine self-tests: geometric-sum expansion of reciprocal products and
 
 from __future__ import annotations
 
-import inspect
 import time
 from functools import cache
 
 from ._record import Record
 from .counting import (
+    PATHS,
     ClassSpec,
     ak_doubled_specs,
     c_family_ambiguity,
@@ -164,27 +165,31 @@ def _series(cell: dict, left_name: str, lhs: TruncatedSeries,
                   [(left_name, report.left), (right_name, report.right)])
 
 
+# the tag of each counting path in a witness name
+_PATH_TAGS = {"series": "series", "enumeration": "enum"}
+
+
 def _check_terms(ns, terms, order: int, guard=None, **cell):
     """All named terms equal at each n in `ns`, by enumeration then by series.
 
     A term is (label, value(count, n)), where count(spec, m) is the class
-    count on one path: entry m of the enumeration row of the class up to
-    `order`, or the q^m coefficient of the class generating function
-    truncated at `order`.  Each path reads one row or series per class.  At
-    each n the values tagged [enum] come first, then those tagged [series];
-    `guard(tag, count, n)` returns a chain on each path, checked in the same
-    order before any term is compared.  Yields one check per n, whose
-    witness cell holds n followed by `cell`.
+    count on one path of ``counting.PATHS``: entry m of the enumeration row
+    of the class up to `order`, or the q^m coefficient of the class
+    generating function truncated at `order`.  Each path reads one row or
+    series per class.  At each n the values tagged [enum] come first, then
+    those tagged [series]; `guard(tag, count, n)` returns a chain on each
+    path, checked in the same order before any term is compared.  Yields one
+    check per n, whose witness cell holds n followed by `cell`.
 
-    The series path is read first at each n, so a series that leaves the
-    coefficient bound raises before any walk to a weight near that bound.
+    The paths are read in their ``PATHS`` order, the series first at each
+    n, so a series that leaves the coefficient bound raises before any walk
+    to a weight near that bound.
     """
-    def reader(row_of):
-        row_of = cache(row_of)
+    def reader(row):
+        row_of = cache(lambda spec: row(spec, order))
         return lambda spec, m: row_of(spec)[m]
 
-    paths = (("series", reader(lambda spec: gf(spec, order).coeffs)),
-             ("enum", reader(lambda spec: count_row(spec, order))))
+    paths = [(_PATH_TAGS[method], reader(row)) for method, row in PATHS.items()]
     for n in ns:
         (series_guard, series), (enum_guard, enum) = (
             (guard(tag, count, n) if guard else None,
@@ -194,7 +199,7 @@ def _check_terms(ns, terms, order: int, guard=None, **cell):
         yield 1, _chain({"n": n, **cell}, *guards, enum + series)
 
 
-def _task_t1(nmax: int = 60):
+def _task_t1(*, nmax: int = 60):
     d2 = ClassSpec("Dk", 2)
 
     def odd_d2(tag: str, count, n: int) -> list[tuple[str, int]]:
@@ -216,7 +221,7 @@ T2_AMBIGUITY_K = 2
 T2_AMBIGUITY_NMAX = 12
 
 
-def _task_t2(kmax: int = 5, nmax: int = 60):
+def _task_t2(*, kmax: int = 5, nmax: int = 60):
     for k in range(1, kmax + 1):
         for parity in ("e", "o"):
             bk, ck = ClassSpec(f"Bk_{parity}", k), ClassSpec(f"Ck_{parity}", k)
@@ -249,7 +254,7 @@ def _difference_chain(k: int):
             gf_parity_difference("Ck", k, order), gf(ClassSpec("Dk", 2 * k), order))
 
 
-def _task_t3(kmax: int = 4):
+def _task_t3(*, kmax: int = 4):
     for k in range(1, kmax + 1):
         lo, hi, order, bdiff, cdiff, d2k = _difference_chain(k)
         if k >= 4:
@@ -270,7 +275,7 @@ def _task_t3(kmax: int = 4):
                f"(stated bound {stated_bound(k)}, window [{lo}, {hi}])")
 
 
-def _task_t3x(kmax: int = 4, order: int = 200):
+def _task_t3x(*, kmax: int = 4, order: int = 200):
     for k in range(1, kmax + 1):
         lhs = gf(ClassSpec("Dk", 2 * k), order) + pochhammer_finite(MINUS, 1, 1, 2 * k - 1, order)
         rhs = (gf_parity_difference("Ck", k, order)
@@ -279,7 +284,7 @@ def _task_t3x(kmax: int = 4, order: int = 200):
                                  "2*(Ck diff gf + even correction)", rhs)
 
 
-def _task_t4(kmax: int = 5, nmax: int = 60):
+def _task_t4(*, kmax: int = 5, nmax: int = 60):
     for k in range(1, kmax + 1):
         ak, dk = ak_doubled_specs(k), ClassSpec("Dk", k)
         yield from _check_terms(range(1, nmax + 1), [
@@ -288,7 +293,7 @@ def _task_t4(kmax: int = 5, nmax: int = 60):
         ], nmax + 1, k=k)
 
 
-def _task_t5(kmax: int = 3):
+def _task_t5(*, kmax: int = 3):
     for k in range(1, kmax + 1):
         lo, hi, order, bdiff, cdiff, d2k = _difference_chain(k)
         a2k = series_sum([gf(spec, order) for spec in ak_doubled_specs(2 * k)], order)
@@ -306,7 +311,7 @@ def _task_t5(kmax: int = 3):
         yield f"k={k}: chain checked on window [{lo}, {hi}]"
 
 
-def _task_t6(nmax: int = 60):
+def _task_t6(*, nmax: int = 60):
     yield from _check_terms(range(1, nmax + 1), [
         ("A(n)", lambda count, n: count(ClassSpec("A"), n)),
         ("E(n+2)", lambda count, n: count(ClassSpec("E"), n + 2)),
@@ -314,12 +319,13 @@ def _task_t6(nmax: int = 60):
     ], nmax + 2)
 
 
-def _t7_expected(k: int):
-    """T7's piecewise value at k, as a function of n; the bounded pair is
-    read as one row up to k(k-1)/2."""
+def _t7_expected(k: int, nmax: int):
+    """T7's piecewise value at k, as a function of n <= nmax; the bounded
+    pair is read as one row up to k(k-1)/2 or nmax, whichever is less."""
     edge = k * (k - 1) // 2
-    if edge >= k:  # the middle branch k..edge is not empty
-        even, odd = (count_row(ClassSpec(f"{p}_bounded", k), edge) for p in ("Pe", "Po"))
+    hi = min(edge, nmax)
+    if hi >= k:  # the middle branch k..edge is not empty below nmax
+        even, odd = (count_row(ClassSpec(f"{p}_bounded", k), hi) for p in ("Pe", "Po"))
 
     def expected(n: int) -> int:
         if n <= k - 1:
@@ -330,11 +336,11 @@ def _t7_expected(k: int):
     return expected
 
 
-def _task_t7(kmax: int = 8, nmax: int = 60, enum_nmax: int = 34):
+def _task_t7(*, kmax: int = 8, nmax: int = 60, enum_nmax: int = 34):
     enum_hi = min(enum_nmax, nmax)
     for k in range(1, kmax + 1):
         diff = gf_parity_difference("Dk", k, nmax)
-        piecewise = _t7_expected(k)
+        piecewise = _t7_expected(k, nmax)
         if enum_hi >= 1:
             even, odd = (count_row(ClassSpec(f"Dk_{p}", k), enum_hi) for p in ("e", "o"))
         for n in range(1, nmax + 1):
@@ -345,13 +351,14 @@ def _task_t7(kmax: int = 8, nmax: int = 60, enum_nmax: int = 34):
                 chains.append([("Dk_e-Dk_o(n) [enum]", even[n] - odd[n]),
                                ("piecewise value", expected)])
             yield 1, _chain({"k": k, "n": n}, *chains)
-        edge1, edge2 = k - 1, k * (k - 1) // 2
-        if edge1 >= 1:
-            yield (f"k={k}: branch boundaries diff({edge1})={piecewise(edge1)}"
-                   f", diff({edge2})={piecewise(edge2)}")
+        # the boundaries k - 1 and k(k-1)/2 that lie in the grid
+        edges = [edge for edge in (k - 1, k * (k - 1) // 2) if 1 <= edge <= nmax]
+        if edges:
+            yield (f"k={k}: branch boundaries "
+                   + ", ".join(f"diff({edge})={piecewise(edge)}" for edge in edges))
 
 
-def _task_t7c(kmax: int = 8, nmax: int = 60):
+def _task_t7c(*, kmax: int = 8, nmax: int = 60):
     for k in range(1, kmax + 1):
         dk = gf(ClassSpec("Dk", k), nmax)
         de = gf(ClassSpec("Dk_e", k), nmax)
@@ -362,7 +369,7 @@ def _task_t7c(kmax: int = 8, nmax: int = 60):
                             [("Dk(n) mod 2", dk.coefficient(n) % 2), ("0", 0)])
 
 
-def _task_t8(kmax: int = 6, n_terms: int = 30, order: int = 120):
+def _task_t8(*, kmax: int = 6, n_terms: int = 30, order: int = 120):
     # Each T8 series is its series at any higher order, cut at this one, so a
     # coefficient past 2**63 at exponent e fails every order from e on, and
     # a rerun at e - 1 fails below e or builds: the last rerun that fails
@@ -422,7 +429,7 @@ def _t8_checks(kmax: int, n_terms: int, order: int):
            f"verified independently for N=0..{n_terms}")
 
 
-def _task_t9(kmax: int = 8, order: int = 120):
+def _task_t9(*, kmax: int = 8, order: int = 120):
     distinct_gf = gf(ClassSpec("A"), order)
     for k in range(1, kmax + 1):
         lhs = gf(ClassSpec("Dk", k), order)
@@ -435,7 +442,7 @@ def _task_t9(kmax: int = 8, order: int = 120):
                                  "2*distinct_gf*polynomial + correction", rhs)
 
 
-def _task_t10(kmax: int = 5, nmax: int = 60):
+def _task_t10(*, kmax: int = 5, nmax: int = 60):
     a = ClassSpec("A")
     for k in range(2, kmax + 1):
         dk, dk1 = ClassSpec("Dk", k), ClassSpec("Dk", k - 1)
@@ -450,7 +457,7 @@ def _task_t10(kmax: int = 5, nmax: int = 60):
 T11_ENUM_NMAX = 40
 
 
-def _task_t11(kmax: int = 6, nmax: int = 80):
+def _task_t11(*, kmax: int = 6, nmax: int = 80):
     sa = gf(ClassSpec("A"), nmax)
     d3 = gf(ClassSpec("Dk", 3), nmax)
     enum_d3 = count_row(ClassSpec("Dk", 3), min(nmax, T11_ENUM_NMAX))
@@ -477,7 +484,7 @@ def _task_t11(kmax: int = 6, nmax: int = 80):
 T12_COLLAPSE_KMAX = 8
 
 
-def _task_t12(order: int = 40, collapse_order: int = 60):
+def _task_t12(*, order: int = 40, collapse_order: int = 60):
     # geometric expansion: reciprocal of the falling tail product equals the
     # termwise sum of q^(c*m) / (1-q)...(1-q^m).  The left side inverts the
     # product; the factorial reciprocals on the right are running divisions.
@@ -514,8 +521,8 @@ class TaskDef(Record):
 
     @property
     def parameters(self) -> tuple[str, ...]:
-        """Names of the grid parameters the task takes."""
-        return tuple(inspect.signature(self.fn).parameters)
+        """Names of the grid parameters the task takes, in declaration order."""
+        return tuple(self.fn.__kwdefaults__)
 
 
 TASKS: dict[str, TaskDef] = {
@@ -570,36 +577,48 @@ def _run(checks) -> tuple[int, dict | None, list[str]]:
     return cells, None, notes
 
 
-def run_task(task_id: str, **overrides) -> VerificationReport:
-    """Run one registered task.
+def task_grid(task_id: str, overrides: dict, spell=str) -> dict:
+    """The whole grid of one registered task: its defaults, with the
+    overrides whose value is not None in their place.
 
-    Overrides whose value is None are dropped; any other key the task does
-    not take raises TypeError, and a value that is not an int, or is below
-    the parameter's least legal value, ValueError, before the task runs.  A
-    run that checks no cell raises ValueError rather than pass.  The report's parameters are the
-    whole grid that ran, defaults included.
+    An unknown task raises KeyError; an override the task does not take,
+    TypeError; and a value that is not an int, or is below the parameter's
+    least legal value, ValueError.  ``spell(name)`` is how a message writes a
+    parameter name (the CLI passes its flags).
     """
     if task_id not in TASKS:
         raise KeyError(f"unknown task {task_id!r}; known: {', '.join(TASK_ORDER)}")
     task = TASKS[task_id]
-    kwargs = {k: v for k, v in overrides.items() if v is not None}
-    unknown = sorted(kwargs.keys() - task.parameters)
+    grid = dict(task.fn.__kwdefaults__)
+    given = {k: v for k, v in overrides.items() if v is not None}
+    unknown = sorted(given.keys() - grid.keys())
     if unknown:
-        raise TypeError(f"task {task_id} takes no {', '.join(unknown)}; "
-                        f"it takes {', '.join(task.parameters)}")
-    grid = inspect.signature(task.fn).bind(**kwargs)
-    grid.apply_defaults()
-    for name, value in grid.arguments.items():
+        raise TypeError(f"task {task_id} takes no {', '.join(map(spell, unknown))}; "
+                        f"it takes {', '.join(map(spell, grid))}")
+    grid.update(given)
+    for name, value in grid.items():
         # bool is an int subclass, but True is no grid size
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"task {task_id} takes an integer {name}, not {value!r}")
+            raise ValueError(f"task {task_id} takes an integer {spell(name)}, not {value!r}")
         if value < task.least[name]:
-            raise ValueError(f"task {task_id} takes {name} >= {task.least[name]}, not {value}")
+            raise ValueError(f"task {task_id} takes {spell(name)} >= {task.least[name]}, "
+                             f"not {value}")
+    return grid
+
+
+def run_task(task_id: str, **overrides) -> VerificationReport:
+    """Run one registered task on :func:`task_grid`'s grid, which raises
+    before the task runs.  A run that checks no cell raises ValueError
+    rather than pass.  The report's parameters are the whole grid that ran,
+    defaults included.
+    """
+    grid = task_grid(task_id, overrides)
+    task = TASKS[task_id]
     start = time.perf_counter()
-    cells, witness, notes = _run(task.fn(**grid.arguments))
+    cells, witness, notes = _run(task.fn(**grid))
     elapsed = time.perf_counter() - start
     if not cells:
-        raise ValueError(f"task {task_id} checked no cells on the grid {grid.arguments}")
+        raise ValueError(f"task {task_id} checked no cells on the grid {grid}")
     return VerificationReport(
         task_id=task_id,
         summary=task.summary,
@@ -607,8 +626,7 @@ def run_task(task_id: str, **overrides) -> VerificationReport:
         checked_cells=cells,
         witness=witness,
         notes=notes,
-        parameters={task.labels.get(name, name): value
-                    for name, value in grid.arguments.items()},
+        parameters={task.labels.get(name, name): value for name, value in grid.items()},
         wall_time=elapsed,
     )
 

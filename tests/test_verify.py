@@ -17,6 +17,7 @@ from qpart.verify import (
     reports_to_junit,
     run_task,
     stated_bound,
+    task_grid,
 )
 
 
@@ -47,7 +48,7 @@ def test_least_grid_checks_cells_and_below_it_is_rejected(task_id):
 
 
 def test_run_that_checks_no_cell_is_not_a_pass(monkeypatch):
-    def notes_only(nmax: int = 3):
+    def notes_only(*, nmax: int = 3):
         yield "no checks"
 
     monkeypatch.setitem(TASKS, "T1", verify.TaskDef("T1", "empty", notes_only, {"nmax": 0}))
@@ -81,6 +82,18 @@ def test_t7_k3_difference_sequence():
     assert all(c == 0 for c in diff.coeffs[4:])
     report = run_task("T7", kmax=3, nmax=20)
     assert report.passed
+
+
+def test_t7_reads_the_bounded_pair_only_inside_the_grid(monkeypatch):
+    # k(k-1)/2 is past the walk limit from k = 18 on; T7 reads the bounded
+    # pair to nmax at most, and notes only the boundaries inside the grid
+    report = run_task("T7", kmax=40)
+    assert report.passed and report.checked_cells == 40 * 60
+    assert report.notes[-1] == "k=40: branch boundaries diff(39)=0"
+    walks, real = [], verify.count_row
+    monkeypatch.setattr(verify, "count_row", lambda spec, hi: walks.append(hi) or real(spec, hi))
+    assert run_task("T7", kmax=9, nmax=10, enum_nmax=0).passed
+    assert max(walks) == 10
 
 
 def test_t4_worked_cell():
@@ -237,6 +250,20 @@ def test_override_filtering():
     with pytest.raises(TypeError, match="task T9 takes no nmax; it takes kmax, order"):
         run_task("T9", nmax=5)
     assert TASKS["T12"].parameters == ("order", "collapse_order")
+
+
+def test_task_grid_fills_in_the_defaults_and_spells_each_name():
+    assert task_grid("T8", {"order": 40, "kmax": None}) == {"kmax": 6, "n_terms": 30, "order": 40}
+    flag = {"nmax": "--nmax", "kmax": "--kmax", "order": "--order"}.__getitem__
+    for overrides, error, message in (
+            ({"nmax": 5}, TypeError, "task T9 takes no --nmax; it takes --kmax, --order"),
+            ({"order": -1}, ValueError, "task T9 takes --order >= 0, not -1"),
+            ({"order": 2.5}, ValueError, "task T9 takes an integer --order, not 2.5")):
+        with pytest.raises(error) as raised:
+            task_grid("T9", overrides, flag)
+        assert str(raised.value) == message
+    with pytest.raises(KeyError, match="unknown task 'T99'; known: T1, T2, T3, T3x"):
+        task_grid("T99", {})
 
 
 def test_t12_holds_no_tail_family():
